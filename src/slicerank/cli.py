@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import bound_engines as be
-from . import degeneration, optimizer, tensor_core
+from . import degeneration, tensor_core
 from .tensor_core import ParseError, Tensor, trimmed
 
 # Golden values at printed precision; comparisons use |computed - golden|
@@ -37,6 +37,9 @@ EXIT_MISMATCH = 1
 EXIT_CONVERGENCE = 2
 EXIT_PARSE = 3
 EXIT_INAPPLICABLE = 4
+
+# --seed is still accepted so that scripts passing it keep working
+SEED_HELP = "ignored; the solver is deterministic"
 
 
 def _cw_small_closed_form(q: int) -> float:
@@ -128,73 +131,49 @@ def _load(path, parser):
 
 
 def cmd_bound(args) -> int:
-    try:
-        t = _load(args.tensor, tensor_core.parse_tensor)
-        p = _load(args.partition, lambda s: tensor_core.parse_partition(s, t.shape))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if args.mode == "partition":
-            rep = be.partition_bound(t, p, seed=args.seed)
-            if rep.certificate.get("kkt_residual", 0.0) > KKT_LIMIT:
-                print("convergence failure", file=sys.stderr)
-                return EXIT_CONVERGENCE
-            print(rep.to_line())
-        elif args.mode == "mu-sum":
-            parts = list(tensor_core.split_by_blocks(t, p).values())
-            rep = be.sum_of_measures_bound(t, parts)
-            print(rep.to_line())
-        elif args.mode == "remove-x":
-            by_block = tensor_core.split_by_blocks(t, p)
-            first = p.parts_x[0][1]
-            a_entries = {}
-            b_entries = {}
-            for key, c in t.entries.items():
-                (a_entries if key[0] in first else b_entries)[key] = c
-            if not a_entries or not b_entries:
-                print("remove-x needs a nontrivial first x part", file=sys.stderr)
-                return EXIT_INAPPLICABLE
-            a = Tensor(t.x_labels, t.y_labels, t.z_labels, a_entries)
-            b = Tensor(t.x_labels, t.y_labels, t.z_labels, b_entries)
-            bt = trimmed(b)
-            inner = be.partition_bound(bt, tensor_core.singleton_partition(bt),
-                                       seed=args.seed)
-            rep = be.split_bound(a, b, inner.value, total=t)
-            print(rep.to_line())
-        elif args.mode == "laser":
-            ready = be.laser_readiness(t, p)
-            if not ready.ok:
-                for failure in ready.failures:
-                    print(f"not laser-ready: {failure}", file=sys.stderr)
-                return EXIT_INAPPLICABLE
-            rep = be.laser_lower_bound(t, p)
-            if rep.certificate.get("kkt_residual", 0.0) > KKT_LIMIT:
-                print("convergence failure", file=sys.stderr)
-                return EXIT_CONVERGENCE
-            print(f"S~ = Q~ = {rep.value:.5f} (tight)")
-    except be.Inapplicable as exc:
-        print(f"inapplicable: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    t = _load(args.tensor, tensor_core.parse_tensor)
+    p = _load(args.partition, lambda s: tensor_core.parse_partition(s, t.shape))
+    solved = None  # the report whose optimizer residual is checked
+    if args.mode == "partition":
+        solved = be.partition_bound(t, p)
+        line = solved.to_line()
+    elif args.mode == "mu-sum":
+        parts = list(tensor_core.split_by_blocks(t, p).values())
+        line = be.sum_of_measures_bound(t, parts).to_line()
+    elif args.mode == "remove-x":
+        first = p.parts_x[0][1]
+        a_entries = {}
+        b_entries = {}
+        for key, c in t.entries.items():
+            (a_entries if key[0] in first else b_entries)[key] = c
+        if not a_entries or not b_entries:
+            print("remove-x needs a nontrivial first x part", file=sys.stderr)
+            return EXIT_INAPPLICABLE
+        a = Tensor(t.x_labels, t.y_labels, t.z_labels, a_entries)
+        b = Tensor(t.x_labels, t.y_labels, t.z_labels, b_entries)
+        bt = trimmed(b)
+        solved = be.partition_bound(bt, tensor_core.singleton_partition(bt))
+        line = be.split_bound(a, b, solved.value, total=t).to_line()
+    else:
+        ready = be.laser_readiness(t, p)
+        if not ready.ok:
+            for failure in ready.failures:
+                print(f"not laser-ready: {failure}", file=sys.stderr)
+            return EXIT_INAPPLICABLE
+        solved = be.laser_lower_bound(t, p)
+        line = f"S~ = Q~ = {solved.value:.5f} (tight)"
+    if solved is not None and solved.certificate["kkt_residual"] > KKT_LIMIT:
+        print("convergence failure", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    print(line)
     return EXIT_OK
 
 
 def cmd_verify_degeneration(args) -> int:
-    try:
-        t1 = _load(args.source, tensor_core.parse_tensor)
-        t2 = _load(args.target, tensor_core.parse_tensor)
-        dmap = _load(args.map, degeneration.parse_degeneration_map)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        result = degeneration.verify_degeneration(t1, t2, dmap)
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    t1 = _load(args.source, tensor_core.parse_tensor)
+    t2 = _load(args.target, tensor_core.parse_tensor)
+    dmap = _load(args.map, degeneration.parse_degeneration_map)
+    result = degeneration.verify_degeneration(t1, t2, dmap)
     if result.ok:
         print(f"OK order h={dmap.order}")
         return EXIT_OK
@@ -213,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("family", choices=["cw", "cw-small", "tq-lower"])
     p_table.add_argument("--qmax", type=int, default=8)
     p_table.add_argument("--tol", type=float, default=1e-4)
-    p_table.add_argument("--seed", type=int, default=0)
+    p_table.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p_table.add_argument("--format", choices=["plain", "tsv"], default="plain")
     p_table.set_defaults(func=cmd_table)
 
@@ -234,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["partition", "mu-sum", "remove-x", "laser"])
     p_bound.add_argument("tensor")
     p_bound.add_argument("partition")
-    p_bound.add_argument("--seed", type=int, default=0)
+    p_bound.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p_bound.set_defaults(func=cmd_bound)
 
     p_ver = sub.add_parser("verify-degeneration",
@@ -248,7 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, OSError) as exc:  # ParseError is a ValueError
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (ValueError, be.Inapplicable) as exc:
+        print(f"inapplicable input: {exc}", file=sys.stderr)
+        return EXIT_INAPPLICABLE
 
 
 if __name__ == "__main__":

@@ -131,7 +131,7 @@ class DegenerationMap:
     __slots__ = ("alpha", "beta", "gamma", "order", "kind")
 
     def __init__(self, alpha, beta, gamma, order):
-        def clean(mapping, name):
+        def clean(mapping):
             out = {}
             for (src, dst), poly in mapping.items():
                 if not isinstance(poly, LambdaPoly):
@@ -142,9 +142,9 @@ class DegenerationMap:
 
         if order < 0:
             raise ValueError("order must be nonnegative")
-        object.__setattr__(self, "alpha", clean(alpha, "alpha"))
-        object.__setattr__(self, "beta", clean(beta, "beta"))
-        object.__setattr__(self, "gamma", clean(gamma, "gamma"))
+        object.__setattr__(self, "alpha", clean(alpha))
+        object.__setattr__(self, "beta", clean(beta))
+        object.__setattr__(self, "gamma", clean(gamma))
         object.__setattr__(self, "order", int(order))
         object.__setattr__(self, "kind", self._classify())
 

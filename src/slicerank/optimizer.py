@@ -7,25 +7,19 @@ and z part).  The per-axis objective is
     value_x(p) = prod_i (|X_i| / p(X_i)) ** p(X_i),
 
 with the convention 0**0 = 1, handled throughout in the log domain:
-log value_x = sum_i p(X_i) (log|X_i| - log p(X_i)).  This function is
-concave in p and continuous on the closed simplex, so suprema over
-distributions are attained and computed here as maxima.
+f_x(p) = log value_x = sum_i p(X_i) (log|X_i| - log p(X_i)), concave in
+p and continuous on the closed simplex, so suprema are maxima.
 
-Three maximizations are provided:
-
-* `maximize_symmetric` -- log value_x over rotation-symmetric
-  distributions of a symmetric block partition (orbit parametrization);
-* `maximize_minmax` -- min of the three axis log values over the full
-  simplex, by projected supergradient ascent with deterministic
-  multistart, followed by an active-set Newton polish on the max-min
-  KKT system;
-* `maximize_product` -- sum of the three axis log values (used for
-  value computations on rotation products).
-
-Smooth maximizations finish with an equality-constrained Newton
-iteration on the detected support, so reported KKT residuals are near
-machine precision; certificates carry gradients, residuals and a
-concavity-based optimality gap.
+`maximize_symmetric` maximizes f_x over rotation-symmetric distributions
+of a symmetric partition, `maximize_product` f_x + f_y + f_z, and
+`maximize_minmax` min(f_x, f_y, f_z).  Each objective is concave, so one
+start is enough, and one Newton solver (`_solve`) serves all three: it
+maximizes sum_a w_a f_a(S x), where S maps orbit or block masses x to
+block masses, with the weights w = (1/3, 1/3, 1/3), (1, 1, 1), or for
+the max-min the minimizer of the convex dual max_x sum_a w_a f_a(x).
+The certificate is the concavity gap at the returned weights: with g
+the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x>
+bounds the maximum from above, and the objective at x from below.
 """
 
 from __future__ import annotations
@@ -40,7 +34,12 @@ from .tensor_core import BlockSet, is_t_symmetric_partition
 
 
 MARGINAL_CLAMP = 1e-18   # gradient log clamp near the simplex boundary
-INNER_TOL = 1e-10        # stationarity target of the Newton polish
+TOL = 1e-12              # stationarity target of the Newton solver
+MAX_STEPS = 200          # Newton steps per solve
+GROW_MASS = 1e-8         # mass given to a coordinate joining the support
+NOISE = 64 * np.finfo(float).eps  # float noise of an objective, relative
+MIN_STEP = 1e-12         # shortest damped step tried
+RIDGE = 1e-10            # relative ridge of the weights' Newton system
 
 
 # -- distributions ---------------------------------------------------------
@@ -94,12 +93,7 @@ class BlockDistribution:
 
 
 class SymmetricDistribution(BlockDistribution):
-    """A rotation-invariant block distribution, with its orbit classes."""
-
-    def __init__(self, block_set: BlockSet, probs: dict, orbits=None):
-        super().__init__(block_set, probs)
-        self.orbits = tuple(orbits) if orbits is not None else tuple(
-            block_orbits(block_set))
+    """A rotation-invariant block distribution."""
 
 
 @dataclass(frozen=True)
@@ -134,22 +128,13 @@ class ObjectiveValue:
         return iter((self.log_x, self.log_y, self.log_z))
 
 
-def _axis_log_value(marginals, log_sizes) -> float:
-    total = 0.0
-    for p, ls in zip(marginals, log_sizes):
-        if p > 0.0:
-            total += p * (ls - math.log(p))
-    return total
-
-
 def objective_values(dist: BlockDistribution) -> ObjectiveValue:
     """Evaluate the three axis objectives for a block distribution."""
-    p = dist.block_set.partition
     logs = []
     for axis in "xyz":
-        sizes = p.part_sizes(axis)
-        logs.append(_axis_log_value(dist.marginals(axis),
-                                    [math.log(s) for s in sizes]))
+        sizes = dist.block_set.partition.part_sizes(axis)
+        logs.append(sum(p * (math.log(s) - math.log(p))
+                        for p, s in zip(dist.marginals(axis), sizes) if p > 0.0))
     return ObjectiveValue(*logs)
 
 
@@ -160,21 +145,15 @@ def block_orbits(block_set: BlockSet) -> list[tuple]:
     then not symmetric).
     """
     keys = set(block_set.blocks)
-    seen = set()
-    orbits = []
-    for key in sorted(keys):
-        if key in seen:
-            continue
-        i, j, k = key
-        orbit = [(i, j, k), (j, k, i), (k, i, j)]
-        for member in orbit:
-            if member not in keys:
-                raise ValueError(
-                    f"block set not rotation closed: {member} missing for orbit of {key}")
-        orbit = sorted(set(orbit))
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-    return orbits
+    orbits = set()
+    for (i, j, k) in sorted(keys):
+        orbit = {(i, j, k), (j, k, i), (k, i, j)}
+        missing = sorted(orbit - keys)
+        if missing:
+            raise ValueError(f"block set not rotation closed: {missing[0]} "
+                             f"missing for orbit of {(i, j, k)}")
+        orbits.add(tuple(sorted(orbit)))
+    return sorted(orbits)
 
 
 def symmetrize(dist: BlockDistribution) -> SymmetricDistribution:
@@ -185,583 +164,240 @@ def symmetrize(dist: BlockDistribution) -> SymmetricDistribution:
         avg = sum(dist.probability(k) for k in orbit) / len(orbit)
         for k in orbit:
             probs[k] = avg
-    return SymmetricDistribution(dist.block_set, probs, orbits)
+    return SymmetricDistribution(dist.block_set, probs)
 
 
-# -- shared numeric core ---------------------------------------------------
+# -- the solver ---------------------------------------------------------------
 
 
-@dataclass
-class _Profile:
-    """Incidence data of a block set: per-axis part index and sizes."""
+class _Problem:
+    """The axis objectives f_a(S x) of a block set, as functions of x.
 
-    keys: list
-    part_index: dict    # axis -> int array over blocks
-    log_sizes: dict     # axis -> float array over parts
+    x holds the masses of groups of blocks (single blocks by default, or
+    rotation orbits), spread evenly over each group by S.  incidence[a] =
+    A_a S, for the parts x blocks 0/1 incidence matrix A_a of axis a,
+    maps x to the axis-a marginals.
+    """
 
-    @classmethod
-    def of(cls, block_set: BlockSet):
-        keys = sorted(block_set.blocks)
-        part_index = {}
-        log_sizes = {}
+    def __init__(self, block_set: BlockSet, groups=None):
+        self.keys = sorted(block_set.blocks)
+        n = len(self.keys)
+        key_pos = {k: i for i, k in enumerate(self.keys)}
+        groups = [(k,) for k in self.keys] if groups is None else groups
+        self.size = len(groups)
+        self.spread = np.zeros((n, self.size))
+        for t, group in enumerate(groups):
+            self.spread[[key_pos[k] for k in group], t] = 1.0 / len(group)
+        self.incidence = []
+        self.log_sizes = []
         for pos, axis in enumerate("xyz"):
-            part_index[axis] = np.array([k[pos] for k in keys], dtype=int)
-            log_sizes[axis] = np.log(
-                np.array(block_set.partition.part_sizes(axis), dtype=float))
-        return cls(keys, part_index, log_sizes)
+            sizes = block_set.partition.part_sizes(axis)
+            inc = np.zeros((len(sizes), n))
+            inc[[k[pos] for k in self.keys], np.arange(n)] = 1.0
+            self.incidence.append(inc @ self.spread)
+            self.log_sizes.append(np.log(np.asarray(sizes, dtype=float)))
 
-    def nparts(self, axis):
-        return len(self.log_sizes[axis])
+    def block_masses(self, x) -> dict:
+        d = self.spread @ x
+        return {k: float(d[i]) for i, k in enumerate(self.keys) if d[i] > 0}
 
-    def marginal(self, axis, d):
-        return np.bincount(self.part_index[axis], weights=d,
-                           minlength=self.nparts(axis))
+    def values(self, x):
+        """(f_x, f_y, f_z) at x."""
+        out = np.zeros(3)
+        for a, (inc, ls) in enumerate(zip(self.incidence, self.log_sizes)):
+            m = inc @ x
+            pos = m > 0.0
+            out[a] = m[pos] @ (ls[pos] - np.log(m[pos]))
+        return out
 
-    def axis_value(self, axis, d) -> float:
-        marg = self.marginal(axis, d)
-        mask = marg > 0.0
-        m = marg[mask]
-        return float(np.dot(m, self.log_sizes[axis][mask] - np.log(m)))
+    def grads(self, x):
+        """The gradients of f_x, f_y, f_z at x, as the columns of a matrix."""
+        return np.stack([
+            inc.T @ (ls - np.log(np.maximum(inc @ x, MARGINAL_CLAMP)) - 1.0)
+            for inc, ls in zip(self.incidence, self.log_sizes)], axis=1)
 
-    def axis_grad(self, axis, d):
-        marg = np.maximum(self.marginal(axis, d), MARGINAL_CLAMP)
-        per_part = self.log_sizes[axis] - np.log(marg) - 1.0
-        return per_part[self.part_index[axis]]
-
-    def axis_hess(self, axis, d):
-        marg = np.maximum(self.marginal(axis, d), MARGINAL_CLAMP)
-        idx = self.part_index[axis]
-        n = len(d)
-        h = np.zeros((n, n))
-        for part in range(self.nparts(axis)):
-            members = np.nonzero(idx == part)[0]
-            if len(members):
-                h[np.ix_(members, members)] -= 1.0 / marg[part]
+    def hessian(self, x, w):
+        """-sum_a w_a B_a^T diag(1/m_a) B_a, with B_a = incidence[a]."""
+        h = np.zeros((self.size, self.size))
+        for inc, wa in zip(self.incidence, w):
+            if wa > 0.0:
+                h -= (inc.T * (wa / np.maximum(inc @ x, MARGINAL_CLAMP))) @ inc
         return h
 
 
-def _project_simplex(v):
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, len(v) + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
+def _newton_step(h, on, rhs):
+    """For each column r of rhs, the minimum-norm s with h s + nu 1 = r and
+    sum(s) = 0 on the coordinates `on`, and s = 0 off them.  The system is
+    solved with h scaled to a unit diagonal, so that masses and Hessian
+    entries spanning many orders of magnitude keep it well conditioned."""
+    d = np.zeros(len(on))
+    d[on] = 1.0 / np.sqrt(np.abs(np.diag(h)[on]))
+    k = len(d)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = d[:, None] * h * d
+    kkt[:k, k] = kkt[k, :k] = d
+    rhs = np.vstack([d[:, None] * rhs, np.zeros((1, rhs.shape[1]))])
+    return d[:, None] * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
 
 
-def _ascent(value, grad, x0, iters=400):
-    """Monotone projected gradient ascent with adaptive step."""
-    x = _project_simplex(np.asarray(x0, dtype=float))
-    fx = value(x)
-    step = 0.5
-    for _ in range(iters):
-        y = _project_simplex(x + step * grad(x))
-        fy = value(y)
-        if fy > fx + 1e-15:
-            x, fx = y, fy
-            step = min(step * 1.25, 1e3)
-        else:
-            step *= 0.5
-            if step < 1e-13:
-                break
-    return x, fx
+def _trials(v, dv):
+    """Damped points v + sigma dv on the simplex: sigma starts at 1, or
+    where the first coordinates reach zero (they are then set to 0
+    exactly, leaving the support, however short that step), and halves
+    down to MIN_STEP."""
+    ratio = np.full(len(v), np.inf)
+    ratio[dv < 0.0] = v[dv < 0.0] / -dv[dv < 0.0]
+    sigma = edge = min(1.0, ratio.min())
+    while sigma > MIN_STEP or sigma == edge:
+        trial = np.maximum(v + sigma * dv, 0.0)
+        if sigma == edge < 1.0:
+            trial[ratio <= edge * (1.0 + 1e-9)] = 0.0
+        yield trial / trial.sum()
+        sigma /= 2.0
 
 
-def _support_newton(value, grad, hess, x, tol=INNER_TOL, max_outer=20):
-    """Equality-constrained Newton on the detected support of a smooth
-    concave simplex maximization.  Returns (x, iterations, kkt_residual).
+def _residual(g, x) -> float:
+    """KKT residual of maximizing <g, .> at x on the simplex: the spread
+    of g on the support of x, or the excess of g off it."""
+    on = x > 0.0
+    mu = g[on].mean()
+    return float(max(np.abs(g[on] - mu).max(), np.max(g[~on] - mu, initial=0.0)))
+
+
+def _solve(prob: _Problem, w, x=None):
+    """Maximize F(x) = sum_a w_a f_a(x) over the simplex.
+
+    Damped Newton on the support, from the uniform point unless x is
+    given.  Steps are minimum-norm KKT solutions, as the Hessian is
+    singular whenever variables outnumber parts, and are halved while F
+    drops by more than float noise.  Once the support gradients agree,
+    coordinates with a larger gradient join the support.  Returns
+    (x, iterations, residual).
     """
-    n = len(x)
-    support = np.nonzero(x > 1e-9)[0]
-    if len(support) == 0:
-        support = np.array([int(np.argmax(grad(x)))])
-        x = np.zeros(n)
-        x[support[0]] = 1.0
+    x = np.full(prob.size, 1.0 / prob.size) if x is None else x.copy()
     iters = 0
-    for _ in range(max_outer):
-        converged = False
-        for _ in range(60):
-            iters += 1
-            g = grad(x)
-            gs = g[support]
-            mu = float(np.mean(gs))
-            resid = gs - mu
-            if np.max(np.abs(resid)) < tol:
-                converged = True
+    while iters < MAX_STEPS:
+        g = prob.grads(x) @ w
+        support = np.flatnonzero(x)
+        mu = g[support].mean()
+        if np.abs(g[support] - mu).max() <= TOL:
+            grow = (x == 0.0) & (g > mu + TOL)
+            if not grow.any():
                 break
-            h = hess(x)[np.ix_(support, support)]
-            k = len(support)
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = h
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            rhs = np.zeros(k + 1)
-            rhs[:k] = -resid
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            delta = sol[:k]
-            # keep the support strictly positive
-            limit = 1.0
-            for i, di in enumerate(delta):
-                if di < 0:
-                    limit = min(limit, -0.999 * x[support[i]] / di)
-            fx = value(x)
-            sigma = min(1.0, limit)
-            while sigma > 1e-14:
-                trial = x.copy()
-                trial[support] = x[support] + sigma * delta
-                if np.all(trial[support] > 0) and value(trial) >= fx - 1e-15:
-                    x = trial
-                    break
-                sigma *= 0.5
-            else:
-                converged = True  # no progress possible
+            x[grow] = GROW_MASS
+            x /= x.sum()
+            continue
+        iters += 1
+        step = _newton_step(prob.hessian(x, w), x > 0.0, (mu - g)[:, None])[:, 0]
+        f0 = w @ prob.values(x)
+        for trial in _trials(x, step):
+            if w @ prob.values(trial) >= f0 - NOISE * abs(f0):
                 break
-        # shrink: drop support coordinates that collapsed to ~0
-        small = support[x[support] < 1e-13]
-        if len(small):
-            x[small] = 0.0
-            x = x / x.sum()
-            support = np.nonzero(x > 0)[0]
-            continue
-        if not converged:
-            continue
-        # grow: add off-support coordinates with ascent directions
-        g = grad(x)
-        mu = float(np.mean(g[support]))
-        off = np.array([i for i in range(n) if i not in set(support.tolist())],
-                       dtype=int)
-        violating = off[g[off] > mu + 10 * tol] if len(off) else off
-        if len(violating) == 0:
+        else:
             break
-        x[violating] = 1e-8
-        x = x / x.sum()
-        support = np.nonzero(x > 0)[0]
-    g = grad(x)
-    support = np.nonzero(x > 1e-13)[0]
-    mu = float(np.mean(g[support]))
-    resid = float(np.max(np.abs(g[support] - mu)))
-    off = [i for i in range(n) if i not in set(support.tolist())]
-    if off:
-        resid = max(resid, float(np.max(np.maximum(g[off] - mu, 0.0))))
-    return x, iters, resid
+        x = trial
+    return x, iters, _residual(prob.grads(x) @ w, x)
 
 
-def _optimality_gap(grad_vec, x) -> float:
-    """Concavity certificate: g(x*) - g(x) <= max_i grad_i - <grad, x>."""
-    return float(np.max(grad_vec) - float(np.dot(grad_vec, x)))
-
-
-# -- symmetric maximization -------------------------------------------------
+# -- the three maximizations ---------------------------------------------------
 
 
 @dataclass
-class SymmetricOptimum:
-    distribution: SymmetricDistribution
-    objective: ObjectiveValue
-    iterations: int
-    kkt_residual: float
-    optimality_gap: float
-
-    @property
-    def value(self) -> float:
-        return self.objective.x
-
-    @property
-    def log_value(self) -> float:
-        return self.objective.log_x
-
-
-def maximize_symmetric(block_set: BlockSet) -> SymmetricOptimum:
-    """Maximize log value_x over rotation-symmetric block distributions.
-
-    The partition must be symmetric for the tensor (checked).  The
-    orbit masses are the free variables; the returned certificate is the
-    Newton-polished KKT residual (support gradients equal, others not
-    larger) plus a concavity optimality gap.
-    """
-    if not is_t_symmetric_partition(block_set.tensor, block_set.partition):
-        raise ValueError("partition is not symmetric for this tensor")
-    orbits = block_orbits(block_set)
-    profile = _Profile.of(block_set)
-    key_pos = {k: i for i, k in enumerate(profile.keys)}
-    r = len(orbits)
-    # orbit mass -> block mass matrix (blocks x orbits)
-    spread = np.zeros((len(profile.keys), r))
-    for t, orbit in enumerate(orbits):
-        for k in orbit:
-            spread[key_pos[k], t] = 1.0 / len(orbit)
-
-    def to_blocks(m):
-        return spread @ m
-
-    def value(m):
-        d = to_blocks(m)
-        return sum(profile.axis_value(ax, d) for ax in "xyz") / 3.0
-
-    def grad(m):
-        d = to_blocks(m)
-        g = sum(profile.axis_grad(ax, d) for ax in "xyz") / 3.0
-        return spread.T @ g
-
-    def hess(m):
-        d = to_blocks(m)
-        h = sum(profile.axis_hess(ax, d) for ax in "xyz") / 3.0
-        return spread.T @ h @ spread
-
-    starts = [np.full(r, 1.0 / r)]
-    for t in range(r):
-        e = np.full(r, 1e-6)
-        e[t] = 1.0
-        starts.append(e / e.sum())
-    best = None
-    for s in starts:
-        x, fx = _ascent(value, grad, s)
-        if best is None or fx > best[1]:
-            best = (x, fx)
-    x, iters, resid = _support_newton(value, grad, hess, best[0])
-    d = to_blocks(x)
-    probs = {k: float(d[key_pos[k]]) for k in profile.keys if d[key_pos[k]] > 0}
-    dist = SymmetricDistribution(block_set, probs, orbits)
-    obj = objective_values(dist)
-    gap = _optimality_gap(grad(x), x)
-    return SymmetricOptimum(dist, obj, iters, resid, gap)
-
-
-# -- product maximization ----------------------------------------------------
-
-
-@dataclass
-class ProductOptimum:
+class _Optimum:
     distribution: BlockDistribution
     objective: ObjectiveValue
+    log_value: float   # the maximized objective at the distribution
     iterations: int
     kkt_residual: float
-
-    @property
-    def log_value(self) -> float:
-        return self.objective.log_x + self.objective.log_y + self.objective.log_z
 
     @property
     def value(self) -> float:
         return math.exp(self.log_value)
 
 
-def maximize_product(block_set: BlockSet) -> ProductOptimum:
-    """Maximize value_x * value_y * value_z over the full block simplex."""
-    profile = _Profile.of(block_set)
-    n = len(profile.keys)
-
-    def value(d):
-        return sum(profile.axis_value(ax, d) for ax in "xyz")
-
-    def grad(d):
-        return sum(profile.axis_grad(ax, d) for ax in "xyz")
-
-    def hess(d):
-        return sum(profile.axis_hess(ax, d) for ax in "xyz")
-
-    starts = [np.full(n, 1.0 / n)]
-    for t in range(n):
-        e = np.full(n, 1e-6)
-        e[t] = 1.0
-        starts.append(e / e.sum())
-    best = None
-    for s in starts:
-        x, fx = _ascent(value, grad, s)
-        if best is None or fx > best[1]:
-            best = (x, fx)
-    x, iters, resid = _support_newton(value, grad, hess, best[0])
-    probs = {k: float(x[i]) for i, k in enumerate(profile.keys) if x[i] > 0}
-    dist = BlockDistribution(block_set, probs)
-    return ProductOptimum(dist, objective_values(dist), iters, resid)
+@dataclass
+class SymmetricOptimum(_Optimum):
+    optimality_gap: float
 
 
-# -- max-min maximization ----------------------------------------------------
+class ProductOptimum(_Optimum):
+    """log_value is f_x + f_y + f_z."""
 
 
 @dataclass
-class MinmaxOptimum:
-    distribution: BlockDistribution
-    objective: ObjectiveValue
-    iterations: int
-    kkt_residual: float
+class MinmaxOptimum(_Optimum):
     active_axes: tuple
     axis_weights: dict
 
-    @property
-    def value(self) -> float:
-        return self.objective.min_value
 
-    @property
-    def log_value(self) -> float:
-        return self.objective.min_log
+def maximize_symmetric(block_set: BlockSet) -> SymmetricOptimum:
+    """Maximize f_x over rotation-symmetric block distributions.
+
+    The partition must be symmetric for the tensor (checked).  The orbit
+    masses are the variables and the objective is the mean of the three
+    axis values, which all equal f_x there.
+    """
+    if not is_t_symmetric_partition(block_set.tensor, block_set.partition):
+        raise ValueError("partition is not symmetric for this tensor")
+    orbits = block_orbits(block_set)
+    prob = _Problem(block_set, orbits)
+    w = np.full(3, 1.0 / 3.0)
+    x, iters, resid = _solve(prob, w)
+    dist = SymmetricDistribution(block_set, prob.block_masses(x))
+    obj = objective_values(dist)
+    g = prob.grads(x) @ w
+    return SymmetricOptimum(dist, obj, obj.log_x, iters, resid, float(g.max() - g @ x))
 
 
-MULTISTART = 16
+def maximize_product(block_set: BlockSet) -> ProductOptimum:
+    """Maximize value_x * value_y * value_z over the full block simplex."""
+    prob = _Problem(block_set)
+    x, iters, resid = _solve(prob, np.ones(3))
+    dist = BlockDistribution(block_set, prob.block_masses(x))
+    obj = objective_values(dist)
+    return ProductOptimum(dist, obj, obj.log_x + obj.log_y + obj.log_z, iters, resid)
 
 
-def maximize_minmax(block_set: BlockSet, seed: int = 0,
-                    starts: int = MULTISTART) -> MinmaxOptimum:
+def maximize_minmax(block_set: BlockSet) -> MinmaxOptimum:
     """Maximize min(value_x, value_y, value_z) over the block simplex.
 
-    Projected supergradient ascent from `starts` deterministic seeded
-    points, then an active-set Newton polish on the max-min KKT system.
-    On symmetric partitions the orbit-averaged symmetric optimum is also
-    evaluated (averaging never decreases the min), which pins the result
-    to the symmetric value.
+    By minimax this is the minimum over axis weights w of the convex dual
+    phi(w) = max_x sum_a w_a f_a(x), with gradient f(x*(w)) and Hessian
+    G^T dx*/dw from the inner KKT system (G: the axis gradients).  Newton
+    steps on the weights fall back to the Frank-Wolfe step toward the
+    lowest axis when they do not descend.  The returned `axis_weights`
+    are the multipliers of the axes.
     """
-    profile = _Profile.of(block_set)
-    n = len(profile.keys)
-    key_pos = {k: i for i, k in enumerate(profile.keys)}
-
-    def axis_values(d):
-        return np.array([profile.axis_value(ax, d) for ax in "xyz"])
-
-    def fmin(d):
-        return float(np.min(axis_values(d)))
-
-    def supergrad(d):
-        vals = axis_values(d)
-        lo = np.min(vals)
-        active = [ax for ax, v in zip("xyz", vals) if v <= lo + 1e-12]
-        g = sum(profile.axis_grad(ax, d) for ax in active)
-        return g / len(active)
-
-    rng = np.random.default_rng(seed)
-    start_points = [np.full(n, 1.0 / n)]
-    for t in range(min(n, max(0, starts // 2 - 1))):
-        e = np.full(n, 1e-3)
-        e[t] = 1.0
-        start_points.append(e / e.sum())
-    while len(start_points) < starts:
-        start_points.append(rng.dirichlet(np.ones(n)))
-
-    best_d = None
-    best_f = -math.inf
-    total_iters = 0
-    for s in start_points:
-        d = _project_simplex(np.asarray(s, dtype=float))
-        current_best = fmin(d)
-        local = d.copy()
-        for it in range(400):
-            total_iters += 1
-            step = 0.3 / math.sqrt(it + 1.0)
-            local = _project_simplex(local + step * supergrad(local))
-            f = fmin(local)
-            if f > current_best:
-                current_best = f
-                d = local.copy()
-        if current_best > best_f:
-            best_f = current_best
-            best_d = d
-
-    candidates = [best_d]
-    # symmetric partitions: orbit averaging never decreases the min
-    if is_t_symmetric_partition(block_set.tensor, block_set.partition):
-        sym = maximize_symmetric(block_set)
-        d_sym = np.zeros(n)
-        for k in profile.keys:
-            d_sym[key_pos[k]] = sym.distribution.probability(k)
-        candidates.append(d_sym)
-
-    warm = max(candidates, key=fmin)
-    d_newton, newton_iters, _, _, _ = _minmax_newton(profile, warm.copy(), fmin)
-    total_iters += newton_iters
-    candidates.append(d_newton)
-
-    # pick by value; differences below 1e-9 are noise, so prefer the
-    # candidate with the better stationarity certificate there
-    best = None
-    for cand in candidates:
-        active_c, weights_c, resid_c = _minmax_kkt_residual(profile, cand)
-        entry = (cand, fmin(cand), resid_c, active_c, weights_c)
-        if best is None or entry[1] > best[1] + 1e-9 or (
-                entry[1] >= best[1] - 1e-9 and entry[2] < best[2]):
-            best = entry
-    best_d, best_f, resid, active, weights = best
-
-    probs = {k: float(best_d[key_pos[k]]) for k in profile.keys
-             if best_d[key_pos[k]] > 0}
-    dist = BlockDistribution(block_set, probs)
-    obj = objective_values(dist)
-    return MinmaxOptimum(dist, obj, total_iters, resid, tuple(active),
-                         dict(weights))
-
-
-def _minmax_kkt_residual(profile, d):
-    """Best stationarity residual over convex axis weights at d.
-
-    Solves the constrained least squares for weights w on the active
-    axes that flatten the combined gradient over the support, clips to
-    the weight simplex, and reports the resulting residual including
-    off-support violations.
-    """
-    vals = np.array([profile.axis_value(ax, d) for ax in "xyz"])
-    lo = float(np.min(vals))
-    active = [ax for ax, v in zip("xyz", vals) if v <= lo + 1e-7]
-    grads = {ax: profile.axis_grad(ax, d) for ax in active}
-    support = np.nonzero(d > 1e-12)[0]
-    a = len(active)
-    if a == 1:
-        w = np.array([1.0])
-    else:
-        cent = np.stack([grads[ax][support] - np.mean(grads[ax][support])
-                         for ax in active])
-        gram = cent @ cent.T
-        kkt = np.zeros((a + 1, a + 1))
-        kkt[:a, :a] = gram
-        kkt[:a, a] = 1.0
-        kkt[a, :a] = 1.0
-        rhs = np.zeros(a + 1)
-        rhs[a] = 1.0
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        w = np.maximum(sol[:a], 0.0)
-        if w.sum() == 0:
-            w = np.full(a, 1.0 / a)
-        w = w / w.sum()
-    combined = np.stack([grads[ax] for ax in active]).T @ w
-    mu = float(np.mean(combined[support]))
-    resid = float(np.max(np.abs(combined[support] - mu)))
-    off = np.array([i for i in range(len(d))
-                    if i not in set(support.tolist())], dtype=int)
-    if len(off):
-        resid = max(resid, float(np.max(np.maximum(combined[off] - mu, 0.0))))
-    weights = {ax: float(wi) for ax, wi in zip(active, w)}
-    return active, weights, resid
-
-
-def _minmax_newton(profile, d, fmin, tol=1e-12):
-    """Active-set Newton on the max-min KKT system from a warm start.
-
-    The outer loop manages the active axes and the support; the inner
-    loop takes damped Newton steps on the square KKT system (support
-    stationarity under the axis weights, activity of the selected axes,
-    and the two normalizations).
-    """
-    n = len(d)
-
-    def axis_vals(d):
-        return np.array([profile.axis_value(ax, d) for ax in "xyz"])
-
-    vals = axis_vals(d)
-    lo = float(np.min(vals))
-    axes = [ax for ax, v in zip("xyz", vals) if v <= lo + 1e-3]
-    support = np.nonzero(d > 1e-9)[0].tolist()
-    iters = 0
-    best_d = d.copy()
-    for _outer in range(12):
-        weights = np.full(len(axes), 1.0 / len(axes))
-        mu = float(np.mean(sum(profile.axis_grad(ax, d) for ax in axes)
-                           [support])) / len(axes)
-        t = float(np.min(axis_vals(d)))
-        for _inner in range(40):
-            iters += 1
-            s = len(support)
-            a = len(axes)
-            grads = {ax: profile.axis_grad(ax, d) for ax in axes}
-            g_mat = np.stack([grads[ax][support] for ax in axes])
-            stat = g_mat.T @ weights - mu
-            act = np.array([profile.axis_value(ax, d) - t for ax in axes])
-            r3 = np.sum(d[support]) - 1.0
-            r4 = np.sum(weights) - 1.0
-            resid = max(np.max(np.abs(stat)), np.max(np.abs(act)),
-                        abs(r3), abs(r4))
-            if resid < tol:
+    prob = _Problem(block_set)
+    w = np.full(3, 1.0 / 3.0)
+    x, iters, resid = _solve(prob, w)
+    f = prob.values(x)
+    while iters < MAX_STEPS and _residual(-f, w) > TOL:
+        iters += 1
+        phi = w @ f
+        free = (w > 0.0) | (f < phi)
+        g = prob.grads(x)
+        h = -(g.T @ _newton_step(prob.hessian(x, w), x > 0.0, g))[np.ix_(free, free)]
+        h += RIDGE * (1.0 + np.trace(h)) * np.eye(len(h))
+        dw = np.zeros(3)
+        dw[free] = _newton_step(h, np.ones(len(h), bool), -f[free][:, None])[:, 0]
+        if (f - phi) @ dw >= 0.0 or np.any(dw[w == 0.0] < 0.0):
+            dw = -w
+            dw[np.argmin(f)] += 1.0
+        for trial in _trials(w, dw):
+            tx, n, tresid = _solve(prob, trial, x)
+            iters += n
+            tf = prob.values(tx)
+            if trial @ tf <= phi + NOISE * abs(phi):
                 break
-            hesses = {ax: profile.axis_hess(ax, d) for ax in axes}
-            dim = s + a + 2
-            jac = np.zeros((dim, dim))
-            rhs = np.zeros(dim)
-            h_combined = sum(w * hesses[ax][np.ix_(support, support)]
-                             for w, ax in zip(weights, axes))
-            jac[:s, :s] = h_combined
-            jac[:s, s:s + a] = g_mat.T
-            jac[:s, s + a] = -1.0
-            jac[s:s + a, :s] = g_mat
-            jac[s:s + a, s + a + 1] = -1.0
-            jac[s + a, :s] = 1.0
-            jac[s + a + 1, s:s + a] = 1.0
-            rhs[:s] = -stat
-            rhs[s:s + a] = -act
-            rhs[s + a] = -r3
-            rhs[s + a + 1] = -r4
-            try:
-                sol = np.linalg.solve(jac, rhs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-            dd = sol[:s]
-            dw = sol[s:s + a]
-            sigma = 1.0
-            for i, di in enumerate(dd):
-                if di < 0 and d[support[i]] + di <= 0:
-                    sigma = min(sigma, -0.999 * d[support[i]] / di)
-            for i, wi in enumerate(dw):
-                if wi < 0 and weights[i] + wi <= 0:
-                    sigma = min(sigma, -0.999 * weights[i] / wi)
-            for i, pos in enumerate(support):
-                d[pos] += sigma * dd[i]
-            weights = np.maximum(weights + sigma * dw, 0.0)
-            if weights.sum() == 0:
-                weights = np.full(len(axes), 1.0 / len(axes))
-            weights /= weights.sum()
-            mu += sigma * sol[s + a]
-            t += sigma * sol[s + a + 1]
-            d = np.maximum(d, 0.0)
-            total = d.sum()
-            if total > 0:
-                d /= total
-            if fmin(d) >= fmin(best_d):
-                best_d = d.copy()
-        # active-set updates
-        changed = False
-        vals = axis_vals(d)
-        t_active = float(np.min([v for ax, v in zip("xyz", vals)
-                                 if ax in axes]))
-        for ax, v in zip("xyz", vals):
-            # an inactive axis dipping below the equalized level binds
-            if ax not in axes and v < t_active - 1e-11:
-                axes.append(ax)
-                changed = True
-        for i, ax in enumerate(list(axes)):
-            idx = axes.index(ax)
-            v = vals["xyz".index(ax)]
-            if len(axes) > 1 and weights[idx] <= 1e-12 and v > t_active + 1e-9:
-                axes.remove(ax)
-                weights = np.delete(weights, idx)
-                changed = True
-        dropped = [i for i in support if d[i] < 1e-13]
-        if dropped:
-            for i in dropped:
-                d[i] = 0.0
-                support.remove(i)
-            d /= d.sum()
-            changed = True
-        combined = sum(w * profile.axis_grad(ax, d)
-                       for w, ax in zip(weights, axes))
-        mu_est = float(np.mean(combined[support]))
-        grow = [i for i in range(n)
-                if i not in support and combined[i] > mu_est + 1e-9]
-        if grow:
-            for i in grow:
-                d[i] = 1e-8
-                support.append(i)
-            d /= d.sum()
-            changed = True
-        if fmin(d) >= fmin(best_d):
-            best_d = d.copy()
-        if not changed:
+        else:
             break
-    d = best_d
-    active, wmap, resid = _minmax_kkt_residual(profile, d)
-    return d, iters, resid, active, wmap
+        w, x, f, resid = trial, tx, tf, tresid
+    dist = BlockDistribution(block_set, prob.block_masses(x))
+    obj = objective_values(dist)
+    return MinmaxOptimum(dist, obj, obj.min_log, iters, max(resid, _residual(-f, w)),
+                         tuple(ax for ax, wa in zip("xyz", w) if wa > 0.0),
+                         {ax: float(wa) for ax, wa in zip("xyz", w)})
 
 
 # -- one-dimensional maximization --------------------------------------------
@@ -800,11 +436,7 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float,
 
     left = max(lo, v - 50 * h)
     right = min(hi, v + 50 * h)
-    if slope(left) <= 0 and left <= lo + h:
-        v = lo
-    elif slope(right) >= 0 and right >= hi - h:
-        v = hi
-    elif slope(left) > 0 > slope(right):
+    if slope(left) > 0 > slope(right):
         for _ in range(80):
             mid = (left + right) / 2.0
             if slope(mid) > 0:

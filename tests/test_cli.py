@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: output, golden checks, exit codes."""
 
+import random
+
 import pytest
 
 import slicerank as sr
+from slicerank import bound_engines as be
 from slicerank.cli import main
 
 
@@ -58,7 +61,8 @@ def test_table_tsv_format(capsys):
 def test_table_deterministic(capsys):
     main(["table", "cw", "--qmax", "4"])
     first = capsys.readouterr().out
-    main(["table", "cw", "--qmax", "4"])
+    # --seed is still accepted, and ignored
+    assert main(["table", "cw", "--qmax", "4", "--seed", "7"]) == 0
     second = capsys.readouterr().out
     assert first == second
 
@@ -101,6 +105,20 @@ def test_bound_remove_x_mode(capsys, cw5_files):
     assert main(["bound", "--mode", "remove-x", tensor, part]) == 0
     out = capsys.readouterr().out
     assert "low-x-rank-split" in out
+
+
+@pytest.mark.parametrize("mode", ["partition", "remove-x"])
+def test_bound_unconverged_solve_exit(capsys, cw5_files, monkeypatch, mode):
+    solve = be.partition_bound
+
+    def unconverged(t, p):
+        rep = solve(t, p)
+        rep.certificate["kkt_residual"] = 1.0
+        return rep
+
+    monkeypatch.setattr(be, "partition_bound", unconverged)
+    assert main(["bound", "--mode", mode, *cw5_files]) == 2
+    assert "convergence failure" in capsys.readouterr().err
 
 
 def test_bound_laser_inapplicable(capsys, tmp_path):
@@ -147,3 +165,47 @@ def test_verify_degeneration_failure(capsys, tmp_path):
     mp.write_text("order 0\n")
     assert main(["verify-degeneration", str(src), str(dst), str(mp)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def relabeled(t, p, perm):
+    """The tensor and partition with index i renamed perm[i] on every axis."""
+    n = len(perm)
+    entries = {(perm[i], perm[j], perm[k]): c for (i, j, k), c in t.entries.items()}
+    parts = [[(label, [perm[i] for i in idx]) for label, idx in p.parts(ax)]
+             for ax in "xyz"]
+    return (sr.Tensor(range(n), range(n), range(n), entries),
+            sr.VariablePartition(*parts, (n, n, n)))
+
+
+def test_remove_x_cw1_cube_same_value_for_every_relabeling(capsys, tmp_path):
+    cw = sr.make_cw(1)
+    cube = sr.symmetric_cube(cw)
+    part = sr.cube_partition(cw, sr.cw_partition(1))
+    values = []
+    for s in (None, 1, 2, 3):
+        perm = list(range(27))
+        if s is not None:
+            random.Random(s).shuffle(perm)
+        t, p = relabeled(cube, part, perm)
+        tensor = tmp_path / f"cube{s}.tensor"
+        tensor.write_text(sr.write_tensor(t))
+        partition = tmp_path / f"cube{s}.partition"
+        partition.write_text(sr.write_partition(p))
+        assert main(["bound", "--mode", "remove-x", str(tensor), str(partition)]) == 0
+        values.append(capsys.readouterr().out.split()[1])
+    assert len(set(values)) == 1
+    assert abs(float(values[0]) - 27.4875) < 1e-3
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["table", "cw", "--qmax", "0"], 4),
+    (["table", "tq-lower", "--qmax", "1"], 4),
+    (["t112", "0"], 4),
+    (["appendix", "--qmax", "5"], 4),
+    (["bound", "--mode", "partition", "missing.tensor", "missing.partition"], 3),
+])
+def test_bad_arguments_exit_code(capsys, tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

@@ -3,12 +3,18 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import slicerank as sr
 from slicerank.optimizer import BlockDistribution, maximize_1d, objective_values
 
-from helpers import random_symmetric_tensor, shared_index_partition
+from helpers import (
+    random_partition,
+    random_symmetric_tensor,
+    random_tensor,
+    shared_index_partition,
+)
 
 
 def cw_blocks(q):
@@ -17,6 +23,40 @@ def cw_blocks(q):
 
 def cw_small_blocks(q):
     return sr.blocks(sr.make_cw_small(q), sr.cw_small_partition(q))
+
+
+def axis_data(dist):
+    """(block masses d, axis values f_a(d), block gradients of each f_a),
+    computed from the partition's part sizes alone; a gradient is +inf on
+    blocks of parts without mass."""
+    bs = dist.block_set
+    keys = sorted(bs.blocks)
+    d = np.array([dist.probability(k) for k in keys])
+    values, grads = [], []
+    for pos, axis in enumerate("xyz"):
+        idx = np.array([k[pos] for k in keys])
+        log_sizes = np.log(np.array(bs.partition.part_sizes(axis), dtype=float))
+        m = np.bincount(idx, weights=d, minlength=len(log_sizes))
+        with np.errstate(divide="ignore"):
+            per_part = log_sizes - np.log(m)
+        used = m > 0
+        values.append(float(m[used] @ per_part[used]))
+        grads.append(per_part[idx] - 1.0)
+    return d, np.array(values), grads
+
+
+def assert_minmax_certified(opt, tol=1e-9):
+    """The concavity gap at the returned weights closes on the returned
+    distribution: sum_a w_a f_a(d) + max_i g_i - <g, d>, with g the
+    gradient of sum_a w_a f_a, bounds the max-min from above and
+    min_a f_a(d) bounds it from below."""
+    d, f, grads = axis_data(opt.distribution)
+    w = np.array([opt.axis_weights.get(ax, 0.0) for ax in "xyz"])
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12
+    g = sum(wa * ga for wa, ga in zip(w, grads) if wa > 0.0)
+    upper = w @ f + g.max() - g @ d
+    assert abs(upper - f.min()) < tol
+    assert abs(f.min() - opt.log_value) < 1e-12
 
 
 # -- objective evaluation -----------------------------------------------------
@@ -97,13 +137,9 @@ def test_maximize_symmetric_rejects_asymmetric():
 
 def test_symmetric_certificate_gradients():
     # support gradients equal, off-support not larger
-    import numpy as np
-    from slicerank.optimizer import _Profile
-    bs = cw_blocks(4)
-    opt = sr.maximize_symmetric(bs)
-    prof = _Profile.of(bs)
-    d = np.array([opt.distribution.probability(k) for k in prof.keys])
-    g = sum(prof.axis_grad(ax, d) for ax in "xyz") / 3.0
+    opt = sr.maximize_symmetric(cw_blocks(4))
+    d, _, grads = axis_data(opt.distribution)
+    g = sum(grads) / 3.0
     support = d > 1e-12
     mu = g[support].mean()
     assert abs(g[support] - mu).max() < 1e-8
@@ -128,6 +164,38 @@ def test_minmax_single_block():
     t = sr.make_matmul(2, 3, 4)
     mm = sr.maximize_minmax(sr.blocks(t, sr.trivial_partition(t)))
     assert mm.value == pytest.approx(min(6, 12, 8), abs=1e-12)
+    # the weights sit on axis x alone
+    assert mm.axis_weights == {"x": 1.0, "y": 0.0, "z": 0.0}
+    assert mm.active_axes == ("x",)
+    assert_minmax_certified(mm)
+
+
+def cw1_cube_b_part():
+    """The blocks of what remove-x bounds on the CW_1 cube: x part 0
+    dropped, trimmed, singleton partition."""
+    cw = sr.make_cw(1)
+    cube = sr.symmetric_cube(cw)
+    first = set(sr.cube_partition(cw, sr.cw_partition(1)).parts_x[0][1])
+    b = sr.Tensor(cube.x_labels, cube.y_labels, cube.z_labels,
+                  {k: c for k, c in cube.entries.items() if k[0] not in first})
+    bt = sr.trimmed(b)
+    return sr.blocks(bt, sr.singleton_partition(bt))
+
+
+def test_minmax_cw1_cube_b_part_certified():
+    mm = sr.maximize_minmax(cw1_cube_b_part())
+    assert abs(mm.log_value - 2.984548001552) < 1e-9
+    assert mm.kkt_residual <= 1e-10
+    assert_minmax_certified(mm)
+
+
+def test_minmax_certified_on_random_partitions():
+    rng = random.Random(45)
+    for _ in range(100):
+        t = random_tensor(rng, max_dim=5)
+        mm = sr.maximize_minmax(sr.blocks(t, random_partition(rng, t)))
+        assert mm.kkt_residual <= 1e-10
+        assert_minmax_certified(mm)
 
 
 def test_minmax_beats_user_distributions():
@@ -144,10 +212,25 @@ def test_minmax_beats_user_distributions():
 
 def test_minmax_deterministic():
     bs = cw_blocks(3)
-    a = sr.maximize_minmax(bs, seed=0)
-    b = sr.maximize_minmax(bs, seed=0)
+    a = sr.maximize_minmax(bs)
+    b = sr.maximize_minmax(bs)
     assert a.value == b.value
     assert a.distribution.probs == b.distribution.probs
+
+
+@pytest.mark.parametrize("q", [15, 18, 19])
+def test_symmetric_residual_tq_lower(q):
+    t = sr.make_cyclic_lower(q)
+    opt = sr.maximize_symmetric(sr.blocks(t, sr.singleton_partition(t)))
+    assert opt.kkt_residual <= 1e-10
+
+
+def test_symmetric_residual_cw2_cube():
+    cw = sr.make_cw(2)
+    bs = sr.blocks(sr.symmetric_cube(cw), sr.cube_partition(cw, sr.cw_partition(2)))
+    opt = sr.maximize_symmetric(bs)
+    assert opt.kkt_residual <= 1e-10
+    assert abs(opt.value - 3.57165 ** 3) < 1e-2
 
 
 # -- symmetrize ------------------------------------------------------------------
