@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import optimizer, rank_tools
+from . import exact_linalg, optimizer, rank_tools
 from .optimizer import maximize_1d
 from .tensor_core import (
     RankFact,
@@ -68,6 +67,14 @@ THEOREM_FLOOR = "cw-family-floor"
 
 class Inapplicable(RuntimeError):
     """The requested bound is undefined for these inputs."""
+
+
+class NotLaserReady(ValueError):
+    """The partition fails a laser condition; `readiness` holds the verdict."""
+
+    def __init__(self, readiness: "LaserReadiness"):
+        super().__init__("partition is not laser-ready: " + "; ".join(readiness.failures))
+        self.readiness = readiness
 
 
 @dataclass
@@ -110,18 +117,20 @@ def sum_of_measures_bound(total: Tensor, parts: Sequence[Tensor]) -> BoundReport
     """Upper bound sum_i measure(T_i)^(1/3) for any exact sum T = sum T_i."""
     if not parts:
         raise ValueError("need at least one part")
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = tensor_add(acc, part)
-    if (acc.x_labels, acc.y_labels, acc.z_labels) != (
-            total.x_labels, total.y_labels, total.z_labels):
-        raise ValueError("parts are not over the tensor's variables")
-    if acc.entries != total.entries:
-        diff = sorted(set(acc.entries.items()) ^ set(total.entries.items()))
+    labels = (total.x_labels, total.y_labels, total.z_labels)
+    acc = {}
+    for part in parts:
+        if (part.x_labels, part.y_labels, part.z_labels) != labels:
+            raise ValueError("parts are not over the tensor's variables")
+        for key, c in part.entries.items():
+            acc[key] = acc.get(key, 0) + c
+    acc = {key: c for key, c in acc.items() if c != 0}
+    if acc != total.entries:
+        diff = sorted(set(acc.items()) ^ set(total.entries.items()))
         key = diff[0][0]
         raise ValueError(
             f"parts do not sum to the tensor; first differing entry {key}: "
-            f"sum has {acc.coefficient(*key)}, tensor has {total.coefficient(*key)}")
+            f"sum has {acc.get(key, 0)}, tensor has {total.coefficient(*key)}")
     measures = [rank_tools.measure(part) for part in parts]
     value = sum(m ** (1.0 / 3.0) for m in measures)
     return BoundReport(
@@ -186,8 +195,8 @@ def split_bound(a: Tensor, b: Tensor, b_value_upper: float,
             diff = sorted(set(s.entries.items()) ^ set(total.entries.items()))
             key = diff[0][0]
             raise ValueError(f"A + B differs from the tensor at entry {key}")
-    sxa = rank_tools.x_rank(a)
-    ma = rank_tools.max_flattening_rank(a)
+    sxa, sya, sza = (rank_tools.flattening_rank(a, ax) for ax in "xyz")
+    ma = max(sxa, sya, sza)
     sxb = rank_tools.x_rank(b)
     if b_value_upper <= 0:
         raise ValueError("b_value_upper must be positive")
@@ -281,42 +290,6 @@ def _support_trifunctional(keys) -> bool:
     return True
 
 
-def _rational_nullspace(rows: list, ncols: int) -> list:
-    """Basis of the nullspace of a rational matrix (list of row lists)."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if m[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for rr in range(nrows):
-            if rr != r and m[rr][c] != 0:
-                f = m[rr][c]
-                m[rr] = [v - f * w for v, w in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -m[ri][fc]
-        basis.append(vec)
-    return basis
-
-
 def _solve_block_grading(keys, counts):
     """Integer part grades putting the block support on a hyperplane.
 
@@ -327,15 +300,8 @@ def _solve_block_grading(keys, counts):
     """
     kx, ky, kz = counts
     n = kx + ky + kz + 1
-    rows = []
-    for (i, j, k) in keys:
-        row = [Fraction(0)] * n
-        row[i] += 1
-        row[kx + j] += 1
-        row[kx + ky + k] += 1
-        row[-1] -= 1
-        rows.append(row)
-    basis = _rational_nullspace(rows, n)
+    rows = [{i: 1, kx + j: 1, kx + ky + k: 1, n - 1: -1} for (i, j, k) in keys]
+    basis = exact_linalg.nullspace(rows, n)
     if len(basis) <= 3:
         # only the constant-shift directions: no informative grading
         return None
@@ -348,21 +314,14 @@ def _solve_block_grading(keys, counts):
 
     best = None
     for t in (1, 2, 3, 5, 7, 11, 13):
-        vec = [Fraction(0)] * n
-        scale = Fraction(1)
-        for bvec in basis:
-            for idx in range(n):
-                vec[idx] += scale * bvec[idx]
-            scale *= t
+        vec = [sum(t ** e * b[idx] for e, b in enumerate(basis)) for idx in range(n)]
         s = score(vec)
         if best is None or s > best[0]:
             best = (s, vec)
     vec = best[1]
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    denom = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * denom) for v in vec]
-    g = math.gcd(*(abs(v) for v in ints if v != 0)) if any(ints) else 1
+    g = math.gcd(*ints)  # nonzero: the basis vectors are independent
     ints = [v // g for v in ints]
     gx = ints[:kx]
     gy = ints[kx:kx + ky]
@@ -493,11 +452,12 @@ def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     (block distribution tool) and, through the laser construction, a
     lower bound on the asymptotic slice rank; the certificate records
     the equality and that the asymptotic subrank coincides.  Refuses
-    with diagnostics when the partition is not laser-ready.
+    with `NotLaserReady`, which carries the verdict, when the partition
+    is not laser-ready.
     """
     ready = laser_readiness(t, p)
     if not ready.ok:
-        raise ValueError("partition is not laser-ready: " + "; ".join(ready.failures))
+        raise NotLaserReady(ready)
     opt = optimizer.maximize_symmetric(blocks(t, p))
     rates = _laser_rates(opt)
     cert = {

@@ -155,12 +155,12 @@ def cmd_bound(args) -> int:
         solved = be.partition_bound(bt, tensor_core.singleton_partition(bt))
         line = be.split_bound(a, b, solved.value, total=t).to_line()
     else:
-        ready = be.laser_readiness(t, p)
-        if not ready.ok:
-            for failure in ready.failures:
+        try:
+            solved = be.laser_lower_bound(t, p)
+        except be.NotLaserReady as exc:
+            for failure in exc.readiness.failures:
                 print(f"not laser-ready: {failure}", file=sys.stderr)
             return EXIT_INAPPLICABLE
-        solved = be.laser_lower_bound(t, p)
         line = f"S~ = Q~ = {solved.value:.5f} (tight)"
     if solved is not None and solved.certificate["kkt_residual"] > KKT_LIMIT:
         print("convergence failure", file=sys.stderr)

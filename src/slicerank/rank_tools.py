@@ -3,8 +3,8 @@
 The x-rank of a tensor (minimum number of summands of the form
 x-vector tensor yz-matrix) equals the rank of its x-flattening, the
 matrix whose rows are x-variables and whose columns are (y, z) pairs.
-Ranks are computed exactly over the rationals by fraction-free
-(Bareiss) elimination on a denominator-cleared integer matrix.
+Ranks are computed exactly over the rationals by sparse row reduction
+(`exact_linalg.row_reduce`) of the flattening's nonzero entries.
 
 The exact slice rank S(T) of a general tensor is not computed here: no
 general algorithm is available.  This module supplies the computable
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
+from . import exact_linalg
 from .tensor_core import Tensor, is_minimal, trimmed
 
 _FLATTEN = {
@@ -37,14 +37,7 @@ class FlatteningMatrix:
     axis: str
     row_labels: tuple
     col_labels: tuple
-    rows: list  # list of dict col_index -> Fraction
-
-    def dense(self):
-        out = [[Fraction(0)] * len(self.col_labels) for _ in self.row_labels]
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                out[r][c] = v
-        return out
+    rows: list  # list of dict col_index -> int or Fraction coefficient
 
 
 def flattening(t: Tensor, axis: str) -> FlatteningMatrix:
@@ -60,63 +53,8 @@ def flattening(t: Tensor, axis: str) -> FlatteningMatrix:
     return FlatteningMatrix(axis, tuple(axis_labels[rp]), cols, rows)
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    """Clear denominators row by row; row scaling preserves rank."""
-    ncols = 0
-    for row in rows:
-        for c in row:
-            ncols = max(ncols, c + 1)
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        denom = 1
-        for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ints = [0] * ncols
-        for c, v in row.items():
-            ints[c] = int(v * denom)
-        out.append(ints)
-    return out
-
-
-def _bareiss_rank(m: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
-
-    All divisions are exact; intermediate entries stay integers of
-    moderate size (Bareiss pivoting).
-    """
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            m[piv], m[row] = m[row], m[piv]
-        pivot = m[row][col]
-        for r in range(row + 1, nrows):
-            factor = m[r][col]
-            for c in range(col, ncols):
-                m[r][c] = (m[r][c] * pivot - factor * m[row][c]) // prev
-        prev = pivot
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
-
-
 def flattening_rank(t: Tensor, axis: str) -> int:
-    return _bareiss_rank(_integer_rows(flattening(t, axis).rows))
+    return len(exact_linalg.row_reduce(flattening(t, axis).rows))
 
 
 def x_rank(t: Tensor) -> int:

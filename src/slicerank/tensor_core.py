@@ -1,7 +1,9 @@
 """Exact sparse 3-tensors (trilinear forms) over the rationals.
 
 A tensor lives over three ordered variable lists X, Y, Z and is stored as a
-sparse map from index triples (i, j, k) to nonzero Fraction coefficients.
+sparse map from index triples (i, j, k) to nonzero exact coefficients:
+`int` when integral, `Fraction` otherwise, so the integer families run
+in integer arithmetic.
 Tensors are immutable after construction: every operation returns a new
 tensor, so values can be shared freely across threads.
 
@@ -67,7 +69,10 @@ class Tensor:
         clean = {}
         nx, ny, nz = len(x_labels), len(y_labels), len(z_labels)
         for (i, j, k), c in entries.items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
             if c == 0:
                 continue
             if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
@@ -91,8 +96,8 @@ class Tensor:
     def labels(self, axis: str):
         return {"x": self.x_labels, "y": self.y_labels, "z": self.z_labels}[axis]
 
-    def coefficient(self, i: int, j: int, k: int) -> Fraction:
-        return self.entries.get((i, j, k), Fraction(0))
+    def coefficient(self, i: int, j: int, k: int):
+        return self.entries.get((i, j, k), 0)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -373,7 +378,7 @@ def tensor_add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("tensor_add requires identical variable lists")
     entries = dict(a.entries)
     for key, c in b.entries.items():
-        s = entries.get(key, Fraction(0)) + c
+        s = entries.get(key, 0) + c
         if s == 0:
             entries.pop(key, None)
         else:
@@ -432,10 +437,24 @@ def is_variable_symmetric(t: Tensor) -> bool:
     nx, ny, nz = t.shape
     if not (nx == ny == nz):
         return False
-    return all(t.coefficient(j, k, i) == c for (i, j, k), c in t.entries.items())
+    get = t.entries.get
+    return all(get((j, k, i)) == c for (i, j, k), c in t.entries.items())
 
 
 # -- partitions and blocks ------------------------------------------------
+
+
+class PartitionError(ValueError):
+    """An invalid partition; `axis` and `part` locate the fault.
+
+    `part` is the position of the offending part on that axis, or None
+    when the parts of the axis are fine on their own but do not cover it.
+    """
+
+    def __init__(self, axis: str, part: Optional[int], message: str):
+        super().__init__(message)
+        self.axis = axis
+        self.part = part
 
 
 class VariablePartition:
@@ -451,19 +470,19 @@ class VariablePartition:
         def normalize(parts, n, axis):
             out = []
             seen = set()
-            for label, idx in parts:
+            for pos, (label, idx) in enumerate(parts):
                 idx = tuple(sorted(int(i) for i in idx))
                 if not idx:
-                    raise ValueError(f"empty part {label!r} on axis {axis}")
+                    raise PartitionError(axis, pos, f"empty part {label!r} on axis {axis}")
                 for i in idx:
                     if not 0 <= i < n:
-                        raise ValueError(f"index {i} out of range on axis {axis}")
+                        raise PartitionError(axis, pos, f"index {i} out of range on axis {axis}")
                     if i in seen:
-                        raise ValueError(f"index {i} in two parts on axis {axis}")
+                        raise PartitionError(axis, pos, f"index {i} in two parts on axis {axis}")
                     seen.add(i)
                 out.append((str(label), idx))
             if len(seen) != n:
-                raise ValueError(f"parts do not cover axis {axis}")
+                raise PartitionError(axis, None, f"parts do not cover axis {axis}")
             return tuple(out)
 
         nx, ny, nz = sizes
@@ -753,6 +772,8 @@ def parse_partition(text: str, sizes=None) -> VariablePartition:
     counts seen per axis.
     """
     parts = {"x": [], "y": [], "z": []}
+    line_of = {"x": [], "y": [], "z": []}
+    last = 1
     for n, toks in _content_lines(text):
         if toks[0] not in parts or len(toks) < 3:
             raise ParseError(n, f"expected 'axis label idx...', got {' '.join(toks)!r}")
@@ -761,12 +782,18 @@ def parse_partition(text: str, sizes=None) -> VariablePartition:
         except ValueError:
             raise ParseError(n, f"bad index in {' '.join(toks)!r}")
         parts[toks[0]].append((toks[1], idx))
+        line_of[toks[0]].append(n)
+        last = n
     if sizes is None:
         sizes = tuple(sum(len(idx) for _, idx in parts[ax]) for ax in AXES)
     try:
         return VariablePartition(parts["x"], parts["y"], parts["z"], sizes)
-    except ValueError as exc:
-        raise ParseError(1, str(exc))
+    except PartitionError as exc:
+        # a missing index is reported at the axis's last part, or at the
+        # end of the input when the axis has no parts
+        lines = line_of[exc.axis]
+        at = lines[-1 if exc.part is None else exc.part] if lines else last
+        raise ParseError(at, str(exc))
 
 
 def write_partition(p: VariablePartition) -> str:

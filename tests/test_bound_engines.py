@@ -1,6 +1,7 @@
 """The bounding tools, laser machinery, tables, and family floor."""
 
 import math
+import random
 
 import pytest
 
@@ -106,6 +107,17 @@ def test_split_bound_cw2_dominates_tight_value():
     assert rep.certificate["m_A"] == 4
     assert rep.certificate["x_rank_B"] == 3
     assert 0.0 < rep.certificate["weight"] < 1.0
+
+
+def test_split_bound_ranks_each_flattening_once(monkeypatch):
+    t, a, b = cw_x0_split(2)
+    calls = []
+    rank = sr.rank_tools.flattening_rank
+    monkeypatch.setattr(sr.rank_tools, "flattening_rank",
+                        lambda t, axis: calls.append(axis) or rank(t, axis))
+    rep = be.split_bound(a, b, 3.0, total=t)
+    assert sorted(calls) == ["x", "x", "y", "z"]
+    assert (rep.certificate["x_rank_A"], rep.certificate["m_A"]) == (1, 4)
 
 
 def test_split_bound_specialization_shape():
@@ -247,6 +259,35 @@ def test_laser_ready_independent_needs_solved_grading():
     assert r.ok
 
 
+# Grades of the CW_2 cube's product partition, as solved before the
+# grading nullspace moved to sparse row reduction; the RREF is unique, so
+# the basis, the chosen combination and the grades must not change.
+CW2_CUBE_GRADES = {
+    "x": (569, 641, 713, 647, 719, 791, 725, 797, 869, 623, 695, 767, 701, 773,
+          845, 779, 851, 923, 677, 749, 821, 755, 827, 899, 833, 905, 977),
+    "y": (-407, -329, -251, -353, -275, -197, -299, -221, -143, -335, -257, -179,
+          -281, -203, -125, -227, -149, -71, -263, -185, -107, -209, -131, -53,
+          -155, -77, 1),
+    "z": (-327, -273, -219, -255, -201, -147, -183, -129, -75, -249, -195, -141,
+          -177, -123, -69, -105, -51, 3, -171, -117, -63, -99, -45, 9, -27, 27, 81),
+}
+
+
+def test_laser_ready_relabeled_cw2_cube_grading_unchanged():
+    cw = sr.make_cw(2)
+    cube = sr.symmetric_cube(cw)
+    part = sr.cube_partition(cw, sr.cw_partition(2))
+    perm = list(range(64))
+    random.Random(3).shuffle(perm)
+    entries = {(perm[i], perm[j], perm[k]): c for (i, j, k), c in cube.entries.items()}
+    parts = [[(label, [perm[i] for i in idx]) for label, idx in part.parts(ax)]
+             for ax in "xyz"]
+    t = Tensor(range(64), range(64), range(64), entries)
+    r = be.laser_readiness(t, sr.VariablePartition(*parts, t.shape))
+    assert r.ok
+    assert (r.ell, r.grades) == (243, CW2_CUBE_GRADES)
+
+
 def test_laser_ready_parity_support_fails():
     # blocks on {i+j+k even} are trifunctional but admit only constant
     # gradings, which certify nothing
@@ -276,6 +317,10 @@ def test_laser_refuses_unready():
     with pytest.raises(ValueError) as err:
         be.laser_lower_bound(sr.make_t112(2), sr.t112_partition(2))
     assert "laser-ready" in str(err.value)
+    assert isinstance(err.value, be.NotLaserReady)
+    ready = err.value.readiness
+    assert not ready.ok and not ready.conditions["symmetric"]
+    assert str(err.value) == "partition is not laser-ready: " + "; ".join(ready.failures)
 
 
 def test_laser_rates_identity_random_q():

@@ -87,6 +87,20 @@ def test_bound_laser(capsys, cw5_files):
     assert out == "S~ = Q~ = 5.77629 (tight)"
 
 
+def count_readiness_calls(monkeypatch):
+    calls = []
+    check = be.laser_readiness
+    monkeypatch.setattr(be, "laser_readiness",
+                        lambda t, p: calls.append(1) or check(t, p))
+    return calls
+
+
+def test_bound_laser_checks_readiness_once(capsys, cw5_files, monkeypatch):
+    calls = count_readiness_calls(monkeypatch)
+    assert main(["bound", "--mode", "laser", *cw5_files]) == 0
+    assert len(calls) == 1
+
+
 def test_bound_partition_mode(capsys, cw5_files):
     tensor, part = cw5_files
     assert main(["bound", "--mode", "partition", tensor, part]) == 0
@@ -121,14 +135,16 @@ def test_bound_unconverged_solve_exit(capsys, cw5_files, monkeypatch, mode):
     assert "convergence failure" in capsys.readouterr().err
 
 
-def test_bound_laser_inapplicable(capsys, tmp_path):
+def test_bound_laser_inapplicable(capsys, tmp_path, monkeypatch):
     t = sr.make_t112(2)
     tensor = tmp_path / "t.tensor"
     tensor.write_text(sr.write_tensor(t))
     part = tmp_path / "t.partition"
     part.write_text(sr.write_partition(sr.t112_partition(2)))
+    calls = count_readiness_calls(monkeypatch)
     assert main(["bound", "--mode", "laser", str(tensor), str(part)]) == 4
-    assert "not laser-ready" in capsys.readouterr().err
+    assert len(calls) == 1
+    assert capsys.readouterr().err == "not laser-ready: tensor is not variable-symmetric\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -299,6 +299,37 @@ def test_tensor_format_comments_and_plain_ints():
     assert t.entries == {(0, 0, 0): 2}
 
 
+def test_integer_first_coefficients():
+    assert all(type(c) is int for c in sr.make_cw(3).entries.values())
+    assert sr.make_cw(1).coefficient(1, 1, 1) == 0
+    text = ("xvars 2\nyvars 1\nzvars 1\n"
+            "0 0 0 4/2\n1 0 0 1/2\n")
+    t = sr.parse_tensor(text)
+    assert type(t.entries[(0, 0, 0)]) is int and t.entries[(0, 0, 0)] == 2
+    assert t.entries[(1, 0, 0)] == Fraction(1, 2)
+    assert type(t.coefficient(1, 0, 0)) is Fraction and t.coefficient(0, 0, 0) == 2
+    assert sr.write_tensor(t) == "xvars 2\nyvars 1\nzvars 1\n0 0 0 2/1\n1 0 0 1/2\n"
+    assert sr.write_tensor(sr.make_cw(1)) == (
+        "xvars 3\nyvars 3\nzvars 3\n"
+        "0 0 2 1/1\n0 1 1 1/1\n0 2 0 1/1\n1 0 1 1/1\n1 1 0 1/1\n2 0 0 1/1\n")
+    assert type(Tensor([0], [0], [0], {(0, 0, 0): Fraction(3, 1)}).entries[(0, 0, 0)]) is int
+    cube = sr.symmetric_cube(sr.make_cw(1))
+    assert all(type(c) is int for c in cube.entries.values())
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("x a 0\nx b 2 9\ny a 0 1 2\nz a 0 1 2\n", 2, "index 9 out of range on axis x"),
+    ("x a 0 1 2\n# comment\ny a 0 1\n\ny b 1 2\nz a 0 1 2\n", 5,
+     "index 1 in two parts on axis y"),
+    ("x a 0 1 2\ny a 0 1 2\nz a 0\nz b 1\n", 4, "parts do not cover axis z"),
+])
+def test_partition_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        sr.parse_partition(text, sizes=(3, 3, 3))
+    assert err.value.line_no == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_partition_roundtrip():
     p = sr.cw_partition(3)
     back = sr.parse_partition(sr.write_partition(p))
