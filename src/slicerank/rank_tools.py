@@ -36,7 +36,7 @@ class FlatteningMatrix:
 
     axis: str
     row_labels: tuple
-    col_labels: tuple
+    n_cols: int  # pair (a, b) of the two column axes is column a*n2 + b
     rows: list  # list of dict col_index -> int or Fraction coefficient
 
 
@@ -49,8 +49,7 @@ def flattening(t: Tensor, axis: str) -> FlatteningMatrix:
     rows = [dict() for _ in axis_labels[rp]]
     for key, c in t.entries.items():
         rows[key[rp]][key[cp1] * n2 + key[cp2]] = c
-    cols = tuple((a, b) for a in axis_labels[cp1] for b in axis_labels[cp2])
-    return FlatteningMatrix(axis, tuple(axis_labels[rp]), cols, rows)
+    return FlatteningMatrix(axis, tuple(axis_labels[rp]), n1 * n2, rows)
 
 
 def flattening_rank(t: Tensor, axis: str) -> int:

@@ -68,7 +68,8 @@ class Tensor:
                 raise ValueError(f"duplicate {name} variable labels")
         clean = {}
         nx, ny, nz = len(x_labels), len(y_labels), len(z_labels)
-        for (i, j, k), c in entries.items():
+        for key, c in entries.items():
+            i, j, k = key
             if type(c) is not int:
                 c = Fraction(c)
                 if c.denominator == 1:
@@ -77,7 +78,10 @@ class Tensor:
                 continue
             if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
                 raise ValueError(f"entry index {(i, j, k)} out of range")
-            clean[(int(i), int(j), int(k))] = c
+            if not (type(key) is tuple and type(i) is int and type(j) is int
+                    and type(k) is int):
+                key = (int(i), int(j), int(k))
+            clean[key] = c
         object.__setattr__(self, "x_labels", x_labels)
         object.__setattr__(self, "y_labels", y_labels)
         object.__setattr__(self, "z_labels", z_labels)
@@ -316,10 +320,10 @@ def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     bx, by, bz = b.shape
     entries = {}
     for (i1, j1, k1), c1 in a.entries.items():
+        # distinct term pairs give distinct keys, so each key is written once
+        x, y, z = i1 * bx, j1 * by, k1 * bz
         for (i2, j2, k2), c2 in b.entries.items():
-            key = (i1 * bx + i2, j1 * by + j2, k1 * bz + k2)
-            prev = entries.get(key)
-            entries[key] = c1 * c2 if prev is None else prev + c1 * c2
+            entries[(x + i2, y + j2, z + k2)] = c1 * c2
     return Tensor(
         [(p, q) for p in a.x_labels for q in b.x_labels],
         [(p, q) for p in a.y_labels for q in b.y_labels],
@@ -407,20 +411,20 @@ def symmetric_cube(t: Tensor) -> Tensor:
     (y, z, x)-major.)
     """
     nx, ny, nz = t.shape
-    flat = lambda a, b, c: (a * ny + b) * nz + c
     labels = [
         (t.x_labels[a], t.y_labels[b], t.z_labels[c])
         for a in range(nx) for b in range(ny) for c in range(nz)
     ]
+    # Variable (a, b, c) sits at a*ny*nz + b*nz + c, so each factor entry
+    # contributes one fixed offset per component.  The key spells out all
+    # three factor entries, so each key is written exactly once.
+    offsets = [(i * ny * nz, j * nz, k, c) for (i, j, k), c in t.entries.items()]
     entries = {}
-    items = list(t.entries.items())
-    for (i1, j1, k1), c1 in items:
-        for (i2, j2, k2), c2 in items:
-            c12 = c1 * c2
-            for (i3, j3, k3), c3 in items:
-                key = (flat(i1, j2, k3), flat(i3, j1, k2), flat(i2, j3, k1))
-                prev = entries.get(key)
-                entries[key] = c12 * c3 if prev is None else prev + c12 * c3
+    for x1, y1, z1, c1 in offsets:
+        for x2, y2, z2, c2 in offsets:
+            c12, u, v, w = c1 * c2, x1 + y2, y1 + z2, x2 + z1
+            for x3, y3, z3, c3 in offsets:
+                entries[(u + z3, x3 + v, w + y3)] = c12 * c3
     return Tensor(labels, list(labels), list(labels), entries)
 
 
@@ -720,9 +724,9 @@ def _content_lines(text: str):
 def parse_tensor(text: str) -> Tensor:
     """Parse the line-oriented tensor format.
 
-    Header lines `xvars n`, `yvars n`, `zvars n` (any order, before the
-    entries), then one entry per line: `i j k num/den` with 0-based
-    indices.  `#` starts a comment.
+    Header lines `xvars n`, `yvars n`, `zvars n` (any order, each once,
+    before the entries), then one entry per line: `i j k num/den` with
+    0-based indices.  `#` starts a comment.
     """
     sizes = {}
     entries = {}
@@ -730,6 +734,10 @@ def parse_tensor(text: str) -> Tensor:
         if toks[0] in ("xvars", "yvars", "zvars"):
             if len(toks) != 2:
                 raise ParseError(n, f"malformed header {' '.join(toks)!r}")
+            if entries:
+                raise ParseError(n, f"{toks[0]} header after the entries")
+            if toks[0][0] in sizes:
+                raise ParseError(n, f"repeated {toks[0]} header")
             try:
                 sizes[toks[0][0]] = int(toks[1])
             except ValueError:

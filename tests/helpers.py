@@ -88,6 +88,37 @@ def scramble(t: Tensor, rng: random.Random) -> Tensor:
     )
 
 
+def reference_tensor_product(a: Tensor, b: Tensor) -> Tensor:
+    """Tensor product accumulating each term into its key with `get`."""
+    bx, by, bz = b.shape
+    entries = {}
+    for (i1, j1, k1), c1 in a.entries.items():
+        for (i2, j2, k2), c2 in b.entries.items():
+            key = (i1 * bx + i2, j1 * by + j2, k1 * bz + k2)
+            entries[key] = entries.get(key, 0) + c1 * c2
+    return Tensor(
+        [(p, q) for p in a.x_labels for q in b.x_labels],
+        [(p, q) for p in a.y_labels for q in b.y_labels],
+        [(p, q) for p in a.z_labels for q in b.z_labels],
+        entries,
+    )
+
+
+def reference_symmetric_cube(t: Tensor) -> Tensor:
+    """T (x) rot T (x) rot^2 T accumulating each term into its key with `get`."""
+    nx, ny, nz = t.shape
+    flat = lambda a, b, c: (a * ny + b) * nz + c
+    labels = [(a, b, c) for a in t.x_labels for b in t.y_labels for c in t.z_labels]
+    entries = {}
+    items = list(t.entries.items())
+    for (i1, j1, k1), c1 in items:
+        for (i2, j2, k2), c2 in items:
+            for (i3, j3, k3), c3 in items:
+                key = (flat(i1, j2, k3), flat(i3, j1, k2), flat(i2, j3, k1))
+                entries[key] = entries.get(key, 0) + c1 * c2 * c3
+    return Tensor(labels, labels, labels, entries)
+
+
 def gauss_rank(rows) -> int:
     """Plain fraction Gaussian elimination; independent of the Bareiss path."""
     m = [list(map(Fraction, row)) for row in rows if any(row)]

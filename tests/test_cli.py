@@ -157,6 +157,22 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize("text, stderr", [
+    ("xvars 2\nyvars 2\nzvars 2\n1 0 0 1/1\nxvars 1\n",
+     "parse error: line 5: xvars header after the entries\n"),
+    ("xvars 2\nyvars 2\nzvars 2\nxvars 3\n0 0 0 1/1\n",
+     "parse error: line 4: repeated xvars header\n"),
+])
+def test_misplaced_header_exit_code(capsys, tmp_path, text, stderr):
+    bad = tmp_path / "bad.tensor"
+    bad.write_text(text)
+    part = tmp_path / "p.partition"
+    part.write_text("x all 0 1\ny all 0 1\nz all 0 1\n")
+    assert main(["bound", "--mode", "partition", str(bad), str(part)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == stderr and captured.out == ""
+
+
 def test_verify_degeneration_ok(capsys, tmp_path):
     t = sr.make_cw(2)
     bs = sr.blocks(t, sr.cw_partition(2))

@@ -24,7 +24,7 @@ def test_independent_ranks(q):
     assert sr.x_rank(t) == sr.y_rank(t) == sr.z_rank(t) == q
     assert oracle_rank(t, "x") == q
     mat = sr.flattening(t, "x")
-    assert (len(mat.row_labels), len(mat.col_labels)) == (q, q * q)
+    assert (len(mat.row_labels), mat.n_cols) == (q, q * q)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

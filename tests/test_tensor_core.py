@@ -1,14 +1,35 @@
 """Tensor constructors, algebra, partitions, and text formats."""
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slicerank as sr
 from slicerank.tensor_core import ParseError, Tensor
 
-from helpers import random_partition, random_tensor
+from helpers import (random_partition, random_tensor, reference_symmetric_cube,
+                     reference_tensor_product)
+
+# halves, thirds and quarters multiply with 2, 3 and 4 to integral values
+PRODUCT_COEFFS = [-2, -1, 1, 2, 3, 4, Fraction(1, 2), Fraction(-3, 2),
+                  Fraction(2, 3), Fraction(1, 4)]
+
+
+@st.composite
+def small_tensors(draw, max_entries=8):
+    shape = [draw(st.integers(1, 3)) for _ in range(3)]
+    entries = draw(st.dictionaries(
+        st.tuples(*(st.integers(0, n - 1) for n in shape)),
+        st.sampled_from(PRODUCT_COEFFS), min_size=1, max_size=max_entries))
+    return Tensor(*(range(n) for n in shape), entries)
+
+
+def assert_integer_first(t):
+    assert all(type(c) is int or c.denominator != 1 for c in t.entries.values())
 
 
 # -- constructors -----------------------------------------------------------
@@ -125,6 +146,37 @@ def test_product_identity_and_associativity():
         assert left.entries == right.entries
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_tensors(max_entries=27), small_tensors(max_entries=27))
+def test_tensor_product_matches_accumulating_reference(a, b):
+    prod = sr.tensor_product(a, b)
+    ref = reference_tensor_product(a, b)
+    assert prod == ref and list(prod.entries) == list(ref.entries)
+    assert len(prod) == len(a) * len(b)
+    assert_integer_first(prod)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tensors())
+def test_symmetric_cube_matches_accumulating_reference(t):
+    cube = sr.symmetric_cube(t)
+    ref = reference_symmetric_cube(t)
+    assert cube == ref and list(cube.entries) == list(ref.entries)
+    assert len(cube) == len(t) ** 3
+    assert_integer_first(cube)
+
+
+def test_products_of_fractions_come_out_int():
+    half = Tensor([0], [0], [0, 1], {(0, 0, 0): Fraction(1, 2), (0, 0, 1): 4})
+    two = Tensor([0], [0], [0], {(0, 0, 0): 2})
+    assert sr.tensor_product(half, two).entries == {(0, 0, 0): 1, (0, 0, 1): 8}
+    cube = sr.symmetric_cube(half)
+    assert cube.entries[(0, 0, 0)] == Fraction(1, 8)
+    assert cube.entries[(0, 1, 0)] == 1  # 1/2 * 1/2 * 4
+    for t in (sr.tensor_product(half, two), cube):
+        assert_integer_first(t)
+
+
 def test_tensor_power_cap():
     t = sr.make_independent(2)
     assert len(sr.tensor_power(t, 3).entries) == 8
@@ -197,6 +249,26 @@ def test_symmetric_cube_arbitrary_tensor():
     for _ in range(10):
         t = random_tensor(rng)
         assert sr.is_variable_symmetric(sr.symmetric_cube(t))
+
+
+def test_constructor_keys_become_int_triples():
+    Key = namedtuple("Key", "i j k")
+    key = (1, 1, 0)
+    t = Tensor(range(2), range(3), range(2), {
+        key: 3, (True, np.int64(2), False): 1, Key(0, 1, 1): Fraction(1, 2),
+        (np.int64(0), 0, 0): 0, (1, 0, 1): Fraction(0)})
+    assert t.entries == {(1, 1, 0): 3, (1, 2, 0): 1, (0, 1, 1): Fraction(1, 2)}
+    for k in t.entries:
+        assert type(k) is tuple and all(type(i) is int for i in k)
+    assert next(iter(t.entries)) is key
+    with pytest.raises(ValueError, match=r"^entry index \(2, 0, 0\) out of range$"):
+        Tensor(range(2), range(2), range(2), {(2, 0, 0): 1})
+    with pytest.raises(ValueError, match=r"^entry index \(0, -1, 0\) out of range$"):
+        Tensor(range(2), range(2), range(2), {(0, -1, 0): Fraction(1, 2)})
+    # a zero coefficient is dropped before its index is checked
+    assert Tensor(range(2), range(2), range(2), {(5, 0, 0): 0}).entries == {}
+    with pytest.raises(ValueError, match="^duplicate y variable labels$"):
+        Tensor([0], [1, 1], [0], {})
 
 
 # -- partitions and blocks ----------------------------------------------------
@@ -291,6 +363,20 @@ def test_tensor_parse_errors():
     with pytest.raises(ParseError) as err:
         sr.parse_tensor("xvars 1\nyvars 1\nzvars 1\n0 0 2 1/1\n")
     assert "out of range" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("xvars 2\nyvars 2\nzvars 2\n1 0 0 1/1\nxvars 1\n", 5,
+     "xvars header after the entries"),
+    ("xvars 2\nyvars 2\nxvars 3\nzvars 2\n0 0 0 1/1\n", 3, "repeated xvars header"),
+    ("xvars 2\nyvars 2\nzvars 2\n# c\nzvars 2\n0 0 0 1/1\n", 5,
+     "repeated zvars header"),
+])
+def test_tensor_headers_once_before_entries(text, line, message):
+    with pytest.raises(ParseError) as err:
+        sr.parse_tensor(text)
+    assert err.value.line_no == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_tensor_format_comments_and_plain_ints():
