@@ -36,13 +36,13 @@ from typing import Optional, Sequence
 from . import exact_linalg, optimizer, rank_tools
 from .optimizer import maximize_1d
 from .tensor_core import (
+    BlockSet,
     RankFact,
     Tensor,
     VariablePartition,
     blocks,
     cw_partition,
     cw_small_partition,
-    is_t_symmetric_partition,
     is_variable_symmetric,
     make_cw,
     make_cw_small,
@@ -150,7 +150,7 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     over the full block simplex is solved.
     """
     bs = blocks(t, p)
-    if is_t_symmetric_partition(t, p):
+    if bs.symmetric:
         opt = optimizer.maximize_symmetric(bs)
         cert = {
             "method": "symmetric",
@@ -266,7 +266,8 @@ class LaserReadiness:
     parts (1), the block support lies on an integer hyperplane of part
     grades (2), and tensor plus partition are symmetric (3).  `grades`
     holds the per-axis part grades that certify (2); these are the
-    literal part indices whenever those already work.
+    literal part indices whenever those already work.  `block_set` is
+    the split the verdict was reached on.
     """
 
     ok: bool
@@ -275,6 +276,7 @@ class LaserReadiness:
     block_shapes: dict
     failures: list
     conditions: dict
+    block_set: BlockSet
 
 
 def _support_trifunctional(keys) -> bool:
@@ -351,14 +353,12 @@ def laser_readiness(t: Tensor, p: VariablePartition,
     failures = []
     conditions = {}
 
-    # (3) symmetry
-    sym = is_variable_symmetric(t)
-    if not sym:
-        failures.append("tensor is not variable-symmetric")
-    elif not is_t_symmetric_partition(t, p):
-        sym = False
-        failures.append("partition is not symmetric for the tensor")
-    conditions["symmetric"] = sym
+    # (3) symmetry, decided by `blocks`; the tensor is checked again only
+    # to word a failure
+    if not bs.symmetric:
+        failures.append("tensor is not variable-symmetric" if not is_variable_symmetric(t)
+                        else "partition is not symmetric for the tensor")
+    conditions["symmetric"] = bs.symmetric
 
     # (2) hyperplane support
     ell = None
@@ -413,7 +413,7 @@ def laser_readiness(t: Tensor, p: VariablePartition,
     ok = conditions["symmetric"] and conditions["hyperplane_support"] \
         and conditions["maximal_matmul_blocks"]
     return LaserReadiness(ok, ell if hyper else None, grades if hyper else None,
-                          shapes, failures, conditions)
+                          shapes, failures, conditions, bs)
 
 
 @dataclass
@@ -458,7 +458,7 @@ def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     ready = laser_readiness(t, p)
     if not ready.ok:
         raise NotLaserReady(ready)
-    opt = optimizer.maximize_symmetric(blocks(t, p))
+    opt = optimizer.maximize_symmetric(ready.block_set)
     rates = _laser_rates(opt)
     cert = {
         "tight": True,

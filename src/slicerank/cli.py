@@ -28,7 +28,6 @@ CW_SMALL_OMEGA = {1: 2.17795, 2: 2.0, 3: 2.02538, 4: 2.06244,
 TQ_SLICE = {2: 1.88988, 3: 2.75510, 4: 3.61071, 5: 4.46157}
 TQ_OMEGA = {2: 2.17795, 3: 2.16805, 4: 2.15949, 5: 2.15237}
 FLOOR_GOLDEN = {"v_8": 0.017732422, "f_v8": 2.07389, "relaxed_at_9": 2.18562}
-FLOOR_VALUE = 2.16805
 
 KKT_LIMIT = 1e-6  # beyond this the optimizer result is not trusted
 
@@ -118,10 +117,10 @@ def cmd_appendix(args) -> int:
         and c["relaxed_above_floor"]
     print(f"relaxed bound increasing on q=9..{args.qmax}: "
           f"{'PASS' if c['relaxed_increasing'] else 'FAIL'}")
-    floor_ok = rep.value >= FLOOR_VALUE - 1e-9
+    floor_ok = rep.value >= be.FLOOR_TARGET - 1e-9
     ok = ok and floor_ok
     print(f"floor over q<={args.qmax} = {rep.value:.6f} "
-          f">= {FLOOR_VALUE} {'PASS' if floor_ok else 'FAIL'}")
+          f">= {be.FLOOR_TARGET} {'PASS' if floor_ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

@@ -426,7 +426,6 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
     """
     maps = ({}, {}, {})
     order = 0
-    saw_order = False
     for n, toks in _content_lines(text):
         head = toks[0]
         if head == "order":
@@ -436,7 +435,6 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
                 order = int(toks[1])
             except ValueError:
                 raise ParseError(n, f"bad order {toks[1]!r}")
-            saw_order = True
             continue
         general = head.endswith("P")
         name = head[:-1] if general else head
@@ -468,8 +466,6 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
             target[key] = target[key] + poly
         else:
             target[key] = poly
-    if not saw_order:
-        order = 0
     return DegenerationMap(maps[0], maps[1], maps[2], order)
 
 

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor_core import BlockSet, is_t_symmetric_partition
+from .tensor_core import BlockSet
 
 
 MARGINAL_CLAMP = 1e-18   # gradient log clamp near the simplex boundary
@@ -333,11 +333,12 @@ class MinmaxOptimum(_Optimum):
 def maximize_symmetric(block_set: BlockSet) -> SymmetricOptimum:
     """Maximize f_x over rotation-symmetric block distributions.
 
-    The partition must be symmetric for the tensor (checked).  The orbit
-    masses are the variables and the objective is the mean of the three
-    axis values, which all equal f_x there.
+    The partition must be symmetric for the tensor (the block set's
+    `symmetric` verdict).  The orbit masses are the variables and the
+    objective is the mean of the three axis values, which all equal f_x
+    there.
     """
-    if not is_t_symmetric_partition(block_set.tensor, block_set.partition):
+    if not block_set.symmetric:
         raise ValueError("partition is not symmetric for this tensor")
     orbits = block_orbits(block_set)
     prob = _Problem(block_set, orbits)

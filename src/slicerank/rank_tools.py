@@ -90,11 +90,12 @@ def slice_rank_flattening_bound(t: Tensor) -> int:
 
 @dataclass
 class MatmulWitness:
-    """Isomorphism of a tensor with <a,b,c>.
+    """Isomorphism of a tensor with <a,b,c> = sum x_(r,s) y_(s,d) z_(d,r).
 
-    row_of/col_of etc. assign grid coordinates to variable positions:
-    x variable p represents x_(row_of[p], col_of[p]), and similarly the
-    y variables carry (col, depth) and the z variables (depth, row).
+    `x_coords[i]` is the (row, column) of x variable i, `y_coords[j]` the
+    (column, depth) of y variable j and `z_coords[k]` the (depth, row) of
+    z variable k; every term (i, j, k) reads x = (r, s), y = (s, d),
+    z = (d, r), and each map is a bijection onto its grid.
     """
 
     a: int
@@ -105,24 +106,11 @@ class MatmulWitness:
     z_coords: dict
 
 
-def _co_occurrence_classes(pairs, n):
-    """Partition 0..n-1 into connected classes of the given pair relation."""
-    parent = list(range(n))
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    classes = {}
-    for u in range(n):
-        classes.setdefault(find(u), []).append(u)
-    return [sorted(c) for c in classes.values()]
+def _number_by_partners(partners, count):
+    """Number variables by their partner sets, or None unless `count` sets occur."""
+    ids = {}
+    out = [ids.setdefault(frozenset(s), len(ids)) for s in partners]
+    return out if len(ids) == count else None
 
 
 def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
@@ -131,8 +119,7 @@ def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
     The tensor must be minimal.  Coefficients may differ from 1 only if
     they can be normalized away by scaling individual variables (checked
     by constraint propagation); a matmul tensor never has coefficient
-    cancellations, so the incidence structure is matched first and the
-    candidate assignment is verified entry by entry.
+    cancellations, so the term set is matched first.
     """
     if len(t.entries) == 0 or not is_minimal(t):
         return None
@@ -153,87 +140,40 @@ def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
     if a * b != nx or b * c != ny or c * a != nz:
         return None
 
-    by_x = {}
-    by_y = {}
-    by_z = {}
-    for e in t.entries:
-        by_x.setdefault(e[0], []).append(e)
-        by_y.setdefault(e[1], []).append(e)
-        by_z.setdefault(e[2], []).append(e)
-    if any(len(v) != c for v in by_x.values()) or len(by_x) != nx:
+    # In <a,b,c> the z-partners of x_(r,s) are exactly {z_(d,r)}, so x
+    # variables with equal z-partner sets share a row; likewise equal
+    # y-partner sets of x mean one column and equal z-partner sets of y
+    # one depth.  Numbering the partner sets gives each term a cell
+    # (row, column, depth).  If there are a rows, b columns and c depths,
+    # every variable gets one coordinate and every term its own cell, the
+    # abc terms fill the a x b x c grid once; so each coordinate map hits
+    # its whole grid, which has exactly |X| = ab (resp. bc, ca) points,
+    # and is a bijection.  The terms are then exactly those of <a,b,c>
+    # under these bijections, so no per-variable degree count is needed.
+    x_zs = [set() for _ in range(nx)]
+    x_ys = [set() for _ in range(nx)]
+    y_zs = [set() for _ in range(ny)]
+    for i, j, k in t.entries:
+        x_zs[i].add(k)
+        x_ys[i].add(j)
+        y_zs[j].add(k)
+    row = _number_by_partners(x_zs, a)
+    col = _number_by_partners(x_ys, b)
+    dep = _number_by_partners(y_zs, c)
+    if row is None or col is None or dep is None:
         return None
-    if any(len(v) != a for v in by_y.values()) or len(by_y) != ny:
-        return None
-    if any(len(v) != b for v in by_z.values()) or len(by_z) != nz:
-        return None
-
-    # Two x vars share a z var iff they have the same row index; they
-    # share a y var iff they have the same column index.  Analogously on
-    # the other axes.  Build those classes and number them.
-    def shares(by_first, pos):
-        pairs = []
-        for terms in by_first.values():
-            for s in range(1, len(terms)):
-                pairs.append((terms[0][pos], terms[s][pos]))
-        return pairs
-
-    x_row = _co_occurrence_classes(shares(by_z, 0), nx)   # share a z => same row
-    x_col = _co_occurrence_classes(shares(by_y, 0), nx)   # share a y => same col
-    y_col = _co_occurrence_classes(shares(by_x, 1), ny)
-    y_dep = _co_occurrence_classes(shares(by_z, 1), ny)
-    z_dep = _co_occurrence_classes(shares(by_y, 2), nz)
-    z_row = _co_occurrence_classes(shares(by_x, 2), nz)
-    if (len(x_row), len(x_col)) != (a, b):
-        return None
-    if (len(y_col), len(y_dep)) != (b, c):
-        return None
-    if (len(z_dep), len(z_row)) != (c, a):
-        return None
-
-    def class_of(classes):
-        out = {}
-        for ci, members in enumerate(classes):
-            for m in members:
-                out[m] = ci
-        return out
-
-    xr, xc = class_of(x_row), class_of(x_col)
-    yc, yd = class_of(y_col), class_of(y_dep)
-    zd, zr = class_of(z_dep), class_of(z_row)
-
-    # Align the independently numbered classes through shared terms.
-    col_map = {}   # x-col class -> y-col class
-    dep_map = {}   # y-dep class -> z-dep class
-    row_map = {}   # z-row class -> x-row class
-    for (i, j, k) in t.entries:
-        col_map.setdefault(xc[i], yc[j])
-        dep_map.setdefault(yd[j], zd[k])
-        row_map.setdefault(zr[k], xr[i])
-        if col_map[xc[i]] != yc[j] or dep_map[yd[j]] != zd[k] or row_map[zr[k]] != xr[i]:
+    y_coords, z_coords, cells = {}, {}, set()
+    for i, j, k in t.entries:
+        r, s, d = row[i], col[i], dep[j]
+        if y_coords.setdefault(j, (s, d)) != (s, d) \
+                or z_coords.setdefault(k, (d, r)) != (d, r) or (r, s, d) in cells:
             return None
-
-    x_coords = {i: (xr[i], xc[i]) for i in range(nx)}
-    y_coords = {j: (yc[j], yd[j]) for j in range(ny)}
-    z_coords = {k: (zd[k], zr[k]) for k in range(nz)}
-
-    # Verify the full grid: exactly one term per (row, col, dep) triple.
-    seen = set()
-    for (i, j, k) in t.entries:
-        row, col = x_coords[i]
-        col2, dep = y_coords[j]
-        dep2, row2 = z_coords[k]
-        if col_map[col] != col2 or dep_map[dep] != dep2 or row_map[row2] != row:
-            return None
-        cell = (row, col, dep)
-        if cell in seen:
-            return None
-        seen.add(cell)
-    if len(seen) != nterms:
-        return None
+        cells.add((r, s, d))
 
     # Coefficients must normalize to 1 by per-variable scalings.
     if not _unit_scalable(t):
         return None
+    x_coords = {i: (row[i], col[i]) for i in range(nx)}
     return MatmulWitness(a, b, c, x_coords, y_coords, z_coords)
 
 

@@ -97,9 +97,6 @@ class Tensor:
     def shape(self) -> tuple[int, int, int]:
         return (len(self.x_labels), len(self.y_labels), len(self.z_labels))
 
-    def labels(self, axis: str):
-        return {"x": self.x_labels, "y": self.y_labels, "z": self.z_labels}[axis]
-
     def coefficient(self, i: int, j: int, k: int):
         return self.entries.get((i, j, k), 0)
 
@@ -124,13 +121,6 @@ class Tensor:
     def __repr__(self):
         nx, ny, nz = self.shape
         return f"Tensor({nx}x{ny}x{nz}, {len(self.entries)} entries)"
-
-    def label_form(self) -> dict:
-        """The form as a map (x label, y label, z label) -> coefficient."""
-        return {
-            (self.x_labels[i], self.y_labels[j], self.z_labels[k]): c
-            for (i, j, k), c in self.entries.items()
-        }
 
     def used_indices(self, axis: str) -> set[int]:
         pos = AXES.index(axis)
@@ -466,34 +456,40 @@ class VariablePartition:
 
     Each part is (label, indices); indices are stored sorted.  Parts must
     be nonempty, disjoint, and cover 0..n-1 for the axis sizes given.
+    `where[axis position][i]` is (part, slot): index i is the slot-th
+    index of that part.
     """
 
-    __slots__ = ("parts_x", "parts_y", "parts_z", "sizes")
+    __slots__ = ("parts_x", "parts_y", "parts_z", "sizes", "where")
 
     def __init__(self, parts_x, parts_y, parts_z, sizes):
         def normalize(parts, n, axis):
             out = []
-            seen = set()
+            where = [None] * n
             for pos, (label, idx) in enumerate(parts):
                 idx = tuple(sorted(int(i) for i in idx))
                 if not idx:
                     raise PartitionError(axis, pos, f"empty part {label!r} on axis {axis}")
-                for i in idx:
+                for slot, i in enumerate(idx):
                     if not 0 <= i < n:
                         raise PartitionError(axis, pos, f"index {i} out of range on axis {axis}")
-                    if i in seen:
+                    if where[i] is not None:
                         raise PartitionError(axis, pos, f"index {i} in two parts on axis {axis}")
-                    seen.add(i)
+                    where[i] = (pos, slot)
                 out.append((str(label), idx))
-            if len(seen) != n:
+            if None in where:
                 raise PartitionError(axis, None, f"parts do not cover axis {axis}")
-            return tuple(out)
+            return tuple(out), tuple(where)
 
         nx, ny, nz = sizes
+        px, wx = normalize(parts_x, nx, "x")
+        py, wy = normalize(parts_y, ny, "y")
+        pz, wz = normalize(parts_z, nz, "z")
         object.__setattr__(self, "sizes", (nx, ny, nz))
-        object.__setattr__(self, "parts_x", normalize(parts_x, nx, "x"))
-        object.__setattr__(self, "parts_y", normalize(parts_y, ny, "y"))
-        object.__setattr__(self, "parts_z", normalize(parts_z, nz, "z"))
+        object.__setattr__(self, "parts_x", px)
+        object.__setattr__(self, "parts_y", py)
+        object.__setattr__(self, "parts_z", pz)
+        object.__setattr__(self, "where", (wx, wy, wz))
 
     def __setattr__(self, name, value):
         raise AttributeError("VariablePartition is immutable")
@@ -506,13 +502,6 @@ class VariablePartition:
 
     def part_count(self, axis: str) -> int:
         return len(self.parts(axis))
-
-    def index_to_part(self, axis: str) -> dict[int, int]:
-        out = {}
-        for p, (_, idx) in enumerate(self.parts(axis)):
-            for i in idx:
-                out[i] = p
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, VariablePartition):
@@ -593,15 +582,18 @@ class BlockSet:
 
     `blocks` maps part index triples (i, j, k) to the restriction of the
     parent tensor to the corresponding parts, as a standalone tensor over
-    those parts' variables (in part order).
+    those parts' variables (in part order).  `symmetric` is the rotation
+    verdict decided once by `blocks`.
     """
 
-    __slots__ = ("tensor", "partition", "blocks")
+    __slots__ = ("tensor", "partition", "blocks", "symmetric")
 
-    def __init__(self, tensor: Tensor, partition: VariablePartition, blocks):
+    def __init__(self, tensor: Tensor, partition: VariablePartition, blocks,
+                 symmetric: bool):
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "blocks", dict(blocks))
+        object.__setattr__(self, "symmetric", symmetric)
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockSet is immutable")
@@ -622,22 +614,33 @@ class BlockSet:
         return f"BlockSet({len(self.blocks)} blocks of {self.tensor!r})"
 
 
+def _rotation_symmetric(t: Tensor, p: VariablePartition, out: dict) -> bool:
+    """Rotation verdict for the blocks `out` of t under p.
+
+    Equal part sizes, t variable-symmetric, and each block (i,j,k),
+    rotated positionally, equal to the block at (j,k,i).
+    """
+    if not (p.part_sizes("x") == p.part_sizes("y") == p.part_sizes("z")):
+        return False
+    if not is_variable_symmetric(t):
+        return False
+    for (i, j, k), block in out.items():
+        image = out.get((j, k, i))
+        if image is None or image.entries != {
+                (v, w, u): c for (u, v, w), c in block.entries.items()}:
+            return False
+    return True
+
+
 def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
     """Split t into its nonzero blocks under the partition p."""
     if p.sizes != t.shape:
         raise ValueError("partition sizes do not match tensor axes")
-    to_part = [p.index_to_part(ax) for ax in AXES]
-    within = []
-    for ax_idx, ax in enumerate(AXES):
-        pos = {}
-        for _, idx in p.parts(ax):
-            for w, i in enumerate(idx):
-                pos[i] = w
-        within.append(pos)
+    wx, wy, wz = p.where
     buckets: dict[Entry, dict] = {}
     for (i, j, k), c in t.entries.items():
-        key = (to_part[0][i], to_part[1][j], to_part[2][k])
-        buckets.setdefault(key, {})[(within[0][i], within[1][j], within[2][k])] = c
+        (bi, si), (bj, sj), (bk, sk) = wx[i], wy[j], wz[k]
+        buckets.setdefault((bi, bj, bk), {})[(si, sj, sk)] = c
     out = {}
     for key in sorted(buckets):
         bi, bj, bk = key
@@ -647,7 +650,7 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
             [t.z_labels[k] for k in p.parts_z[bk][1]],
             buckets[key],
         )
-    return BlockSet(t, p, out)
+    return BlockSet(t, p, out, _rotation_symmetric(t, p, out))
 
 
 def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:
@@ -658,11 +661,10 @@ def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:
     """
     if p.sizes != t.shape:
         raise ValueError("partition sizes do not match tensor axes")
-    to_part = [p.index_to_part(ax) for ax in AXES]
+    wx, wy, wz = p.where
     buckets: dict[Entry, dict] = {}
     for (i, j, k), c in t.entries.items():
-        key = (to_part[0][i], to_part[1][j], to_part[2][k])
-        buckets.setdefault(key, {})[(i, j, k)] = c
+        buckets.setdefault((wx[i][0], wy[j][0], wz[k][0]), {})[(i, j, k)] = c
     return {
         key: Tensor(t.x_labels, t.y_labels, t.z_labels, buckets[key])
         for key in sorted(buckets)
@@ -672,35 +674,12 @@ def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:
 def is_t_symmetric_partition(t: Tensor, p: VariablePartition) -> bool:
     """Whether p is a symmetric partition of the variable-symmetric t.
 
-    Checks equal part counts, |X_i| = |Y_i| = |Z_i|, and that the block
-    in position (j,k,i) is the rotation of the block in position (i,j,k)
-    under the within-part index alignment.
+    The verdict `blocks` records: equal part sizes on the three axes, t
+    variable-symmetric, and the block in position (j,k,i) the rotation of
+    the block in position (i,j,k) under the within-part index alignment.
+    Raises ValueError when p does not match t's axis sizes.
     """
-    if not is_variable_symmetric(t):
-        return False
-    if not (len(p.parts_x) == len(p.parts_y) == len(p.parts_z)):
-        return False
-    if not (p.part_sizes("x") == p.part_sizes("y") == p.part_sizes("z")):
-        return False
-    to_part = [p.index_to_part(ax) for ax in AXES]
-    within = []
-    for ax in AXES:
-        pos = {}
-        for _, idx in p.parts(ax):
-            for w, i in enumerate(idx):
-                pos[i] = w
-        within.append(pos)
-    # Rotated image of entry (a,b,c): x part j at b's slot, y part k at
-    # c's slot, z part i at a's slot.  Compare as whole entry maps.
-    rotated = {}
-    for (a, b, c), coef in t.entries.items():
-        i, j, k = to_part[0][a], to_part[1][b], to_part[2][c]
-        wa, wb, wc = within[0][a], within[1][b], within[2][c]
-        a2 = p.parts_x[j][1][wb]
-        b2 = p.parts_y[k][1][wc]
-        c2 = p.parts_z[i][1][wa]
-        rotated[(a2, b2, c2)] = coef
-    return rotated == t.entries
+    return blocks(t, p).symmetric
 
 
 # -- text formats ---------------------------------------------------------

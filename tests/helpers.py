@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
-from slicerank.tensor_core import Tensor, VariablePartition
+from slicerank.tensor_core import Tensor, VariablePartition, make_matmul
 
 COEFFS = [Fraction(n) for n in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
 
@@ -169,3 +170,54 @@ def flattening_dense(t: Tensor, axis: str):
 
 def oracle_rank(t: Tensor, axis: str) -> int:
     return gauss_rank(flattening_dense(t, axis))
+
+
+def reference_t_symmetric_partition(t: Tensor, p: VariablePartition) -> bool:
+    """Entry-map rotation check of a symmetric partition.
+
+    t must be positionally rotation invariant and the three axes must
+    have equal part sizes; then every entry, moved to the rotated block
+    (x part j, y part k, z part i for an entry of block (i, j, k)) at the
+    same within-part slots, must reproduce t's entry map.
+    """
+    if not (t.shape[0] == t.shape[1] == t.shape[2]):
+        return False
+    if any(t.entries.get((j, k, i)) != c for (i, j, k), c in t.entries.items()):
+        return False
+    axes = (p.parts_x, p.parts_y, p.parts_z)
+    if not ([len(idx) for _, idx in p.parts_x] == [len(idx) for _, idx in p.parts_y]
+            == [len(idx) for _, idx in p.parts_z]):
+        return False
+    locate = [{i: (part, slot) for part, (_, idx) in enumerate(parts)
+               for slot, i in enumerate(idx)} for parts in axes]
+    rotated = {}
+    for (a, b, c), coef in t.entries.items():
+        (i, wa), (j, wb), (k, wc) = locate[0][a], locate[1][b], locate[2][c]
+        rotated[(p.parts_x[j][1][wb], p.parts_y[k][1][wc], p.parts_z[i][1][wa])] = coef
+    return rotated == t.entries
+
+
+def is_matmul_by_search(t: Tensor, a: int, b: int, c: int) -> bool:
+    """Whether permuting t's axes turns it into <a,b,c> with unit coefficients.
+
+    Tries every permutation of the x and y variables; in <a,b,c> an x and
+    a y variable share at most one term, so the z permutation is forced.
+    """
+    target = make_matmul(a, b, c)
+    if t.shape != target.shape or len(t.entries) != len(target.entries):
+        return False
+    if any(coef != 1 for coef in t.entries.values()):
+        return False
+    z_of = {(i, j): k for (i, j, k) in target.entries}
+    nx, ny, _ = t.shape
+    for px in permutations(range(nx)):
+        for py in permutations(range(ny)):
+            zmap = {}
+            for (i, j, k) in t.entries:
+                zk = z_of.get((px[i], py[j]))
+                if zk is None or zmap.setdefault(k, zk) != zk:
+                    break
+            else:
+                if len(set(zmap.values())) == len(zmap):
+                    return True
+    return False

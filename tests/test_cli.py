@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output, golden checks, exit codes."""
 
 import random
+import sys
 
 import pytest
 
@@ -99,6 +100,30 @@ def test_bound_laser_checks_readiness_once(capsys, cw5_files, monkeypatch):
     calls = count_readiness_calls(monkeypatch)
     assert main(["bound", "--mode", "laser", *cw5_files]) == 0
     assert len(calls) == 1
+
+
+def count_calls(run, *fns):
+    """Calls of each function while run() executes, however it is bound."""
+    names = {fn.__code__: fn.__name__ for fn in fns}
+    counts = dict.fromkeys(names.values(), 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_bound_laser_splits_and_checks_symmetry_once(capsys, cw5_files):
+    counts = count_calls(lambda: main(["bound", "--mode", "laser", *cw5_files]),
+                         sr.tensor_core.blocks, sr.tensor_core.is_variable_symmetric)
+    assert capsys.readouterr().out.strip() == "S~ = Q~ = 5.77629 (tight)"
+    assert counts == {"blocks": 1, "is_variable_symmetric": 1}
 
 
 def test_bound_partition_mode(capsys, cw5_files):

@@ -1,13 +1,15 @@
 """Flattening ranks, measures, and matmul recognition."""
 
+import itertools
 import random
 
 import pytest
 
 import slicerank as sr
 from slicerank import rank_tools
+from slicerank.tensor_core import Tensor
 
-from helpers import oracle_rank, random_tensor, scramble
+from helpers import is_matmul_by_search, oracle_rank, random_tensor, scramble
 
 
 @pytest.mark.parametrize("a,b,c", [(1, 1, 1), (2, 3, 4), (3, 3, 3), (1, 4, 2)])
@@ -108,6 +110,17 @@ def test_recognize_rejects_non_matmul():
         assert sr.recognize_matmul(sr.make_cw(q)) is None
     assert sr.recognize_matmul(sr.make_cw_small(2)) is None
     assert sr.recognize_matmul(sr.make_t112(2)) is None
+    # sized like <2,2,2> with 2 rows, 2 columns and 2 depths by partner
+    # sets, yet two terms share a cell (the first), or a y resp. z variable
+    # gets two coordinates as well
+    for terms in ([(0, 1, 1), (0, 2, 2), (1, 0, 0), (1, 3, 3),
+                   (2, 0, 3), (2, 3, 0), (3, 1, 2), (3, 2, 1)],
+                  [(0, 3, 3), (1, 0, 1), (1, 1, 1), (1, 2, 1),
+                   (1, 3, 0), (1, 3, 2), (2, 3, 3), (3, 3, 3)],
+                  [(0, 0, 2), (0, 1, 2), (0, 2, 2), (1, 3, 2),
+                   (2, 3, 0), (2, 3, 1), (2, 3, 3), (3, 3, 2)]):
+        assert sr.recognize_matmul(Tensor(range(4), range(4), range(4),
+                                          dict.fromkeys(terms, 1))) is None
 
 
 def test_recognize_cw_blocks():
@@ -149,3 +162,52 @@ def test_recognize_requires_minimal():
     t = sr.make_matmul(2, 2, 2)
     padded = Tensor(range(5), t.y_labels, t.z_labels, t.entries)
     assert sr.recognize_matmul(padded) is None
+
+
+def test_matmul_witness_lines_up():
+    rng = random.Random(11)
+    for _ in range(200):
+        dims = tuple(rng.randint(1, 3) for _ in range(3))
+        a, b, c = dims
+        t = scramble(sr.make_matmul(*dims), rng)
+        w = sr.recognize_matmul(t)
+        assert w is not None and (w.a, w.b, w.c) == dims
+        for coords, n1, n2 in ((w.x_coords, a, b), (w.y_coords, b, c),
+                               (w.z_coords, c, a)):
+            assert sorted(coords.values()) == [(u, v) for u in range(n1)
+                                               for v in range(n2)]
+        for (i, j, k) in t.entries:
+            r, s = w.x_coords[i]
+            s2, d = w.y_coords[j]
+            d2, r2 = w.z_coords[k]
+            assert (s, d, r) == (s2, d2, r2)
+
+
+def perturbed_matmuls(rng, dims):
+    """Relabeled <a,b,c> and copies with one term moved, dropped or added."""
+    t = scramble(sr.make_matmul(*dims), rng)
+    nx, ny, nz = t.shape
+    cells = [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)]
+    free = [cell for cell in cells if cell not in t.entries]
+    terms = sorted(t.entries)
+    out = [t]
+    for _ in range(10):
+        drop = rng.choice(terms)
+        variants = [{key: 1 for key in terms if key != drop}]
+        if free:
+            add = rng.choice(free)
+            variants += [{**t.entries, add: 1}, {**variants[0], add: 1}]
+        out += [Tensor(t.x_labels, t.y_labels, t.z_labels, e) for e in variants if e]
+    return out
+
+
+def test_recognize_matmul_matches_search():
+    rng = random.Random(5)
+    seen = set()
+    for dims in itertools.product((1, 2), repeat=3):
+        for t in perturbed_matmuls(rng, dims):
+            w = sr.recognize_matmul(t)
+            found = is_matmul_by_search(t, *dims)
+            assert (w is not None and (w.a, w.b, w.c) == dims) == found
+            seen.add(found)
+    assert seen == {True, False}

@@ -12,7 +12,7 @@ import slicerank as sr
 from slicerank.tensor_core import ParseError, Tensor
 
 from helpers import (random_partition, random_tensor, reference_symmetric_cube,
-                     reference_tensor_product)
+                     reference_t_symmetric_partition, reference_tensor_product)
 
 # halves, thirds and quarters multiply with 2, 3 and 4 to integral values
 PRODUCT_COEFFS = [-2, -1, 1, 2, 3, 4, Fraction(1, 2), Fraction(-3, 2),
@@ -328,6 +328,58 @@ def test_is_t_symmetric_partition():
         sr.cw_partition(q).parts_z,
         sizes=(q + 2, q + 2, q + 2))
     assert not sr.is_t_symmetric_partition(sr.make_cw(q), lop)
+
+
+def test_is_t_symmetric_partition_checks_sizes():
+    # a partition of the wrong axis sizes is refused, not judged
+    with pytest.raises(ValueError, match="partition sizes"):
+        sr.is_t_symmetric_partition(sr.make_cw(1), sr.cw_partition(2))
+    with pytest.raises(ValueError, match="partition sizes"):
+        sr.is_t_symmetric_partition(sr.make_cw(2), sr.cw_partition(1))
+
+
+@st.composite
+def symmetric_partitioned(draw):
+    """A rotation-invariant tensor with the same random partition on all axes."""
+    n = draw(st.integers(1, 4))
+    idx = st.integers(0, n - 1)
+    entries = {}
+    for i, j, k, c in draw(st.lists(st.tuples(idx, idx, idx, st.sampled_from(PRODUCT_COEFFS)),
+                                    min_size=1, max_size=2 * n)):
+        entries.update({(i, j, k): c, (j, k, i): c, (k, i, j): c})
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    parts = [(str(pos), order[lo:hi])
+             for pos, (lo, hi) in enumerate(zip([0] + cuts, cuts + [n]))]
+    return (Tensor(range(n), range(n), range(n), entries),
+            [list(parts), list(parts), list(parts)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_partitioned(), st.sampled_from(["none", "permute", "reorder", "coefficient"]),
+       st.integers(0, 2), st.data())
+def test_block_symmetry_matches_entry_map_reference(case, perturb, axis, data):
+    t, parts = case
+    n = t.shape[0]
+    entries = dict(t.entries)
+    if perturb == "permute":
+        # relabel one axis of the tensor, keeping the partition
+        perm = data.draw(st.permutations(range(n)))
+        entries = {tuple(perm[v] if a == axis else v for a, v in enumerate(key)): c
+                   for key, c in entries.items()}
+    elif perturb == "reorder":
+        parts[axis] = data.draw(st.permutations(parts[axis]))
+    elif perturb == "coefficient":
+        key = data.draw(st.sampled_from(sorted(entries)))
+        entries[key] = entries[key] + 1 or 5
+    t = Tensor(range(n), range(n), range(n), entries)
+    p = sr.VariablePartition(*parts, sizes=t.shape)
+    verdict = sr.blocks(t, p).symmetric
+    assert verdict == reference_t_symmetric_partition(t, p)
+    if perturb == "none":
+        assert verdict
+    if perturb == "coefficient" and len(set(key)) > 1:
+        assert not verdict
 
 
 def test_blocks_random_reconstruction():
