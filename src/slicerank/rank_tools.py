@@ -144,12 +144,19 @@ def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
     # variables with equal z-partner sets share a row; likewise equal
     # y-partner sets of x mean one column and equal z-partner sets of y
     # one depth.  Numbering the partner sets gives each term a cell
-    # (row, column, depth).  If there are a rows, b columns and c depths,
-    # every variable gets one coordinate and every term its own cell, the
-    # abc terms fill the a x b x c grid once; so each coordinate map hits
-    # its whole grid, which has exactly |X| = ab (resp. bc, ca) points,
-    # and is a bijection.  The terms are then exactly those of <a,b,c>
-    # under these bijections, so no per-variable degree count is needed.
+    # (row, column, depth).  With a rows, b columns, c depths and one term
+    # per cell, counting alone (every variable has partners, by minimality)
+    # makes this a matmul labeling.  The abc terms fill the grid once.  Two
+    # x's with one (row, col) share a y-partner and collide in a cell, so
+    # x -> (row, col) is a bijection and each x has exactly c terms.  So
+    # each column's y-partner set has <= c of the bc y's; the b sets cover
+    # them all, so they are disjoint and col is constant on each y's terms.
+    # Likewise row is constant on each z's terms.  Each y's terms lie in
+    # distinct cells of one (col, dep) line, so at most a, and the bc y's
+    # hold all abc terms: exactly a.  Each depth's z-partner set then has
+    # <= a of the ca z's, and dep is constant on each z's terms.  So
+    # y -> (col, dep) and z -> (dep, row) are well defined and onto, hence
+    # bijections, and the terms are exactly those of <a,b,c>.
     x_zs = [set() for _ in range(nx)]
     x_ys = [set() for _ in range(nx)]
     y_zs = [set() for _ in range(ny)]
@@ -165,10 +172,11 @@ def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
     y_coords, z_coords, cells = {}, {}, set()
     for i, j, k in t.entries:
         r, s, d = row[i], col[i], dep[j]
-        if y_coords.setdefault(j, (s, d)) != (s, d) \
-                or z_coords.setdefault(k, (d, r)) != (d, r) or (r, s, d) in cells:
+        if (r, s, d) in cells:
             return None
         cells.add((r, s, d))
+        y_coords[j] = (s, d)
+        z_coords[k] = (d, r)
 
     # Coefficients must normalize to 1 by per-variable scalings.
     if not _unit_scalable(t):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -333,16 +334,12 @@ def test_laser_rates_identity_random_q():
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_t112_value(q):
-    rep = be.t112_value(q, check_cube=(q <= 2))
+    rep = be.t112_value(q)
     want = 2 ** (2 / 3) * q ** (2 / 3) * (q * q + 2) ** (1 / 3)
     assert rep.value == pytest.approx(want, rel=1e-12)
     c = rep.certificate
-    assert c["argmax_agreement"] < 1e-8
     assert c["cube_relative_error"] < 1e-6
     assert c["cube_simplex_relative_error"] < 1e-6
-    if q <= 2:
-        assert c["rotation_product_symmetric"]
-        assert c["rotation_product_shape_ok"]
 
 
 def test_t112_stated_argmax_is_suboptimal():
@@ -356,7 +353,7 @@ def test_t112_stated_argmax_is_suboptimal():
 
 def test_t112_value_formulas_sandwich():
     for q in (1, 2, 3, 5):
-        v23 = be.t112_value(q, check_cube=False).value
+        v23 = be.t112_value(q).value
         for tau in (2 / 3, 0.75, 0.8, 0.9, 1.0):
             lower = be.t112_value_lower_formula(q, tau)
             upper = be.t112_value_power_mean_upper(q, tau)
@@ -364,6 +361,38 @@ def test_t112_value_formulas_sandwich():
             if tau == 2 / 3:
                 assert lower == pytest.approx(upper, rel=1e-12)
                 assert lower == pytest.approx(v23, rel=1e-12)
+
+
+# -- closed-form one-variable optima ----------------------------------------------------
+
+def test_cw_root_cw8():
+    v8, logval = be.cw_slice_rank_1d(8)
+    assert abs(v8 - 0.017732422) < 1e-8
+    assert abs(math.exp(logval) - 7.70581) < 1e-4
+
+
+def test_closed_form_roots_beat_grid():
+    grid = [g / 100000 for g in range(100001)]
+    for q in range(1, 12):
+        v, logval = be.cw_slice_rank_1d(q)
+        assert 0.0 < v < 1.0 / 3.0
+        assert logval == be.cw_objective_log(q, v)
+        assert logval >= max(be.cw_objective_log(q, g / 3.0) for g in grid)
+    for q in range(1, 7):
+        best = be.t112_objective_log(q, be.t112_value(q).certificate["argmax_v"])
+        assert best >= max(be.t112_objective_log(q, g / 2.0) for g in grid)
+
+
+@pytest.mark.parametrize("q,root", [(2, Fraction(1, 9)), (7, Fraction(1, 45))])
+def test_cw_root_solves_the_quadratic_exactly(q, root):
+    # the discriminant 9 q^2 (q^2 + 32) is a square at q = 2 and q = 7
+    assert be.cw_slice_rank_1d(q)[0] == float(root)
+    assert (Fraction(2, 3) - 2 * root) ** 2 - q * q * root * (Fraction(1, 3) + root) == 0
+
+
+def test_cw_root_decreasing():
+    vs = [be.cw_slice_rank_1d(q)[0] for q in range(1, 1001)]
+    assert all(b < a for a, b in zip(vs, vs[1:]))
 
 
 # -- tables -----------------------------------------------------------------------------
@@ -427,6 +456,22 @@ def test_cw_family_floor():
     assert c["relaxed_above_floor"]
     assert rep.value >= 2.16805 - 1e-9
     assert rep.value == pytest.approx(min(c["table_omegas"]), rel=1e-12)
+
+
+def test_family_floor_proof_constants_in_interval_arithmetic():
+    # the constants cw_family_floor's docstring needs for every q >= 9,
+    # with L = log f(v_8) enclosed from the exact root v_8
+    iv = pytest.importorskip("mpmath").iv
+    third = iv.mpf(1) / 3
+    v8 = 8 / (3 * (8 + 64 + 8 * iv.sqrt(96)))
+    L = -(v8 * iv.log(v8) + (2 * third - 2 * v8) * iv.log(2 * third - 2 * v8)
+          + (third + v8) * iv.log(third + v8))
+    g9 = 9 * (2 * third * iv.log(9) + L) - 2 * third * 11 * iv.log(11)
+    h9 = 9 * L - 4 * third - 4 * third * iv.log(11)
+    relaxed9 = 2 * iv.log(11) / (2 * third * iv.log(9) + L)
+    assert (L - iv.mpf(4) / 33).a > 0
+    assert g9.a > 0 and h9.a > 0
+    assert (relaxed9 - be.FLOOR_TARGET).a > 0
 
 
 def test_cw_family_floor_requires_nine():

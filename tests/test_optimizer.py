@@ -1,13 +1,12 @@
 """Block distribution objectives and the simplex maximizers."""
 
-import math
 import random
 
 import numpy as np
 import pytest
 
 import slicerank as sr
-from slicerank.optimizer import BlockDistribution, maximize_1d, objective_values
+from slicerank.optimizer import BlockDistribution, objective_values
 
 from helpers import (
     random_partition,
@@ -271,32 +270,3 @@ def test_symmetrize_never_decreases_value():
         sym_obj = objective_values(sr.symmetrize(dist))
         geo = (obj.log_x + obj.log_y + obj.log_z) / 3.0
         assert geo <= sym_obj.log_x + 1e-12
-
-
-# -- one dimensional maximization --------------------------------------------------
-
-def test_maximize_1d_quadratic():
-    v, val = maximize_1d(lambda x: -(x - 0.1) ** 2, 0.0, 1.0 / 3.0)
-    assert abs(v - 0.1) < 1e-9
-    assert val == pytest.approx(0.0, abs=1e-15)
-
-
-def test_maximize_1d_boundary():
-    v, _ = maximize_1d(lambda x: -x, 0.0, 1.0)
-    assert v == pytest.approx(0.0, abs=1e-9)
-    v, _ = maximize_1d(lambda x: x, 0.0, 1.0)
-    assert v == pytest.approx(1.0, abs=1e-9)
-
-
-def test_maximize_1d_cw8():
-    from slicerank.bound_engines import cw_slice_rank_1d
-    v8, logval = cw_slice_rank_1d(8)
-    assert abs(v8 - 0.017732422) < 1e-8
-    assert abs(math.exp(logval) - 7.70581) < 1e-4
-
-
-def test_maximize_1d_t112_argmax():
-    from slicerank.bound_engines import t112_objective_log
-    for q in (1, 2, 3, 5):
-        v, _ = maximize_1d(lambda v: t112_objective_log(q, v), 0.0, 0.5)
-        assert abs(v - q * q / (2.0 * q * q + 4.0)) < 1e-8

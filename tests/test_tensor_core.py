@@ -236,12 +236,14 @@ def test_variable_symmetric():
 
 
 def test_symmetric_cube_of_t112():
-    t = sr.make_t112(1)
-    ts = sr.symmetric_cube(t)
-    assert sr.is_variable_symmetric(ts)
-    side = 2 * 2 * 3
-    assert ts.shape == (side, side, side)
-    assert len(ts.entries) == len(t.entries) ** 3
+    # the rotation product t112_value relies on without building it
+    for q in range(1, 6):
+        t = sr.make_t112(q)
+        ts = sr.symmetric_cube(t)
+        assert sr.is_variable_symmetric(ts)
+        side = 2 * q * 2 * q * (q * q + 2)
+        assert ts.shape == (side, side, side)
+        assert len(ts.entries) == len(t.entries) ** 3
 
 
 def test_symmetric_cube_arbitrary_tensor():
