@@ -50,6 +50,7 @@ from .tensor_core import (
     singleton_partition,
     t112_partition,
     tensor_add,
+    trimmed,
 )
 
 THEOREM_SUM = "sum-of-measures"
@@ -73,6 +74,10 @@ class NotLaserReady(ValueError):
     def __init__(self, readiness: "LaserReadiness"):
         super().__init__("partition is not laser-ready: " + "; ".join(readiness.failures))
         self.readiness = readiness
+
+
+class TrivialSplit(Inapplicable):
+    """remove-x: the first x part carries all of the tensor's terms or none."""
 
 
 @dataclass
@@ -219,6 +224,21 @@ def split_bound(a: Tensor, b: Tensor, b_value_upper: float,
     )
 
 
+def remove_x_bound(t: Tensor, p: VariablePartition) -> tuple[BoundReport, BoundReport]:
+    """`split_bound` for A, the terms in p's first x part, and B, the rest,
+    bounded by `partition_bound` on B trimmed to its used variables and
+    split into singletons.  Returns the split report and B's report."""
+    a, b = {}, {}
+    for key, c in t.entries.items():
+        (a if p.where[0][key[0]][0] == 0 else b)[key] = c
+    if not a or not b:
+        raise TrivialSplit("remove-x needs a nontrivial first x part")
+    a, b = (Tensor(t.x_labels, t.y_labels, t.z_labels, e) for e in (a, b))
+    bt = trimmed(b)
+    solved = partition_bound(bt, singleton_partition(bt))
+    return split_bound(a, b, solved.value, total=t), solved
+
+
 # -- exponent lower bounds ----------------------------------------------------
 
 
@@ -306,26 +326,15 @@ def _solve_block_grading(keys, counts):
         # only the constant-shift directions: no informative grading
         return None
 
-    def score(vec):
-        gx = vec[:kx]
-        gy = vec[kx:kx + ky]
-        gz = vec[kx + ky:kx + ky + kz]
-        return len(set(gx)) + len(set(gy)) + len(set(gz))
-
-    best = None
-    for t in (1, 2, 3, 5, 7, 11, 13):
-        vec = [sum(t ** e * b[idx] for e, b in enumerate(basis)) for idx in range(n)]
-        s = score(vec)
-        if best is None or s > best[0]:
-            best = (s, vec)
-    vec = best[1]
+    cuts = ((0, kx), (kx, kx + ky), (kx + ky, n - 1))
+    # the first candidate with the most distinct grades
+    vec = max(([sum(t ** e * b[idx] for e, b in enumerate(basis)) for idx in range(n)]
+               for t in (1, 2, 3, 5, 7, 11, 13)),
+              key=lambda v: sum(len(set(v[a:b])) for a, b in cuts))
     denom = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * denom) for v in vec]
     g = math.gcd(*ints)  # nonzero: the basis vectors are independent
-    ints = [v // g for v in ints]
-    gx = ints[:kx]
-    gy = ints[kx:kx + ky]
-    gz = ints[kx + ky:kx + ky + kz]
+    gx, gy, gz = ([v // g for v in ints[a:b]] for a, b in cuts)
     ell = gx[keys[0][0]] + gy[keys[0][1]] + gz[keys[0][2]]
     for (i, j, k) in keys:
         if gx[i] + gy[j] + gz[k] != ell:
@@ -364,11 +373,7 @@ def laser_readiness(t: Tensor, p: VariablePartition,
     sums = {i + j + k for (i, j, k) in keys}
     if len(sums) == 1:
         ell = sums.pop()
-        grades = {
-            "x": tuple(range(p.part_count("x"))),
-            "y": tuple(range(p.part_count("y"))),
-            "z": tuple(range(p.part_count("z"))),
-        }
+        grades = {ax: tuple(range(p.part_count(ax))) for ax in "xyz"}
         hyper = True
     elif _support_trifunctional(keys):
         counts = tuple(p.part_count(ax) for ax in "xyz")

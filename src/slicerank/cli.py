@@ -15,7 +15,7 @@ import sys
 
 from . import bound_engines as be
 from . import degeneration, tensor_core
-from .tensor_core import ParseError, Tensor, trimmed
+from .tensor_core import ParseError
 
 # Golden values at printed precision; comparisons use |computed - golden|
 # <= tol (default 1e-4), which covers the truncation of the printed digits.
@@ -131,19 +131,12 @@ def cmd_bound(args) -> int:
         parts = list(tensor_core.split_by_blocks(t, p).values())
         line = be.sum_of_measures_bound(t, parts).to_line()
     elif args.mode == "remove-x":
-        first = p.parts_x[0][1]
-        a_entries = {}
-        b_entries = {}
-        for key, c in t.entries.items():
-            (a_entries if key[0] in first else b_entries)[key] = c
-        if not a_entries or not b_entries:
-            print("remove-x needs a nontrivial first x part", file=sys.stderr)
+        try:
+            split, solved = be.remove_x_bound(t, p)
+        except be.TrivialSplit as exc:
+            print(exc, file=sys.stderr)
             return EXIT_INAPPLICABLE
-        a = Tensor(t.x_labels, t.y_labels, t.z_labels, a_entries)
-        b = Tensor(t.x_labels, t.y_labels, t.z_labels, b_entries)
-        bt = trimmed(b)
-        solved = be.partition_bound(bt, tensor_core.singleton_partition(bt))
-        line = be.split_bound(a, b, solved.value, total=t).to_line()
+        line = split.to_line()
     else:
         try:
             solved = be.laser_lower_bound(t, p)

@@ -20,6 +20,14 @@ the max-min the minimizer of the convex dual max_x sum_a w_a f_a(x).
 The certificate is the concavity gap at the returned weights: with g
 the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x>
 bounds the maximum from above, and the objective at x from below.
+
+A Newton step on k support coordinates is the minimum-norm solution of
+K = [[-(cD)^T cD, d], [d^T, 0]], the Hessian -c^T c scaled by D = diag(d)
+to a unit diagonal, where c holds the at most P incidence rows (P parts)
+scaled by sqrt(w_a / m_a).  For any Q with orthonormal columns spanning
+(cD)^T and d, K = diag(Q, 1) K_Q diag(Q, 1)^T and so pinv(K) =
+diag(Q, 1) pinv(K_Q) diag(Q, 1)^T: with Q from a thin QR the step is
+exact and costs O(k P^2) instead of O(k^3).
 """
 
 from __future__ import annotations
@@ -180,24 +188,20 @@ class _Problem:
 
     def __init__(self, block_set: BlockSet, groups=None):
         self.keys = sorted(block_set.blocks)
-        n = len(self.keys)
-        key_pos = {k: i for i, k in enumerate(self.keys)}
         groups = [(k,) for k in self.keys] if groups is None else groups
         self.size = len(groups)
-        self.spread = np.zeros((n, self.size))
-        for t, group in enumerate(groups):
-            self.spread[[key_pos[k] for k in group], t] = 1.0 / len(group)
-        self.incidence = []
-        self.log_sizes = []
+        # block i carries the share 1/len(group) of its group's mass x[group[i]]
+        member = {k: (t, 1.0 / len(group)) for t, group in enumerate(groups) for k in group}
+        self.group, self.share = map(np.array, zip(*(member[k] for k in self.keys)))
+        self.incidence, self.log_sizes = [], []
         for pos, axis in enumerate("xyz"):
             sizes = block_set.partition.part_sizes(axis)
-            inc = np.zeros((len(sizes), n))
-            inc[[k[pos] for k in self.keys], np.arange(n)] = 1.0
-            self.incidence.append(inc @ self.spread)
+            self.incidence.append(np.zeros((len(sizes), self.size)))
+            np.add.at(self.incidence[-1], ([k[pos] for k in self.keys], self.group), self.share)
             self.log_sizes.append(np.log(np.asarray(sizes, dtype=float)))
 
     def block_masses(self, x) -> dict:
-        d = self.spread @ x
+        d = self.share * x[self.group]
         return {k: float(d[i]) for i, k in enumerate(self.keys) if d[i] > 0}
 
     def values(self, x):
@@ -215,28 +219,33 @@ class _Problem:
             inc.T @ (ls - np.log(np.maximum(inc @ x, MARGINAL_CLAMP)) - 1.0)
             for inc, ls in zip(self.incidence, self.log_sizes)], axis=1)
 
-    def hessian(self, x, w):
-        """-sum_a w_a B_a^T diag(1/m_a) B_a, with B_a = incidence[a]."""
-        h = np.zeros((self.size, self.size))
-        for inc, wa in zip(self.incidence, w):
-            if wa > 0.0:
-                h -= (inc.T * (wa / np.maximum(inc @ x, MARGINAL_CLAMP))) @ inc
-        return h
+    def factor(self, x, w):
+        """c with -c^T c the Hessian of sum_a w_a f_a at x: the rows of each
+        incidence[a] with w_a > 0, row i scaled by sqrt(w_a / m_ai)."""
+        return np.vstack([inc * np.sqrt(wa / np.maximum(inc @ x, MARGINAL_CLAMP))[:, None]
+                          for inc, wa in zip(self.incidence, w) if wa > 0.0])
 
 
-def _newton_step(h, on, rhs):
-    """For each column r of rhs, the minimum-norm s with h s + nu 1 = r and
-    sum(s) = 0 on the coordinates `on`, and s = 0 off them.  The system is
-    solved with h scaled to a unit diagonal, so that masses and Hessian
-    entries spanning many orders of magnitude keep it well conditioned."""
-    d = np.zeros(len(on))
-    d[on] = 1.0 / np.sqrt(np.abs(np.diag(h)[on]))
-    k = len(d)
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = d[:, None] * h * d
-    kkt[:k, k] = kkt[k, :k] = d
-    rhs = np.vstack([d[:, None] * rhs, np.zeros((1, rhs.shape[1]))])
-    return d[:, None] * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+def _newton_step(c, on, rhs):
+    """For each column r of rhs, the minimum-norm s with -c^T c s + nu 1 = r
+    and sum(s) = 0 on the coordinates `on`, and s = 0 off them; solved
+    scaled to a unit diagonal, so that masses and Hessian entries spanning
+    many orders of magnitude keep it well conditioned, and in the basis Q
+    of the module docstring once the k coordinates outnumber rows(c) + 1."""
+    c = c[:, on]
+    d = 1.0 / np.sqrt(np.einsum("ij,ij->j", c, c))
+    cd, e, r = c * d, d, d[:, None] * rhs[on]
+    q = np.linalg.qr(np.column_stack([cd.T, d]))[0] if len(d) > len(c) + 1 else None
+    if q is not None:
+        cd, e, r = cd @ q, d @ q, q.T @ r
+    j = len(e)
+    kkt = np.zeros((j + 1, j + 1))
+    kkt[:j, :j] = -cd.T @ cd
+    kkt[:j, j] = kkt[j, :j] = e
+    z = np.linalg.lstsq(kkt, np.vstack([r, np.zeros((1, r.shape[1]))]), rcond=None)[0][:j]
+    s = np.zeros(rhs.shape)
+    s[on] = d[:, None] * (z if q is None else q @ z)
+    return s
 
 
 def _trials(v, dv):
@@ -287,7 +296,7 @@ def _solve(prob: _Problem, w, x=None):
             x /= x.sum()
             continue
         iters += 1
-        step = _newton_step(prob.hessian(x, w), x > 0.0, (mu - g)[:, None])[:, 0]
+        step = _newton_step(prob.factor(x, w), x > 0.0, (mu - g)[:, None])[:, 0]
         f0 = w @ prob.values(x)
         for trial in _trials(x, step):
             if w @ prob.values(trial) >= f0 - NOISE * abs(f0):
@@ -377,10 +386,12 @@ def maximize_minmax(block_set: BlockSet) -> MinmaxOptimum:
         phi = w @ f
         free = (w > 0.0) | (f < phi)
         g = prob.grads(x)
-        h = -(g.T @ _newton_step(prob.hessian(x, w), x > 0.0, g))[np.ix_(free, free)]
+        h = -(g.T @ _newton_step(prob.factor(x, w), x > 0.0, g))[np.ix_(free, free)]
         h += RIDGE * (1.0 + np.trace(h)) * np.eye(len(h))
         dw = np.zeros(3)
-        dw[free] = _newton_step(h, np.ones(len(h), bool), -f[free][:, None])[:, 0]
+        # h is positive definite: with h = L L^T the step solves h dw - nu 1 = -f
+        dw[free] = _newton_step(np.linalg.cholesky(h).T, np.ones(len(h), bool),
+                                f[free][:, None])[:, 0]
         if (f - phi) @ dw >= 0.0 or np.any(dw[w == 0.0] < 0.0):
             dw = -w
             dw[np.argmin(f)] += 1.0

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
+
 from slicerank.tensor_core import Tensor, VariablePartition, make_matmul
 
 COEFFS = [Fraction(n) for n in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -221,3 +223,18 @@ def is_matmul_by_search(t: Tensor, a: int, b: int, c: int) -> bool:
                 if len(set(zmap.values())) == len(zmap):
                     return True
     return False
+
+
+def reference_newton_step(h, on, rhs):
+    """The dense bordered Newton step: for each column r of rhs, the
+    minimum-norm s with h s + nu 1 = r and sum(s) = 0 on the coordinates
+    `on`, and s = 0 off them, from an SVD least-squares solve of the whole
+    (n+1)-square system with h scaled to a unit diagonal."""
+    d = np.zeros(len(on))
+    d[on] = 1.0 / np.sqrt(np.abs(np.diag(h)[on]))
+    k = len(d)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = d[:, None] * h * d
+    kkt[:k, k] = kkt[k, :k] = d
+    rhs = np.vstack([d[:, None] * rhs, np.zeros((1, rhs.shape[1]))])
+    return d[:, None] * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]

@@ -153,6 +153,23 @@ def test_split_bound_sum_mismatch():
         be.split_bound(a, a, 1.5, total=t)
 
 
+def test_remove_x_bound_splits_off_the_first_x_part():
+    t, a, b = cw_x0_split(2)
+    assert sr.cw_partition(2).parts_x[0][1] == (0,)
+    bt = sr.trimmed(b)
+    inner = be.partition_bound(bt, sr.singleton_partition(bt))
+    rep, solved = be.remove_x_bound(t, sr.cw_partition(2))
+    assert solved.value == inner.value
+    assert rep.to_line() == be.split_bound(a, b, inner.value, total=t).to_line()
+
+
+def test_remove_x_bound_trivial_split():
+    t = sr.make_cw(2)
+    with pytest.raises(be.TrivialSplit, match="nontrivial first x part"):
+        be.remove_x_bound(t, sr.trivial_partition(t))
+    assert issubclass(be.TrivialSplit, be.Inapplicable)
+
+
 # -- omega lower bounds ---------------------------------------------------------------
 
 def test_omega_cw1():

@@ -146,6 +146,27 @@ def test_bound_remove_x_mode(capsys, cw5_files):
     assert "low-x-rank-split" in out
 
 
+@pytest.mark.parametrize("carries", ["every term", "no term"])
+def test_bound_remove_x_needs_nontrivial_first_part(capsys, tmp_path, carries):
+    """remove-x refuses when its first x part carries every term of the
+    tensor (B is empty) or none (A is empty)."""
+    if carries == "every term":
+        t = sr.make_cw(2)
+        p = sr.trivial_partition(t)
+    else:
+        t = sr.Tensor(range(3), range(2), range(2), {(1, 0, 0): 1, (2, 1, 1): 1})
+        p = sr.VariablePartition([("unused", [0]), ("rest", [1, 2])], [("all", [0, 1])],
+                                 [("all", [0, 1])], t.shape)
+    tensor = tmp_path / "t.tensor"
+    tensor.write_text(sr.write_tensor(t))
+    part = tmp_path / "t.partition"
+    part.write_text(sr.write_partition(p))
+    assert main(["bound", "--mode", "remove-x", str(tensor), str(part)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "remove-x needs a nontrivial first x part\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mode", ["partition", "remove-x"])
 def test_bound_unconverged_solve_exit(capsys, cw5_files, monkeypatch, mode):
     solve = be.partition_bound

@@ -4,14 +4,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slicerank as sr
-from slicerank.optimizer import BlockDistribution, objective_values
+from slicerank.optimizer import (
+    MARGINAL_CLAMP,
+    BlockDistribution,
+    _newton_step,
+    objective_values,
+)
 
 from helpers import (
     random_partition,
     random_symmetric_tensor,
     random_tensor,
+    reference_newton_step,
     shared_index_partition,
 )
 
@@ -230,6 +237,61 @@ def test_symmetric_residual_cw2_cube():
     opt = sr.maximize_symmetric(bs)
     assert opt.kkt_residual <= 1e-10
     assert abs(opt.value - 3.57165 ** 3) < 1e-2
+
+
+# -- the Newton step ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("basis, factor", [
+    ("identity", "incidence"), ("qr", "incidence"), ("qr", "general")])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), zero=st.sampled_from([None, 0, 1, 2]))
+def test_newton_step_matches_dense_reference(basis, factor, seed, zero):
+    """The low-rank step equals the dense bordered step on random 0/1 part
+    incidences B_a, masses spanning three orders of magnitude, supports on
+    either side of the rows(c) + 1 switch, and axis weights with one
+    weight 0 as the max-min dual produces.  In the QR basis a general
+    factor (Gaussian rows) also stands in for one whose row space misses
+    the constraint row: part incidences contain it, their rows summing
+    to 1^T on each axis.
+
+    Agreement is measured against the step's norm, or against |D^2 r|,
+    the step for the Hessian's diagonal alone, where the minimum-norm
+    step vanishes (one support coordinate, or r the projected Hessian
+    cannot see)."""
+    rng = np.random.default_rng(seed)
+    parts = rng.integers(1, 7, size=3)
+    w = rng.uniform(0.05, 1.0, size=3)
+    if zero is not None:
+        w[zero] = 0.0
+    rows = int(parts[w > 0.0].sum())
+    k = rng.integers(1, rows + 2) if basis == "identity" else rng.integers(rows + 2, rows + 40)
+    n = k + rng.integers(0, 8)
+    x = np.zeros(n)
+    x[rng.choice(n, k, replace=False)] = 10.0 ** rng.uniform(-3.0, 0.0, size=k)
+    x /= x.sum()
+    if factor == "general":
+        c = rng.normal(size=(rows, n)) / np.sqrt(np.maximum(x, MARGINAL_CLAMP))
+        h = -(c.T @ c)
+    else:
+        inc = []
+        for p in parts:
+            b = np.zeros((p, n))
+            b[rng.integers(p, size=n), np.arange(n)] = 1.0
+            inc.append(b)
+        marg = [np.maximum(b @ x, MARGINAL_CLAMP) for b in inc]
+        c = np.vstack([b * np.sqrt(wa / m)[:, None] for b, m, wa in zip(inc, marg, w) if wa > 0.0])
+        h = -sum(wa * (b.T / m) @ b for b, m, wa in zip(inc, marg, w))
+    assert len(c) == rows and (k > rows + 1) == (basis == "qr")
+    on = x > 0.0
+    rhs = rng.normal(size=(n, 3))
+    step = _newton_step(c, on, rhs)
+    ref = reference_newton_step(h, on, rhs)
+    diagonal_step = rhs[on] / np.abs(np.diag(h)[on])[:, None]
+    norm = np.maximum(np.linalg.norm(ref, axis=0), np.linalg.norm(diagonal_step, axis=0))
+    assert np.all(np.linalg.norm(step - ref, axis=0) <= 1e-9 * norm)
+    assert not step[~on].any()
+    assert np.all(np.abs(step.sum(axis=0)) <= 1e-9 * norm)
 
 
 # -- symmetrize ------------------------------------------------------------------
