@@ -153,6 +153,8 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     over the full block simplex is solved.
     """
     bs = blocks(t, p)
+    if not bs.blocks:
+        raise Inapplicable("the block set is empty: the tensor has no terms")
     if bs.symmetric:
         opt = optimizer.maximize_symmetric(bs)
         cert = {
@@ -371,7 +373,10 @@ def laser_readiness(t: Tensor, p: VariablePartition,
     ell = None
     grades = None
     sums = {i + j + k for (i, j, k) in keys}
-    if len(sums) == 1:
+    if not keys:
+        hyper = False
+        failures.append("the block set is empty: the tensor has no terms")
+    elif len(sums) == 1:
         ell = sums.pop()
         grades = {ax: tuple(range(p.part_count(ax))) for ax in "xyz"}
         hyper = True
@@ -398,6 +403,9 @@ def laser_readiness(t: Tensor, p: VariablePartition,
     else:
         psizes = {ax: p.part_sizes(ax) for ax in "xyz"}
         for key in keys:
+            if bs[key].shape == (1, 1, 1):  # one term: <1,1,1>, whatever its coefficient
+                shapes[key] = (1, 1, 1)
+                continue
             witness = rank_tools.recognize_matmul(bs[key])
             if witness is None:
                 matmul_ok = False

@@ -21,13 +21,16 @@ The certificate is the concavity gap at the returned weights: with g
 the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x>
 bounds the maximum from above, and the objective at x from below.
 
-A Newton step on k support coordinates is the minimum-norm solution of
-K = [[-(cD)^T cD, d], [d^T, 0]], the Hessian -c^T c scaled by D = diag(d)
-to a unit diagonal, where c holds the at most P incidence rows (P parts)
-scaled by sqrt(w_a / m_a).  For any Q with orthonormal columns spanning
-(cD)^T and d, K = diag(Q, 1) K_Q diag(Q, 1)^T and so pinv(K) =
-diag(Q, 1) pinv(K_Q) diag(Q, 1)^T: with Q from a thin QR the step is
-exact and costs O(k P^2) instead of O(k^3).
+A Newton step on k support coordinates solves K = [[-(cD)^T cD, d],
+[d^T, 0]], the Hessian -c^T c scaled by D = diag(d) to a unit diagonal,
+where c holds the at most P incidence rows B (P parts) of the axes with
+w_a > 0, scaled by sqrt(w_a / m_a).  K vanishes off V = span((cD)^T, d)
+= D span(B^T, 1), and span(B^T, 1) depends on the support and on which
+w_a > 0, not on the masses: its orthonormal basis U is found once.  With
+Q orthonormal spanning D U, K_Q = [[-(cDQ)^T cDQ, Q^T d], [d^T Q, 0]] is
+nonsingular (K_Q (y, nu) = 0 gives cDQy = 0, then nu = 0 and Qy in V
+orthogonal to V), so the step is unique in V, equals the minimum-norm
+solution of K, and costs an LU solve of size rank(V) + 1.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ GROW_MASS = 1e-8         # mass given to a coordinate joining the support
 NOISE = 64 * np.finfo(float).eps  # float noise of an objective, relative
 MIN_STEP = 1e-12         # shortest damped step tried
 RIDGE = 1e-10            # relative ridge of the weights' Newton system
+RANK_TOL = 1e-9          # relative singular value cut of a support's span basis
 
 
 # -- distributions ---------------------------------------------------------
@@ -199,6 +203,7 @@ class _Problem:
             self.incidence.append(np.zeros((len(sizes), self.size)))
             np.add.at(self.incidence[-1], ([k[pos] for k in self.keys], self.group), self.share)
             self.log_sizes.append(np.log(np.asarray(sizes, dtype=float)))
+        self._bases = {}
 
     def block_masses(self, x) -> dict:
         d = self.share * x[self.group]
@@ -219,32 +224,44 @@ class _Problem:
             inc.T @ (ls - np.log(np.maximum(inc @ x, MARGINAL_CLAMP)) - 1.0)
             for inc, ls in zip(self.incidence, self.log_sizes)], axis=1)
 
-    def factor(self, x, w):
-        """c with -c^T c the Hessian of sum_a w_a f_a at x: the rows of each
-        incidence[a] with w_a > 0, row i scaled by sqrt(w_a / m_ai)."""
-        return np.vstack([inc * np.sqrt(wa / np.maximum(inc @ x, MARGINAL_CLAMP))[:, None]
-                          for inc, wa in zip(self.incidence, w) if wa > 0.0])
+    def newton_step(self, x, w, rhs):
+        """`_newton_step` for the Hessian -c^T c of sum_a w_a f_a at x, c the
+        incidence rows of the axes with w_a > 0 scaled by sqrt(w_a / m_a);
+        their range basis is kept per support and set of such axes."""
+        on, rows = x > 0.0, [(inc, wa) for inc, wa in zip(self.incidence, w) if wa > 0.0]
+        key = (on.tobytes(), tuple(w > 0.0))
+        if key not in self._bases:
+            self._bases[key] = _span_basis(np.vstack([inc[:, on] for inc, _ in rows]))
+        c = np.vstack([inc * np.sqrt(wa / np.maximum(inc @ x, MARGINAL_CLAMP))[:, None]
+                       for inc, wa in rows])
+        return _newton_step(c, on, rhs, self._bases[key])
 
 
-def _newton_step(c, on, rhs):
+def _span_basis(rows):
+    """An orthonormal basis, as columns, of the span of the ones vector and
+    the rows of `rows`, or None when that span is all of R^k."""
+    _, sv, vt = np.linalg.svd(np.vstack([rows, np.ones(rows.shape[1])]), full_matrices=False)
+    rank = int((sv > RANK_TOL * sv[0]).sum())
+    return None if rank == rows.shape[1] else vt[:rank].T
+
+
+def _newton_step(c, on, rhs, u):
     """For each column r of rhs, the minimum-norm s with -c^T c s + nu 1 = r
     and sum(s) = 0 on the coordinates `on`, and s = 0 off them; solved
     scaled to a unit diagonal, so that masses and Hessian entries spanning
-    many orders of magnitude keep it well conditioned, and in the basis Q
-    of the module docstring once the k coordinates outnumber rows(c) + 1."""
+    many orders of magnitude keep it well conditioned, in the basis Q of
+    D u for u the `_span_basis` of c's rows on `on` (Q = I if u is None)."""
     c = c[:, on]
     d = 1.0 / np.sqrt(np.einsum("ij,ij->j", c, c))
-    cd, e, r = c * d, d, d[:, None] * rhs[on]
-    q = np.linalg.qr(np.column_stack([cd.T, d]))[0] if len(d) > len(c) + 1 else None
-    if q is not None:
-        cd, e, r = cd @ q, d @ q, q.T @ r
+    q = np.eye(len(d)) if u is None else np.linalg.qr(d[:, None] * u)[0]
+    cd, e, r = c * d @ q, d @ q, q.T @ (d[:, None] * rhs[on])
     j = len(e)
     kkt = np.zeros((j + 1, j + 1))
     kkt[:j, :j] = -cd.T @ cd
     kkt[:j, j] = kkt[j, :j] = e
-    z = np.linalg.lstsq(kkt, np.vstack([r, np.zeros((1, r.shape[1]))]), rcond=None)[0][:j]
+    z = np.linalg.solve(kkt, np.vstack([r, np.zeros((1, r.shape[1]))]))[:j]
     s = np.zeros(rhs.shape)
-    s[on] = d[:, None] * (z if q is None else q @ z)
+    s[on] = d[:, None] * (q @ z)
     return s
 
 
@@ -296,7 +313,7 @@ def _solve(prob: _Problem, w, x=None):
             x /= x.sum()
             continue
         iters += 1
-        step = _newton_step(prob.factor(x, w), x > 0.0, (mu - g)[:, None])[:, 0]
+        step = prob.newton_step(x, w, (mu - g)[:, None])[:, 0]
         f0 = w @ prob.values(x)
         for trial in _trials(x, step):
             if w @ prob.values(trial) >= f0 - NOISE * abs(f0):
@@ -386,12 +403,12 @@ def maximize_minmax(block_set: BlockSet) -> MinmaxOptimum:
         phi = w @ f
         free = (w > 0.0) | (f < phi)
         g = prob.grads(x)
-        h = -(g.T @ _newton_step(prob.factor(x, w), x > 0.0, g))[np.ix_(free, free)]
+        h = -(g.T @ prob.newton_step(x, w, g))[np.ix_(free, free)]
         h += RIDGE * (1.0 + np.trace(h)) * np.eye(len(h))
         dw = np.zeros(3)
         # h is positive definite: with h = L L^T the step solves h dw - nu 1 = -f
         dw[free] = _newton_step(np.linalg.cholesky(h).T, np.ones(len(h), bool),
-                                f[free][:, None])[:, 0]
+                                f[free][:, None], None)[:, 0]
         if (f - phi) @ dw >= 0.0 or np.any(dw[w == 0.0] < 0.0):
             dw = -w
             dw[np.argmin(f)] += 1.0

@@ -5,10 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slicerank as sr
 from slicerank import bound_engines as be
+from slicerank import rank_tools
 from slicerank.tensor_core import Tensor
+
+from helpers import random_partition, random_tensor
 
 
 def cw_single_variable_slices(q):
@@ -315,6 +319,34 @@ def test_laser_ready_parity_support_fails():
     r = be.laser_readiness(t, p)
     assert not r.conditions["hyperplane_support"]
     assert not r.ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), singletons=st.booleans(), sparse=st.booleans())
+def test_laser_ready_matmul_verdict_matches_recognition_of_every_block(seed, singletons,
+                                                                        sparse):
+    """One-term 1 x 1 x 1 blocks skip matmul recognition; the verdict on
+    condition (1) equals the one recognition gives when run on every
+    block, on random tensors with coefficients other than 1 under random
+    or singleton partitions, with one-term blocks over larger parts."""
+    rng = random.Random(seed)
+    t = random_tensor(rng, max_dim=4, density=0.2 if sparse else 0.5)
+    p = sr.singleton_partition(t) if singletons else random_partition(rng, t)
+    r = be.laser_readiness(t, p)
+    shapes, failures = {}, []
+    for key in r.block_set.keys():
+        witness = rank_tools.recognize_matmul(r.block_set[key])
+        if witness is None:
+            failures.append(f"block {key} is not a matmul tensor")
+            continue
+        shapes[key] = (witness.a, witness.b, witness.c)
+        if (witness.a * witness.b, witness.b * witness.c, witness.c * witness.a) != tuple(
+                p.part_sizes(ax)[i] for ax, i in zip("xyz", key)):
+            failures.append(f"block {key} is <{witness.a},{witness.b},{witness.c}>, "
+                            "not maximal for its parts")
+    assert r.block_shapes == shapes
+    assert r.conditions["maximal_matmul_blocks"] == (not failures)
+    assert [f for f in r.failures if f.startswith("block (")] == failures
 
 
 # -- laser lower bound ------------------------------------------------------------------

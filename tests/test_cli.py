@@ -181,6 +181,22 @@ def test_bound_unconverged_solve_exit(capsys, cw5_files, monkeypatch, mode):
     assert "convergence failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, stderr", [
+    ("partition", "inapplicable input: the block set is empty: the tensor has no terms\n"),
+    ("laser", "not laser-ready: the block set is empty: the tensor has no terms\n")])
+def test_bound_empty_tensor_inapplicable(capsys, tmp_path, mode, stderr):
+    """A tensor file with headers and no terms has no blocks to bound:
+    exit 4 naming the empty block set, not a traceback or exit 1."""
+    tensor = tmp_path / "empty.tensor"
+    tensor.write_text("xvars 2\nyvars 2\nzvars 2\n")
+    part = tmp_path / "empty.partition"
+    part.write_text("x all 0 1\ny all 0 1\nz all 0 1\n")
+    assert main(["bound", "--mode", mode, str(tensor), str(part)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == stderr
+    assert captured.out == ""
+
+
 def test_bound_laser_inapplicable(capsys, tmp_path, monkeypatch):
     t = sr.make_t112(2)
     tensor = tmp_path / "t.tensor"

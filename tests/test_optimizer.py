@@ -11,6 +11,7 @@ from slicerank.optimizer import (
     MARGINAL_CLAMP,
     BlockDistribution,
     _newton_step,
+    _span_basis,
     objective_values,
 )
 
@@ -191,6 +192,8 @@ def cw1_cube_b_part():
 def test_minmax_cw1_cube_b_part_certified():
     mm = sr.maximize_minmax(cw1_cube_b_part())
     assert abs(mm.log_value - 2.984548001552) < 1e-9
+    # pinned: a different step would change the Newton path, and with it this count
+    assert mm.iterations == 18
     assert mm.kkt_residual <= 1e-10
     assert_minmax_certified(mm)
 
@@ -229,6 +232,7 @@ def test_symmetric_residual_tq_lower(q):
     t = sr.make_cyclic_lower(q)
     opt = sr.maximize_symmetric(sr.blocks(t, sr.singleton_partition(t)))
     assert opt.kkt_residual <= 1e-10
+    assert opt.iterations == 5  # pinned, like the CW_1-cube count above
 
 
 def test_symmetric_residual_cw2_cube():
@@ -243,17 +247,24 @@ def test_symmetric_residual_cw2_cube():
 
 
 @pytest.mark.parametrize("basis, factor", [
-    ("identity", "incidence"), ("qr", "incidence"), ("qr", "general")])
+    ("identity", "incidence"), ("qr", "incidence"), ("qr", "general"),
+    ("identity", "orbit"), ("qr", "orbit")])
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), zero=st.sampled_from([None, 0, 1, 2]))
-def test_newton_step_matches_dense_reference(basis, factor, seed, zero):
-    """The low-rank step equals the dense bordered step on random 0/1 part
-    incidences B_a, masses spanning three orders of magnitude, supports on
-    either side of the rows(c) + 1 switch, and axis weights with one
-    weight 0 as the max-min dual produces.  In the QR basis a general
-    factor (Gaussian rows) also stands in for one whose row space misses
-    the constraint row: part incidences contain it, their rows summing
-    to 1^T on each axis.
+@given(seed=st.integers(0, 2 ** 32 - 1), zero=st.sampled_from([None, 0, 1, 2]),
+       twin=st.booleans())
+def test_newton_step_matches_dense_reference(basis, factor, seed, zero, twin):
+    """The step in the range basis equals the dense bordered step on random
+    0/1 part incidences B_a, masses spanning three orders of magnitude,
+    supports on either side of rows(c) + 1 ("identity": at most, "qr":
+    more), and axis weights with one weight 0 as the max-min dual
+    produces.  The step gets its basis from the incidence rows of the
+    axes with w_a > 0, as `_Problem.basis` does, or from c itself for a
+    general factor (Gaussian rows, whose row space misses the constraint
+    row that part incidences contain).  Orbit factors are the incidences
+    of rotation orbits, with shares 1/3 and 2/3 and the three axes' rows
+    equal, so their span has rank at most parts + 1.  With `twin`, two
+    support coordinates share their incidence column, which makes the
+    bordered system singular even on small supports.
 
     Agreement is measured against the step's norm, or against |D^2 r|,
     the step for the Hessian's diagonal alone, where the minimum-norm
@@ -264,28 +275,47 @@ def test_newton_step_matches_dense_reference(basis, factor, seed, zero):
     w = rng.uniform(0.05, 1.0, size=3)
     if zero is not None:
         w[zero] = 0.0
+    if factor == "orbit":
+        parts[:] = parts[0]
     rows = int(parts[w > 0.0].sum())
     k = rng.integers(1, rows + 2) if basis == "identity" else rng.integers(rows + 2, rows + 40)
     n = k + rng.integers(0, 8)
     x = np.zeros(n)
-    x[rng.choice(n, k, replace=False)] = 10.0 ** rng.uniform(-3.0, 0.0, size=k)
+    support = rng.choice(n, k, replace=False)
+    x[support] = 10.0 ** rng.uniform(-3.0, 0.0, size=k)
     x /= x.sum()
+    on = x > 0.0
     if factor == "general":
         c = rng.normal(size=(rows, n)) / np.sqrt(np.maximum(x, MARGINAL_CLAMP))
+        if twin and k > 1:
+            c[:, support[1]] = c[:, support[0]]
         h = -(c.T @ c)
+        u = _span_basis(c[:, on])
     else:
-        inc = []
-        for p in parts:
-            b = np.zeros((p, n))
-            b[rng.integers(p, size=n), np.arange(n)] = 1.0
-            inc.append(b)
+        if factor == "orbit":
+            # orbit {(i,j,k), (j,k,i), (k,i,j)} puts 1/3 on each of parts i, j, k
+            b = np.zeros((parts[0], n))
+            np.add.at(b, (rng.integers(parts[0], size=(3, n)), np.arange(n)), 1.0 / 3.0)
+            inc = [b] * 3
+        else:
+            inc = []
+            for p in parts:
+                b = np.zeros((p, n))
+                b[rng.integers(p, size=n), np.arange(n)] = 1.0
+                inc.append(b)
+        if twin and k > 1:
+            for b in inc:
+                b[:, support[1]] = b[:, support[0]]
         marg = [np.maximum(b @ x, MARGINAL_CLAMP) for b in inc]
         c = np.vstack([b * np.sqrt(wa / m)[:, None] for b, m, wa in zip(inc, marg, w) if wa > 0.0])
         h = -sum(wa * (b.T / m) @ b for b, m, wa in zip(inc, marg, w))
+        u = _span_basis(np.vstack([b[:, on] for b, wa in zip(inc, w) if wa > 0.0]))
     assert len(c) == rows and (k > rows + 1) == (basis == "qr")
-    on = x > 0.0
+    assert (u is None) == (np.linalg.matrix_rank(np.vstack([c[:, on], np.ones(k)])) == k)
+    if twin and k > 1:
+        assert u is not None
     rhs = rng.normal(size=(n, 3))
-    step = _newton_step(c, on, rhs)
+    step = _newton_step(c, on, rhs, u)
     ref = reference_newton_step(h, on, rhs)
     diagonal_step = rhs[on] / np.abs(np.diag(h)[on])[:, None]
     norm = np.maximum(np.linalg.norm(ref, axis=0), np.linalg.norm(diagonal_step, axis=0))
