@@ -344,18 +344,18 @@ def _solve_block_grading(keys, counts):
     return {"x": tuple(gx), "y": tuple(gy), "z": tuple(gz)}, ell
 
 
-def laser_readiness(t: Tensor, p: VariablePartition,
-                    assume_degeneration: bool = False) -> LaserReadiness:
+def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
     """Check the three conditions for the classical laser analysis.
 
     Condition (1) asks for a degeneration of every block onto a maximal
     matmul tensor; deciding that in general is open, so blocks are
     checked by exact matmul recognition, which covers every structured
-    family here.  Callers who certify the degeneration externally can
-    set assume_degeneration.  Condition (2) scans the block indices for
-    a hyperplane i+j+k = ell and falls back to solving for integer part
-    grades (needed for product partitions of rotation products, whose
-    nonzero blocks still determine one another coordinatewise).
+    family here.  A block on three one-variable parts is one term,
+    <1,1,1> whatever its coefficient, and is not built as a tensor.
+    Condition (2) scans the block indices for a hyperplane i+j+k = ell
+    and falls back to solving for integer part grades (needed for
+    product partitions of rotation products, whose nonzero blocks still
+    determine one another coordinatewise).
     """
     bs = blocks(t, p)
     keys = bs.keys()
@@ -397,29 +397,24 @@ def laser_readiness(t: Tensor, p: VariablePartition,
     # (1) maximal matmul blocks
     shapes = {}
     matmul_ok = True
-    if assume_degeneration:
-        conditions["maximal_matmul_blocks"] = True
-        conditions["matmul_blocks_assumed"] = True
-    else:
-        psizes = {ax: p.part_sizes(ax) for ax in "xyz"}
-        for key in keys:
-            if bs[key].shape == (1, 1, 1):  # one term: <1,1,1>, whatever its coefficient
-                shapes[key] = (1, 1, 1)
-                continue
-            witness = rank_tools.recognize_matmul(bs[key])
-            if witness is None:
-                matmul_ok = False
-                failures.append(f"block {key} is not a matmul tensor")
-                continue
-            a, b, c = witness.a, witness.b, witness.c
-            shapes[key] = (a, b, c)
-            i, j, k = key
-            if (a * b, b * c, c * a) != (psizes["x"][i], psizes["y"][j],
-                                         psizes["z"][k]):
-                matmul_ok = False
-                failures.append(
-                    f"block {key} is <{a},{b},{c}>, not maximal for its parts")
-        conditions["maximal_matmul_blocks"] = matmul_ok
+    sx, sy, sz = (p.part_sizes(ax) for ax in "xyz")
+    for key in keys:
+        i, j, k = key
+        parts = (sx[i], sy[j], sz[k])
+        if parts == (1, 1, 1):
+            shapes[key] = parts
+            continue
+        witness = rank_tools.recognize_matmul(bs[key])
+        if witness is None:
+            matmul_ok = False
+            failures.append(f"block {key} is not a matmul tensor")
+            continue
+        a, b, c = witness.a, witness.b, witness.c
+        shapes[key] = (a, b, c)
+        if (a * b, b * c, c * a) != parts:
+            matmul_ok = False
+            failures.append(f"block {key} is <{a},{b},{c}>, not maximal for its parts")
+    conditions["maximal_matmul_blocks"] = matmul_ok
 
     ok = conditions["symmetric"] and conditions["hyperplane_support"] \
         and conditions["maximal_matmul_blocks"]
@@ -574,11 +569,9 @@ class TableRow:
     omega_report: Optional[BoundReport]
 
 
-def _tight_row(t: Tensor, p: VariablePartition, q: int,
-               symmetric: bool = True) -> TableRow:
+def _tight_row(t: Tensor, p: VariablePartition, q: int) -> TableRow:
     tight = laser_lower_bound(t, p)
-    fact = t.rank_fact()
-    omega_report = omega_lower_bound(fact, tight.value, symmetric=symmetric)
+    omega_report = omega_lower_bound(t.rank_fact(), tight.value, symmetric=True)
     return TableRow(q, tight.value, omega_report.value, tight, omega_report)
 
 

@@ -5,7 +5,8 @@ verifies the CW exponent floor, computes the t_112 value, and runs the
 generic bound pipeline on user-supplied tensor/partition files.
 
 Exit codes: 0 all checks pass, 1 golden mismatch or failed verification,
-2 optimizer convergence failure, 3 parse error, 4 inapplicable input.
+2 optimizer convergence failure, 3 parse error (of a file or of the command
+line), 4 inapplicable input.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ EXIT_MISMATCH = 1
 EXIT_CONVERGENCE = 2
 EXIT_PARSE = 3
 EXIT_INAPPLICABLE = 4
-
-# --seed is still accepted so that scripts passing it keep working
-SEED_HELP = "ignored; the solver is deterministic"
 
 
 def _cw_small_closed_form(q: int) -> float:
@@ -164,8 +162,17 @@ def cmd_verify_degeneration(args) -> int:
     return EXIT_MISMATCH
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects; `main` reports it as exit 3."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers share this class, so they raise too
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slicerank",
         description="slice rank bounds for structured tensors and the "
                     "matrix multiplication exponent limits they imply")
@@ -175,14 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("family", choices=["cw", "cw-small", "tq-lower"])
     p_table.add_argument("--qmax", type=int, default=8)
     p_table.add_argument("--tol", type=float, default=1e-4)
-    p_table.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p_table.add_argument("--format", choices=["plain", "tsv"], default="plain")
     p_table.set_defaults(func=cmd_table)
 
     p_t112 = sub.add_parser("t112", help="tight 2/3-value of t_112")
     p_t112.add_argument("q", type=int)
-    p_t112.add_argument("--skip-cube", action="store_true",
-                        help="ignored; the rotation product is not built")
     p_t112.set_defaults(func=cmd_t112)
 
     p_app = sub.add_parser(
@@ -196,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["partition", "mu-sum", "remove-x", "laser"])
     p_bound.add_argument("tensor")
     p_bound.add_argument("partition")
-    p_bound.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p_bound.set_defaults(func=cmd_bound)
 
     p_ver = sub.add_parser("verify-degeneration",
@@ -209,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, OSError) as exc:  # ParseError is a ValueError
+    except (UsageError, ParseError, OSError) as exc:  # ParseError is a ValueError
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, be.Inapplicable) as exc:

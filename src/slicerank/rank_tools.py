@@ -15,12 +15,13 @@ mu(T).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import exact_linalg
-from .tensor_core import Tensor, is_minimal, trimmed
+from .tensor_core import AXES, Tensor, is_minimal
 
 _FLATTEN = {
     # axis -> (row position, first col position, second col position)
@@ -74,10 +75,8 @@ def max_flattening_rank(t: Tensor) -> int:
 
 
 def measure(t: Tensor) -> int:
-    """mu(T): product of the three axis sizes after trimming unused variables."""
-    t = trimmed(t)
-    nx, ny, nz = t.shape
-    return nx * ny * nz
+    """mu(T): product of the numbers of variables used on each axis."""
+    return math.prod(len(t.used_indices(ax)) for ax in AXES)
 
 
 def slice_rank_flattening_bound(t: Tensor) -> int:

@@ -580,10 +580,12 @@ def cube_partition(t: Tensor, p: VariablePartition) -> VariablePartition:
 class BlockSet:
     """The nonzero blocks of a tensor under a partition.
 
-    `blocks` maps part index triples (i, j, k) to the restriction of the
-    parent tensor to the corresponding parts, as a standalone tensor over
-    those parts' variables (in part order).  `symmetric` is the rotation
-    verdict decided once by `blocks`.
+    `blocks` maps part index triples (i, j, k) to the entries of the
+    parent tensor on those parts, keyed by within-part slots:
+    {(slot_x, slot_y, slot_z): coefficient}.  `bs[key]` builds that block
+    as a standalone tensor over its parts' variables (in part order),
+    anew on every call.  `symmetric` is the rotation verdict decided once
+    by `blocks`.
     """
 
     __slots__ = ("tensor", "partition", "blocks", "symmetric")
@@ -605,7 +607,14 @@ class BlockSet:
         return len(self.blocks)
 
     def __getitem__(self, key) -> Tensor:
-        return self.blocks[key]
+        i, j, k = key
+        t, p = self.tensor, self.partition
+        return Tensor(
+            [t.x_labels[v] for v in p.parts_x[i][1]],
+            [t.y_labels[v] for v in p.parts_y[j][1]],
+            [t.z_labels[v] for v in p.parts_z[k][1]],
+            self.blocks[key],
+        )
 
     def part_sizes(self, axis: str) -> list[int]:
         return self.partition.part_sizes(axis)
@@ -615,7 +624,7 @@ class BlockSet:
 
 
 def _rotation_symmetric(t: Tensor, p: VariablePartition, out: dict) -> bool:
-    """Rotation verdict for the blocks `out` of t under p.
+    """Rotation verdict for the slot-keyed blocks `out` of t under p.
 
     Equal part sizes, t variable-symmetric, and each block (i,j,k),
     rotated positionally, equal to the block at (j,k,i).
@@ -626,14 +635,14 @@ def _rotation_symmetric(t: Tensor, p: VariablePartition, out: dict) -> bool:
         return False
     for (i, j, k), block in out.items():
         image = out.get((j, k, i))
-        if image is None or image.entries != {
-                (v, w, u): c for (u, v, w), c in block.entries.items()}:
+        if image is None or image != {(v, w, u): c for (u, v, w), c in block.items()}:
             return False
     return True
 
 
 def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
-    """Split t into its nonzero blocks under the partition p."""
+    """Split t into its nonzero blocks under the partition p, as slot-keyed
+    entry maps (see `BlockSet`); no per-block `Tensor` is built."""
     if p.sizes != t.shape:
         raise ValueError("partition sizes do not match tensor axes")
     wx, wy, wz = p.where
@@ -641,15 +650,7 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
     for (i, j, k), c in t.entries.items():
         (bi, si), (bj, sj), (bk, sk) = wx[i], wy[j], wz[k]
         buckets.setdefault((bi, bj, bk), {})[(si, sj, sk)] = c
-    out = {}
-    for key in sorted(buckets):
-        bi, bj, bk = key
-        out[key] = Tensor(
-            [t.x_labels[i] for i in p.parts_x[bi][1]],
-            [t.y_labels[j] for j in p.parts_y[bj][1]],
-            [t.z_labels[k] for k in p.parts_z[bk][1]],
-            buckets[key],
-        )
+    out = {key: buckets[key] for key in sorted(buckets)}
     return BlockSet(t, p, out, _rotation_symmetric(t, p, out))
 
 
@@ -703,8 +704,8 @@ def _content_lines(text: str):
 def parse_tensor(text: str) -> Tensor:
     """Parse the line-oriented tensor format.
 
-    Header lines `xvars n`, `yvars n`, `zvars n` (any order, each once,
-    before the entries), then one entry per line: `i j k num/den` with
+    Header lines `xvars n`, `yvars n`, `zvars n` (n >= 0, any order, each
+    once, before the entries), then one entry per line: `i j k num/den` with
     0-based indices.  `#` starts a comment.
     """
     sizes = {}
@@ -718,9 +719,12 @@ def parse_tensor(text: str) -> Tensor:
             if toks[0][0] in sizes:
                 raise ParseError(n, f"repeated {toks[0]} header")
             try:
-                sizes[toks[0][0]] = int(toks[1])
+                count = int(toks[1])
             except ValueError:
+                count = -1
+            if count < 0:
                 raise ParseError(n, f"bad variable count {toks[1]!r}")
+            sizes[toks[0][0]] = count
             continue
         if len(sizes) != 3:
             raise ParseError(n, "entry before xvars/yvars/zvars headers")

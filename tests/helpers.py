@@ -199,6 +199,21 @@ def reference_t_symmetric_partition(t: Tensor, p: VariablePartition) -> bool:
     return rotated == t.entries
 
 
+def reference_restriction(t: Tensor, p: VariablePartition, key) -> Tensor:
+    """Block `key` of t under p, from the definition: the coefficient of
+    every variable triple of the three parts, over those parts' variables
+    in part order."""
+    xs, ys, zs = (parts[part][1] for parts, part in zip((p.parts_x, p.parts_y, p.parts_z), key))
+    entries = {}
+    for a, i in enumerate(xs):
+        for b, j in enumerate(ys):
+            for c, k in enumerate(zs):
+                if t.coefficient(i, j, k) != 0:
+                    entries[(a, b, c)] = t.coefficient(i, j, k)
+    return Tensor([t.x_labels[i] for i in xs], [t.y_labels[j] for j in ys],
+                  [t.z_labels[k] for k in zs], entries)
+
+
 def is_matmul_by_search(t: Tensor, a: int, b: int, c: int) -> bool:
     """Whether permuting t's axes turns it into <a,b,c> with unit coefficients.
 

@@ -265,14 +265,6 @@ def test_laser_ready_rotation_product():
     assert len(r.block_shapes) == 64
 
 
-def test_laser_ready_assume_degeneration_flag():
-    t = sr.make_t112(2)
-    r = be.laser_readiness(t, sr.t112_partition(2), assume_degeneration=True)
-    assert r.conditions["maximal_matmul_blocks"]
-    assert r.conditions.get("matmul_blocks_assumed")
-    assert not r.ok  # symmetry still fails
-
-
 def test_laser_ready_independent_needs_solved_grading():
     # support {(0,0,0),(1,1,1)} fails the literal scan (sums 0 and 3) but
     # re-grading the parts puts it on a hyperplane, e.g. z graded (2,0)

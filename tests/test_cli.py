@@ -62,8 +62,7 @@ def test_table_tsv_format(capsys):
 def test_table_deterministic(capsys):
     main(["table", "cw", "--qmax", "4"])
     first = capsys.readouterr().out
-    # --seed is still accepted, and ignored
-    assert main(["table", "cw", "--qmax", "4", "--seed", "7"]) == 0
+    assert main(["table", "cw", "--qmax", "4"]) == 0
     second = capsys.readouterr().out
     assert first == second
 
@@ -289,6 +288,42 @@ def test_remove_x_cw1_cube_same_value_for_every_relabeling(capsys, tmp_path):
         values.append(capsys.readouterr().out.split()[1])
     assert len(set(values)) == 1
     assert abs(float(values[0]) - 27.4875) < 1e-3
+
+
+def test_negative_variable_count_exit_code(capsys, tmp_path):
+    """A negative count is refused at its header line in the tensor file,
+    not read as an empty axis that fails later in the partition file."""
+    bad = tmp_path / "bad.tensor"
+    bad.write_text("xvars 1\nyvars -1\nzvars 1\n")
+    part = tmp_path / "p.partition"
+    part.write_text("x all 0\ny all 0\nz all 0\n")
+    assert main(["bound", "--mode", "partition", str(bad), str(part)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "parse error: line 2: bad variable count '-1'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["table", "foo"], "parse error: slicerank table: argument family: invalid choice: "
+                       "'foo' (choose from 'cw', 'cw-small', 'tq-lower')\n"),
+    (["t112", "abc"], "parse error: slicerank t112: argument q: invalid int value: 'abc'\n"),
+    (["table", "cw", "--qmax", "x"],
+     "parse error: slicerank table: argument --qmax: invalid int value: 'x'\n"),
+    (["table", "cw", "--seed", "7"], "parse error: slicerank: unrecognized arguments: --seed 7\n"),
+])
+def test_usage_error_exit_code(capsys, argv, stderr):
+    """Command lines argparse rejects exit 3 with one line, not argparse's
+    exit 2 (taken by convergence failures) and multi-line usage text."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == stderr and captured.out == ""
+
+
+def test_help_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: slicerank table")
 
 
 @pytest.mark.parametrize("argv, code", [

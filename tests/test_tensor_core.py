@@ -1,5 +1,6 @@
 """Tensor constructors, algebra, partitions, and text formats."""
 
+import itertools
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 import slicerank as sr
 from slicerank.tensor_core import ParseError, Tensor
 
-from helpers import (random_partition, random_tensor, reference_symmetric_cube,
-                     reference_t_symmetric_partition, reference_tensor_product)
+from helpers import (random_partition, random_tensor, reference_restriction,
+                     reference_symmetric_cube, reference_t_symmetric_partition,
+                     reference_tensor_product)
 
 # halves, thirds and quarters multiply with 2, 3 and 4 to integral values
 PRODUCT_COEFFS = [-2, -1, 1, 2, 3, 4, Fraction(1, 2), Fraction(-3, 2),
@@ -395,7 +397,45 @@ def test_blocks_random_reconstruction():
             acc = part if acc is None else sr.tensor_add(acc, part)
         assert acc.entries == t.entries
         bs = sr.blocks(t, p)
-        assert sum(len(b.entries) for b in bs.blocks.values()) == len(t.entries)
+        assert sum(len(b) for b in bs.blocks.values()) == len(t.entries)
+
+
+def test_blocks_match_reference_restriction():
+    """bs[key] and split_by_blocks(t, p)[key] against the definition, on
+    random tensors with rational coefficients and random partitions."""
+    rng = random.Random(11)
+    for _ in range(60):
+        t = random_tensor(rng, max_dim=4)
+        p = random_partition(rng, t)
+        bs = sr.blocks(t, p)
+        split = sr.split_by_blocks(t, p)
+        nonzero = []
+        for key in itertools.product(*(range(p.part_count(ax)) for ax in "xyz")):
+            ref = reference_restriction(t, p, key)
+            if not ref.entries:
+                continue
+            nonzero.append(key)
+            assert bs[key] == ref
+            xs, ys, zs = (parts[part][1] for parts, part in
+                          zip((p.parts_x, p.parts_y, p.parts_z), key))
+            assert split[key] == Tensor(t.x_labels, t.y_labels, t.z_labels, {
+                (xs[a], ys[b], zs[c]): coef for (a, b, c), coef in ref.entries.items()})
+        assert bs.keys() == nonzero == list(split)
+
+
+def test_blocks_builds_no_tensor(monkeypatch):
+    """`blocks` keeps slot-keyed entry maps; only bs[key] builds a Tensor."""
+    t = sr.make_cyclic_lower(24)
+    p = sr.singleton_partition(t)
+    built = []
+    init = Tensor.__init__
+    monkeypatch.setattr(Tensor, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    bs = sr.blocks(t, p)
+    assert len(built) == 0
+    assert len(bs) == len(t.entries) and bs.symmetric
+    assert bs[(0, 0, 23)] == reference_restriction(t, p, (0, 0, 23))
+    assert len(built) == 2
 
 
 # -- text formats --------------------------------------------------------------
