@@ -75,11 +75,7 @@ class LambdaPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = out.get(e, 0) + c
         return LambdaPoly(out)
 
     def __mul__(self, other):
@@ -87,12 +83,7 @@ class LambdaPoly:
             out = {}
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
-                    e = e1 + e2
-                    s = out.get(e, Fraction(0)) + c1 * c2
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
             return LambdaPoly(out)
         return LambdaPoly({e: c * other for e, c in self.coeffs.items()})
 
@@ -423,6 +414,7 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
     Monomial lines: `alpha src dst exponent num/den` (same for beta and
     gamma).  General polynomial lines: `alphaP src dst e1 c1 e2 c2 ...`.
     A final `order h` line sets the degeneration order (default 0).
+    Exponents and the order are nonnegative integers.
     """
     maps = ({}, {}, {})
     order = 0
@@ -434,6 +426,8 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
             try:
                 order = int(toks[1])
             except ValueError:
+                order = -1
+            if order < 0:
                 raise ParseError(n, f"bad order {toks[1]!r}")
             continue
         general = head.endswith("P")
@@ -457,15 +451,13 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
         coeffs = {}
         try:
             for e_tok, c_tok in pairs:
-                coeffs[int(e_tok)] = coeffs.get(int(e_tok), Fraction(0)) + Fraction(c_tok)
+                e = int(e_tok)
+                if e < 0:
+                    raise ValueError
+                coeffs[e] = coeffs.get(e, 0) + Fraction(c_tok)
         except (ValueError, ZeroDivisionError):
             raise ParseError(n, f"bad polynomial in {' '.join(toks)!r}")
-        key = (src, dst)
-        poly = LambdaPoly(coeffs)
-        if key in target:
-            target[key] = target[key] + poly
-        else:
-            target[key] = poly
+        target[src, dst] = target.get((src, dst), LambdaPoly()) + LambdaPoly(coeffs)
     return DegenerationMap(maps[0], maps[1], maps[2], order)
 
 

@@ -15,8 +15,11 @@ of a symmetric partition, `maximize_product` f_x + f_y + f_z, and
 `maximize_minmax` min(f_x, f_y, f_z).  Each objective is concave, so one
 start is enough, and one Newton solver (`_solve`) serves all three: it
 maximizes sum_a w_a f_a(S x), where S maps orbit or block masses x to
-block masses, with the weights w = (1/3, 1/3, 1/3), (1, 1, 1), or for
-the max-min the minimizer of the convex dual max_x sum_a w_a f_a(x).
+block masses, with the weights w = (1, 0, 0) (on orbit masses the three
+axes' incidence matrices are equal, so f_x alone is the objective and
+the Newton factor holds one axis's incidence rows, not three copies),
+(1, 1, 1), or for the max-min the minimizer of the convex dual
+max_x sum_a w_a f_a(x).
 The certificate is the concavity gap at the returned weights: with g
 the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x>
 bounds the maximum from above, and the objective at x from below.
@@ -359,15 +362,15 @@ def maximize_symmetric(block_set: BlockSet) -> SymmetricOptimum:
     """Maximize f_x over rotation-symmetric block distributions.
 
     The partition must be symmetric for the tensor (the block set's
-    `symmetric` verdict).  The orbit masses are the variables and the
-    objective is the mean of the three axis values, which all equal f_x
-    there.
+    `symmetric` verdict).  The orbit masses are the variables; the three
+    axes' incidence matrices are equal on them, so the objective is f_x
+    alone, weights (1, 0, 0).
     """
     if not block_set.symmetric:
         raise ValueError("partition is not symmetric for this tensor")
     orbits = block_orbits(block_set)
     prob = _Problem(block_set, orbits)
-    w = np.full(3, 1.0 / 3.0)
+    w = np.array([1.0, 0.0, 0.0])
     x, iters, resid = _solve(prob, w)
     dist = SymmetricDistribution(block_set, prob.block_masses(x))
     obj = objective_values(dist)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import exact_linalg
@@ -115,28 +114,19 @@ def _number_by_partners(partners, count):
 def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
     """Recognize t as a matmul tensor <a,b,c> up to relabeling, or None.
 
-    The tensor must be minimal.  Coefficients may differ from 1 only if
-    they can be normalized away by scaling individual variables (checked
-    by constraint propagation); a matmul tensor never has coefficient
-    cancellations, so the term set is matched first.
+    The tensor must be minimal.  Its terms must be those of <a,b,c> under
+    some labeling, and its coefficients e(r,s,d), read off that labeling's
+    cells, must satisfy e(r,s,d) e(r,0,0) e(0,s,0) e(0,0,d) = e(r,s,0)
+    e(r,0,d) e(0,s,d) e(0,0,0) on every cell: exactly when per-variable
+    scalings make every coefficient 1.
     """
     if len(t.entries) == 0 or not is_minimal(t):
         return None
     nx, ny, nz = t.shape
-    nterms = len(t.entries)
+    n = len(t.entries)
     # Dimensions are forced: |X| = ab, |Y| = bc, |Z| = ca, abc = #terms.
-    if nx * ny * nz != nterms * nterms:
-        return None
-    a, rem = divmod(nterms, ny)
-    if rem:
-        return None
-    b, rem = divmod(nterms, nz)
-    if rem:
-        return None
-    c, rem = divmod(nterms, nx)
-    if rem:
-        return None
-    if a * b != nx or b * c != ny or c * a != nz:
+    a, b, c = n // ny, n // nz, n // nx
+    if (a * b, b * c, c * a, a * b * c) != (nx, ny, nz, n):
         return None
 
     # In <a,b,c> the z-partners of x_(r,s) are exactly {z_(d,r)}, so x
@@ -156,6 +146,11 @@ def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
     # <= a of the ca z's, and dep is constant on each z's terms.  So
     # y -> (col, dep) and z -> (dep, row) are well defined and onto, hence
     # bijections, and the terms are exactly those of <a,b,c>.
+    #
+    # Scalings u of x_(r,s), v of y_(s,d), w of z_(d,r) with e(r,s,d) u v w
+    # = 1 exist iff the cell identity holds.  Necessity: both sides carry
+    # the same twelve scalings.  Sufficiency: u = 1/e(r,s,0), v = e(0,s,0)
+    # / e(0,s,d), w = e(r,0,0) e(0,0,d) / (e(r,0,d) e(0,0,0)) solve every term.
     x_zs = [set() for _ in range(nx)]
     x_ys = [set() for _ in range(nx)]
     y_zs = [set() for _ in range(ny)]
@@ -168,68 +163,17 @@ def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
     dep = _number_by_partners(y_zs, c)
     if row is None or col is None or dep is None:
         return None
-    y_coords, z_coords, cells = {}, {}, set()
-    for i, j, k in t.entries:
+    y_coords, z_coords, e = {}, {}, {}
+    for (i, j, k), coef in t.entries.items():
         r, s, d = row[i], col[i], dep[j]
-        if (r, s, d) in cells:
+        if (r, s, d) in e:
             return None
-        cells.add((r, s, d))
+        e[r, s, d] = coef
         y_coords[j] = (s, d)
         z_coords[k] = (d, r)
-
-    # Coefficients must normalize to 1 by per-variable scalings.
-    if not _unit_scalable(t):
+    if any(v * e[r, 0, 0] * e[0, s, 0] * e[0, 0, d]
+           != e[r, s, 0] * e[r, 0, d] * e[0, s, d] * e[0, 0, 0]
+           for (r, s, d), v in e.items()):
         return None
     x_coords = {i: (row[i], col[i]) for i in range(nx)}
     return MatmulWitness(a, b, c, x_coords, y_coords, z_coords)
-
-
-def _unit_scalable(t: Tensor) -> bool:
-    """Can per-variable scalings make every coefficient 1?
-
-    Propagates scale assignments over the term hypergraph; a term with
-    one undetermined variable fixes that variable's scale.  Sound and
-    complete here because the final pass re-checks every term.
-    """
-    if all(c == 1 for c in t.entries.values()):
-        return True
-    scale_x: dict[int, Fraction] = {}
-    scale_y: dict[int, Fraction] = {}
-    scale_z: dict[int, Fraction] = {}
-    pending = list(t.entries.items())
-    progress = True
-    while progress:
-        progress = False
-        rest = []
-        for (i, j, k), coef in pending:
-            known = []
-            missing = []
-            for store, key in ((scale_x, i), (scale_y, j), (scale_z, k)):
-                if key in store:
-                    known.append(store[key])
-                else:
-                    missing.append((store, key))
-            if len(missing) == 0:
-                rest.append(((i, j, k), coef))
-                continue
-            if len(missing) == 1:
-                prod = coef
-                for s in known:
-                    prod *= s
-                store, key = missing[0]
-                store[key] = Fraction(1) / prod
-                progress = True
-            else:
-                # Gauge freedom: pin the first missing scale to 1.
-                store, key = missing[0]
-                store[key] = Fraction(1)
-                progress = True
-                rest.append(((i, j, k), coef))
-        pending = rest
-    for (i, j, k), coef in t.entries.items():
-        sx = scale_x.get(i, Fraction(1))
-        sy = scale_y.get(j, Fraction(1))
-        sz = scale_z.get(k, Fraction(1))
-        if coef * sx * sy * sz != 1:
-            return False
-    return True

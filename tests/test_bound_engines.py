@@ -236,6 +236,23 @@ def test_laser_ready_cw():
     assert r.block_shapes[(1, 1, 0)] == (1, 2, 1)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_laser_ready_cw_scaled_per_index(q):
+    """CW_q with x_i, y_i and z_i all scaled by one random lambda_i stays
+    variable-symmetric, and its blocks are matmul tensors up to scaling."""
+    rng = random.Random(q)
+    lam = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+           for _ in range(q + 2)]
+    cw = sr.make_cw(q)
+    t = Tensor(cw.x_labels, cw.y_labels, cw.z_labels,
+               {(i, j, k): c * lam[i] * lam[j] * lam[k] for (i, j, k), c in cw.entries.items()})
+    p = sr.cw_partition(q)
+    r = be.laser_readiness(t, p)
+    assert r.ok and r.failures == []
+    assert r.block_shapes[(1, 1, 0)] == (1, q, 1)
+    assert abs(be.laser_lower_bound(t, p).value - CW_SLICE[q - 1]) < 1e-4
+
+
 def test_laser_ready_cw_small():
     r = be.laser_readiness(sr.make_cw_small(3), sr.cw_small_partition(3))
     assert r.ok and r.ell == 2

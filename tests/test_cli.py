@@ -208,6 +208,22 @@ def test_bound_laser_inapplicable(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().err == "not laser-ready: tensor is not variable-symmetric\n"
 
 
+def test_bound_laser_scaled_cw2(capsys, tmp_path):
+    """CW_2 with coefficient 2 on its three x_1/y_1/z_1 terms: block
+    (1, 1, 0) is x_1 y_1 z_0 (2) + x_2 y_2 z_0 (1), <1,2,1> once z_0 is
+    scaled by 1/2 and x_2 by 2, so the laser bound applies."""
+    tensor = tmp_path / "cw2s.tensor"
+    tensor.write_text("xvars 4\nyvars 4\nzvars 4\n"
+                      "0 0 3 1/1\n0 3 0 1/1\n3 0 0 1/1\n"
+                      "1 1 0 2/1\n1 0 1 2/1\n0 1 1 2/1\n"
+                      "2 2 0 1/1\n2 0 2 1/1\n0 2 2 1/1\n")
+    part = tmp_path / "cw.partition"
+    part.write_text(sr.write_partition(sr.cw_partition(2)))
+    assert main(["bound", "--mode", "laser", str(tensor), str(part)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "S~ = Q~ = 3.57165 (tight)\n" and captured.err == ""
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.tensor"
     bad.write_text("xvars 1\nyvars 1\nzvars 1\n0 0 0 1/0\n")
@@ -246,6 +262,23 @@ def test_verify_degeneration_ok(capsys, tmp_path):
     mp.write_text(sr.write_degeneration_map(sr.zeroing_to_block(bs, key)))
     assert main(["verify-degeneration", str(src), str(dst), str(mp)]) == 0
     assert capsys.readouterr().out.strip() == "OK order h=0"
+
+
+@pytest.mark.parametrize("text, stderr", [
+    ("alpha 0 0 0 1/1\norder -1\n", "parse error: line 2: bad order '-1'\n"),
+    ("alpha 0 0 -2 1/1\norder 0\n",
+     "parse error: line 1: bad polynomial in 'alpha 0 0 -2 1/1'\n"),
+], ids=["order", "exponent"])
+def test_verify_degeneration_negative_map_values(capsys, tmp_path, text, stderr):
+    """A negative order or exponent is refused at its line of the map file
+    (exit 3), not later by the map's constructor (exit 4)."""
+    src = tmp_path / "t.tensor"
+    src.write_text(sr.write_tensor(sr.make_cw(1)))
+    mp = tmp_path / "bad.map"
+    mp.write_text(text)
+    assert main(["verify-degeneration", str(src), str(src), str(mp)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == stderr and captured.out == ""
 
 
 def test_verify_degeneration_failure(capsys, tmp_path):

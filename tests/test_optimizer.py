@@ -235,6 +235,21 @@ def test_symmetric_residual_tq_lower(q):
     assert opt.iterations == 5  # pinned, like the CW_1-cube count above
 
 
+def test_symmetric_span_basis_uses_one_axis(monkeypatch):
+    """On orbit masses the three axes' incidence rows are equal, so the
+    symmetric solve factors the P rows of one axis plus the ones row."""
+    from slicerank import optimizer
+    rows = []
+    basis = optimizer._span_basis
+    monkeypatch.setattr(optimizer, "_span_basis",
+                        lambda r: rows.append(len(r) + 1) or basis(r))
+    t = sr.make_cyclic_lower(15)
+    bs = sr.blocks(t, sr.singleton_partition(t))
+    sr.maximize_symmetric(bs)
+    parts = bs.partition.part_count("x")
+    assert rows and set(rows) == {parts + 1}
+
+
 def test_symmetric_residual_cw2_cube():
     cw = sr.make_cw(2)
     bs = sr.blocks(sr.symmetric_cube(cw), sr.cube_partition(cw, sr.cw_partition(2)))

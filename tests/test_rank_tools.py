@@ -2,8 +2,10 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slicerank as sr
 from slicerank import rank_tools
@@ -155,6 +157,38 @@ def test_recognize_rejects_unscalable_coefficients():
     entries[(0, 0, 0)] = Fraction(-1)
     assert sr.recognize_matmul(
         Tensor(t.x_labels, t.y_labels, t.z_labels, entries)) is None
+
+
+def random_scale(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dims=st.tuples(*[st.integers(1, 3)] * 3))
+def test_recognize_scaled_matmul(seed, dims):
+    """A relabeled <a,b,c> with random rational scalings of every variable
+    is recognized.  One coefficient changed by a factor other than 1 is
+    rejected when every dimension is at least 2 (the cell identity at a
+    cell with no zero coordinate that shares the changed cell's nonzero
+    coordinates holds the changed cell once), and accepted when some
+    dimension is 1 (the identity then holds for any coefficients)."""
+    rng = random.Random(seed)
+    t = scramble(sr.make_matmul(*dims), rng)
+    sx, sy, sz = ([random_scale(rng) for _ in range(n)] for n in t.shape)
+    entries = {(i, j, k): c * sx[i] * sy[j] * sz[k] for (i, j, k), c in t.entries.items()}
+    scaled = Tensor(t.x_labels, t.y_labels, t.z_labels, entries)
+    w = sr.recognize_matmul(scaled)
+    assert w is not None and (w.a, w.b, w.c) == dims
+    factor = random_scale(rng)
+    if factor == 1:
+        factor = Fraction(-1)
+    cell = rng.choice(sorted(entries))
+    entries[cell] *= factor
+    w = sr.recognize_matmul(Tensor(t.x_labels, t.y_labels, t.z_labels, entries))
+    if min(dims) >= 2:
+        assert w is None
+    else:
+        assert w is not None and (w.a, w.b, w.c) == dims
 
 
 def test_recognize_requires_minimal():
