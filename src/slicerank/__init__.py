@@ -18,7 +18,6 @@ from .tensor_core import (
     cw_small_partition,
     direct_sum,
     is_minimal,
-    is_t_symmetric_partition,
     is_variable_symmetric,
     make_cw,
     make_cw_small,
@@ -61,7 +60,6 @@ from .degeneration import (
     compose,
     identity_map,
     parse_degeneration_map,
-    search_zeroing_independent,
     verify_degeneration,
     write_degeneration_map,
     zeroing_to_block,
@@ -69,18 +67,15 @@ from .degeneration import (
 from .optimizer import (
     BlockDistribution,
     ObjectiveValue,
-    SymmetricDistribution,
     block_orbits,
     maximize_minmax,
     maximize_product,
     maximize_symmetric,
     objective_values,
-    symmetrize,
 )
 from .bound_engines import (
     BoundReport,
     Inapplicable,
-    LaserRates,
     LaserReadiness,
     NotLaserReady,
     cw_family_floor,

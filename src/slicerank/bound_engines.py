@@ -183,14 +183,26 @@ def split_bound(a: Tensor, b: Tensor, b_value_upper: float,
                 total: Optional[Tensor] = None) -> BoundReport:
     """Upper bound for T = A + B given an asymptotic bound for B.
 
-    Uses the flattening data of A: with rA = m(A)/x_rank(A) and
-    rB = x_rank(B)/b_value_upper, the crossover weight is
-    p = log(rB) / (log(rA) + log(rB)) and the bound is
+    With x_A = x_rank(A), m_A = m(A), x_B = x_rank(B) and
+    S_B = min(b_value_upper, x_B), the asymptotic slice rank of T is at most
 
-        (m(A) / ((1-p) x_rank(A)))^(1-p) / p^p,
+        max_p e^(H(p)) min(x_A^p x_B^(1-p), m_A^p S_B^(1-p)),
 
-    with the 0^0 = 1 convention at p in {0, 1}.  Undefined (0/0 weight)
-    when both ratios are 1; raises Inapplicable in that case.
+    H the binary entropy:
+
+    * T^n is the sum over subsets S of A^S (x) B^(S^c); a term with
+      |S| = k has x-rank at most x_A^k x_B^(n-k).
+    * Its slice rank is also at most m_A^k S(B^(n-k)), because
+      S(X (x) Y) <= m(X) S(Y): tensor each slice of Y with X, and the
+      result's flattening rank in that slice's axis is at most m(X).
+    * Sum over k, with C(n, k) terms for each k.
+
+    e^(H(p)) u^p v^(1-p) peaks at p = u/(u+v) with value u + v, and the
+    first branch is the smaller one for p >= p* = log(x_B/S_B) /
+    (log(m_A/x_A) + log(x_B/S_B)).  So the value is x_A + x_B if
+    x_A/(x_A+x_B) >= p* (always when both logs are 0), m_A + S_B if
+    m_A/(m_A+S_B) <= p*, and otherwise the value at p*.  `weight` in the
+    certificate is the maximizing p.
     """
     if (a.x_labels, a.y_labels, a.z_labels) != (b.x_labels, b.y_labels, b.z_labels):
         raise ValueError("split parts must share variable lists")
@@ -206,18 +218,19 @@ def split_bound(a: Tensor, b: Tensor, b_value_upper: float,
     if b_value_upper <= 0:
         raise ValueError("b_value_upper must be positive")
     capped = min(float(b_value_upper), float(sxb))
-    ra = ma / sxa
-    rb = sxb / capped
-    log_ra = math.log(ra)
-    log_rb = math.log(rb)
-    if log_ra == 0.0 and log_rb == 0.0:
-        raise Inapplicable(
-            "crossover weight is 0/0: m(A) = x_rank(A) and x_rank(B) = bound(B)")
-    pw = log_rb / (log_ra + log_rb)
-    log_bound = (1.0 - pw) * (math.log(ma) - math.log(sxa))
-    log_bound -= _xlogx(1.0 - pw) + _xlogx(pw)
+    log_ra = math.log(ma / sxa)
+    log_rb = math.log(sxb / capped)
+    # p >= p* is compared as p (log_ra + log_rb) >= log_rb, which holds at 0/0
+    if sxa * (log_ra + log_rb) >= (sxa + sxb) * log_rb:
+        pw, value = sxa / (sxa + sxb), sxa + sxb
+    elif ma * (log_ra + log_rb) <= (ma + capped) * log_rb:
+        pw, value = ma / (ma + capped), ma + capped
+    else:
+        pw = log_rb / (log_ra + log_rb)
+        value = math.exp(pw * math.log(sxa) + (1.0 - pw) * math.log(sxb)
+                         - _xlogx(pw) - _xlogx(1.0 - pw))
     return BoundReport(
-        "slice_rank_upper", math.exp(log_bound), THEOREM_SPLIT,
+        "slice_rank_upper", float(value), THEOREM_SPLIT,
         certificate={
             "x_rank_A": sxa, "m_A": ma, "x_rank_B": sxb,
             "B_bound": float(b_value_upper), "B_bound_used": capped,
@@ -422,35 +435,6 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
                           shapes, failures, conditions, bs)
 
 
-@dataclass
-class LaserRates:
-    """Exponential rates of the laser construction for a distribution.
-
-    For block distribution p: the multiplicity rate is the entropy
-    sum_i -p(X_i) log p(X_i); the side rate is
-    (1/2) sum_blocks p(block) log |X_i(block)|; their combination
-    multiplicity + 2 * side equals log value_x identically.
-    """
-
-    multiplicity_rate: float
-    side_rate: float
-    log_value: float
-
-    def identity_residual(self) -> float:
-        return abs(self.multiplicity_rate + 2.0 * self.side_rate - self.log_value)
-
-
-def _laser_rates(opt: optimizer.SymmetricOptimum) -> LaserRates:
-    dist = opt.distribution
-    marg = dist.marginals("x")
-    mult = -sum(_xlogx(p) for p in marg)
-    sizes = dist.block_set.partition.part_sizes("x")
-    side = 0.0
-    for key, pb in dist.probs.items():
-        side += 0.5 * pb * math.log(sizes[key[0]])
-    return LaserRates(mult, side, opt.objective.log_x)
-
-
 def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     """Tight slice rank value for a laser-ready partition.
 
@@ -465,15 +449,11 @@ def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     if not ready.ok:
         raise NotLaserReady(ready)
     opt = optimizer.maximize_symmetric(ready.block_set)
-    rates = _laser_rates(opt)
     cert = {
         "tight": True,
         "asymptotic_subrank_equal": True,
         "ell": ready.ell,
         "kkt_residual": opt.kkt_residual,
-        "multiplicity_rate": rates.multiplicity_rate,
-        "side_rate": rates.side_rate,
-        "rate_identity_residual": rates.identity_residual(),
         "distribution": dict(sorted(opt.distribution.probs.items())),
         "block_shapes": dict(sorted(ready.block_shapes.items())),
     }
@@ -509,30 +489,15 @@ def cw_slice_rank_1d(q: int) -> tuple[float, float]:
 # -- t_112 value ---------------------------------------------------------------
 
 
-def t112_objective_log(q: int, v: float) -> float:
-    """log of (2q)^2 (q^2)^(2v) / ((2v)^(2v) (1/2-v)^(1-2v)) on [0, 1/2]."""
-    return (2.0 * math.log(2 * q) + 4.0 * v * math.log(q)
-            - _xlogx(2.0 * v) - 2.0 * _xlogx(0.5 - v))
-
-
-def t112_value_lower_formula(q: int, tau: float) -> float:
-    """Classical lower bound 2^(2/3) q^tau (q^(3 tau) + 2)^(1/3)."""
-    return 2.0 ** (2.0 / 3.0) * q ** tau * (q ** (3.0 * tau) + 2.0) ** (1.0 / 3.0)
-
-
-def t112_value_power_mean_upper(q: int, tau: float) -> float:
-    """Power mean upper bound V_(2/3)^(3 tau / 2) = 2^tau q^tau (q^2+2)^(tau/2)."""
-    return 2.0 ** tau * q ** tau * (q * q + 2.0) ** (tau / 2.0)
-
-
 def t112_value(q: int) -> BoundReport:
     """Tight 2/3-value of t_112: 2^(2/3) q^(2/3) (q^2 + 2)^(1/3).
 
     The one-variable objective for the rotation product of t_112 over
     its standard partition is concave on [0, 1/2] and stationary at
     v = q^2 / (2 q^2 + 4), with value 4 q^2 (q^2 + 2), the cube of the
-    2/3-value.  The certificate checks that value, and the Newton solver
-    on t_112's blocks (`cube_simplex_*`), against the closed form.
+    2/3-value.  The certificate checks that closed form against the
+    Newton solver's product optimum on t_112's blocks
+    (`cube_simplex_*`), which shares no code with it.
 
     The rotation product is not built: the value needs only that it is
     variable-symmetric with (2q * 2q * (q^2 + 2))^3 variables, which
@@ -541,15 +506,11 @@ def t112_value(q: int) -> BoundReport:
     """
     if q < 1:
         raise ValueError("q must be positive")
-    v = q * q / (2.0 * q * q + 4.0)
-    cube_optimum = math.exp(t112_objective_log(q, v))
     cube_value = 4.0 * q * q * (q * q + 2.0)
     product = optimizer.maximize_product(blocks(make_t112(q), t112_partition(q)))
     cert = {
-        "argmax_v": v,
-        "cube_optimum": cube_optimum,
+        "argmax_v": q * q / (2.0 * q * q + 4.0),
         "cube_closed_form": cube_value,
-        "cube_relative_error": abs(cube_optimum - cube_value) / cube_value,
         "cube_simplex_optimum": product.value,
         "cube_simplex_relative_error": abs(product.value - cube_value) / cube_value,
     }

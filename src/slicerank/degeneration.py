@@ -13,10 +13,6 @@ with at most one target per source variable; zeroing outs additionally
 restrict all values to 0 or 1.  (Some authors define monomial
 degenerations without the one-target-per-source condition, composing a
 restriction with a map as used here; that variant is not supported.)
-
-The module also contains a desk-scale exhaustive search for the largest
-independent tensor reachable from T by zeroing out, used as an oracle
-in tests and sanity checks.
 """
 
 from __future__ import annotations
@@ -25,15 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .tensor_core import (
-    BlockSet,
-    ParseError,
-    Tensor,
-    _content_lines,
-    tensor_power,
-)
-
-DEFAULT_SEARCH_CAP = 12
+from .tensor_core import BlockSet, ParseError, Tensor, _content_lines
 
 
 class LambdaPoly:
@@ -325,84 +313,6 @@ def compose(d1: DegenerationMap, d2: DegenerationMap) -> DegenerationMap:
     )
 
 
-# -- zeroing search --------------------------------------------------------
-
-
-@dataclass
-class ZeroingSearchResult:
-    """Largest independent tensor found by zeroing out.
-
-    `size` terms, witnessed by the kept variable index sets per axis and
-    the list of surviving entry triples.
-    """
-
-    size: int
-    kept_x: tuple
-    kept_y: tuple
-    kept_z: tuple
-    terms: tuple
-
-
-def search_zeroing_independent(t: Tensor, n: int = 1,
-                               cap: int = DEFAULT_SEARCH_CAP) -> ZeroingSearchResult:
-    """Exhaustive search for the largest diagonal zeroing out of t^(x)n.
-
-    Finds the maximum set of pairwise variable-disjoint unit-coefficient
-    terms whose variable sets contain no further term of the tensor, so
-    that restricting to exactly those variables leaves an independent
-    tensor.  Branch and bound over terms; exact, so usable as an oracle.
-
-    n is limited to 1 or 2 and every axis of the power must have at most
-    `cap` variables.
-    """
-    if n not in (1, 2):
-        raise ValueError("only first and second powers are searchable")
-    base = t if n == 1 else tensor_power(t, 2)
-    nx, ny, nz = base.shape
-    if max(nx, ny, nz) > cap:
-        raise ValueError(
-            f"axis sizes {base.shape} exceed search cap {cap}; pass a larger cap to force")
-    terms = sorted(key for key, c in base.entries.items() if c == 1)
-    all_terms = sorted(base.entries)
-
-    best: list = [0, ()]
-
-    def closure_ok(chosen):
-        xs = {e[0] for e in chosen}
-        ys = {e[1] for e in chosen}
-        zs = {e[2] for e in chosen}
-        for e in all_terms:
-            if e[0] in xs and e[1] in ys and e[2] in zs and e not in chosen:
-                return False
-        return True
-
-    def extend(candidates, chosen):
-        if len(chosen) > best[0] and closure_ok(chosen):
-            best[0] = len(chosen)
-            best[1] = tuple(chosen)
-        for idx, term in enumerate(candidates):
-            remaining = candidates[idx + 1:]
-            if len(chosen) + 1 + len(remaining) <= best[0]:
-                break
-            compatible = [
-                e for e in remaining
-                if e[0] != term[0] and e[1] != term[1] and e[2] != term[2]
-            ]
-            chosen.append(term)
-            extend(compatible, chosen)
-            chosen.pop()
-
-    extend(terms, [])
-    witness = set(best[1])
-    return ZeroingSearchResult(
-        size=best[0],
-        kept_x=tuple(sorted({e[0] for e in witness})),
-        kept_y=tuple(sorted({e[1] for e in witness})),
-        kept_z=tuple(sorted({e[2] for e in witness})),
-        terms=tuple(sorted(witness)),
-    )
-
-
 # -- text format -----------------------------------------------------------
 
 _MAP_NAMES = {"alpha": 0, "beta": 1, "gamma": 2}
@@ -414,7 +324,7 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
     Monomial lines: `alpha src dst exponent num/den` (same for beta and
     gamma).  General polynomial lines: `alphaP src dst e1 c1 e2 c2 ...`.
     A final `order h` line sets the degeneration order (default 0).
-    Exponents and the order are nonnegative integers.
+    Indices, exponents and the order are nonnegative integers.
     """
     maps = ({}, {}, {})
     order = 0
@@ -437,6 +347,8 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
         target = maps[_MAP_NAMES[name]]
         try:
             src, dst = int(toks[1]), int(toks[2])
+            if src < 0 or dst < 0:
+                raise ValueError
         except (IndexError, ValueError):
             raise ParseError(n, f"bad source/target in {' '.join(toks)!r}")
         body = toks[3:]

@@ -106,10 +106,6 @@ class BlockDistribution:
         return f"BlockDistribution({items})"
 
 
-class SymmetricDistribution(BlockDistribution):
-    """A rotation-invariant block distribution."""
-
-
 @dataclass(frozen=True)
 class ObjectiveValue:
     """Per-axis values in the log domain (natural logs)."""
@@ -168,17 +164,6 @@ def block_orbits(block_set: BlockSet) -> list[tuple]:
                              f"missing for orbit of {(i, j, k)}")
         orbits.add(tuple(sorted(orbit)))
     return sorted(orbits)
-
-
-def symmetrize(dist: BlockDistribution) -> SymmetricDistribution:
-    """Orbit-average a distribution on a symmetric block partition."""
-    orbits = block_orbits(dist.block_set)
-    probs = {}
-    for orbit in orbits:
-        avg = sum(dist.probability(k) for k in orbit) / len(orbit)
-        for k in orbit:
-            probs[k] = avg
-    return SymmetricDistribution(dist.block_set, probs)
 
 
 # -- the solver ---------------------------------------------------------------
@@ -372,7 +357,7 @@ def maximize_symmetric(block_set: BlockSet) -> SymmetricOptimum:
     prob = _Problem(block_set, orbits)
     w = np.array([1.0, 0.0, 0.0])
     x, iters, resid = _solve(prob, w)
-    dist = SymmetricDistribution(block_set, prob.block_masses(x))
+    dist = BlockDistribution(block_set, prob.block_masses(x))
     obj = objective_values(dist)
     g = prob.grads(x) @ w
     return SymmetricOptimum(dist, obj, obj.log_x, iters, resid, float(g.max() - g @ x))

@@ -34,7 +34,7 @@ AXES = ("x", "y", "z")
 
 # Tensor powers are materialized eagerly; this cap keeps an accidental
 # T**n from exhausting memory.  Asymptotic statements never need powers.
-DEFAULT_POWER_CAP = 3
+POWER_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -322,13 +322,12 @@ def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def tensor_power(t: Tensor, n: int, cap: int = DEFAULT_POWER_CAP) -> Tensor:
-    """n-th tensor power, refused above `cap` to bound memory."""
+def tensor_power(t: Tensor, n: int) -> Tensor:
+    """n-th tensor power, refused above `POWER_CAP` to bound memory."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    if n > cap:
-        raise ValueError(
-            f"tensor power {n} exceeds cap {cap}; raise cap explicitly if intended")
+    if n > POWER_CAP:
+        raise ValueError(f"tensor power {n} exceeds cap {POWER_CAP}")
     out = t
     for _ in range(n - 1):
         out = tensor_product(out, t)
@@ -670,17 +669,6 @@ def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:
         key: Tensor(t.x_labels, t.y_labels, t.z_labels, buckets[key])
         for key in sorted(buckets)
     }
-
-
-def is_t_symmetric_partition(t: Tensor, p: VariablePartition) -> bool:
-    """Whether p is a symmetric partition of the variable-symmetric t.
-
-    The verdict `blocks` records: equal part sizes on the three axes, t
-    variable-symmetric, and the block in position (j,k,i) the rotation of
-    the block in position (i,j,k) under the within-part index alignment.
-    Raises ValueError when p does not match t's axis sizes.
-    """
-    return blocks(t, p).symmetric
 
 
 # -- text formats ---------------------------------------------------------

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
-from slicerank.tensor_core import Tensor, VariablePartition, make_matmul
+from slicerank.optimizer import BlockDistribution, block_orbits
+from slicerank.tensor_core import Tensor, VariablePartition, make_matmul, tensor_power
 
 COEFFS = [Fraction(n) for n in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
 
@@ -253,3 +256,111 @@ def reference_newton_step(h, on, rhs):
     kkt[:k, k] = kkt[k, :k] = d
     rhs = np.vstack([d[:, None] * rhs, np.zeros((1, rhs.shape[1]))])
     return d[:, None] * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+
+
+def symmetrize(dist: BlockDistribution) -> BlockDistribution:
+    """Orbit-average a distribution on a symmetric block partition."""
+    probs = {}
+    for orbit in block_orbits(dist.block_set):
+        avg = sum(dist.probability(k) for k in orbit) / len(orbit)
+        for k in orbit:
+            probs[k] = avg
+    return BlockDistribution(dist.block_set, probs)
+
+
+def _xlogx(t: float) -> float:
+    return t * math.log(t) if t > 0.0 else 0.0
+
+
+def t112_objective_log(q: int, v: float) -> float:
+    """log of (2q)^2 (q^2)^(2v) / ((2v)^(2v) (1/2-v)^(1-2v)) on [0, 1/2]."""
+    return (2.0 * math.log(2 * q) + 4.0 * v * math.log(q)
+            - _xlogx(2.0 * v) - 2.0 * _xlogx(0.5 - v))
+
+
+def t112_value_lower_formula(q: int, tau: float) -> float:
+    """Classical lower bound 2^(2/3) q^tau (q^(3 tau) + 2)^(1/3)."""
+    return 2.0 ** (2.0 / 3.0) * q ** tau * (q ** (3.0 * tau) + 2.0) ** (1.0 / 3.0)
+
+
+def t112_value_power_mean_upper(q: int, tau: float) -> float:
+    """Power mean upper bound V_(2/3)^(3 tau / 2) = 2^tau q^tau (q^2+2)^(tau/2)."""
+    return 2.0 ** tau * q ** tau * (q * q + 2.0) ** (tau / 2.0)
+
+
+DEFAULT_SEARCH_CAP = 12
+
+
+@dataclass
+class ZeroingSearchResult:
+    """Largest independent tensor found by zeroing out.
+
+    `size` terms, witnessed by the kept variable index sets per axis and
+    the list of surviving entry triples.
+    """
+
+    size: int
+    kept_x: tuple
+    kept_y: tuple
+    kept_z: tuple
+    terms: tuple
+
+
+def search_zeroing_independent(t: Tensor, n: int = 1,
+                               cap: int = DEFAULT_SEARCH_CAP) -> ZeroingSearchResult:
+    """Exhaustive search for the largest diagonal zeroing out of t^(x)n.
+
+    Finds the maximum set of pairwise variable-disjoint unit-coefficient
+    terms whose variable sets contain no further term of the tensor, so
+    that restricting to exactly those variables leaves an independent
+    tensor.  Branch and bound over terms; exact, so usable as an oracle.
+
+    n is limited to 1 or 2 and every axis of the power must have at most
+    `cap` variables.
+    """
+    if n not in (1, 2):
+        raise ValueError("only first and second powers are searchable")
+    base = t if n == 1 else tensor_power(t, 2)
+    nx, ny, nz = base.shape
+    if max(nx, ny, nz) > cap:
+        raise ValueError(
+            f"axis sizes {base.shape} exceed search cap {cap}; pass a larger cap to force")
+    terms = sorted(key for key, c in base.entries.items() if c == 1)
+    all_terms = sorted(base.entries)
+
+    best: list = [0, ()]
+
+    def closure_ok(chosen):
+        xs = {e[0] for e in chosen}
+        ys = {e[1] for e in chosen}
+        zs = {e[2] for e in chosen}
+        for e in all_terms:
+            if e[0] in xs and e[1] in ys and e[2] in zs and e not in chosen:
+                return False
+        return True
+
+    def extend(candidates, chosen):
+        if len(chosen) > best[0] and closure_ok(chosen):
+            best[0] = len(chosen)
+            best[1] = tuple(chosen)
+        for idx, term in enumerate(candidates):
+            remaining = candidates[idx + 1:]
+            if len(chosen) + 1 + len(remaining) <= best[0]:
+                break
+            compatible = [
+                e for e in remaining
+                if e[0] != term[0] and e[1] != term[1] and e[2] != term[2]
+            ]
+            chosen.append(term)
+            extend(compatible, chosen)
+            chosen.pop()
+
+    extend(terms, [])
+    witness = set(best[1])
+    return ZeroingSearchResult(
+        size=best[0],
+        kept_x=tuple(sorted({e[0] for e in witness})),
+        kept_y=tuple(sorted({e[1] for e in witness})),
+        kept_z=tuple(sorted({e[2] for e in witness})),
+        terms=tuple(sorted(witness)),
+    )

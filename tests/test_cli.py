@@ -67,10 +67,22 @@ def test_table_deterministic(capsys):
     assert first == second
 
 
-def test_t112_command(capsys):
-    assert main(["t112", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "V_2/3 = 4.578857" in out and "PASS" in out
+@pytest.mark.parametrize("q, out", [
+    (1, "q=1  argmax_v=0.166666667  rotation_product_optimum=12.000000  "
+        "closed_form=12.000000\nV_2/3 = 2.289428  PASS\n"),
+    (2, "q=2  argmax_v=0.333333333  rotation_product_optimum=96.000000  "
+        "closed_form=96.000000\nV_2/3 = 4.578857  PASS\n"),
+    (6, "q=6  argmax_v=0.473684211  rotation_product_optimum=5472.000000  "
+        "closed_form=5472.000000\nV_2/3 = 17.621736  PASS\n"),
+    (12, "q=12  argmax_v=0.493150685  rotation_product_optimum=84096.000000  "
+         "closed_form=84096.000000\nV_2/3 = 43.811869  PASS\n"),
+], ids=["1", "2", "6", "12"])
+def test_t112_command(capsys, q, out):
+    """rotation_product_optimum is the Newton solver's product optimum on
+    t_112's blocks; printed at 6 decimals it equals the closed form."""
+    assert main(["t112", str(q)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out and captured.err == ""
 
 
 def test_appendix(capsys):
@@ -164,6 +176,21 @@ def test_bound_remove_x_needs_nontrivial_first_part(capsys, tmp_path, carries):
     captured = capsys.readouterr()
     assert captured.err == "remove-x needs a nontrivial first x part\n"
     assert captured.out == ""
+
+
+def test_bound_remove_x_is_at_least_a_zeroing_out(capsys, tmp_path):
+    """A (+) <5> with A = x0 (y0 z0 + y1 z1) and x parts {0} and {1..5}:
+    zeroing x0, y0, y1, z0 and z1 leaves <5>, and A restricts to <1>, so
+    the asymptotic slice rank is at least 6; x_rank(A) + x_rank(B) = 6."""
+    entries = {(0, 0, 0): 1, (0, 1, 1): 1}
+    entries.update({(1 + i, 2 + i, 2 + i): 1 for i in range(5)})
+    tensor = tmp_path / "sum.tensor"
+    tensor.write_text(sr.write_tensor(sr.Tensor(range(6), range(7), range(7), entries)))
+    part = tmp_path / "sum.partition"
+    part.write_text("x first 0\nx rest 1 2 3 4 5\n"
+                    "y all 0 1 2 3 4 5 6\nz all 0 1 2 3 4 5 6\n")
+    assert main(["bound", "--mode", "remove-x", str(tensor), str(part)]) == 0
+    assert capsys.readouterr().out.split()[:2] == ["slice_rank_upper", "6.000000000"]
 
 
 @pytest.mark.parametrize("mode", ["partition", "remove-x"])
@@ -268,10 +295,14 @@ def test_verify_degeneration_ok(capsys, tmp_path):
     ("alpha 0 0 0 1/1\norder -1\n", "parse error: line 2: bad order '-1'\n"),
     ("alpha 0 0 -2 1/1\norder 0\n",
      "parse error: line 1: bad polynomial in 'alpha 0 0 -2 1/1'\n"),
-], ids=["order", "exponent"])
+    ("beta 0 0 0 1/1\nalpha -1 0 0 1/1\n",
+     "parse error: line 2: bad source/target in 'alpha -1 0 0 1/1'\n"),
+    ("alpha 0 -1 0 1/1\n", "parse error: line 1: bad source/target in 'alpha 0 -1 0 1/1'\n"),
+], ids=["order", "exponent", "source", "target"])
 def test_verify_degeneration_negative_map_values(capsys, tmp_path, text, stderr):
-    """A negative order or exponent is refused at its line of the map file
-    (exit 3), not later by the map's constructor (exit 4)."""
+    """A negative order, exponent or index is refused at its line of the
+    map file (exit 3), not later by the map's constructor or the domain
+    check (exit 4)."""
     src = tmp_path / "t.tensor"
     src.write_text(sr.write_tensor(sr.make_cw(1)))
     mp = tmp_path / "bad.map"
@@ -320,7 +351,7 @@ def test_remove_x_cw1_cube_same_value_for_every_relabeling(capsys, tmp_path):
         assert main(["bound", "--mode", "remove-x", str(tensor), str(partition)]) == 0
         values.append(capsys.readouterr().out.split()[1])
     assert len(set(values)) == 1
-    assert abs(float(values[0]) - 27.4875) < 1e-3
+    assert abs(float(values[0]) - 26.5461) < 1e-3
 
 
 def test_negative_variable_count_exit_code(capsys, tmp_path):

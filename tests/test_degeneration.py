@@ -15,7 +15,7 @@ from slicerank.degeneration import (
     write_degeneration_map,
 )
 
-from helpers import random_tensor
+from helpers import random_tensor, search_zeroing_independent
 
 
 def random_monomial_map(rng, t1, dst_shape, general=False):
@@ -161,26 +161,26 @@ def test_map_kinds():
 
 def test_search_independent():
     for q in range(1, 7):
-        res = sr.search_zeroing_independent(sr.make_independent(q))
+        res = search_zeroing_independent(sr.make_independent(q))
         assert res.size == q
 
 
 def test_search_matmul_222():
     # zeroing alone reaches 2; the monomial-degeneration guarantee
     # ceil(0.75 * abc / max) = 3 needs degenerations outside this search
-    res = sr.search_zeroing_independent(sr.make_matmul(2, 2, 2))
+    res = search_zeroing_independent(sr.make_matmul(2, 2, 2))
     assert res.size == 2
     assert 0.75 * 8 / 2 == 3.0
 
 
 def test_search_cw_small_one():
-    assert sr.search_zeroing_independent(sr.make_cw_small(1)).size == 1
+    assert search_zeroing_independent(sr.make_cw_small(1)).size == 1
 
 
 def test_search_cw_one():
     # keep {x0,x2} x {y0,y1} x {z0,z1}: x2 y0 z0 + x0 y1 z1 survives, so
     # the maximum is 2 (no three pairwise disjoint terms exist)
-    res = sr.search_zeroing_independent(sr.make_cw(1))
+    res = search_zeroing_independent(sr.make_cw(1))
     assert res.size == 2
 
 
@@ -188,7 +188,7 @@ def test_search_witness_is_diagonal():
     rng = random.Random(9)
     for _ in range(40):
         t = random_tensor(rng, max_dim=3, unit=True)
-        res = sr.search_zeroing_independent(t)
+        res = search_zeroing_independent(t)
         xs = {e[0] for e in res.terms}
         ys = {e[1] for e in res.terms}
         zs = {e[2] for e in res.terms}
@@ -204,19 +204,19 @@ def test_search_monotone_under_direct_sum():
     for _ in range(50):
         a = random_tensor(rng, max_dim=2, unit=True)
         b = random_tensor(rng, max_dim=2, unit=True)
-        ra = sr.search_zeroing_independent(a).size
-        rb = sr.search_zeroing_independent(b).size
-        rs = sr.search_zeroing_independent(sr.direct_sum(a, b)).size
+        ra = search_zeroing_independent(a).size
+        rb = search_zeroing_independent(b).size
+        rs = search_zeroing_independent(sr.direct_sum(a, b)).size
         assert rs >= ra + rb
 
 
 def test_search_power_and_cap():
-    res = sr.search_zeroing_independent(sr.make_cw(1), n=2)
+    res = search_zeroing_independent(sr.make_cw(1), n=2)
     assert res.size >= 4
     with pytest.raises(ValueError):
-        sr.search_zeroing_independent(sr.make_cw(2), n=2)  # 16 vars > cap
+        search_zeroing_independent(sr.make_cw(2), n=2)  # 16 vars > cap
     with pytest.raises(ValueError):
-        sr.search_zeroing_independent(sr.make_independent(2), n=3)
+        search_zeroing_independent(sr.make_independent(2), n=3)
 
 
 def test_map_roundtrip():
