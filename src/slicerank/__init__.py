@@ -65,8 +65,7 @@ from .degeneration import (
     zeroing_to_block,
 )
 from .optimizer import (
-    BlockDistribution,
-    ObjectiveValue,
+    Optimum,
     block_orbits,
     maximize_minmax,
     maximize_product,

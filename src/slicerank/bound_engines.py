@@ -161,7 +161,7 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
             "method": "symmetric",
             "kkt_residual": opt.kkt_residual,
             "optimality_gap": opt.optimality_gap,
-            "distribution": dict(sorted(opt.distribution.probs.items())),
+            "distribution": opt.masses,
         }
         return BoundReport("slice_rank_upper", opt.value, THEOREM_PARTITION_SYM,
                            certificate=cert)
@@ -170,7 +170,7 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
         "method": "minmax",
         "kkt_residual": opt.kkt_residual,
         "active_axes": "".join(opt.active_axes),
-        "distribution": dict(sorted(opt.distribution.probs.items())),
+        "distribution": opt.masses,
     }
     return BoundReport("slice_rank_upper", opt.value, THEOREM_PARTITION,
                        certificate=cert)
@@ -215,8 +215,8 @@ def split_bound(a: Tensor, b: Tensor, b_value_upper: float,
     sxa, sya, sza = (rank_tools.flattening_rank(a, ax) for ax in "xyz")
     ma = max(sxa, sya, sza)
     sxb = rank_tools.x_rank(b)
-    if b_value_upper <= 0:
-        raise ValueError("b_value_upper must be positive")
+    if not 0 < b_value_upper < math.inf:
+        raise ValueError("b_value_upper must be positive and finite")
     capped = min(float(b_value_upper), float(sxb))
     log_ra = math.log(ma / sxa)
     log_rb = math.log(sxb / capped)
@@ -268,8 +268,8 @@ def omega_lower_bound(rank: RankFact, s_upper: float,
     """
     r = float(rank.value)
     s = float(s_upper)
-    if r <= 1.0 or s <= 1.0:
-        raise ValueError("need rank and slice rank bound both > 1")
+    if not (1.0 < r < math.inf and 1.0 < s < math.inf):
+        raise ValueError("need finite rank and slice rank bound, both > 1")
     if s > r * (1.0 + 1e-9):
         raise ValueError(
             f"slice rank bound {s} exceeds asymptotic rank {r}; "
@@ -454,7 +454,7 @@ def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
         "asymptotic_subrank_equal": True,
         "ell": ready.ell,
         "kkt_residual": opt.kkt_residual,
-        "distribution": dict(sorted(opt.distribution.probs.items())),
+        "distribution": opt.masses,
         "block_shapes": dict(sorted(ready.block_shapes.items())),
     }
     return BoundReport("slice_rank_lower", opt.value, THEOREM_LASER,

@@ -56,96 +56,25 @@ RIDGE = 1e-10            # relative ridge of the weights' Newton system
 RANK_TOL = 1e-9          # relative singular value cut of a support's span basis
 
 
-# -- distributions ---------------------------------------------------------
+# -- evaluation ----------------------------------------------------------------
 
 
-class BlockDistribution:
-    """A probability distribution on the nonzero blocks of a partition."""
-
-    def __init__(self, block_set: BlockSet, probs: dict):
-        keys = set(block_set.blocks)
-        clean = {}
-        total = 0.0
-        for key, p in probs.items():
-            if key not in keys:
-                raise ValueError(f"mass on nonexistent block {key}")
-            p = float(p)
-            if p < -1e-12:
-                raise ValueError(f"negative probability {p} on block {key}")
-            p = max(p, 0.0)
-            if p:
-                clean[key] = p
-            total += p
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        self.block_set = block_set
-        # renormalize away float drift so downstream sums are exact
-        self.probs = {k: p / total for k, p in clean.items()}
-
-    def probability(self, key) -> float:
-        return self.probs.get(key, 0.0)
-
-    def marginals(self, axis: str) -> list[float]:
-        pos = {"x": 0, "y": 1, "z": 2}[axis]
-        counts = [0.0] * self.block_set.partition.part_count(axis)
-        for key, p in self.probs.items():
-            counts[key[pos]] += p
-        return counts
-
-    def is_symmetric(self, tol: float = 1e-10) -> bool:
-        keys = set(self.block_set.blocks)
-        for (i, j, k) in keys:
-            if (j, k, i) not in keys:
-                return False
-            if abs(self.probability((i, j, k)) - self.probability((j, k, i))) > tol:
-                return False
-        return True
-
-    def __repr__(self):
-        items = ", ".join(f"{k}:{p:.6f}" for k, p in sorted(self.probs.items()))
-        return f"BlockDistribution({items})"
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Per-axis values in the log domain (natural logs)."""
-
-    log_x: float
-    log_y: float
-    log_z: float
-
-    @property
-    def x(self) -> float:
-        return math.exp(self.log_x)
-
-    @property
-    def y(self) -> float:
-        return math.exp(self.log_y)
-
-    @property
-    def z(self) -> float:
-        return math.exp(self.log_z)
-
-    @property
-    def min_log(self) -> float:
-        return min(self.log_x, self.log_y, self.log_z)
-
-    @property
-    def min_value(self) -> float:
-        return math.exp(self.min_log)
-
-    def __iter__(self):
-        return iter((self.log_x, self.log_y, self.log_z))
-
-
-def objective_values(dist: BlockDistribution) -> ObjectiveValue:
-    """Evaluate the three axis objectives for a block distribution."""
-    logs = []
-    for axis in "xyz":
-        sizes = dist.block_set.partition.part_sizes(axis)
-        logs.append(sum(p * (math.log(s) - math.log(p))
-                        for p, s in zip(dist.marginals(axis), sizes) if p > 0.0))
-    return ObjectiveValue(*logs)
+def objective_values(block_set: BlockSet, probs: dict) -> tuple:
+    """(f_x, f_y, f_z) for a distribution {block key: mass} on the blocks."""
+    prob = _Problem(block_set)
+    index = {key: i for i, key in enumerate(prob.keys)}
+    x = np.zeros(prob.size)
+    for key, p in probs.items():
+        if key not in index:
+            raise ValueError(f"mass on nonexistent block {key}")
+        p = float(p)
+        if not math.isfinite(p) or p < -1e-12:
+            raise ValueError(f"mass {p} on block {key} is negative or not finite")
+        x[index[key]] = max(p, 0.0)
+    total = x.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return tuple(map(float, prob.values(x / total)))
 
 
 def block_orbits(block_set: BlockSet) -> list[tuple]:
@@ -315,35 +244,45 @@ def _solve(prob: _Problem, w, x=None):
 # -- the three maximizations ---------------------------------------------------
 
 
-@dataclass
-class _Optimum:
-    distribution: BlockDistribution
-    objective: ObjectiveValue
-    log_value: float   # the maximized objective at the distribution
+@dataclass(frozen=True)
+class Optimum:
+    """The result of a maximization.
+
+    `masses` is the maximizer {block key: mass}, positive masses only,
+    sorted by key; `log_values` its (f_x, f_y, f_z), and `log_value` the
+    maximized objective there.  `axis_weights` are the weights w of the
+    last `_solve`, and `optimality_gap` is max_t g_t - <g, x> for g the
+    gradient of sum_a w_a f_a at the solver's variables x: sum_a w_a f_a
+    plus the gap bounds the maximum of that sum from above.
+    """
+
+    masses: dict
+    log_values: tuple
+    log_value: float
     iterations: int
     kkt_residual: float
+    axis_weights: dict
+    optimality_gap: float
 
     @property
     def value(self) -> float:
         return math.exp(self.log_value)
 
-
-@dataclass
-class SymmetricOptimum(_Optimum):
-    optimality_gap: float
-
-
-class ProductOptimum(_Optimum):
-    """log_value is f_x + f_y + f_z."""
+    @property
+    def active_axes(self) -> tuple:
+        return tuple(ax for ax, wa in self.axis_weights.items() if wa > 0.0)
 
 
-@dataclass
-class MinmaxOptimum(_Optimum):
-    active_axes: tuple
-    axis_weights: dict
+def _optimum(prob: _Problem, w, objective, x, iters, resid) -> Optimum:
+    """The `Optimum` at x, where `_solve` with weights w stopped after
+    `iters` steps at residual `resid`; `objective` maps (f_x, f_y, f_z)
+    to the maximized value."""
+    f, g = prob.values(x), prob.grads(x) @ w
+    return Optimum(prob.block_masses(x), tuple(map(float, f)), float(objective(f)),
+                   iters, resid, dict(zip("xyz", map(float, w))), float(g.max() - g @ x))
 
 
-def maximize_symmetric(block_set: BlockSet) -> SymmetricOptimum:
+def maximize_symmetric(block_set: BlockSet) -> Optimum:
     """Maximize f_x over rotation-symmetric block distributions.
 
     The partition must be symmetric for the tensor (the block set's
@@ -353,34 +292,28 @@ def maximize_symmetric(block_set: BlockSet) -> SymmetricOptimum:
     """
     if not block_set.symmetric:
         raise ValueError("partition is not symmetric for this tensor")
-    orbits = block_orbits(block_set)
-    prob = _Problem(block_set, orbits)
+    prob = _Problem(block_set, block_orbits(block_set))
     w = np.array([1.0, 0.0, 0.0])
-    x, iters, resid = _solve(prob, w)
-    dist = BlockDistribution(block_set, prob.block_masses(x))
-    obj = objective_values(dist)
-    g = prob.grads(x) @ w
-    return SymmetricOptimum(dist, obj, obj.log_x, iters, resid, float(g.max() - g @ x))
+    return _optimum(prob, w, lambda f: f[0], *_solve(prob, w))
 
 
-def maximize_product(block_set: BlockSet) -> ProductOptimum:
+def maximize_product(block_set: BlockSet) -> Optimum:
     """Maximize value_x * value_y * value_z over the full block simplex."""
     prob = _Problem(block_set)
-    x, iters, resid = _solve(prob, np.ones(3))
-    dist = BlockDistribution(block_set, prob.block_masses(x))
-    obj = objective_values(dist)
-    return ProductOptimum(dist, obj, obj.log_x + obj.log_y + obj.log_z, iters, resid)
+    w = np.ones(3)
+    return _optimum(prob, w, sum, *_solve(prob, w))
 
 
-def maximize_minmax(block_set: BlockSet) -> MinmaxOptimum:
+def maximize_minmax(block_set: BlockSet) -> Optimum:
     """Maximize min(value_x, value_y, value_z) over the block simplex.
 
     By minimax this is the minimum over axis weights w of the convex dual
     phi(w) = max_x sum_a w_a f_a(x), with gradient f(x*(w)) and Hessian
     G^T dx*/dw from the inner KKT system (G: the axis gradients).  Newton
     steps on the weights fall back to the Frank-Wolfe step toward the
-    lowest axis when they do not descend.  The returned `axis_weights`
-    are the multipliers of the axes.
+    lowest axis when they do not descend.  A damped trial of the weights
+    is taken only when its inner solve converges and phi does not rise.
+    The returned `axis_weights` are the multipliers of the axes.
     """
     prob = _Problem(block_set)
     w = np.full(3, 1.0 / 3.0)
@@ -404,13 +337,9 @@ def maximize_minmax(block_set: BlockSet) -> MinmaxOptimum:
             tx, n, tresid = _solve(prob, trial, x)
             iters += n
             tf = prob.values(tx)
-            if trial @ tf <= phi + NOISE * abs(phi):
+            if tresid <= TOL and trial @ tf <= phi + NOISE * abs(phi):
                 break
         else:
             break
         w, x, f, resid = trial, tx, tf, tresid
-    dist = BlockDistribution(block_set, prob.block_masses(x))
-    obj = objective_values(dist)
-    return MinmaxOptimum(dist, obj, obj.min_log, iters, max(resid, _residual(-f, w)),
-                         tuple(ax for ax, wa in zip("xyz", w) if wa > 0.0),
-                         {ax: float(wa) for ax, wa in zip("xyz", w)})
+    return _optimum(prob, w, min, x, iters, max(resid, _residual(-f, w)))

@@ -10,7 +10,7 @@ from itertools import permutations
 
 import numpy as np
 
-from slicerank.optimizer import BlockDistribution, block_orbits
+from slicerank.optimizer import block_orbits
 from slicerank.tensor_core import Tensor, VariablePartition, make_matmul, tensor_power
 
 COEFFS = [Fraction(n) for n in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -258,14 +258,15 @@ def reference_newton_step(h, on, rhs):
     return d[:, None] * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
 
 
-def symmetrize(dist: BlockDistribution) -> BlockDistribution:
-    """Orbit-average a distribution on a symmetric block partition."""
-    probs = {}
-    for orbit in block_orbits(dist.block_set):
-        avg = sum(dist.probability(k) for k in orbit) / len(orbit)
+def symmetrize(block_set, probs: dict) -> dict:
+    """Orbit-average a distribution {block key: mass} on a symmetric
+    block partition; every block gets a mass, 0 included."""
+    out = {}
+    for orbit in block_orbits(block_set):
+        avg = sum(probs.get(k, 0.0) for k in orbit) / len(orbit)
         for k in orbit:
-            probs[k] = avg
-    return BlockDistribution(dist.block_set, probs)
+            out[k] = avg
+    return out
 
 
 def _xlogx(t: float) -> float:

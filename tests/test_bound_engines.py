@@ -203,6 +203,13 @@ def test_split_bound_sum_mismatch():
         be.split_bound(a, a, 1.5, total=t)
 
 
+@pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf])
+def test_split_bound_rejects_non_positive_or_non_finite_b_bound(bound):
+    t, a, b = cw_x0_split(1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        be.split_bound(a, b, bound, total=t)
+
+
 def test_remove_x_bound_splits_off_the_first_x_part():
     t, a, b = cw_x0_split(2)
     assert sr.cw_partition(2).parts_x[0][1] == (0,)
@@ -260,6 +267,12 @@ def test_omega_input_errors():
         be.omega_lower_bound(sr.RankFact(3, True, "t"), 3.5, True)
     with pytest.raises(ValueError):
         be.omega_lower_bound(sr.RankFact(1, True, "t"), 1.0, True)
+
+
+@pytest.mark.parametrize("s_upper", [math.nan, math.inf])
+def test_omega_rejects_non_finite_slice_rank_bound(s_upper):
+    with pytest.raises(ValueError, match="finite"):
+        be.omega_lower_bound(sr.RankFact(3, True, "t"), s_upper, True)
 
 
 def test_omega_carries_citation():

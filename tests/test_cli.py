@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: output, golden checks, exit codes."""
 
+import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +157,19 @@ def test_bound_remove_x_mode(capsys, cw5_files):
     assert main(["bound", "--mode", "remove-x", tensor, part]) == 0
     out = capsys.readouterr().out
     assert "low-x-rank-split" in out
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_bound_remove_x_cw(capsys, tmp_path, q):
+    """remove-x succeeds on every CW_q with its standard partition; for
+    q >= 4 the max-min value of the remaining part B is 2 sqrt(q)."""
+    tensor, part = tmp_path / "cw.tensor", tmp_path / "cw.partition"
+    tensor.write_text(sr.write_tensor(sr.make_cw(q)))
+    part.write_text(sr.write_partition(sr.cw_partition(q)))
+    assert main(["bound", "--mode", "remove-x", str(tensor), str(part)]) == 0
+    cert = dict(item.split("=") for item in capsys.readouterr().out.split()[3].split(","))
+    if q >= 4:
+        assert abs(float(cert["B_bound"]) - 2.0 * math.sqrt(q)) < 1e-6
 
 
 @pytest.mark.parametrize("carries", ["every term", "no term"])
@@ -402,3 +417,23 @@ def test_bad_arguments_exit_code(capsys, tmp_path, monkeypatch, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_benchmark_tracer_reads_solver_statistics(capsys, tmp_path, monkeypatch):
+    """The benchmark's tracer (perfbench/tracer.py) takes each solver's
+    block set from its first argument and reads `iterations` and
+    `kkt_residual` off its result, for the max-min and symmetric solves."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+    from slicerank import cli
+    tensor, part = tmp_path / "t112.tensor", tmp_path / "t112.partition"
+    tensor.write_text(sr.write_tensor(sr.make_t112(3)))
+    part.write_text(sr.write_partition(sr.t112_partition(3)))
+    with tracer.Tracer() as traced:
+        assert cli.main(["bound", "--mode", "partition", str(tensor), str(part)]) == 0
+        assert cli.main(["table", "cw", "--qmax", "2"]) == 0
+    stats = traced.summary(1)
+    assert stats["optimizer.maximize_minmax.calls"] == 1
+    assert stats["optimizer.maximize_symmetric.calls"] == 2
+    assert stats["optimizer.iterations"] > 0
+    assert stats["optimizer.kkt_residual_max"] < 1e-6

@@ -1,5 +1,6 @@
 """Block distribution objectives and the simplex maximizers."""
 
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import slicerank as sr
 from slicerank.optimizer import (
     MARGINAL_CLAMP,
-    BlockDistribution,
     _newton_step,
     _span_basis,
     objective_values,
@@ -33,13 +33,12 @@ def cw_small_blocks(q):
     return sr.blocks(sr.make_cw_small(q), sr.cw_small_partition(q))
 
 
-def axis_data(dist):
-    """(block masses d, axis values f_a(d), block gradients of each f_a),
-    computed from the partition's part sizes alone; a gradient is +inf on
-    blocks of parts without mass."""
-    bs = dist.block_set
+def axis_data(bs, masses):
+    """(block masses d, axis values f_a(d), block gradients of each f_a)
+    for masses {block key: mass}, computed from the partition's part
+    sizes alone; a gradient is +inf on blocks of parts without mass."""
     keys = sorted(bs.blocks)
-    d = np.array([dist.probability(k) for k in keys])
+    d = np.array([masses.get(k, 0.0) for k in keys])
     values, grads = [], []
     for pos, axis in enumerate("xyz"):
         idx = np.array([k[pos] for k in keys])
@@ -53,12 +52,12 @@ def axis_data(dist):
     return d, np.array(values), grads
 
 
-def assert_minmax_certified(opt, tol=1e-9):
+def assert_minmax_certified(bs, opt, tol=1e-9):
     """The concavity gap at the returned weights closes on the returned
     distribution: sum_a w_a f_a(d) + max_i g_i - <g, d>, with g the
     gradient of sum_a w_a f_a, bounds the max-min from above and
     min_a f_a(d) bounds it from below."""
-    d, f, grads = axis_data(opt.distribution)
+    d, f, grads = axis_data(bs, opt.masses)
     w = np.array([opt.axis_weights.get(ax, 0.0) for ax in "xyz"])
     assert w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12
     g = sum(wa * ga for wa, ga in zip(w, grads) if wa > 0.0)
@@ -72,21 +71,16 @@ def assert_minmax_certified(opt, tol=1e-9):
 def test_uniform_cw_small_closed_form():
     for q in (1, 2, 5):
         bs = cw_small_blocks(q)
-        dist = BlockDistribution(bs, {k: 1.0 / 3.0 for k in bs.keys()})
-        obj = objective_values(dist)
+        vx, vy, vz = map(math.exp, objective_values(bs, {k: 1.0 / 3.0 for k in bs.keys()}))
         closed = 3.0 * q ** (2.0 / 3.0) / 2.0 ** (2.0 / 3.0)
-        assert abs(obj.x - closed) < 1e-12 * closed
-        assert abs(obj.x - obj.y) < 1e-12 and abs(obj.y - obj.z) < 1e-12
+        assert abs(vx - closed) < 1e-12 * closed
+        assert abs(vx - vy) < 1e-12 and abs(vy - vz) < 1e-12
 
 
 def test_point_mass_unit_part():
     bs = cw_blocks(2)
-    dist = BlockDistribution(bs, {(0, 0, 2): 1.0})
-    obj = objective_values(dist)
     # all three marginals concentrate on singleton parts
-    assert obj.x == pytest.approx(1.0, abs=1e-14)
-    assert obj.y == pytest.approx(1.0, abs=1e-14)
-    assert obj.z == pytest.approx(1.0, abs=1e-14)
+    assert objective_values(bs, {(0, 0, 2): 1.0}) == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
 
 
 def test_cw_corner_only_distribution():
@@ -94,22 +88,53 @@ def test_cw_corner_only_distribution():
     # get zero marginal, exercising the 0^0 = 1 convention
     bs = cw_blocks(3)
     third = 1.0 / 3.0
-    dist = BlockDistribution(
-        bs, {(0, 0, 2): third, (0, 2, 0): third, (2, 0, 0): third})
-    obj = objective_values(dist)
+    log_x = objective_values(bs, {(0, 0, 2): third, (0, 2, 0): third, (2, 0, 0): third})[0]
     want = 3.0 / 2.0 ** (2.0 / 3.0)
-    assert abs(obj.x - want) < 1e-12
-    assert abs(obj.x - 1.8899) < 1e-4
+    assert abs(math.exp(log_x) - want) < 1e-12
+    assert abs(math.exp(log_x) - 1.8899) < 1e-4
 
 
 def test_distribution_validation():
     bs = cw_blocks(1)
-    with pytest.raises(ValueError):
-        BlockDistribution(bs, {(0, 0, 2): 0.7})
-    with pytest.raises(ValueError):
-        BlockDistribution(bs, {(1, 1, 1): 1.0})  # nonexistent block
-    with pytest.raises(ValueError):
-        BlockDistribution(bs, {(0, 0, 2): 1.2, (0, 2, 0): -0.2})
+    with pytest.raises(ValueError, match="sum to"):
+        objective_values(bs, {(0, 0, 2): 0.7})
+    with pytest.raises(ValueError, match="nonexistent"):
+        objective_values(bs, {(1, 1, 1): 1.0})
+    with pytest.raises(ValueError, match="negative"):
+        objective_values(bs, {(0, 0, 2): 1.2, (0, 2, 0): -0.2})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_objective_values_rejects_non_finite_mass(bad):
+    bs = cw_blocks(1)
+    with pytest.raises(ValueError, match="not finite"):
+        objective_values(bs, {(0, 0, 2): bad, (0, 2, 0): 1.0})
+
+
+# -- the result ----------------------------------------------------------------
+
+@pytest.mark.parametrize("solver, weights, objective", [
+    (sr.maximize_symmetric, (1.0, 0.0, 0.0), lambda f: f[0]),
+    (sr.maximize_product, (1.0, 1.0, 1.0), sum),
+    (sr.maximize_minmax, None, min)])
+def test_optimum_fields(solver, weights, objective):
+    """Every solver returns positive masses sorted by key and summing to
+    1, their axis values, the maximized objective, the weights of its
+    last solve and a closed concavity gap."""
+    bs = cw_blocks(2)
+    opt = solver(bs)
+    assert list(opt.masses) == sorted(opt.masses)
+    assert min(opt.masses.values()) > 0.0
+    assert sum(opt.masses.values()) == pytest.approx(1.0, abs=1e-12)
+    assert opt.log_values == pytest.approx(objective_values(bs, opt.masses), abs=1e-12)
+    assert opt.log_value == objective(opt.log_values)
+    assert opt.value == math.exp(opt.log_value)
+    if weights is not None:
+        assert tuple(opt.axis_weights.values()) == weights
+    assert list(opt.axis_weights) == ["x", "y", "z"]
+    assert opt.active_axes == tuple(ax for ax, wa in opt.axis_weights.items() if wa > 0.0)
+    assert abs(opt.optimality_gap) < 1e-9
+    assert opt.iterations > 0 and opt.kkt_residual <= 1e-10
 
 
 # -- symmetric maximization ----------------------------------------------------
@@ -124,7 +149,8 @@ def test_maximize_symmetric_cw(q):
     assert abs(opt.value - CW_TABLE[q]) < 1e-4
     assert opt.kkt_residual < 1e-8
     assert opt.optimality_gap < 1e-8
-    assert opt.distribution.is_symmetric()
+    for (i, j, k), mass in opt.masses.items():
+        assert opt.masses.get((j, k, i), 0.0) == pytest.approx(mass, abs=1e-10)
 
 
 def test_maximize_symmetric_cw_small_unique():
@@ -132,8 +158,9 @@ def test_maximize_symmetric_cw_small_unique():
         opt = sr.maximize_symmetric(cw_small_blocks(q))
         closed = 3.0 * q ** (2.0 / 3.0) / 2.0 ** (2.0 / 3.0)
         assert abs(opt.value - closed) < 1e-9 * closed
-        for k in opt.distribution.block_set.keys():
-            assert opt.distribution.probability(k) == pytest.approx(1 / 3, abs=1e-12)
+        bs = cw_small_blocks(q)
+        for k in bs.keys():
+            assert opt.masses[k] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_maximize_symmetric_rejects_asymmetric():
@@ -145,8 +172,9 @@ def test_maximize_symmetric_rejects_asymmetric():
 
 def test_symmetric_certificate_gradients():
     # support gradients equal, off-support not larger
-    opt = sr.maximize_symmetric(cw_blocks(4))
-    d, _, grads = axis_data(opt.distribution)
+    bs = cw_blocks(4)
+    opt = sr.maximize_symmetric(bs)
+    d, _, grads = axis_data(bs, opt.masses)
     g = sum(grads) / 3.0
     support = d > 1e-12
     mu = g[support].mean()
@@ -170,12 +198,13 @@ def test_minmax_matches_symmetric():
 
 def test_minmax_single_block():
     t = sr.make_matmul(2, 3, 4)
-    mm = sr.maximize_minmax(sr.blocks(t, sr.trivial_partition(t)))
+    bs = sr.blocks(t, sr.trivial_partition(t))
+    mm = sr.maximize_minmax(bs)
     assert mm.value == pytest.approx(min(6, 12, 8), abs=1e-12)
     # the weights sit on axis x alone
     assert mm.axis_weights == {"x": 1.0, "y": 0.0, "z": 0.0}
     assert mm.active_axes == ("x",)
-    assert_minmax_certified(mm)
+    assert_minmax_certified(bs, mm)
 
 
 def cw1_cube_b_part():
@@ -191,21 +220,23 @@ def cw1_cube_b_part():
 
 
 def test_minmax_cw1_cube_b_part_certified():
-    mm = sr.maximize_minmax(cw1_cube_b_part())
+    bs = cw1_cube_b_part()
+    mm = sr.maximize_minmax(bs)
     assert abs(mm.log_value - 2.984548001552) < 1e-9
     # pinned: a different step would change the Newton path, and with it this count
     assert mm.iterations == 18
     assert mm.kkt_residual <= 1e-10
-    assert_minmax_certified(mm)
+    assert_minmax_certified(bs, mm)
 
 
 def test_minmax_certified_on_random_partitions():
     rng = random.Random(45)
     for _ in range(100):
         t = random_tensor(rng, max_dim=5)
-        mm = sr.maximize_minmax(sr.blocks(t, random_partition(rng, t)))
+        bs = sr.blocks(t, random_partition(rng, t))
+        mm = sr.maximize_minmax(bs)
         assert mm.kkt_residual <= 1e-10
-        assert_minmax_certified(mm)
+        assert_minmax_certified(bs, mm)
 
 
 def test_minmax_beats_user_distributions():
@@ -216,8 +247,8 @@ def test_minmax_beats_user_distributions():
     for _ in range(50):
         w = [rng.random() for _ in keys]
         tot = sum(w)
-        dist = BlockDistribution(bs, {k: v / tot for k, v in zip(keys, w)})
-        assert mm.value >= objective_values(dist).min_value - 1e-9
+        logs = objective_values(bs, {k: v / tot for k, v in zip(keys, w)})
+        assert mm.value >= math.exp(min(logs)) - 1e-9
 
 
 def test_minmax_deterministic():
@@ -225,7 +256,7 @@ def test_minmax_deterministic():
     a = sr.maximize_minmax(bs)
     b = sr.maximize_minmax(bs)
     assert a.value == b.value
-    assert a.distribution.probs == b.distribution.probs
+    assert a.masses == b.masses
 
 
 @pytest.mark.parametrize("q", [15, 18, 19])
@@ -345,21 +376,19 @@ def test_newton_step_matches_dense_reference(basis, factor, seed, zero, twin):
 def test_symmetrize_fixed_point():
     bs = cw_blocks(2)
     opt = sr.maximize_symmetric(bs)
-    again = symmetrize(opt.distribution)
+    again = symmetrize(bs, opt.masses)
     for k in bs.keys():
-        assert again.probability(k) == pytest.approx(
-            opt.distribution.probability(k), abs=1e-14)
+        assert again[k] == pytest.approx(opt.masses.get(k, 0.0), abs=1e-14)
 
 
 def test_symmetrize_point_mass_on_corner():
     bs = cw_blocks(2)
-    dist = BlockDistribution(bs, {(0, 0, 2): 1.0})
-    sym = symmetrize(dist)
+    sym = symmetrize(bs, {(0, 0, 2): 1.0})
     third = 1.0 / 3.0
     for k in ((0, 0, 2), (0, 2, 0), (2, 0, 0)):
-        assert sym.probability(k) == pytest.approx(third, abs=1e-14)
+        assert sym[k] == pytest.approx(third, abs=1e-14)
     for k in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-        assert sym.probability(k) == 0.0
+        assert sym[k] == 0.0
 
 
 def test_symmetrize_never_decreases_value():
@@ -373,8 +402,6 @@ def test_symmetrize_never_decreases_value():
         keys = bs.keys()
         w = [rng.random() + 1e-3 for _ in keys]
         tot = sum(w)
-        dist = BlockDistribution(bs, {k: v / tot for k, v in zip(keys, w)})
-        obj = objective_values(dist)
-        sym_obj = objective_values(symmetrize(dist))
-        geo = (obj.log_x + obj.log_y + obj.log_z) / 3.0
-        assert geo <= sym_obj.log_x + 1e-12
+        dist = {k: v / tot for k, v in zip(keys, w)}
+        geo = sum(objective_values(bs, dist)) / 3.0
+        assert geo <= objective_values(bs, symmetrize(bs, dist))[0] + 1e-12
