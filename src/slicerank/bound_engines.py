@@ -150,7 +150,8 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
 
     Symmetric partitions use the symmetric maximization (equal value:
     orbit averaging never decreases the min); otherwise the max-min
-    over the full block simplex is solved.
+    over the full block simplex is solved and bounded from above by weak
+    duality, exp(sum_a w_a f_a + gap) at the returned weights w.
     """
     bs = blocks(t, p)
     if not bs.blocks:
@@ -172,8 +173,9 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
         "active_axes": "".join(opt.active_axes),
         "distribution": opt.masses,
     }
-    return BoundReport("slice_rank_upper", opt.value, THEOREM_PARTITION,
-                       certificate=cert)
+    dual = sum(w * f for w, f in zip(opt.axis_weights.values(), opt.log_values))
+    return BoundReport("slice_rank_upper", math.exp(dual + opt.optimality_gap),
+                       THEOREM_PARTITION, certificate=cert)
 
 
 # -- tool three: removing a low x-rank part ----------------------------------

@@ -26,14 +26,20 @@ bounds the maximum from above, and the objective at x from below.
 
 A Newton step on k support coordinates solves K = [[-(cD)^T cD, d],
 [d^T, 0]], the Hessian -c^T c scaled by D = diag(d) to a unit diagonal,
-where c holds the at most P incidence rows B (P parts) of the axes with
-w_a > 0, scaled by sqrt(w_a / m_a).  K vanishes off V = span((cD)^T, d)
-= D span(B^T, 1), and span(B^T, 1) depends on the support and on which
-w_a > 0, not on the masses: its orthonormal basis U is found once.  With
-Q orthonormal spanning D U, K_Q = [[-(cDQ)^T cDQ, Q^T d], [d^T Q, 0]] is
-nonsingular (K_Q (y, nu) = 0 gives cDQy = 0, then nu = 0 and Qy in V
-orthogonal to V), so the step is unique in V, equals the minimum-norm
-solution of K, and costs an LU solve of size rank(V) + 1.
+where c = diag(sqrt(w_a / m_a)) R for R the incidence rows (P parts) of
+the axes with w_a > 0 on the support.  K vanishes off V = D span(R^T),
+which holds d as each axis's rows sum to the ones vector.  span(R^T)
+depends on the support and on which w_a > 0, not on the masses: with
+R R^T = E L E^T (eigenvalues above RANK_TOL times the largest), U =
+R^T E L^(-1/2) is its orthonormal basis, found once.  In the basis W of
+V, D U with columns scaled to unit norm, K_W = [[-(cDW)^T cDW, W^T d],
+[d^T W, 0]] is nonsingular (K_W (z, nu) = 0 gives cDWz = 0, then nu = 0,
+and Wz in V orthogonal to V), so the step is unique in V and equals the
+minimum-norm solution of K.  Up to the column scaling, with S =
+diag(sqrt(w_a / m_a)), cDW = S R D^2 R^T E L^(-1/2), W^T (d, D r) =
+L^(-1/2) E^T R D^2 (1, r) and s = D W z = D^2 R^T E L^(-1/2) z: a step
+costs O(nnz + P^3), plus a P x P eigh per support, and forms no k x P
+array.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ GROW_MASS = 1e-8         # mass given to a coordinate joining the support
 NOISE = 64 * np.finfo(float).eps  # float noise of an objective, relative
 MIN_STEP = 1e-12         # shortest damped step tried
 RIDGE = 1e-10            # relative ridge of the weights' Newton system
-RANK_TOL = 1e-9          # relative singular value cut of a support's span basis
+RANK_TOL = 1e-9          # relative eigenvalue cut of a support's Gram matrix R R^T
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -102,9 +108,11 @@ class _Problem:
     """The axis objectives f_a(S x) of a block set, as functions of x.
 
     x holds the masses of groups of blocks (single blocks by default, or
-    rotation orbits), spread evenly over each group by S.  incidence[a] =
-    A_a S, for the parts x blocks 0/1 incidence matrix A_a of axis a,
-    maps x to the axis-a marginals.
+    rotation orbits), spread evenly over each group by S.  The incidence
+    R stacks the parts x groups matrices A_a S of the three axes (A_a the
+    0/1 parts x blocks incidence of axis a), so R x holds every marginal.
+    It is kept sparse, sorted by group: R[row[e], col[e]] = val[e], `axis`
+    names each row's axis, and `pairs` the entry pairs with equal col.
     """
 
     def __init__(self, block_set: BlockSet, groups=None):
@@ -114,72 +122,94 @@ class _Problem:
         # block i carries the share 1/len(group) of its group's mass x[group[i]]
         member = {k: (t, 1.0 / len(group)) for t, group in enumerate(groups) for k in group}
         self.group, self.share = map(np.array, zip(*(member[k] for k in self.keys)))
-        self.incidence, self.log_sizes = [], []
-        for pos, axis in enumerate("xyz"):
-            sizes = block_set.partition.part_sizes(axis)
-            self.incidence.append(np.zeros((len(sizes), self.size)))
-            np.add.at(self.incidence[-1], ([k[pos] for k in self.keys], self.group), self.share)
-            self.log_sizes.append(np.log(np.asarray(sizes, dtype=float)))
+        sizes = [block_set.partition.part_sizes(axis) for axis in "xyz"]
+        offset = np.cumsum([0] + [len(s) for s in sizes])
+        self.axis = np.repeat(np.arange(3), np.diff(offset))
+        self.log_sizes = np.log(np.concatenate(sizes).astype(float))
+        rows = (np.array(self.keys) + offset[:3]).T.ravel()
+        cells = np.tile(self.group, 3) * offset[3] + rows
+        order = np.argsort(cells, kind="stable")
+        new = np.diff(cells[order], prepend=-1) > 0      # an orbit can meet a part twice
+        self.col, self.row = np.divmod(cells[order][new], offset[3])
+        self.val = np.bincount(np.cumsum(new) - 1, weights=np.tile(self.share, 3)[order])
+        pi = np.repeat(np.arange(len(self.col)), np.bincount(self.col)[self.col])
+        self.pairs = (pi, np.searchsorted(self.col, self.col[pi]) + np.arange(len(pi))
+                      - np.searchsorted(pi, pi))
         self._bases = {}
 
     def block_masses(self, x) -> dict:
         d = self.share * x[self.group]
         return {k: float(d[i]) for i, k in enumerate(self.keys) if d[i] > 0}
 
+    def marginals(self, x):
+        return np.bincount(self.row, weights=self.val * x[self.col], minlength=len(self.axis))
+
     def values(self, x):
         """(f_x, f_y, f_z) at x."""
-        out = np.zeros(3)
-        for a, (inc, ls) in enumerate(zip(self.incidence, self.log_sizes)):
-            m = inc @ x
-            pos = m > 0.0
-            out[a] = m[pos] @ (ls[pos] - np.log(m[pos]))
-        return out
+        m = self.marginals(x)
+        pos = m > 0.0
+        return np.bincount(self.axis[pos], m[pos] * (self.log_sizes[pos] - np.log(m[pos])), 3)
 
     def grads(self, x):
         """The gradients of f_x, f_y, f_z at x, as the columns of a matrix."""
-        return np.stack([
-            inc.T @ (ls - np.log(np.maximum(inc @ x, MARGINAL_CLAMP)) - 1.0)
-            for inc, ls in zip(self.incidence, self.log_sizes)], axis=1)
+        h = self.log_sizes - np.log(np.maximum(self.marginals(x), MARGINAL_CLAMP)) - 1.0
+        return np.bincount(3 * self.col + self.axis[self.row], weights=self.val * h[self.row],
+                           minlength=3 * self.size).reshape(self.size, 3)
 
     def newton_step(self, x, w, rhs):
-        """`_newton_step` for the Hessian -c^T c of sum_a w_a f_a at x, c the
-        incidence rows of the axes with w_a > 0 scaled by sqrt(w_a / m_a);
-        their range basis is kept per support and set of such axes."""
-        on, rows = x > 0.0, [(inc, wa) for inc, wa in zip(self.incidence, w) if wa > 0.0]
+        """For each column r of rhs, the minimum-norm s with H s + nu 1 = r and
+        sum(s) = 0 on the support of x, and s = 0 off it, for H the Hessian of
+        sum_a w_a f_a at x; solved in the basis W of the module docstring."""
+        on, act = x > 0.0, w[self.axis] > 0.0
         key = (on.tobytes(), tuple(w > 0.0))
         if key not in self._bases:
-            self._bases[key] = _span_basis(np.vstack([inc[:, on] for inc, _ in rows]))
-        c = np.vstack([inc * np.sqrt(wa / np.maximum(inc @ x, MARGINAL_CLAMP))[:, None]
-                       for inc, wa in rows])
-        return _newton_step(c, on, rhs, self._bases[key])
+            self._bases[key] = self._basis(on, act)
+        ent, row, pair_col, flat, vv, t = self._bases[key]
+        col, val, p, m = self.col[ent], self.val[ent], len(t), rhs.shape[1]
+        scale = np.sqrt(w[self.axis] / np.maximum(self.marginals(x), MARGINAL_CLAMP))[act]
+        norm2 = np.bincount(col, weights=(scale[row] * val) ** 2, minlength=self.size)
+        d2 = np.divide(1.0, norm2, out=np.zeros(self.size), where=on)
+        gt = np.bincount(flat, weights=vv * d2[pair_col], minlength=p * p).reshape(p, p) @ t
+        norm = np.sqrt(np.einsum("ij,ij->j", gt, t))     # of the columns of W
+        t, cdw = t / norm, scale[:, None] * gt / norm
+        b = d2[:, None] * np.hstack([np.ones((self.size, 1)), rhs])
+        rb = np.bincount((row[:, None] * (m + 1) + np.arange(m + 1)).ravel(),
+                         weights=(val[:, None] * b[col]).ravel(), minlength=p * (m + 1))
+        e = t.T @ rb.reshape(p, m + 1)                    # W^T (d, D rhs)
+        u = t @ _bordered(cdw.T @ cdw, e[:, 0], e[:, 1:])
+        s = np.bincount((col[:, None] * m + np.arange(m)).ravel(),
+                        weights=(val[:, None] * u[row]).ravel(), minlength=self.size * m)
+        return d2[:, None] * s.reshape(self.size, m)
+
+    def _basis(self, on, act):
+        """For the support `on` and the rows `act` of the axes with w_a > 0:
+        the entries of R there, their rows numbered within `act`, their pairs'
+        coordinates, cells in R R^T and value products, and E L^(-1/2)."""
+        ent = np.flatnonzero(on[self.col] & act[self.row])
+        row, p = np.cumsum(act)[self.row] - 1, int(act.sum())
+        pi, pj = self.pairs
+        keep = on[self.col[pi]] & act[self.row[pi]] & act[self.row[pj]]
+        pi, pj = pi[keep], pj[keep]
+        flat, vv = row[pi] * p + row[pj], self.val[pi] * self.val[pj]
+        lam, v = np.linalg.eigh(np.bincount(flat, weights=vv, minlength=p * p).reshape(p, p))
+        big = lam > RANK_TOL * lam[-1]
+        return ent, row[ent], self.col[pi], flat, vv, v[:, big] / np.sqrt(lam[big])
 
 
-def _span_basis(rows):
-    """An orthonormal basis, as columns, of the span of the ones vector and
-    the rows of `rows`, or None when that span is all of R^k."""
-    _, sv, vt = np.linalg.svd(np.vstack([rows, np.ones(rows.shape[1])]), full_matrices=False)
-    rank = int((sv > RANK_TOL * sv[0]).sum())
-    return None if rank == rows.shape[1] else vt[:rank].T
-
-
-def _newton_step(c, on, rhs, u):
-    """For each column r of rhs, the minimum-norm s with -c^T c s + nu 1 = r
-    and sum(s) = 0 on the coordinates `on`, and s = 0 off them; solved
-    scaled to a unit diagonal, so that masses and Hessian entries spanning
-    many orders of magnitude keep it well conditioned, in the basis Q of
-    D u for u the `_span_basis` of c's rows on `on` (Q = I if u is None)."""
-    c = c[:, on]
-    d = 1.0 / np.sqrt(np.einsum("ij,ij->j", c, c))
-    q = np.eye(len(d)) if u is None else np.linalg.qr(d[:, None] * u)[0]
-    cd, e, r = c * d @ q, d @ q, q.T @ (d[:, None] * rhs[on])
+def _bordered(a, e, r):
+    """z solving [[-a, e], [e^T, 0]] (z, nu) = (r, 0), for each column of r."""
     j = len(e)
     kkt = np.zeros((j + 1, j + 1))
-    kkt[:j, :j] = -cd.T @ cd
+    kkt[:j, :j] = -a
     kkt[:j, j] = kkt[j, :j] = e
-    z = np.linalg.solve(kkt, np.vstack([r, np.zeros((1, r.shape[1]))]))[:j]
-    s = np.zeros(rhs.shape)
-    s[on] = d[:, None] * (q @ z)
-    return s
+    return np.linalg.solve(kkt, np.vstack([r, np.zeros((1, r.shape[1]))]))[:j]
+
+
+def _newton_step(h, rhs):
+    """For each column r of rhs, the s with -h s + nu 1 = r and sum(s) = 0,
+    for h positive definite; solved scaled to a unit diagonal."""
+    d = 1.0 / np.sqrt(np.diag(h))
+    return d[:, None] * _bordered(d[:, None] * h * d, d, d[:, None] * rhs)
 
 
 def _trials(v, dv):
@@ -327,9 +357,7 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
         h = -(g.T @ prob.newton_step(x, w, g))[np.ix_(free, free)]
         h += RIDGE * (1.0 + np.trace(h)) * np.eye(len(h))
         dw = np.zeros(3)
-        # h is positive definite: with h = L L^T the step solves h dw - nu 1 = -f
-        dw[free] = _newton_step(np.linalg.cholesky(h).T, np.ones(len(h), bool),
-                                f[free][:, None], None)[:, 0]
+        dw[free] = _newton_step(h, f[free][:, None])[:, 0]    # h dw - nu 1 = -f
         if (f - phi) @ dw >= 0.0 or np.any(dw[w == 0.0] < 0.0):
             dw = -w
             dw[np.argmin(f)] += 1.0

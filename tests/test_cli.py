@@ -162,7 +162,8 @@ def test_bound_remove_x_mode(capsys, cw5_files):
 @pytest.mark.parametrize("q", range(1, 9))
 def test_bound_remove_x_cw(capsys, tmp_path, q):
     """remove-x succeeds on every CW_q with its standard partition; for
-    q >= 4 the max-min value of the remaining part B is 2 sqrt(q)."""
+    q >= 4 the max-min value of the remaining part B is 2 sqrt(q), and
+    the bound reported for B, an upper bound, is not below it."""
     tensor, part = tmp_path / "cw.tensor", tmp_path / "cw.partition"
     tensor.write_text(sr.write_tensor(sr.make_cw(q)))
     part.write_text(sr.write_partition(sr.cw_partition(q)))
@@ -170,6 +171,8 @@ def test_bound_remove_x_cw(capsys, tmp_path, q):
     cert = dict(item.split("=") for item in capsys.readouterr().out.split()[3].split(","))
     if q >= 4:
         assert abs(float(cert["B_bound"]) - 2.0 * math.sqrt(q)) < 1e-6
+        _, b_report = sr.remove_x_bound(sr.make_cw(q), sr.cw_partition(q))
+        assert b_report.value >= 2.0 * math.sqrt(q) * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("carries", ["every term", "no term"])

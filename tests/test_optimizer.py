@@ -1,17 +1,19 @@
 """Block distribution objectives and the simplex maximizers."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import slicerank as sr
 from slicerank.optimizer import (
     MARGINAL_CLAMP,
     _newton_step,
-    _span_basis,
+    _Problem,
     objective_values,
 )
 
@@ -207,12 +209,12 @@ def test_minmax_single_block():
     assert_minmax_certified(bs, mm)
 
 
-def cw1_cube_b_part():
-    """The blocks of what remove-x bounds on the CW_1 cube: x part 0
+def cube_b_part(q):
+    """The blocks of what remove-x bounds on the CW_q cube: x part 0
     dropped, trimmed, singleton partition."""
-    cw = sr.make_cw(1)
+    cw = sr.make_cw(q)
     cube = sr.symmetric_cube(cw)
-    first = set(sr.cube_partition(cw, sr.cw_partition(1)).parts_x[0][1])
+    first = set(sr.cube_partition(cw, sr.cw_partition(q)).parts_x[0][1])
     b = sr.Tensor(cube.x_labels, cube.y_labels, cube.z_labels,
                   {k: c for k, c in cube.entries.items() if k[0] not in first})
     bt = sr.trimmed(b)
@@ -220,12 +222,31 @@ def cw1_cube_b_part():
 
 
 def test_minmax_cw1_cube_b_part_certified():
-    bs = cw1_cube_b_part()
+    bs = cube_b_part(1)
     mm = sr.maximize_minmax(bs)
     assert abs(mm.log_value - 2.984548001552) < 1e-9
     # pinned: a different step would change the Newton path, and with it this count
     assert mm.iterations == 18
     assert mm.kkt_residual <= 1e-10
+    assert_minmax_certified(bs, mm)
+
+
+def test_minmax_cw2_cube_b_part_memory():
+    """The max-min on the 665 blocks and 189 parts of the CW_2 cube's B
+    holds no dense blocks x parts array: its traced peak stays under
+    4 MB, where dense incidences and a dense blocks x rank basis per
+    step peak above 7 MB."""
+    bs = cube_b_part(2)
+    assert len(bs) == 665
+    tracemalloc.start()
+    try:
+        mm = sr.maximize_minmax(bs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mm.iterations == 18
+    assert mm.log_value == pytest.approx(3.785454180742906, rel=1e-12)
+    assert peak < 4e6
     assert_minmax_certified(bs, mm)
 
 
@@ -269,17 +290,14 @@ def test_symmetric_residual_tq_lower(q):
 
 def test_symmetric_span_basis_uses_one_axis(monkeypatch):
     """On orbit masses the three axes' incidence rows are equal, so the
-    symmetric solve factors the P rows of one axis plus the ones row."""
-    from slicerank import optimizer
-    rows = []
-    basis = optimizer._span_basis
-    monkeypatch.setattr(optimizer, "_span_basis",
-                        lambda r: rows.append(len(r) + 1) or basis(r))
+    symmetric solve's Gram matrix holds the P rows of one axis."""
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
     t = sr.make_cyclic_lower(15)
     bs = sr.blocks(t, sr.singleton_partition(t))
     sr.maximize_symmetric(bs)
     parts = bs.partition.part_count("x")
-    assert rows and set(rows) == {parts + 1}
+    assert shapes and set(shapes) == {(parts, parts)}
 
 
 def test_symmetric_residual_cw2_cube():
@@ -293,81 +311,84 @@ def test_symmetric_residual_cw2_cube():
 # -- the Newton step ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("basis, factor", [
+@pytest.mark.parametrize("size, factor", [
     ("identity", "incidence"), ("qr", "incidence"), ("qr", "general"),
     ("identity", "orbit"), ("qr", "orbit")])
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), zero=st.sampled_from([None, 0, 1, 2]),
        twin=st.booleans())
-def test_newton_step_matches_dense_reference(basis, factor, seed, zero, twin):
-    """The step in the range basis equals the dense bordered step on random
-    0/1 part incidences B_a, masses spanning three orders of magnitude,
-    supports on either side of rows(c) + 1 ("identity": at most, "qr":
-    more), and axis weights with one weight 0 as the max-min dual
-    produces.  The step gets its basis from the incidence rows of the
-    axes with w_a > 0, as `_Problem.basis` does, or from c itself for a
-    general factor (Gaussian rows, whose row space misses the constraint
-    row that part incidences contain).  Orbit factors are the incidences
-    of rotation orbits, with shares 1/3 and 2/3 and the three axes' rows
-    equal, so their span has rank at most parts + 1.  With `twin`, two
-    support coordinates share their incidence column, which makes the
-    bordered system singular even on small supports.
+def test_newton_step_matches_dense_reference(size, factor, seed, zero, twin):
+    """`_Problem.newton_step` equals the dense bordered step on random block
+    sets: single blocks (0/1 part incidences) or rotation orbits (shares
+    1/3 and 2/3, the three axes' rows equal), masses spanning three orders
+    of magnitude, axis weights with one weight 0 as the max-min dual
+    produces, and supports of at most rows + 1 coordinates ("identity")
+    or more ("qr"), rows the number of parts of the axes with w_a > 0
+    (the ids are the names of the bases that once served each case).
+    With `twin`, two support coordinates share their incidence column on
+    those axes (blocks that differ only on an axis of weight 0, or the
+    orbits of (0, 1, 2) and (0, 2, 1)), which makes the bordered system
+    singular even on small supports.  The general factor drives the
+    dense step of the max-min weights instead, on h = c^T c for Gaussian
+    c, its diagonal spread over three orders of magnitude.
 
     Agreement is measured against the step's norm, or against |D^2 r|,
     the step for the Hessian's diagonal alone, where the minimum-norm
     step vanishes (one support coordinate, or r the projected Hessian
     cannot see)."""
     rng = np.random.default_rng(seed)
-    parts = rng.integers(1, 7, size=3)
-    w = rng.uniform(0.05, 1.0, size=3)
-    if zero is not None:
-        w[zero] = 0.0
-    if factor == "orbit":
-        parts[:] = parts[0]
-    rows = int(parts[w > 0.0].sum())
-    k = rng.integers(1, rows + 2) if basis == "identity" else rng.integers(rows + 2, rows + 40)
-    n = k + rng.integers(0, 8)
-    x = np.zeros(n)
-    support = rng.choice(n, k, replace=False)
-    x[support] = 10.0 ** rng.uniform(-3.0, 0.0, size=k)
-    x /= x.sum()
-    on = x > 0.0
     if factor == "general":
-        c = rng.normal(size=(rows, n)) / np.sqrt(np.maximum(x, MARGINAL_CLAMP))
-        if twin and k > 1:
-            c[:, support[1]] = c[:, support[0]]
-        h = -(c.T @ c)
-        u = _span_basis(c[:, on])
+        k = int(rng.integers(1, 40))
+        c = rng.normal(size=(k + int(rng.integers(0, 3)), k)) * 10.0 ** rng.uniform(-1.5, 0.0, size=k)
+        h = c.T @ c
+        rhs = rng.normal(size=(k, 3))
+        step, ref = _newton_step(h, rhs), reference_newton_step(-h, np.ones(k, bool), rhs)
+        diagonal_step = rhs / np.diag(h)[:, None]
     else:
+        if twin and zero is None:
+            zero = int(rng.integers(3))
+        parts = rng.integers(1, 7, size=3)
         if factor == "orbit":
-            # orbit {(i,j,k), (j,k,i), (k,i,j)} puts 1/3 on each of parts i, j, k
-            b = np.zeros((parts[0], n))
-            np.add.at(b, (rng.integers(parts[0], size=(3, n)), np.arange(n)), 1.0 / 3.0)
-            inc = [b] * 3
-        else:
-            inc = []
-            for p in parts:
-                b = np.zeros((p, n))
-                b[rng.integers(p, size=n), np.arange(n)] = 1.0
-                inc.append(b)
-        if twin and k > 1:
-            for b in inc:
-                b[:, support[1]] = b[:, support[0]]
-        marg = [np.maximum(b @ x, MARGINAL_CLAMP) for b in inc]
-        c = np.vstack([b * np.sqrt(wa / m)[:, None] for b, m, wa in zip(inc, marg, w) if wa > 0.0])
+            parts[:] = max(parts[0], 3 if twin else 1)
+        elif twin:
+            parts[zero] = max(parts[zero], 2)
+        w = rng.uniform(0.05, 1.0, size=3)
+        if zero is not None:
+            w[zero] = 0.0
+        rows = int(parts[w > 0.0].sum())
+        cells = list(itertools.product(*(range(p) for p in parts)))
+        keys = {cells[i] for i in rng.choice(len(cells), rng.integers(1, len(cells) + 1), replace=False)}
+        twins = [(0, 1, 2), (0, 2, 1)] if factor == "orbit" else [
+            (0, 0, 0), tuple(int(a == zero) for a in range(3))]
+        keys |= set(twins) if twin else set()
+        if factor == "orbit":
+            keys |= {(j, k, i) for (i, j, k) in keys} | {(k, i, j) for (i, j, k) in keys}
+        t = sr.Tensor(*(range(p) for p in parts), dict.fromkeys(keys, 1))
+        bs = sr.blocks(t, sr.singleton_partition(t))
+        groups = sr.block_orbits(bs) if factor == "orbit" else [(key,) for key in sorted(keys)]
+        prob = _Problem(bs, groups)
+        n = len(groups)
+        inc = np.zeros((3, max(parts), n))
+        for g, group in enumerate(groups):
+            for key in group:
+                inc[range(3), key, g] += 1.0 / len(group)
+        lo = rows + 2 if size == "qr" else 1
+        hi = rows + 1 if size == "identity" else n
+        assume(lo <= hi and n >= lo)
+        on = np.zeros(n, bool)
+        on[rng.choice(n, rng.integers(lo, min(hi, n) + 1), replace=False)] = True
+        if twin:
+            on[[g for g, group in enumerate(groups) if group[0] in twins]] = True
+        x = np.where(on, 10.0 ** rng.uniform(-3.0, 0.0, size=n), 0.0)
+        x /= x.sum()
+        marg = np.maximum(inc @ x, MARGINAL_CLAMP)
         h = -sum(wa * (b.T / m) @ b for b, m, wa in zip(inc, marg, w))
-        u = _span_basis(np.vstack([b[:, on] for b, wa in zip(inc, w) if wa > 0.0]))
-    assert len(c) == rows and (k > rows + 1) == (basis == "qr")
-    assert (u is None) == (np.linalg.matrix_rank(np.vstack([c[:, on], np.ones(k)])) == k)
-    if twin and k > 1:
-        assert u is not None
-    rhs = rng.normal(size=(n, 3))
-    step = _newton_step(c, on, rhs, u)
-    ref = reference_newton_step(h, on, rhs)
-    diagonal_step = rhs[on] / np.abs(np.diag(h)[on])[:, None]
+        rhs = rng.normal(size=(n, 3))
+        step, ref = prob.newton_step(x, w, rhs), reference_newton_step(h, on, rhs)
+        diagonal_step = rhs[on] / np.abs(np.diag(h)[on])[:, None]
+        assert not step[~on].any()
     norm = np.maximum(np.linalg.norm(ref, axis=0), np.linalg.norm(diagonal_step, axis=0))
     assert np.all(np.linalg.norm(step - ref, axis=0) <= 1e-9 * norm)
-    assert not step[~on].any()
     assert np.all(np.abs(step.sum(axis=0)) <= 1e-9 * norm)
 
 
