@@ -150,8 +150,8 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
 
     Symmetric partitions use the symmetric maximization (equal value:
     orbit averaging never decreases the min); otherwise the max-min
-    over the full block simplex is solved and bounded from above by weak
-    duality, exp(sum_a w_a f_a + gap) at the returned weights w.
+    over the full block simplex is solved.  Either maximum is reported by
+    its weak-duality bound exp(sum_a w_a f_a + gap) at the returned weights.
     """
     bs = blocks(t, p)
     if not bs.blocks:
@@ -164,8 +164,8 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
             "optimality_gap": opt.optimality_gap,
             "distribution": opt.masses,
         }
-        return BoundReport("slice_rank_upper", opt.value, THEOREM_PARTITION_SYM,
-                           certificate=cert)
+        return BoundReport("slice_rank_upper", math.exp(opt.log_value + opt.optimality_gap),
+                           THEOREM_PARTITION_SYM, certificate=cert)
     opt = optimizer.maximize_minmax(bs)
     cert = {
         "method": "minmax",

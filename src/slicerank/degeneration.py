@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .tensor_core import BlockSet, ParseError, Tensor, _content_lines
+from .tensor_core import BlockSet, ParseError, Tensor, _coefficient, _content_lines
 
 
 class LambdaPoly:
@@ -366,7 +366,7 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
                 e = int(e_tok)
                 if e < 0:
                     raise ValueError
-                coeffs[e] = coeffs.get(e, 0) + Fraction(c_tok)
+                coeffs[e] = coeffs.get(e, 0) + _coefficient(c_tok)
         except (ValueError, ZeroDivisionError):
             raise ParseError(n, f"bad polynomial in {' '.join(toks)!r}")
         target[src, dst] = target.get((src, dst), LambdaPoly()) + LambdaPoly(coeffs)

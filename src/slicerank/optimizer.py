@@ -40,6 +40,16 @@ diag(sqrt(w_a / m_a)), cDW = S R D^2 R^T E L^(-1/2), W^T (d, D r) =
 L^(-1/2) E^T R D^2 (1, r) and s = D W z = D^2 R^T E L^(-1/2) z: a step
 costs O(nnz + P^3), plus a P x P eigh per support, and forms no k x P
 array.
+
+Step length: along a step s from x, with m = R x and r = R s (one
+bincount each), phi(sigma) = sum_a w_a f_a(x + sigma s) is concave, with
+phi'(sigma) = sum_i w_a r_i (log|X_i| - log(m_i + sigma r_i)) (the -1
+terms cancel, as each axis's r sums to sum(s) = 0) and phi''(sigma) =
+-sum_i w_a r_i^2 / (m_i + sigma r_i).  A step that meets the simplex
+boundary at sigma = edge < 1 stops there, setting the coordinates that
+reach zero to 0, only if phi'(edge) >= 0.  Otherwise (phi'(edge) = -inf
+when a part marginal reaches zero) it goes to the maximizer of phi in
+(0, edge), found by safeguarded Newton on phi', and keeps the support.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ NOISE = 64 * np.finfo(float).eps  # float noise of an objective, relative
 MIN_STEP = 1e-12         # shortest damped step tried
 RIDGE = 1e-10            # relative ridge of the weights' Newton system
 RANK_TOL = 1e-9          # relative eigenvalue cut of a support's Gram matrix R R^T
+LINE_STEPS = 8           # safeguarded Newton steps of a line search before the simplex edge
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -80,7 +91,7 @@ def objective_values(block_set: BlockSet, probs: dict) -> tuple:
     total = x.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    return tuple(map(float, prob.values(x / total)))
+    return tuple(map(float, prob.values(prob.marginals(x / total))))
 
 
 def block_orbits(block_set: BlockSet) -> list[tuple]:
@@ -144,42 +155,46 @@ class _Problem:
     def marginals(self, x):
         return np.bincount(self.row, weights=self.val * x[self.col], minlength=len(self.axis))
 
-    def values(self, x):
-        """(f_x, f_y, f_z) at x."""
+    def at(self, x, w):
+        """The marginals m of x and sum_a w_a f_a there."""
         m = self.marginals(x)
+        return m, w @ self.values(m)
+
+    def values(self, m):
+        """(f_x, f_y, f_z) at the marginals m."""
         pos = m > 0.0
         return np.bincount(self.axis[pos], m[pos] * (self.log_sizes[pos] - np.log(m[pos])), 3)
 
-    def grads(self, x):
-        """The gradients of f_x, f_y, f_z at x, as the columns of a matrix."""
-        h = self.log_sizes - np.log(np.maximum(self.marginals(x), MARGINAL_CLAMP)) - 1.0
+    def grads(self, m):
+        """The gradients of f_x, f_y, f_z at the marginals m, as the columns of a matrix."""
+        h = self.log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP)) - 1.0
         return np.bincount(3 * self.col + self.axis[self.row], weights=self.val * h[self.row],
                            minlength=3 * self.size).reshape(self.size, 3)
 
-    def newton_step(self, x, w, rhs):
+    def newton_step(self, x, m, w, rhs):
         """For each column r of rhs, the minimum-norm s with H s + nu 1 = r and
         sum(s) = 0 on the support of x, and s = 0 off it, for H the Hessian of
-        sum_a w_a f_a at x; solved in the basis W of the module docstring."""
+        sum_a w_a f_a at x (marginals m); solved in the basis W of the module docstring."""
         on, act = x > 0.0, w[self.axis] > 0.0
         key = (on.tobytes(), tuple(w > 0.0))
         if key not in self._bases:
             self._bases[key] = self._basis(on, act)
         ent, row, pair_col, flat, vv, t = self._bases[key]
-        col, val, p, m = self.col[ent], self.val[ent], len(t), rhs.shape[1]
-        scale = np.sqrt(w[self.axis] / np.maximum(self.marginals(x), MARGINAL_CLAMP))[act]
+        col, val, p, nc = self.col[ent], self.val[ent], len(t), rhs.shape[1]
+        scale = np.sqrt(w[self.axis] / np.maximum(m, MARGINAL_CLAMP))[act]
         norm2 = np.bincount(col, weights=(scale[row] * val) ** 2, minlength=self.size)
         d2 = np.divide(1.0, norm2, out=np.zeros(self.size), where=on)
         gt = np.bincount(flat, weights=vv * d2[pair_col], minlength=p * p).reshape(p, p) @ t
         norm = np.sqrt(np.einsum("ij,ij->j", gt, t))     # of the columns of W
         t, cdw = t / norm, scale[:, None] * gt / norm
         b = d2[:, None] * np.hstack([np.ones((self.size, 1)), rhs])
-        rb = np.bincount((row[:, None] * (m + 1) + np.arange(m + 1)).ravel(),
-                         weights=(val[:, None] * b[col]).ravel(), minlength=p * (m + 1))
-        e = t.T @ rb.reshape(p, m + 1)                    # W^T (d, D rhs)
+        rb = np.bincount((row[:, None] * (nc + 1) + np.arange(nc + 1)).ravel(),
+                         weights=(val[:, None] * b[col]).ravel(), minlength=p * (nc + 1))
+        e = t.T @ rb.reshape(p, nc + 1)                   # W^T (d, D rhs)
         u = t @ _bordered(cdw.T @ cdw, e[:, 0], e[:, 1:])
-        s = np.bincount((col[:, None] * m + np.arange(m)).ravel(),
-                        weights=(val[:, None] * u[row]).ravel(), minlength=self.size * m)
-        return d2[:, None] * s.reshape(self.size, m)
+        s = np.bincount((col[:, None] * nc + np.arange(nc)).ravel(),
+                        weights=(val[:, None] * u[row]).ravel(), minlength=self.size * nc)
+        return d2[:, None] * s.reshape(self.size, nc)
 
     def _basis(self, on, act):
         """For the support `on` and the rows `act` of the axes with w_a > 0:
@@ -212,20 +227,46 @@ def _newton_step(h, rhs):
     return d[:, None] * _bordered(d[:, None] * h * d, d, d[:, None] * rhs)
 
 
-def _trials(v, dv):
-    """Damped points v + sigma dv on the simplex: sigma starts at 1, or
-    where the first coordinates reach zero (they are then set to 0
-    exactly, leaving the support, however short that step), and halves
-    down to MIN_STEP."""
+def _trials(v, dv, start=1.0):
+    """Damped points v + sigma dv on the simplex: sigma starts at `start`,
+    or at the edge where the first coordinates reach zero if that comes
+    first (they are then set to 0 exactly, leaving the support, however
+    short that step), and halves down to MIN_STEP."""
     ratio = np.full(len(v), np.inf)
     ratio[dv < 0.0] = v[dv < 0.0] / -dv[dv < 0.0]
-    sigma = edge = min(1.0, ratio.min())
-    while sigma > MIN_STEP or sigma == edge:
+    edge = ratio.min()
+    sigma = top = min(start, edge)
+    while sigma > MIN_STEP or sigma == top:
         trial = np.maximum(v + sigma * dv, 0.0)
         if sigma == edge < 1.0:
             trial[ratio <= edge * (1.0 + 1e-9)] = 0.0
         yield trial / trial.sum()
         sigma /= 2.0
+
+
+def _line_start(prob: _Problem, w, x, m, s) -> float:
+    """The sigma at which the trials of the step s from x (marginals m)
+    start: 1 when the step stays in the simplex; else the edge, where the
+    first coordinates reach zero, if phi'(edge) >= 0; else the maximizer
+    of phi on (0, edge), by safeguarded Newton on phi'."""
+    edge = np.min(x[s < 0.0] / -s[s < 0.0], initial=1.0)
+    if edge >= 1.0:
+        return 1.0
+    r = prob.marginals(s)
+    on = (w[prob.axis] > 0.0) & (r != 0.0)
+    wr, r, m, log_sizes = w[prob.axis][on] * r[on], r[on], m[on], prob.log_sizes[on]
+    at_edge = prob.marginals(next(_trials(x, s)))[on]
+    if at_edge.min(initial=1.0) > 0.0 and wr @ (log_sizes - np.log(at_edge)) >= 0.0:
+        return edge
+    lo, hi, sigma = 0.0, edge, edge / 2.0
+    for _ in range(LINE_STEPS):
+        u = np.maximum(m + sigma * r, MARGINAL_CLAMP)
+        d = wr @ (log_sizes - np.log(u))
+        lo, hi = (sigma, hi) if d > 0.0 else (lo, sigma)
+        sigma += d / (wr @ (r / u))
+        if not lo <= sigma <= hi:
+            sigma = (lo + hi) / 2.0
+    return sigma
 
 
 def _residual(g, x) -> float:
@@ -241,15 +282,18 @@ def _solve(prob: _Problem, w, x=None):
 
     Damped Newton on the support, from the uniform point unless x is
     given.  Steps are minimum-norm KKT solutions, as the Hessian is
-    singular whenever variables outnumber parts, and are halved while F
-    drops by more than float noise.  Once the support gradients agree,
-    coordinates with a larger gradient join the support.  Returns
-    (x, iterations, residual).
+    singular whenever variables outnumber parts; one that leaves the
+    simplex drops the coordinates reaching zero only if phi'(edge) >= 0,
+    else stops at the line maximum before the edge (`_line_start`).  Steps
+    are halved while F drops by more than float noise.  Once the support
+    gradients agree, coordinates with a larger gradient join the support.
+    Returns (x, marginals, iterations, residual).
     """
     x = np.full(prob.size, 1.0 / prob.size) if x is None else x.copy()
+    m, f0 = prob.at(x, w)
     iters = 0
     while iters < MAX_STEPS:
-        g = prob.grads(x) @ w
+        g = prob.grads(m) @ w
         support = np.flatnonzero(x)
         mu = g[support].mean()
         if np.abs(g[support] - mu).max() <= TOL:
@@ -258,17 +302,18 @@ def _solve(prob: _Problem, w, x=None):
                 break
             x[grow] = GROW_MASS
             x /= x.sum()
+            m, f0 = prob.at(x, w)
             continue
         iters += 1
-        step = prob.newton_step(x, w, (mu - g)[:, None])[:, 0]
-        f0 = w @ prob.values(x)
-        for trial in _trials(x, step):
-            if w @ prob.values(trial) >= f0 - NOISE * abs(f0):
+        step = prob.newton_step(x, m, w, (mu - g)[:, None])[:, 0]
+        for trial in _trials(x, step, _line_start(prob, w, x, m, step)):
+            tm, tf = prob.at(trial, w)
+            if tf >= f0 - NOISE * abs(f0):
                 break
         else:
             break
-        x = trial
-    return x, iters, _residual(prob.grads(x) @ w, x)
+        x, m, f0 = trial, tm, tf
+    return x, m, iters, _residual(prob.grads(m) @ w, x)
 
 
 # -- the three maximizations ---------------------------------------------------
@@ -303,11 +348,11 @@ class Optimum:
         return tuple(ax for ax, wa in self.axis_weights.items() if wa > 0.0)
 
 
-def _optimum(prob: _Problem, w, objective, x, iters, resid) -> Optimum:
-    """The `Optimum` at x, where `_solve` with weights w stopped after
-    `iters` steps at residual `resid`; `objective` maps (f_x, f_y, f_z)
-    to the maximized value."""
-    f, g = prob.values(x), prob.grads(x) @ w
+def _optimum(prob: _Problem, w, objective, x, m, iters, resid) -> Optimum:
+    """The `Optimum` at x (marginals m), where `_solve` with weights w
+    stopped after `iters` steps at residual `resid`; `objective` maps
+    (f_x, f_y, f_z) to the maximized value."""
+    f, g = prob.values(m), prob.grads(m) @ w
     return Optimum(prob.block_masses(x), tuple(map(float, f)), float(objective(f)),
                    iters, resid, dict(zip("xyz", map(float, w))), float(g.max() - g @ x))
 
@@ -347,14 +392,14 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
     """
     prob = _Problem(block_set)
     w = np.full(3, 1.0 / 3.0)
-    x, iters, resid = _solve(prob, w)
-    f = prob.values(x)
+    x, m, iters, resid = _solve(prob, w)
+    f = prob.values(m)
     while iters < MAX_STEPS and _residual(-f, w) > TOL:
         iters += 1
         phi = w @ f
         free = (w > 0.0) | (f < phi)
-        g = prob.grads(x)
-        h = -(g.T @ prob.newton_step(x, w, g))[np.ix_(free, free)]
+        g = prob.grads(m)
+        h = -(g.T @ prob.newton_step(x, m, w, g))[np.ix_(free, free)]
         h += RIDGE * (1.0 + np.trace(h)) * np.eye(len(h))
         dw = np.zeros(3)
         dw[free] = _newton_step(h, f[free][:, None])[:, 0]    # h dw - nu 1 = -f
@@ -362,12 +407,12 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
             dw = -w
             dw[np.argmin(f)] += 1.0
         for trial in _trials(w, dw):
-            tx, n, tresid = _solve(prob, trial, x)
+            tx, tm, n, tresid = _solve(prob, trial, x)
             iters += n
-            tf = prob.values(tx)
+            tf = prob.values(tm)
             if tresid <= TOL and trial @ tf <= phi + NOISE * abs(phi):
                 break
         else:
             break
-        w, x, f, resid = trial, tx, tf, tresid
-    return _optimum(prob, w, min, x, iters, max(resid, _residual(-f, w)))
+        w, x, m, f, resid = trial, tx, tm, tf, tresid
+    return _optimum(prob, w, min, x, m, iters, max(resid, _residual(-f, w)))

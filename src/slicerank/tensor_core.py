@@ -24,6 +24,7 @@ the positional `is_variable_symmetric` check.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -689,6 +690,19 @@ def _content_lines(text: str):
             yield n, line.split()
 
 
+_INTEGER_RATIO = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
+def _coefficient(tok: str):
+    """The value `Fraction(tok)` reads (or the error it raises), but read
+    as an `int`, or a `Fraction` if not integral, when tok is `[+-]n[/d]`."""
+    match = _INTEGER_RATIO.fullmatch(tok)
+    if match is None:
+        return Fraction(tok)
+    num, den = int(match[1]), int(match[2] or 1)
+    return Fraction(num, den) if num % den else num // den
+
+
 def parse_tensor(text: str) -> Tensor:
     """Parse the line-oriented tensor format.
 
@@ -720,7 +734,7 @@ def parse_tensor(text: str) -> Tensor:
             raise ParseError(n, f"expected 'i j k coeff', got {' '.join(toks)!r}")
         try:
             i, j, k = int(toks[0]), int(toks[1]), int(toks[2])
-            c = Fraction(toks[3])
+            c = _coefficient(toks[3])
         except (ValueError, ZeroDivisionError):
             raise ParseError(n, f"bad entry {' '.join(toks)!r}")
         key = (i, j, k)

@@ -258,6 +258,15 @@ def reference_newton_step(h, on, rhs):
     return d[:, None] * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
 
 
+def reference_coefficient(tok: str):
+    """A coefficient token as `Fraction` reads it: the value, or the
+    ValueError or ZeroDivisionError it raises."""
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        return exc
+
+
 def symmetrize(block_set, probs: dict) -> dict:
     """Orbit-average a distribution {block key: mass} on a symmetric
     block partition; every block gets a mass, 0 included."""

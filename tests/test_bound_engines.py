@@ -86,6 +86,22 @@ def test_partition_bound_tq5():
     assert abs(rep.value - 4.46157) < 1e-4
 
 
+@pytest.mark.parametrize("tensor", [f"cw{q}" for q in range(1, 9)] + ["cw1-cube", "cw2-cube"])
+def test_symmetric_partition_bound_is_the_dual_bound(tensor):
+    """The symmetric branch reports exp(f_x + gap), which is not below the
+    objective at the returned orbit masses and, as those are optimal to
+    float noise, matches the laser value (a lower bound) to 1e-12."""
+    q = int(tensor[2])
+    t, p = sr.make_cw(q), sr.cw_partition(q)
+    if tensor.endswith("cube"):
+        t, p = sr.symmetric_cube(t), sr.cube_partition(t, p)
+    rep = be.partition_bound(t, p)
+    opt = sr.maximize_symmetric(sr.blocks(t, p))
+    assert rep.certificate["method"] == "symmetric"
+    assert rep.value >= opt.value
+    assert rep.value == pytest.approx(be.laser_lower_bound(t, p).value, rel=1e-12)
+
+
 def test_partition_bound_asymmetric_uses_minmax():
     t = sr.make_t112(2)
     rep = be.partition_bound(t, sr.t112_partition(2))

@@ -4,14 +4,17 @@ import itertools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import slicerank as sr
+from slicerank import optimizer
 from slicerank.optimizer import (
     MARGINAL_CLAMP,
+    NOISE,
     _newton_step,
     _Problem,
     objective_values,
@@ -250,6 +253,22 @@ def test_minmax_cw2_cube_b_part_memory():
     assert_minmax_certified(bs, mm)
 
 
+def test_minmax_cw4_remove_x_b_part_converges():
+    """B of remove-x on CW_4 (x part 0 dropped, trimmed, singleton
+    partition) has all three axes tied at log 4; dropping coordinates at
+    every boundary step and regrowing them from GROW_MASS stalled it at
+    the step cap with residual 6e-8."""
+    t, p = sr.make_cw(4), sr.cw_partition(4)
+    b = sr.trimmed(sr.Tensor(t.x_labels, t.y_labels, t.z_labels,
+                             {k: c for k, c in t.entries.items() if p.where[0][k[0]][0] != 0}))
+    bs = sr.blocks(b, sr.singleton_partition(b))
+    mm = sr.maximize_minmax(bs)
+    assert mm.iterations <= 100
+    assert mm.kkt_residual <= 1e-10
+    assert mm.value == pytest.approx(4.0, rel=1e-9)
+    assert_minmax_certified(bs, mm)
+
+
 def test_minmax_certified_on_random_partitions():
     rng = random.Random(45)
     for _ in range(100):
@@ -286,6 +305,59 @@ def test_symmetric_residual_tq_lower(q):
     opt = sr.maximize_symmetric(sr.blocks(t, sr.singleton_partition(t)))
     assert opt.kkt_residual <= 1e-10
     assert opt.iterations == 5  # pinned, like the CW_1-cube count above
+
+
+# Steps that meet the simplex boundary with the optimum inside go to the
+# line maximum before the edge: the counts here were 13 and 14 when such
+# steps dropped the coordinates reaching zero and regrew them.
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_symmetric_cw_step_budget(q):
+    opt = sr.maximize_symmetric(cw_blocks(q))
+    assert opt.iterations <= 3
+    assert opt.kkt_residual <= 1e-10
+
+
+@pytest.mark.parametrize("q", [4, 6])
+@pytest.mark.parametrize("solver, budget", [(sr.maximize_minmax, 4), (sr.maximize_product, 3)])
+def test_t112_step_budget(q, solver, budget):
+    opt = solver(sr.blocks(sr.make_t112(q), sr.t112_partition(q)))
+    assert opt.iterations <= budget
+    assert opt.kkt_residual <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       weights=st.sampled_from(["product", "x only", "random"]))
+def test_boundary_steps_keep_the_edge_value(seed, weights):
+    """On random block sets `_solve` certifies (gap <= 1e-9), and a step
+    that meets the simplex boundary is accepted at an F no lower than at
+    its edge trial, the point where the first coordinates reach zero."""
+    rng = random.Random(seed)
+    t = random_tensor(rng, max_dim=5)
+    prob = _Problem(sr.blocks(t, random_partition(rng, t)))
+    w = {"product": np.ones(3), "x only": np.array([1.0, 0.0, 0.0]),
+         "random": np.array([rng.uniform(0.1, 1.0) for _ in range(3)])}[weights]
+    steps, trials = [], optimizer._trials
+
+    def recorded(v, dv, start=None):
+        if start is None:                    # `_line_start` reading the edge trial
+            return trials(v, dv)
+        steps.append((v, dv, list(trials(v, dv, start))))
+        return iter(steps[-1][2])
+
+    with mock.patch.object(optimizer, "_trials", recorded):
+        x, m, _, _ = optimizer._solve(prob, w)
+    g = prob.grads(m) @ w
+    assert g.max() - g @ x <= 1e-9
+    big_f = lambda v: w @ prob.values(prob.marginals(v))
+    for v, dv, tried in steps:
+        f0 = big_f(v)
+        accepted = next((u for u in tried if big_f(u) >= f0 - NOISE * abs(f0)), None)
+        if accepted is not None and (v[dv < 0.0] / -dv[dv < 0.0]).min(initial=1.0) < 1.0:
+            edge = big_f(next(trials(v, dv)))
+            assert big_f(accepted) >= edge - NOISE * abs(edge)
 
 
 def test_symmetric_span_basis_uses_one_axis(monkeypatch):
@@ -384,7 +456,8 @@ def test_newton_step_matches_dense_reference(size, factor, seed, zero, twin):
         marg = np.maximum(inc @ x, MARGINAL_CLAMP)
         h = -sum(wa * (b.T / m) @ b for b, m, wa in zip(inc, marg, w))
         rhs = rng.normal(size=(n, 3))
-        step, ref = prob.newton_step(x, w, rhs), reference_newton_step(h, on, rhs)
+        step = prob.newton_step(x, prob.marginals(x), w, rhs)
+        ref = reference_newton_step(h, on, rhs)
         diagonal_step = rhs[on] / np.abs(np.diag(h)[on])[:, None]
         assert not step[~on].any()
     norm = np.maximum(np.linalg.norm(ref, axis=0), np.linalg.norm(diagonal_step, axis=0))

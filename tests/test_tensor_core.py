@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slicerank as sr
+from slicerank.degeneration import LambdaPoly, parse_degeneration_map
 from slicerank.tensor_core import ParseError, Tensor
 
-from helpers import (random_partition, random_tensor, reference_restriction,
-                     reference_symmetric_cube, reference_t_symmetric_partition,
-                     reference_tensor_product)
+from helpers import (random_partition, random_tensor, reference_coefficient,
+                     reference_restriction, reference_symmetric_cube,
+                     reference_t_symmetric_partition, reference_tensor_product)
 
 # halves, thirds and quarters multiply with 2, 3 and 4 to integral values
 PRODUCT_COEFFS = [-2, -1, 1, 2, 3, 4, Fraction(1, 2), Fraction(-3, 2),
@@ -456,6 +457,38 @@ def test_tensor_parse_errors():
     with pytest.raises(ParseError) as err:
         sr.parse_tensor("xvars 1\nyvars 1\nzvars 1\n0 0 2 1/1\n")
     assert "out of range" in str(err.value)
+
+
+COEFFICIENT_TOKENS = ["7", "-3/6", "+3", "-0", "0/5", "1.5", "1e3", "1_000", "\u0663",
+                      "3/+4", "-3/-4", "1/0", "0/0", "3/", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tok=st.one_of(
+    st.sampled_from(COEFFICIENT_TOKENS),
+    st.from_regex(r"[+-]?[0-9]{1,20}(/[0-9]{1,3})?", fullmatch=True),
+    st.text(st.sampled_from("0123456789+-/._eE\u0663\u0666"), min_size=1, max_size=8)))
+def test_coefficients_read_as_fraction_reads_them(tok):
+    """Both parsers read a coefficient to the value `Fraction(tok)` gives,
+    the tensor parser as an `int` when it is integral, and reject the
+    tokens `Fraction` rejects at the same line with the same message."""
+    want = reference_coefficient(tok)
+    tensor_text = f"xvars 1\nyvars 1\nzvars 1\n0 0 0 {tok}\n"
+    map_text = f"alpha 0 0 0 1\nbeta 0 0 1 {tok}\n"
+    if isinstance(want, Exception):
+        for parse, text, message in (
+                (sr.parse_tensor, tensor_text, f"bad entry '0 0 0 {tok}'"),
+                (parse_degeneration_map, map_text, f"bad polynomial in 'beta 0 0 1 {tok}'")):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == f"line {text.count(chr(10))}: {message}"
+        return
+    entries = sr.parse_tensor(tensor_text).entries
+    assert entries == ({(0, 0, 0): want} if want else {})
+    if want:
+        assert (type(entries[(0, 0, 0)]) is int) == (want.denominator == 1)
+    poly = parse_degeneration_map(map_text).beta.get((0, 0), LambdaPoly())
+    assert poly.coefficient(1) == want
 
 
 @pytest.mark.parametrize("text, line, message", [
