@@ -365,8 +365,10 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
     Condition (1) asks for a degeneration of every block onto a maximal
     matmul tensor; deciding that in general is open, so blocks are
     checked by exact matmul recognition, which covers every structured
-    family here.  A block on three one-variable parts is one term,
-    <1,1,1> whatever its coefficient, and is not built as a tensor.
+    family here.  Recognition reads each block's slot-keyed entries in
+    `bs.blocks` with its part sizes as the shape, so no block is built
+    as a tensor; a block on three one-variable parts is one term,
+    <1,1,1> whatever its coefficient, and is not recognized at all.
     Condition (2) scans the block indices for a hyperplane i+j+k = ell
     and falls back to solving for integer part grades (needed for
     product partitions of rotation products, whose nonzero blocks still
@@ -419,7 +421,7 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
         if parts == (1, 1, 1):
             shapes[key] = parts
             continue
-        witness = rank_tools.recognize_matmul(bs[key])
+        witness = rank_tools._recognize(bs.blocks[key], parts)
         if witness is None:
             matmul_ok = False
             failures.append(f"block {key} is not a matmul tensor")

@@ -12,6 +12,7 @@ line), 4 inapplicable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bound_engines as be
@@ -211,9 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use rather than at import;
+    `parse_args` leaves it unchanged, so every command line may reuse it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (UsageError, ParseError, OSError) as exc:  # ParseError is a ValueError
         print(f"parse error: {exc}", file=sys.stderr)

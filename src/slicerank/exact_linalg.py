@@ -3,8 +3,8 @@
 Rows are dicts column -> nonzero `int` or `Fraction`.  `row_reduce`
 gives the reduced row echelon form; the rank is its number of pivots and
 `nullspace` reads a basis off it.  Integral values are kept as `int`, so
-0/1 matrices reduce in integer arithmetic until a pivot other than 1
-forces a `Fraction`.
+0/1 matrices reduce in integer arithmetic until a pivot that does not
+divide its row forces a `Fraction`.
 """
 
 from __future__ import annotations
@@ -34,14 +34,16 @@ def row_reduce(rows) -> dict:
                 if c2 != c:
                     s = row.get(c2, 0) - f * v
                     if s:
-                        row[c2] = s
+                        row[c2] = _exact(s)
                     else:
                         del row[c2]
         if not row:
             continue
         col = min(row)
         lead = row[col]
-        row = {c: _exact(Fraction(v, lead)) for c, v in row.items()}
+        if lead != 1:
+            row = {c: Fraction(v, lead) if v % lead else v // lead
+                   for c, v in row.items()}
         for other in pivots.values():
             f = other.pop(col, 0)
             if f:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import exact_linalg
-from .tensor_core import AXES, Tensor, is_minimal
+from .tensor_core import AXES, Tensor
 
 _FLATTEN = {
     # axis -> (row position, first col position, second col position)
@@ -114,16 +114,23 @@ def _number_by_partners(partners, count):
 def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
     """Recognize t as a matmul tensor <a,b,c> up to relabeling, or None.
 
-    The tensor must be minimal.  Its terms must be those of <a,b,c> under
+    The tensor must be minimal; that is checked on the partner sets the
+    recognition builds anyway.  Its terms must be those of <a,b,c> under
     some labeling, and its coefficients e(r,s,d), read off that labeling's
     cells, must satisfy e(r,s,d) e(r,0,0) e(0,s,0) e(0,0,d) = e(r,s,0)
     e(r,0,d) e(0,s,d) e(0,0,0) on every cell: exactly when per-variable
     scalings make every coefficient 1.
     """
-    if len(t.entries) == 0 or not is_minimal(t):
+    return _recognize(t.entries, t.shape)
+
+
+def _recognize(entries, shape) -> Optional[MatmulWitness]:
+    """`recognize_matmul` on a nonzero entry map {(i, j, k): coefficient}
+    with every index inside `shape`, such as a block of a `BlockSet`."""
+    n = len(entries)
+    if n == 0:
         return None
-    nx, ny, nz = t.shape
-    n = len(t.entries)
+    nx, ny, nz = shape
     # Dimensions are forced: |X| = ab, |Y| = bc, |Z| = ca, abc = #terms.
     a, b, c = n // ny, n // nz, n // nx
     if (a * b, b * c, c * a, a * b * c) != (nx, ny, nz, n):
@@ -154,17 +161,19 @@ def recognize_matmul(t: Tensor) -> Optional[MatmulWitness]:
     x_zs = [set() for _ in range(nx)]
     x_ys = [set() for _ in range(nx)]
     y_zs = [set() for _ in range(ny)]
-    for i, j, k in t.entries:
+    for i, j, k in entries:
         x_zs[i].add(k)
         x_ys[i].add(j)
         y_zs[j].add(k)
+    if not (all(x_zs) and all(y_zs) and len(set().union(*y_zs)) == nz):
+        return None  # not minimal
     row = _number_by_partners(x_zs, a)
     col = _number_by_partners(x_ys, b)
     dep = _number_by_partners(y_zs, c)
     if row is None or col is None or dep is None:
         return None
     y_coords, z_coords, e = {}, {}, {}
-    for (i, j, k), coef in t.entries.items():
+    for (i, j, k), coef in entries.items():
         r, s, d = row[i], col[i], dep[j]
         if (r, s, d) in e:
             return None

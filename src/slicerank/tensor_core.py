@@ -89,6 +89,19 @@ class Tensor:
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "meta", dict(meta) if meta else {})
 
+    @classmethod
+    def _unchecked(cls, x_labels, y_labels, z_labels, entries) -> Tensor:
+        """A tensor taken as given, with no meta: for label tuples of a
+        checked tensor and a sub-map of its entries, which pass every
+        check of `Tensor(...)` as they stand."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "x_labels", x_labels)
+        object.__setattr__(t, "y_labels", y_labels)
+        object.__setattr__(t, "z_labels", z_labels)
+        object.__setattr__(t, "entries", entries)
+        object.__setattr__(t, "meta", {})
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
@@ -582,10 +595,11 @@ class BlockSet:
 
     `blocks` maps part index triples (i, j, k) to the entries of the
     parent tensor on those parts, keyed by within-part slots:
-    {(slot_x, slot_y, slot_z): coefficient}.  `bs[key]` builds that block
-    as a standalone tensor over its parts' variables (in part order),
-    anew on every call.  `symmetric` is the rotation verdict decided once
-    by `blocks`.
+    {(slot_x, slot_y, slot_z): coefficient}; code that needs a block's
+    entries reads them there, with the part sizes as its shape.  `bs[key]`
+    builds that block as a standalone, checked tensor over its parts'
+    variables (in part order), anew on every call.  `symmetric` is the
+    rotation verdict decided once by `blocks`.
     """
 
     __slots__ = ("tensor", "partition", "blocks", "symmetric")
@@ -658,7 +672,8 @@ def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:
     """The nonzero blocks as tensors over the parent's full variable lists.
 
     Unlike `blocks`, the returned tensors keep the ambient axes, so they
-    sum (entrywise) to the parent tensor.
+    sum (entrywise) to the parent tensor.  They share the parent's label
+    tuples and hold sub-maps of its entries, so they are not checked again.
     """
     if p.sizes != t.shape:
         raise ValueError("partition sizes do not match tensor axes")
@@ -667,7 +682,7 @@ def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:
     for (i, j, k), c in t.entries.items():
         buckets.setdefault((wx[i][0], wy[j][0], wz[k][0]), {})[(i, j, k)] = c
     return {
-        key: Tensor(t.x_labels, t.y_labels, t.z_labels, buckets[key])
+        key: Tensor._unchecked(t.x_labels, t.y_labels, t.z_labels, buckets[key])
         for key in sorted(buckets)
     }
 
@@ -685,9 +700,9 @@ class ParseError(ValueError):
 
 def _content_lines(text: str):
     for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield n, line.split()
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if toks:
+            yield n, toks
 
 
 _INTEGER_RATIO = re.compile(r"([+-]?\d+)(?:/(\d+))?")
@@ -727,6 +742,8 @@ def parse_tensor(text: str) -> Tensor:
             if count < 0:
                 raise ParseError(n, f"bad variable count {toks[1]!r}")
             sizes[toks[0][0]] = count
+            if len(sizes) == 3:
+                nx, ny, nz = sizes["x"], sizes["y"], sizes["z"]
             continue
         if len(sizes) != 3:
             raise ParseError(n, "entry before xvars/yvars/zvars headers")
@@ -740,9 +757,10 @@ def parse_tensor(text: str) -> Tensor:
         key = (i, j, k)
         if key in entries:
             raise ParseError(n, f"duplicate entry for {key}")
-        for idx, ax in zip(key, "xyz"):
-            if not 0 <= idx < sizes[ax]:
-                raise ParseError(n, f"{ax} index {idx} out of range")
+        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+            for idx, ax in zip(key, "xyz"):
+                if not 0 <= idx < sizes[ax]:
+                    raise ParseError(n, f"{ax} index {idx} out of range")
         entries[key] = c
     if len(sizes) != 3:
         raise ParseError(1, "missing xvars/yvars/zvars headers")

@@ -379,17 +379,23 @@ CW2_CUBE_GRADES = {
 }
 
 
-def test_laser_ready_relabeled_cw2_cube_grading_unchanged():
+def relabeled_cw2_cube(seed):
+    """The CW_2 cube and its product partition under one seeded permutation
+    shared by the three axes."""
     cw = sr.make_cw(2)
     cube = sr.symmetric_cube(cw)
     part = sr.cube_partition(cw, sr.cw_partition(2))
     perm = list(range(64))
-    random.Random(3).shuffle(perm)
+    random.Random(seed).shuffle(perm)
     entries = {(perm[i], perm[j], perm[k]): c for (i, j, k), c in cube.entries.items()}
     parts = [[(label, [perm[i] for i in idx]) for label, idx in part.parts(ax)]
              for ax in "xyz"]
     t = Tensor(range(64), range(64), range(64), entries)
-    r = be.laser_readiness(t, sr.VariablePartition(*parts, t.shape))
+    return t, sr.VariablePartition(*parts, t.shape)
+
+
+def test_laser_ready_relabeled_cw2_cube_grading_unchanged():
+    r = be.laser_readiness(*relabeled_cw2_cube(3))
     assert r.ok
     assert (r.ell, r.grades) == (243, CW2_CUBE_GRADES)
 
@@ -405,6 +411,23 @@ def test_laser_ready_parity_support_fails():
     assert not r.ok
 
 
+def recognition_of_every_block(r, p):
+    """Block shapes and failures of condition (1) from `recognize_matmul`
+    run on every block `r.block_set[key]` as a checked tensor."""
+    shapes, failures = {}, []
+    for key in r.block_set.keys():
+        witness = rank_tools.recognize_matmul(r.block_set[key])
+        if witness is None:
+            failures.append(f"block {key} is not a matmul tensor")
+            continue
+        shapes[key] = (witness.a, witness.b, witness.c)
+        if (witness.a * witness.b, witness.b * witness.c, witness.c * witness.a) != tuple(
+                p.part_sizes(ax)[i] for ax, i in zip("xyz", key)):
+            failures.append(f"block {key} is <{witness.a},{witness.b},{witness.c}>, "
+                            "not maximal for its parts")
+    return shapes, failures
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), singletons=st.booleans(), sparse=st.booleans())
 def test_laser_ready_matmul_verdict_matches_recognition_of_every_block(seed, singletons,
@@ -417,20 +440,39 @@ def test_laser_ready_matmul_verdict_matches_recognition_of_every_block(seed, sin
     t = random_tensor(rng, max_dim=4, density=0.2 if sparse else 0.5)
     p = sr.singleton_partition(t) if singletons else random_partition(rng, t)
     r = be.laser_readiness(t, p)
-    shapes, failures = {}, []
-    for key in r.block_set.keys():
-        witness = rank_tools.recognize_matmul(r.block_set[key])
-        if witness is None:
-            failures.append(f"block {key} is not a matmul tensor")
-            continue
-        shapes[key] = (witness.a, witness.b, witness.c)
-        if (witness.a * witness.b, witness.b * witness.c, witness.c * witness.a) != tuple(
-                p.part_sizes(ax)[i] for ax, i in zip("xyz", key)):
-            failures.append(f"block {key} is <{witness.a},{witness.b},{witness.c}>, "
-                            "not maximal for its parts")
+    shapes, failures = recognition_of_every_block(r, p)
     assert r.block_shapes == shapes
     assert r.conditions["maximal_matmul_blocks"] == (not failures)
     assert [f for f in r.failures if f.startswith("block (")] == failures
+
+
+def test_laser_ready_relabeled_cw2_cube_matches_recognition_of_every_block():
+    t, p = relabeled_cw2_cube(29)
+    r = be.laser_readiness(t, p)
+    shapes, failures = recognition_of_every_block(r, p)
+    assert r.ok and r.failures == failures == []
+    assert r.block_shapes == shapes and len(shapes) == 216
+
+
+def test_laser_readiness_builds_no_block_tensor(monkeypatch):
+    """Recognition reads each block's slot-keyed entries: on the CW_2 cube
+    under its product partition no block is built as a tensor, checked or
+    not, and `bs[key]` is never called."""
+    cw = sr.make_cw(2)
+    cube = sr.symmetric_cube(cw)
+    part = sr.cube_partition(cw, sr.cw_partition(2))
+    built = []
+    init, unchecked = Tensor.__init__, Tensor._unchecked
+    getitem = sr.tensor_core.BlockSet.__getitem__
+    monkeypatch.setattr(Tensor, "__init__",
+                        lambda self, *args, **kw: built.append("init") or init(self, *args, **kw))
+    monkeypatch.setattr(Tensor, "_unchecked", classmethod(
+        lambda cls, *args: built.append("unchecked") or unchecked(*args)))
+    monkeypatch.setattr(sr.tensor_core.BlockSet, "__getitem__",
+                        lambda bs, key: built.append("getitem") or getitem(bs, key))
+    r = be.laser_readiness(cube, part)
+    assert r.ok and len(r.block_shapes) == 216
+    assert built == []
 
 
 # -- laser lower bound ------------------------------------------------------------------

@@ -408,6 +408,31 @@ def test_help_exit_code(capsys):
     assert capsys.readouterr().out.startswith("usage: slicerank table")
 
 
+def test_one_parser_per_process(capsys, monkeypatch):
+    """`main` builds its parser on the first call and reuses it; no value
+    of one command line is carried over to the next."""
+    from slicerank import cli
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert main(["table", "cw", "--qmax", "2", "--format", "tsv"]) == 0
+    assert [len(line.split("\t")) for line in capsys.readouterr().out.splitlines()] == [4, 4]
+    assert main(["table", "cw", "--qmax", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "\t" not in out and out.split()[::3] == ["1", "PASS"]
+    assert main(["table", "foo"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "parse error: slicerank table: argument family: invalid choice: "
+        "'foo' (choose from 'cw', 'cw-small', 'tq-lower')\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: slicerank table")
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("argv, code", [
     (["table", "cw", "--qmax", "0"], 4),
     (["table", "tq-lower", "--qmax", "1"], 4),

@@ -51,6 +51,25 @@ def test_values_stay_integral_under_unit_pivots():
     assert all(type(v) is int for row in reduced.values() for v in row.values())
     half = exact_linalg.row_reduce([{0: 2, 1: 1}])
     assert half == {0: {0: 1, 1: Fraction(1, 2)}}
+    negated = exact_linalg.row_reduce([{0: -1, 1: 2}, {1: Fraction(3, 2), 2: 3}])
+    assert negated == {0: {0: 1, 2: 4}, 1: {1: 1, 2: 2}}
+    assert all(type(v) is int for row in negated.values() for v in row.values())
+
+
+def test_grading_and_flattening_reduce_without_fractions(monkeypatch):
+    """Pivots of 1 are not scaled, pivots dividing their row give ints, and
+    integral sums are stored as ints: the CW_2 cube's grading rows (pivots
+    1 and -1) and the CW_1 cube's x-flattening build no `Fraction`."""
+    built = []
+    monkeypatch.setattr(exact_linalg, "Fraction",
+                        lambda *args: built.append(args) or Fraction(*args))
+    cw = sr.make_cw(2)
+    keys = sr.blocks(sr.symmetric_cube(cw), sr.cube_partition(cw, sr.cw_partition(2))).keys()
+    rows = [{i: 1, 27 + j: 1, 54 + k: 1, 81: -1} for (i, j, k) in keys]
+    assert len(exact_linalg.row_reduce(rows)) == 76
+    flat = sr.rank_tools.flattening(sr.symmetric_cube(sr.make_cw(1)), "x")
+    assert len(exact_linalg.row_reduce(flat.rows)) == 27
+    assert built == []
 
 
 def test_input_rows_are_not_modified():

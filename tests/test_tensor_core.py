@@ -505,6 +505,26 @@ def test_tensor_headers_once_before_entries(text, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("2 0 0 1", "x index 2 out of range"),
+    ("0 5 0 1", "y index 5 out of range"),
+    ("0 0 3 1/2", "z index 3 out of range"),
+    ("0 -1 0 1", "y index -1 out of range"),
+    ("-1 9 9 1", "x index -1 out of range"),
+    ("1 2 9 1  # comment", "z index 9 out of range"),
+    ("0 0 0 1", "duplicate entry for (0, 0, 0)"),
+    ("0 0 0 3 # again", "duplicate entry for (0, 0, 0)"),
+])
+def test_tensor_entry_errors_name_their_line(entry, message):
+    """Bad indices and repeated entries are reported at their own line,
+    the first bad axis first, with or without a trailing comment."""
+    text = f"xvars 2\nzvars 3  # z\nyvars 3\n# entries\n0 0 0 2\n{entry}\n1 1 1 1\n"
+    with pytest.raises(ParseError) as err:
+        sr.parse_tensor(text)
+    assert err.value.line_no == 6
+    assert str(err.value) == f"line 6: {message}"
+
+
 def test_tensor_format_comments_and_plain_ints():
     text = "# a comment\nxvars 1\nyvars 1\nzvars 1\n0 0 0 2  # inline\n"
     t = sr.parse_tensor(text)
