@@ -66,7 +66,6 @@ from .degeneration import (
 )
 from .optimizer import (
     Optimum,
-    block_orbits,
     maximize_minmax,
     maximize_product,
     maximize_symmetric,

@@ -157,25 +157,24 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     if not bs.blocks:
         raise Inapplicable("the block set is empty: the tensor has no terms")
     if bs.symmetric:
-        opt = optimizer.maximize_symmetric(bs)
+        opt, theorem = optimizer.maximize_symmetric(bs), THEOREM_PARTITION_SYM
         cert = {
             "method": "symmetric",
             "kkt_residual": opt.kkt_residual,
             "optimality_gap": opt.optimality_gap,
             "distribution": opt.masses,
         }
-        return BoundReport("slice_rank_upper", math.exp(opt.log_value + opt.optimality_gap),
-                           THEOREM_PARTITION_SYM, certificate=cert)
-    opt = optimizer.maximize_minmax(bs)
-    cert = {
-        "method": "minmax",
-        "kkt_residual": opt.kkt_residual,
-        "active_axes": "".join(opt.active_axes),
-        "distribution": opt.masses,
-    }
+    else:
+        opt, theorem = optimizer.maximize_minmax(bs), THEOREM_PARTITION
+        cert = {
+            "method": "minmax",
+            "kkt_residual": opt.kkt_residual,
+            "active_axes": "".join(opt.active_axes),
+            "distribution": opt.masses,
+        }
     dual = sum(w * f for w, f in zip(opt.axis_weights.values(), opt.log_values))
-    return BoundReport("slice_rank_upper", math.exp(dual + opt.optimality_gap),
-                       THEOREM_PARTITION, certificate=cert)
+    return BoundReport("slice_rank_upper", math.exp(dual + opt.optimality_gap), theorem,
+                       certificate=cert)
 
 
 # -- tool three: removing a low x-rank part ----------------------------------
@@ -253,7 +252,7 @@ def remove_x_bound(t: Tensor, p: VariablePartition) -> tuple[BoundReport, BoundR
     a, b = (Tensor(t.x_labels, t.y_labels, t.z_labels, e) for e in (a, b))
     bt = trimmed(b)
     solved = partition_bound(bt, singleton_partition(bt))
-    return split_bound(a, b, solved.value, total=t), solved
+    return split_bound(a, b, solved.value), solved
 
 
 # -- exponent lower bounds ----------------------------------------------------
@@ -459,7 +458,7 @@ def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
         "ell": ready.ell,
         "kkt_residual": opt.kkt_residual,
         "distribution": opt.masses,
-        "block_shapes": dict(sorted(ready.block_shapes.items())),
+        "block_shapes": dict(ready.block_shapes),
     }
     return BoundReport("slice_rank_lower", opt.value, THEOREM_LASER,
                        certificate=cert)

@@ -94,32 +94,14 @@ def objective_values(block_set: BlockSet, probs: dict) -> tuple:
     return tuple(map(float, prob.values(prob.marginals(x / total))))
 
 
-def block_orbits(block_set: BlockSet) -> list[tuple]:
-    """Orbits of the block keys under the rotation (i,j,k) -> (j,k,i).
-
-    Raises if the key set is not closed under rotation (the partition is
-    then not symmetric).
-    """
-    keys = set(block_set.blocks)
-    orbits = set()
-    for (i, j, k) in sorted(keys):
-        orbit = {(i, j, k), (j, k, i), (k, i, j)}
-        missing = sorted(orbit - keys)
-        if missing:
-            raise ValueError(f"block set not rotation closed: {missing[0]} "
-                             f"missing for orbit of {(i, j, k)}")
-        orbits.add(tuple(sorted(orbit)))
-    return sorted(orbits)
-
-
 # -- the solver ---------------------------------------------------------------
 
 
 class _Problem:
     """The axis objectives f_a(S x) of a block set, as functions of x.
 
-    x holds the masses of groups of blocks (single blocks by default, or
-    rotation orbits), spread evenly over each group by S.  The incidence
+    x holds the masses of groups of blocks (single blocks, in key order, by
+    default, or the block set's `orbits`), spread evenly by S.  The incidence
     R stacks the parts x groups matrices A_a S of the three axes (A_a the
     0/1 parts x blocks incidence of axis a), so R x holds every marginal.
     It is kept sparse, sorted by group: R[row[e], col[e]] = val[e], `axis`
@@ -127,7 +109,7 @@ class _Problem:
     """
 
     def __init__(self, block_set: BlockSet, groups=None):
-        self.keys = sorted(block_set.blocks)
+        self.keys = list(block_set.blocks)
         groups = [(k,) for k in self.keys] if groups is None else groups
         self.size = len(groups)
         # block i carries the share 1/len(group) of its group's mass x[group[i]]
@@ -248,13 +230,15 @@ def _line_start(prob: _Problem, w, x, m, s) -> float:
     """The sigma at which the trials of the step s from x (marginals m)
     start: 1 when the step stays in the simplex; else the edge, where the
     first coordinates reach zero, if phi'(edge) >= 0; else the maximizer
-    of phi on (0, edge), by safeguarded Newton on phi'."""
+    of phi on (0, edge), by safeguarded Newton on phi', or the edge if phi
+    is no lower there (phi'(edge) < 0 can be float noise)."""
     edge = np.min(x[s < 0.0] / -s[s < 0.0], initial=1.0)
     if edge >= 1.0:
         return 1.0
     r = prob.marginals(s)
     on = (w[prob.axis] > 0.0) & (r != 0.0)
-    wr, r, m, log_sizes = w[prob.axis][on] * r[on], r[on], m[on], prob.log_sizes[on]
+    wa, r, m, log_sizes = w[prob.axis][on], r[on], m[on], prob.log_sizes[on]
+    wr = wa * r
     at_edge = prob.marginals(next(_trials(x, s)))[on]
     if at_edge.min(initial=1.0) > 0.0 and wr @ (log_sizes - np.log(at_edge)) >= 0.0:
         return edge
@@ -266,7 +250,9 @@ def _line_start(prob: _Problem, w, x, m, s) -> float:
         sigma += d / (wr @ (r / u))
         if not lo <= sigma <= hi:
             sigma = (lo + hi) / 2.0
-    return sigma
+    u_edge, u_sigma = (np.maximum(m + t * r, MARGINAL_CLAMP) for t in (edge, sigma))
+    phi = lambda u: wa @ (u * (log_sizes - np.log(u)))
+    return edge if phi(u_edge) >= phi(u_sigma) else sigma
 
 
 def _residual(g, x) -> float:
@@ -360,14 +346,13 @@ def _optimum(prob: _Problem, w, objective, x, m, iters, resid) -> Optimum:
 def maximize_symmetric(block_set: BlockSet) -> Optimum:
     """Maximize f_x over rotation-symmetric block distributions.
 
-    The partition must be symmetric for the tensor (the block set's
-    `symmetric` verdict).  The orbit masses are the variables; the three
-    axes' incidence matrices are equal on them, so the objective is f_x
-    alone, weights (1, 0, 0).
+    The partition must be symmetric for the tensor; the block set's
+    `orbits`, decided by `blocks`, are the variables.  The three axes'
+    incidence matrices are equal on them, so the objective is f_x alone.
     """
     if not block_set.symmetric:
         raise ValueError("partition is not symmetric for this tensor")
-    prob = _Problem(block_set, block_orbits(block_set))
+    prob = _Problem(block_set, block_set.orbits)
     w = np.array([1.0, 0.0, 0.0])
     return _optimum(prob, w, lambda f: f[0], *_solve(prob, w))
 

@@ -591,31 +591,33 @@ def cube_partition(t: Tensor, p: VariablePartition) -> VariablePartition:
 
 
 class BlockSet:
-    """The nonzero blocks of a tensor under a partition.
+    """The nonzero blocks of a tensor under a partition, decided by `blocks`.
 
-    `blocks` maps part index triples (i, j, k) to the entries of the
-    parent tensor on those parts, keyed by within-part slots:
-    {(slot_x, slot_y, slot_z): coefficient}; code that needs a block's
-    entries reads them there, with the part sizes as its shape.  `bs[key]`
-    builds that block as a standalone, checked tensor over its parts'
-    variables (in part order), anew on every call.  `symmetric` is the
-    rotation verdict decided once by `blocks`.
+    `blocks` maps part index triples (i, j, k), in sorted order, to the
+    entries of the parent tensor on those parts, keyed by within-part
+    slots: {(slot_x, slot_y, slot_z): coefficient}.  `bs[key]` builds that
+    block as a standalone, checked tensor over its parts' variables (in
+    part order), anew on every call.  `orbits` lists the key orbits under
+    (i,j,k) -> (j,k,i), sorted tuples in sorted order, or is None when
+    the partition is not symmetric for the tensor (`symmetric`).
     """
 
-    __slots__ = ("tensor", "partition", "blocks", "symmetric")
+    __slots__ = ("tensor", "partition", "blocks", "orbits")
 
     def __init__(self, tensor: Tensor, partition: VariablePartition, blocks,
-                 symmetric: bool):
+                 orbits: Optional[list]):
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "blocks", dict(blocks))
-        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "blocks", dict(sorted(blocks.items())))
+        object.__setattr__(self, "orbits", orbits)
+
+    symmetric = property(lambda self: self.orbits is not None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockSet is immutable")
 
     def keys(self):
-        return sorted(self.blocks)
+        return list(self.blocks)
 
     def __len__(self):
         return len(self.blocks)
@@ -637,26 +639,27 @@ class BlockSet:
         return f"BlockSet({len(self.blocks)} blocks of {self.tensor!r})"
 
 
-def _rotation_symmetric(t: Tensor, p: VariablePartition, out: dict) -> bool:
-    """Rotation verdict for the slot-keyed blocks `out` of t under p.
-
-    Equal part sizes, t variable-symmetric, and each block (i,j,k),
-    rotated positionally, equal to the block at (j,k,i).
+def _rotation_orbits(t: Tensor, p: VariablePartition, out: dict) -> Optional[list]:
+    """Rotation orbits of the slot-keyed blocks `out` of t under p, or None
+    unless p is symmetric for t: equal part sizes, t variable-symmetric,
+    and each block (i,j,k), rotated positionally, equal to the block at (j,k,i).
     """
     if not (p.part_sizes("x") == p.part_sizes("y") == p.part_sizes("z")):
-        return False
+        return None
     if not is_variable_symmetric(t):
-        return False
+        return None
+    orbits = set()
     for (i, j, k), block in out.items():
         image = out.get((j, k, i))
         if image is None or image != {(v, w, u): c for (u, v, w), c in block.items()}:
-            return False
-    return True
+            return None
+        orbits.add(tuple(sorted({(i, j, k), (j, k, i), (k, i, j)})))
+    return sorted(orbits)
 
 
 def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
-    """Split t into its nonzero blocks under the partition p, as slot-keyed
-    entry maps (see `BlockSet`); no per-block `Tensor` is built."""
+    """Split t into its nonzero blocks under p, as slot-keyed entry maps, and
+    decide their rotation orbits (see `BlockSet`); builds no block `Tensor`."""
     if p.sizes != t.shape:
         raise ValueError("partition sizes do not match tensor axes")
     wx, wy, wz = p.where
@@ -664,8 +667,7 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
     for (i, j, k), c in t.entries.items():
         (bi, si), (bj, sj), (bk, sk) = wx[i], wy[j], wz[k]
         buckets.setdefault((bi, bj, bk), {})[(si, sj, sk)] = c
-    out = {key: buckets[key] for key in sorted(buckets)}
-    return BlockSet(t, p, out, _rotation_symmetric(t, p, out))
+    return BlockSet(t, p, buckets, _rotation_orbits(t, p, buckets))
 
 
 def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:

@@ -10,7 +10,6 @@ from itertools import permutations
 
 import numpy as np
 
-from slicerank.optimizer import block_orbits
 from slicerank.tensor_core import Tensor, VariablePartition, make_matmul, tensor_power
 
 COEFFS = [Fraction(n) for n in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -267,11 +266,30 @@ def reference_coefficient(tok: str):
         return exc
 
 
+def reference_orbits(block_set) -> list[tuple]:
+    """Orbits of the block keys under the rotation (i,j,k) -> (j,k,i),
+    rebuilt from the keys alone.
+
+    Raises if the key set is not closed under rotation (the partition is
+    then not symmetric).
+    """
+    keys = set(block_set.blocks)
+    orbits = set()
+    for (i, j, k) in sorted(keys):
+        orbit = {(i, j, k), (j, k, i), (k, i, j)}
+        missing = sorted(orbit - keys)
+        if missing:
+            raise ValueError(f"block set not rotation closed: {missing[0]} "
+                             f"missing for orbit of {(i, j, k)}")
+        orbits.add(tuple(sorted(orbit)))
+    return sorted(orbits)
+
+
 def symmetrize(block_set, probs: dict) -> dict:
     """Orbit-average a distribution {block key: mass} on a symmetric
     block partition; every block gets a mass, 0 included."""
     out = {}
-    for orbit in block_orbits(block_set):
+    for orbit in block_set.orbits:
         avg = sum(probs.get(k, 0.0) for k in orbit) / len(orbit)
         for k in orbit:
             out[k] = avg

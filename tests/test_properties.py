@@ -167,7 +167,7 @@ def test_symmetric_distributions_equal_axis_values():
         bs = sr.blocks(t, p)
         if not bs.symmetric:
             continue
-        orbits = sr.block_orbits(bs)
+        orbits = bs.orbits
         masses = [rng.random() + 1e-6 for _ in orbits]
         tot = sum(m * len(o) for m, o in zip(masses, orbits))
         probs = {}

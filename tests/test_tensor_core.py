@@ -13,9 +13,10 @@ import slicerank as sr
 from slicerank.degeneration import LambdaPoly, parse_degeneration_map
 from slicerank.tensor_core import ParseError, Tensor
 
-from helpers import (random_partition, random_tensor, reference_coefficient,
-                     reference_restriction, reference_symmetric_cube,
-                     reference_t_symmetric_partition, reference_tensor_product)
+from helpers import (random_partition, random_symmetric_tensor, random_tensor,
+                     reference_coefficient, reference_orbits, reference_restriction,
+                     reference_symmetric_cube, reference_t_symmetric_partition,
+                     reference_tensor_product, shared_index_partition)
 
 # halves, thirds and quarters multiply with 2, 3 and 4 to integral values
 PRODUCT_COEFFS = [-2, -1, 1, 2, 3, 4, Fraction(1, 2), Fraction(-3, 2),
@@ -384,6 +385,51 @@ def test_block_symmetry_matches_entry_map_reference(case, perturb, axis, data):
         assert verdict
     if perturb == "coefficient" and len(set(key)) > 1:
         assert not verdict
+
+
+def test_orbits_match_key_reference():
+    """`blocks` decides the rotation orbits with the verdict; they equal the
+    orbits rebuilt from the keys alone."""
+    rng = random.Random(1016)
+    cases = []
+    for _ in range(40):
+        t = random_symmetric_tensor(rng, rng.randint(2, 4))
+        cases.append(sr.blocks(t, shared_index_partition(rng, t)))
+    cw = sr.make_cw(2)
+    cases.append(sr.blocks(sr.symmetric_cube(cw), sr.cube_partition(cw, sr.cw_partition(2))))
+    t = sr.make_cyclic_lower(16)
+    cases.append(sr.blocks(t, sr.singleton_partition(t)))
+    for bs in cases:
+        assert bs.symmetric and bs.orbits == reference_orbits(bs)
+    assert (len(cases[-2].orbits), len(cases[-1].orbits)) == (76, 46)
+
+
+def test_orbits_none_unless_symmetric():
+    """Unequal part sizes, a tensor that is not variable-symmetric, and
+    rotation-closed keys whose rotated blocks differ each give no orbits,
+    and `maximize_symmetric` refuses the block set."""
+    q = 2
+    unequal = sr.VariablePartition(
+        [("02", (0, q + 1)), ("1", tuple(range(1, q + 1)))],
+        sr.cw_partition(q).parts_y, sr.cw_partition(q).parts_z, sizes=(q + 2,) * 3)
+    cw = sr.make_cw(q)
+    cube = sr.symmetric_cube(cw)
+    entries = dict(cube.entries)
+    key = next(key for key in sorted(entries) if len(set(key)) > 1)
+    entries[key] *= 2
+    doubled = Tensor(cube.x_labels, cube.y_labels, cube.z_labels, entries)
+    rotated = Tensor(range(3), range(3), range(3),
+                     dict.fromkeys([(0, 2, 1), (1, 0, 2), (2, 1, 0)], 1))
+    closed = sr.VariablePartition([("0", (1, 2)), ("1", (0,))], [("0", (0, 1)), ("1", (2,))],
+                                  [("0", (0, 2)), ("1", (1,))], sizes=(3, 3, 3))
+    for t, p in [(cw, unequal), (doubled, sr.cube_partition(cw, sr.cw_partition(q))),
+                 (rotated, closed)]:
+        bs = sr.blocks(t, p)
+        assert bs.orbits is None and not bs.symmetric
+        with pytest.raises(ValueError, match="^partition is not symmetric for this tensor$"):
+            sr.maximize_symmetric(bs)
+    assert sr.is_variable_symmetric(rotated)
+    assert reference_orbits(bs) == [((0, 0, 0),), ((1, 1, 1),)]
 
 
 def test_blocks_random_reconstruction():
