@@ -249,7 +249,7 @@ def remove_x_bound(t: Tensor, p: VariablePartition) -> tuple[BoundReport, BoundR
         (a if p.where[0][key[0]][0] == 0 else b)[key] = c
     if not a or not b:
         raise TrivialSplit("remove-x needs a nontrivial first x part")
-    a, b = (Tensor(t.x_labels, t.y_labels, t.z_labels, e) for e in (a, b))
+    a, b = (Tensor._unchecked(t.x_labels, t.y_labels, t.z_labels, e) for e in (a, b))
     bt = trimmed(b)
     solved = partition_bound(bt, singleton_partition(bt))
     return split_bound(a, b, solved.value), solved

@@ -24,6 +24,14 @@ The certificate is the concavity gap at the returned weights: with g
 the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x>
 bounds the maximum from above, and the objective at x from below.
 
+The max-min is a saddle point of sum_a w_a f_a(x).  `maximize_minmax`
+steps on (x, w) together: one `newton_step` gives the inner step s0 and
+S = H^-1 G (G the axis gradients at x); dw solves h dw - nu 1 = -(f +
+G^T s0), h = -G^T S, f + G^T s0 the axis values predicted after s0, and
+dx = s0 - S dw.  The step is kept only when x + dx and w + dw stay in
+their simplices and the upper bound above minus min_a f_a (0 only at the
+saddle point) does not rise; else a nested step moves w alone.
+
 A Newton step on k support coordinates solves K = [[-(cD)^T cD, d],
 [d^T, 0]], the Hessian -c^T c scaled by D = diag(d) to a unit diagonal,
 where c = diag(sqrt(w_a / m_a)) R for R the incidence rows (P parts) of
@@ -369,35 +377,49 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
 
     By minimax this is the minimum over axis weights w of the convex dual
     phi(w) = max_x sum_a w_a f_a(x), with gradient f(x*(w)) and Hessian
-    G^T dx*/dw from the inner KKT system (G: the axis gradients).  Newton
-    steps on the weights fall back to the Frank-Wolfe step toward the
-    lowest axis when they do not descend.  A damped trial of the weights
-    is taken only when its inner solve converges and phi does not rise.
-    The returned `axis_weights` are the multipliers of the axes.
+    G^T dx*/dw from the inner KKT system (G: the axis gradients).  Each
+    iteration tries the joint step on (x, w) of the module docstring; the
+    nested step that replaces it is Newton on the weights, or Frank-Wolfe
+    toward the lowest axis when that does not descend, and keeps a damped
+    trial whose inner solve converges with phi below the upper bound at
+    (x, w).  `iterations` counts joint and inner steps.  The returned
+    `axis_weights` are the multipliers of the axes.
     """
     prob = _Problem(block_set)
     w = np.full(3, 1.0 / 3.0)
     x, m, iters, resid = _solve(prob, w)
     f = prob.values(m)
-    while iters < MAX_STEPS and _residual(-f, w) > TOL:
+    while iters < MAX_STEPS and max(resid, _residual(-f, w)) > TOL:
         iters += 1
-        phi = w @ f
-        free = (w > 0.0) | (f < phi)
-        g = prob.grads(m)
-        h = -(g.T @ prob.newton_step(x, m, w, g))[np.ix_(free, free)]
+        phi, on, grads = w @ f, x > 0.0, prob.grads(m)
+        g = grads @ w
+        upper, free = phi + g.max() - g @ x, (w > 0.0) | (f < phi)
+        s = prob.newton_step(x, m, w, np.column_stack([g[on].mean() - g, grads]))
+        h = -(grads.T @ s[:, 1:])[np.ix_(free, free)]
         h += RIDGE * (1.0 + np.trace(h)) * np.eye(len(h))
         dw = np.zeros(3)
+        dw[free] = _newton_step(h, (f + grads.T @ s[:, 0])[free][:, None])[:, 0]
+        tx, tw = x + s[:, 0] - s[:, 1:] @ dw, w + dw
+        # a joint step cannot grow the support: once x is stationary on it, nest
+        if min(tx.min(), tw.min()) >= 0.0 and max(_residual(g[on], x[on]), _residual(-f, w)) > TOL:
+            tm = prob.marginals(tx)
+            tf, tg = prob.values(tm), prob.grads(tm) @ tw
+            if tw @ tf + tg.max() - tg @ tx - tf.min() <= upper - f.min():
+                x, w, m, f, resid = tx, tw, tm, tf, _residual(tg, tx)
+                continue
         dw[free] = _newton_step(h, f[free][:, None])[:, 0]    # h dw - nu 1 = -f
-        if (f - phi) @ dw >= 0.0 or np.any(dw[w == 0.0] < 0.0):
+        if not (f - phi) @ dw < 0.0 or np.any(dw[w == 0.0] < 0.0):    # or NaN
             dw = -w
             dw[np.argmin(f)] += 1.0
         for trial in _trials(w, dw):
             tx, tm, n, tresid = _solve(prob, trial, x)
             iters += n
             tf = prob.values(tm)
-            if tresid <= TOL and trial @ tf <= phi + NOISE * abs(phi):
+            if tresid <= TOL and trial @ tf <= upper + NOISE * abs(upper):
                 break
         else:
             break
         w, x, m, f, resid = trial, tx, tm, tf, tresid
-    return _optimum(prob, w, min, x, m, iters, max(resid, _residual(-f, w)))
+    x, m, n, resid = _solve(prob, w, x)
+    f = prob.values(m)
+    return _optimum(prob, w, min, x, m, iters + n, max(resid, _residual(-f, w)))

@@ -91,9 +91,9 @@ class Tensor:
 
     @classmethod
     def _unchecked(cls, x_labels, y_labels, z_labels, entries) -> Tensor:
-        """A tensor taken as given, with no meta: for label tuples of a
-        checked tensor and a sub-map of its entries, which pass every
-        check of `Tensor(...)` as they stand."""
+        """A tensor taken as given, with no meta, for labels and entries
+        that pass every check of `Tensor(...)` as they stand: a checked
+        tensor's and a sub-map of its entries, or `parse_tensor`'s."""
         t = object.__new__(cls)
         object.__setattr__(t, "x_labels", x_labels)
         object.__setattr__(t, "y_labels", y_labels)
@@ -711,11 +711,12 @@ _INTEGER_RATIO = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def _coefficient(tok: str):
-    """The value `Fraction(tok)` reads (or the error it raises), but read
-    as an `int`, or a `Fraction` if not integral, when tok is `[+-]n[/d]`."""
+    """The value `Fraction(tok)` reads (or the error it raises), as an
+    `int` when integral; a `[+-]n[/d]` token builds no `Fraction` then."""
     match = _INTEGER_RATIO.fullmatch(tok)
     if match is None:
-        return Fraction(tok)
+        c = Fraction(tok)
+        return c.numerator if c.denominator == 1 else c
     num, den = int(match[1]), int(match[2] or 1)
     return Fraction(num, den) if num % den else num // den
 
@@ -766,7 +767,8 @@ def parse_tensor(text: str) -> Tensor:
         entries[key] = c
     if len(sizes) != 3:
         raise ParseError(1, "missing xvars/yvars/zvars headers")
-    return Tensor(range(sizes["x"]), range(sizes["y"]), range(sizes["z"]), entries)
+    return Tensor._unchecked(*(tuple(range(sizes[ax])) for ax in "xyz"),
+                             {key: c for key, c in entries.items() if c})
 
 
 def write_tensor(t: Tensor) -> str:

@@ -236,6 +236,21 @@ def test_remove_x_bound_splits_off_the_first_x_part():
     assert rep.to_line() == be.split_bound(a, b, inner.value, total=t).to_line()
 
 
+def test_remove_x_bound_checks_no_sub_map_again(monkeypatch):
+    """A and B are sub-maps of the checked tensor's entries, so the only
+    tensor `remove_x_bound` checks is B trimmed to its used variables."""
+    t = sr.make_cw(2)
+    built, init = [], Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    be.remove_x_bound(t, sr.cw_partition(2))
+    assert len(built) == 1 and built[0].shape == (3, 3, 3)
+
+
 def test_remove_x_bound_trivial_split():
     t = sr.make_cw(2)
     with pytest.raises(be.TrivialSplit, match="nontrivial first x part"):

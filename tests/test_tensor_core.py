@@ -571,6 +571,29 @@ def test_tensor_entry_errors_name_their_line(entry, message):
     assert str(err.value) == f"line 6: {message}"
 
 
+def test_parse_tensor_checks_each_entry_once(monkeypatch):
+    """The parser's own index, range and duplicate checks are the only
+    ones: it builds its result without `Tensor.__init__`, with the labels
+    and entries `Tensor(...)` gives (zeros dropped, integral values as
+    `int`), and a repeated zero entry is still a duplicate."""
+    rows = [((0, 0, 0), "-0"), ((0, 1, 0), "1e3"), ((1, 2, 0), "4/2"),
+            ((1, 1, 0), "-3/6"), ((0, 2, 0), "0/5"), ((1, 0, 0), "2.50")]
+    text = "xvars 2\nyvars 3\nzvars 1\n" + "".join(
+        f"{i} {j} {k} {tok}\n" for (i, j, k), tok in rows)
+    want = Tensor(range(2), range(3), range(1), {key: Fraction(tok) for key, tok in rows})
+
+    def checked(*args, **kwargs):
+        raise AssertionError("parse_tensor ran the checks of Tensor(...)")
+
+    monkeypatch.setattr(Tensor, "__init__", checked)
+    t = sr.parse_tensor(text)
+    assert t == want and t.meta == {}
+    assert [type(c) for c in t.entries.values()] == [type(c) for c in want.entries.values()]
+    with pytest.raises(ParseError) as err:
+        sr.parse_tensor(text + "0 0 0 0\n")
+    assert str(err.value) == "line 10: duplicate entry for (0, 0, 0)"
+
+
 def test_tensor_format_comments_and_plain_ints():
     text = "# a comment\nxvars 1\nyvars 1\nzvars 1\n0 0 0 2  # inline\n"
     t = sr.parse_tensor(text)
