@@ -47,7 +47,14 @@ minimum-norm solution of K.  Up to the column scaling, with S =
 diag(sqrt(w_a / m_a)), cDW = S R D^2 R^T E L^(-1/2), W^T (d, D r) =
 L^(-1/2) E^T R D^2 (1, r) and s = D W z = D^2 R^T E L^(-1/2) z: a step
 costs O(nnz + P^3), plus a P x P eigh per support, and forms no k x P
-array.
+array.  What depends only on the support and on which w_a > 0 is kept
+per such pair, whatever the number of right-hand columns: the entries
+of R there, for each pair of entries in one column that column, its cell
+in R R^T and the product of their values, E L^(-1/2), and per column
+count the flat cells of R D^2 (1, r) and of R^T u.  A step then makes
+about fifty numpy calls and no Python loop: one bincount each for the
+diagonal, R D^2 R^T, R D^2 (1, r) and R^T u, four small products and
+one LU solve of the bordered system.
 
 Step length: along a step s from x, with m = R x and r = R s (one
 bincount each), phi(sigma) = sum_a w_a f_a(x + sigma s) is concave, with
@@ -71,6 +78,7 @@ from .tensor_core import BlockSet
 
 
 MARGINAL_CLAMP = 1e-18   # gradient log clamp near the simplex boundary
+TINY = 5e-324            # least positive float: log(max(m, TINY)) is log m for m > 0
 TOL = 1e-12              # stationarity target of the Newton solver
 MAX_STEPS = 200          # Newton steps per solve
 GROW_MASS = 1e-8         # mass given to a coordinate joining the support
@@ -112,35 +120,42 @@ class _Problem:
     default, or the block set's `orbits`), spread evenly by S.  The incidence
     R stacks the parts x groups matrices A_a S of the three axes (A_a the
     0/1 parts x blocks incidence of axis a), so R x holds every marginal.
-    It is kept sparse, sorted by group: R[row[e], col[e]] = val[e], `axis`
-    names each row's axis, and `pairs` the entry pairs with equal col.
+    It is kept sparse, sorted by group: R[row[e], col[e]] = val[e], and
+    `axis` names each row's axis.
     """
 
     def __init__(self, block_set: BlockSet, groups=None):
-        self.keys = list(block_set.blocks)
-        groups = [(k,) for k in self.keys] if groups is None else groups
+        groups = [(k,) for k in block_set.blocks] if groups is None else groups
+        keys = [k for group in groups for k in group]
         self.size = len(groups)
-        # block i carries the share 1/len(group) of its group's mass x[group[i]]
-        member = {k: (t, 1.0 / len(group)) for t, group in enumerate(groups) for k in group}
-        self.group, self.share = map(np.array, zip(*(member[k] for k in self.keys)))
+        lens = np.fromiter(map(len, groups), np.intp, self.size)
+        group, share = np.repeat(np.arange(self.size), lens), 1.0 / lens
+        parts = np.fromiter((i for k in keys for i in k), np.intp, 3 * len(keys)).reshape(-1, 3)
         sizes = [block_set.partition.part_sizes(axis) for axis in "xyz"]
-        offset = np.cumsum([0] + [len(s) for s in sizes])
-        self.axis = np.repeat(np.arange(3), np.diff(offset))
-        self.log_sizes = np.log(np.concatenate(sizes).astype(float))
-        rows = (np.array(self.keys) + offset[:3]).T.ravel()
-        cells = np.tile(self.group, 3) * offset[3] + rows
-        order = np.argsort(cells, kind="stable")
-        new = np.diff(cells[order], prepend=-1) > 0      # an orbit can meet a part twice
-        self.col, self.row = np.divmod(cells[order][new], offset[3])
-        self.val = np.bincount(np.cumsum(new) - 1, weights=np.tile(self.share, 3)[order])
-        pi = np.repeat(np.arange(len(self.col)), np.bincount(self.col)[self.col])
-        self.pairs = (pi, np.searchsorted(self.col, self.col[pi]) + np.arange(len(pi))
-                      - np.searchsorted(pi, pi))
+        n = [len(s) for s in sizes]
+        # blocks in key order; block i carries the share 1/len(group) of its
+        # group's mass x[group[i]]
+        order = np.argsort((parts[:, 0] * n[1] + parts[:, 1]) * n[2] + parts[:, 2], kind="stable")
+        self.keys = [keys[i] for i in order.tolist()]
+        self.group = group[order]
+        self.share = share[self.group]
+        self.axis = np.repeat(np.arange(3), n)
+        self.log_sizes = np.log(np.array(sizes[0] + sizes[1] + sizes[2], float))
+        cells = (parts + np.array([0, n[0], n[0] + n[1]])).ravel()
+        cells += np.repeat(group * len(self.axis), 3)
+        # sorted by group, then row; the stable sort, as np.sort's kernels
+        # would add some 0.4 MB of resident code to a run
+        cells = cells[np.argsort(cells, kind="stable")]
+        new = np.ones(len(cells), bool)
+        new[1:] = cells[1:] > cells[:-1]                   # an orbit can meet a part twice
+        self.col, self.row = np.divmod(cells[new], len(self.axis))
+        # n blocks of one group on one part: n equal shares, summed exactly
+        self.val = np.bincount(np.cumsum(new) - 1) * share[self.col]
         self._bases = {}
 
     def block_masses(self, x) -> dict:
-        d = self.share * x[self.group]
-        return {k: float(d[i]) for i, k in enumerate(self.keys) if d[i] > 0}
+        d = (self.share * x[self.group]).tolist()
+        return {k: v for k, v in zip(self.keys, d) if v > 0}
 
     def marginals(self, x):
         return np.bincount(self.row, weights=self.val * x[self.col], minlength=len(self.axis))
@@ -151,9 +166,8 @@ class _Problem:
         return m, w @ self.values(m)
 
     def values(self, m):
-        """(f_x, f_y, f_z) at the marginals m."""
-        pos = m > 0.0
-        return np.bincount(self.axis[pos], m[pos] * (self.log_sizes[pos] - np.log(m[pos])), 3)
+        """(f_x, f_y, f_z) at the marginals m (a part of mass 0 adds 0)."""
+        return np.bincount(self.axis, m * (self.log_sizes - np.log(np.maximum(m, TINY))), 3)
 
     def grads(self, m):
         """The gradients of f_x, f_y, f_z at the marginals m, as the columns of a matrix."""
@@ -161,59 +175,89 @@ class _Problem:
         return np.bincount(3 * self.col + self.axis[self.row], weights=self.val * h[self.row],
                            minlength=3 * self.size).reshape(self.size, 3)
 
+    def grad(self, m, w):
+        """The gradient of sum_a w_a f_a at the marginals m."""
+        h = w[self.axis] * (self.log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP)) - 1.0)
+        return np.bincount(self.col, weights=self.val * h[self.row], minlength=self.size)
+
     def newton_step(self, x, m, w, rhs):
         """For each column r of rhs, the minimum-norm s with H s + nu 1 = r and
         sum(s) = 0 on the support of x, and s = 0 off it, for H the Hessian of
         sum_a w_a f_a at x (marginals m); solved in the basis W of the module docstring."""
-        on, act = x > 0.0, w[self.axis] > 0.0
-        key = (on.tobytes(), tuple(w > 0.0))
-        if key not in self._bases:
-            self._bases[key] = self._basis(on, act)
-        ent, row, pair_col, flat, vv, t = self._bases[key]
-        col, val, p, nc = self.col[ent], self.val[ent], len(t), rhs.shape[1]
-        scale = np.sqrt(w[self.axis] / np.maximum(m, MARGINAL_CLAMP))[act]
+        on, pos = x > 0.0, w > 0.0
+        key = (on.tobytes(), pos.tobytes())
+        basis = self._bases.get(key)
+        if basis is None:
+            basis = self._bases[key] = self._basis(on, pos[self.axis])
+        act, ax, col, row, val, pair_col, flat, vv, t, spread = basis
+        p, nc = len(t), rhs.shape[1]
+        if nc not in spread:      # cells of R b in p x (nc + 1), of R^T u in size x nc
+            spread[nc] = ((row[:, None] * (nc + 1) + np.arange(nc + 1)).ravel(),
+                          (col[:, None] * nc + np.arange(nc)).ravel())
+        to_rows, to_cols = spread[nc]
+        scale = np.sqrt(w[ax] / np.maximum(m[act], MARGINAL_CLAMP))
         norm2 = np.bincount(col, weights=(scale[row] * val) ** 2, minlength=self.size)
         d2 = np.divide(1.0, norm2, out=np.zeros(self.size), where=on)
         gt = np.bincount(flat, weights=vv * d2[pair_col], minlength=p * p).reshape(p, p) @ t
         norm = np.sqrt(np.einsum("ij,ij->j", gt, t))     # of the columns of W
-        t, cdw = t / norm, scale[:, None] * gt / norm
-        b = d2[:, None] * np.hstack([np.ones((self.size, 1)), rhs])
-        rb = np.bincount((row[:, None] * (nc + 1) + np.arange(nc + 1)).ravel(),
-                         weights=(val[:, None] * b[col]).ravel(), minlength=p * (nc + 1))
+        t = t / norm
+        cdw = np.multiply(gt, scale[:, None], out=gt)    # c D W, in place of gt
+        cdw /= norm
+        b = np.empty((self.size, nc + 1))                 # D^2 (1, rhs)
+        b[:, 0] = d2
+        np.multiply(d2[:, None], rhs, out=b[:, 1:])
+        rb = np.bincount(to_rows, weights=(val[:, None] * b.take(col, 0)).ravel(),
+                         minlength=p * (nc + 1))
         e = t.T @ rb.reshape(p, nc + 1)                   # W^T (d, D rhs)
         u = t @ _bordered(cdw.T @ cdw, e[:, 0], e[:, 1:])
-        s = np.bincount((col[:, None] * nc + np.arange(nc)).ravel(),
-                        weights=(val[:, None] * u[row]).ravel(), minlength=self.size * nc)
+        s = np.bincount(to_cols, weights=(val[:, None] * u.take(row, 0)).ravel(),
+                        minlength=self.size * nc)
         return d2[:, None] * s.reshape(self.size, nc)
 
     def _basis(self, on, act):
         """For the support `on` and the rows `act` of the axes with w_a > 0:
-        the entries of R there, their rows numbered within `act`, their pairs'
-        coordinates, cells in R R^T and value products, and E L^(-1/2)."""
+        the indices of those rows, the entries of R there (their rows
+        numbered within `act`), for each pair of entries in one column that
+        column, its cell in R R^T and the product of their values, and
+        E L^(-1/2)."""
         ent = np.flatnonzero(on[self.col] & act[self.row])
-        row, p = np.cumsum(act)[self.row] - 1, int(act.sum())
-        pi, pj = self.pairs
-        keep = on[self.col[pi]] & act[self.row[pi]] & act[self.row[pj]]
-        pi, pj = pi[keep], pj[keep]
-        flat, vv = row[pi] * p + row[pj], self.val[pi] * self.val[pj]
+        act_rows = np.flatnonzero(act)
+        rank, p = np.zeros(len(act), np.intp), len(act_rows)
+        rank[act_rows] = np.arange(p)
+        col, row, val = self.col[ent], rank[self.row[ent]], self.val[ent]
+        # pi runs over the entries, each once per entry of its column, and
+        # pj over the entries of that column
+        count = np.bincount(col)[col]
+        pi = np.arange(len(ent)).repeat(count)
+        pj = np.arange(len(pi)) - (np.cumsum(count) - count - np.searchsorted(col, col))[pi]
+        flat, vv = row[pi] * p + row[pj], val[pi] * val[pj]
         lam, v = np.linalg.eigh(np.bincount(flat, weights=vv, minlength=p * p).reshape(p, p))
         big = lam > RANK_TOL * lam[-1]
-        return ent, row[ent], self.col[pi], flat, vv, v[:, big] / np.sqrt(lam[big])
+        return (act_rows, self.axis[act_rows], col, row, val, col[pi], flat, vv,
+                v[:, big] / np.sqrt(lam[big]), {})
 
 
 def _bordered(a, e, r):
-    """z solving [[-a, e], [e^T, 0]] (z, nu) = (r, 0), for each column of r."""
+    """z solving [[-a, e], [e^T, 0]] (z, nu) = (r, 0), for each column of r,
+    as [[a, e], [e^T, 0]] (z, -nu) = (-r, 0), which needs no copy of -a."""
     j = len(e)
-    kkt = np.zeros((j + 1, j + 1))
-    kkt[:j, :j] = -a
+    kkt = np.empty((j + 1, j + 1))
+    kkt[:j, :j] = a
     kkt[:j, j] = kkt[j, :j] = e
-    return np.linalg.solve(kkt, np.vstack([r, np.zeros((1, r.shape[1]))]))[:j]
+    kkt[j, j] = 0.0
+    rhs = np.zeros((j + 1, r.shape[1]))
+    np.negative(r, out=rhs[:j])
+    return np.linalg.solve(kkt, rhs)[:j]
 
 
 def _newton_step(h, rhs):
     """For each column r of rhs, the s with -h s + nu 1 = r and sum(s) = 0,
-    for h positive definite; solved scaled to a unit diagonal."""
-    d = 1.0 / np.sqrt(np.diag(h))
+    for h positive definite; solved scaled to a unit diagonal.  NaN when a
+    diagonal entry of h is not positive."""
+    diag = np.diag(h)
+    if not diag.min() > 0.0:
+        return np.full(rhs.shape, np.nan)
+    d = 1.0 / np.sqrt(diag)
     return d[:, None] * _bordered(d[:, None] * h * d, d, d[:, None] * rhs)
 
 
@@ -222,14 +266,14 @@ def _trials(v, dv, start=1.0):
     or at the edge where the first coordinates reach zero if that comes
     first (they are then set to 0 exactly, leaving the support, however
     short that step), and halves down to MIN_STEP."""
-    ratio = np.full(len(v), np.inf)
-    ratio[dv < 0.0] = v[dv < 0.0] / -dv[dv < 0.0]
-    edge = ratio.min()
+    neg = np.flatnonzero(dv < 0.0)
+    ratio = v[neg] / -dv[neg]
+    edge = ratio.min(initial=np.inf)
     sigma = top = min(start, edge)
     while sigma > MIN_STEP or sigma == top:
         trial = np.maximum(v + sigma * dv, 0.0)
         if sigma == edge < 1.0:
-            trial[ratio <= edge * (1.0 + 1e-9)] = 0.0
+            trial[neg[ratio <= edge * (1.0 + 1e-9)]] = 0.0
         yield trial / trial.sum()
         sigma /= 2.0
 
@@ -240,7 +284,8 @@ def _line_start(prob: _Problem, w, x, m, s) -> float:
     first coordinates reach zero, if phi'(edge) >= 0; else the maximizer
     of phi on (0, edge), by safeguarded Newton on phi', or the edge if phi
     is no lower there (phi'(edge) < 0 can be float noise)."""
-    edge = np.min(x[s < 0.0] / -s[s < 0.0], initial=1.0)
+    neg = s < 0.0
+    edge = (x[neg] / -s[neg]).min(initial=1.0)
     if edge >= 1.0:
         return 1.0
     r = prob.marginals(s)
@@ -267,8 +312,9 @@ def _residual(g, x) -> float:
     """KKT residual of maximizing <g, .> at x on the simplex: the spread
     of g on the support of x, or the excess of g off it."""
     on = x > 0.0
-    mu = g[on].mean()
-    return float(max(np.abs(g[on] - mu).max(), np.max(g[~on] - mu, initial=0.0)))
+    g_on = g[on]
+    mu = g_on.sum() / len(g_on)
+    return float(max(np.abs(g_on - mu).max(), (g[~on] - mu).max(initial=0.0)))
 
 
 def _solve(prob: _Problem, w, x=None):
@@ -286,12 +332,15 @@ def _solve(prob: _Problem, w, x=None):
     x = np.full(prob.size, 1.0 / prob.size) if x is None else x.copy()
     m, f0 = prob.at(x, w)
     iters = 0
-    while iters < MAX_STEPS:
-        g = prob.grads(m) @ w
-        support = np.flatnonzero(x)
-        mu = g[support].mean()
-        if np.abs(g[support] - mu).max() <= TOL:
-            grow = (x == 0.0) & (g > mu + TOL)
+    while True:
+        g = prob.grad(m, w)
+        if iters == MAX_STEPS:
+            break
+        on = x > 0.0
+        g_on = g[on]
+        mu = g_on.sum() / len(g_on)
+        if np.abs(g_on - mu).max() <= TOL:
+            grow = ~on & (g > mu + TOL)
             if not grow.any():
                 break
             x[grow] = GROW_MASS
@@ -307,7 +356,7 @@ def _solve(prob: _Problem, w, x=None):
         else:
             break
         x, m, f0 = trial, tm, tf
-    return x, m, iters, _residual(prob.grads(m) @ w, x)
+    return x, m, iters, _residual(g, x)
 
 
 # -- the three maximizations ---------------------------------------------------
@@ -346,7 +395,7 @@ def _optimum(prob: _Problem, w, objective, x, m, iters, resid) -> Optimum:
     """The `Optimum` at x (marginals m), where `_solve` with weights w
     stopped after `iters` steps at residual `resid`; `objective` maps
     (f_x, f_y, f_z) to the maximized value."""
-    f, g = prob.values(m), prob.grads(m) @ w
+    f, g = prob.values(m), prob.grad(m, w)
     return Optimum(prob.block_masses(x), tuple(map(float, f)), float(objective(f)),
                    iters, resid, dict(zip("xyz", map(float, w))), float(g.max() - g @ x))
 

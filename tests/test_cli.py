@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,27 @@ def test_bound_unconverged_solve_exit(capsys, cw5_files, monkeypatch, mode):
     monkeypatch.setattr(be, "partition_bound", unconverged)
     assert main(["bound", "--mode", mode, *cw5_files]) == 2
     assert "convergence failure" in capsys.readouterr().err
+
+
+def test_bound_remove_x_nan_weight_system_fails_quietly(capsys, tmp_path):
+    """remove-x on the cube of this 2x3x3 tensor drives an axis weight of
+    B to 2e-18, where the weights' Newton system has a negative diagonal.
+    The solver falls back without a numpy warning, and the command line
+    reports only the unconverged solve."""
+    t = sr.Tensor(range(2), range(3), range(3),
+                  dict.fromkeys([(0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 2, 0), (1, 2, 0)], 1))
+    p = sr.VariablePartition([("0", [1]), ("1", [0])], [("0", [0]), ("1", [1, 2])],
+                             [("0", [0, 1, 2])], t.shape)
+    tensor, part = tmp_path / "cube.tensor", tmp_path / "cube.partition"
+    tensor.write_text(sr.write_tensor(sr.symmetric_cube(t)))
+    part.write_text(sr.write_partition(sr.cube_partition(t, p)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["bound", "--mode", "remove-x", str(tensor), str(part)]) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err == "convergence failure\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("mode, stderr", [

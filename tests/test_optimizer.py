@@ -259,6 +259,27 @@ def test_minmax_cw2_cube_b_part_memory():
     assert_minmax_certified(bs, mm)
 
 
+def test_minmax_basis_once_per_support_and_axes(monkeypatch):
+    """On the CW_2 cube's B the max-min asks `newton_step` for one-column
+    (inner) and four-column (joint) right-hand sides; the span basis, one
+    eigh, is computed once per support and set of active axes, whatever
+    the number of columns."""
+    keys, columns, eighs = set(), set(), []
+    eigh, step = np.linalg.eigh, _Problem.newton_step
+
+    def recorded(self, x, m, w, rhs):
+        keys.add(((x > 0.0).tobytes(), tuple(w > 0.0)))
+        columns.add(rhs.shape[1])
+        return step(self, x, m, w, rhs)
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    monkeypatch.setattr(_Problem, "newton_step", recorded)
+    mm = sr.maximize_minmax(cube_b_part(2))
+    assert mm.kkt_residual <= 1e-10
+    assert columns == {1, 4}
+    assert len(eighs) == len(keys)
+
+
 def test_minmax_cw4_remove_x_b_part_converges():
     """B of remove-x on CW_4 has all three axes tied at log 4; dropping
     coordinates at every boundary step and regrowing them from GROW_MASS
@@ -282,6 +303,7 @@ def test_minmax_cw_remove_x_b_part_drops_axis_x(q, budget):
     assert mm.iterations <= budget
 
 
+@pytest.mark.filterwarnings("error")
 def test_minmax_returns_when_the_weight_system_is_nan():
     """On B of remove-x on the cube of this 2x3x3 tensor, a weight left at
     2e-18 makes the weights' Newton system NaN.  The nested step then
@@ -292,8 +314,7 @@ def test_minmax_returns_when_the_weight_system_is_nan():
     p = sr.VariablePartition([("0", [1]), ("1", [0])], [("0", [0]), ("1", [1, 2])],
                              [("0", [0, 1, 2])], t.shape)
     bs = remove_x_b_part(sr.symmetric_cube(t), sr.cube_partition(t, p))
-    with np.errstate(invalid="ignore"):
-        mm = sr.maximize_minmax(bs)
+    mm = sr.maximize_minmax(bs)
     w = np.array(list(mm.axis_weights.values()))
     assert np.isfinite(w).all() and w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12
     if mm.kkt_residual <= 1e-10:
@@ -344,12 +365,17 @@ def test_minmax_deterministic():
     assert a.masses == b.masses
 
 
-@pytest.mark.parametrize("q", [15, 18, 19])
+# The Newton steps of the tq-lower table rows q = 2..16 and of q = 18, 19,
+# pinned, like the CW_1-cube count above.
+TQ_LOWER_STEPS = dict(zip(range(2, 20), [0, 3, 4, 4, 4, 4, 4] + [5] * 11))
+
+
+@pytest.mark.parametrize("q", [15, 18, 19] + [q for q in range(2, 17) if q != 15])
 def test_symmetric_residual_tq_lower(q):
     t = sr.make_cyclic_lower(q)
     opt = sr.maximize_symmetric(sr.blocks(t, sr.singleton_partition(t)))
     assert opt.kkt_residual <= 1e-10
-    assert opt.iterations == 5  # pinned, like the CW_1-cube count above
+    assert opt.iterations == TQ_LOWER_STEPS[q]
 
 
 # Steps that meet the simplex boundary with the optimum inside go to the
@@ -357,10 +383,15 @@ def test_symmetric_residual_tq_lower(q):
 # steps dropped the coordinates reaching zero and regrew them.
 
 
-@pytest.mark.parametrize("q", [7, 8])
-def test_symmetric_cw_step_budget(q):
-    opt = sr.maximize_symmetric(cw_blocks(q))
-    assert opt.iterations <= 3
+# The Newton steps of the rows of `table cw` (CW_1..8) and `table cw-small`
+# (cw_1..7, at the uniform optimum from the start), pinned.
+@pytest.mark.parametrize("blocks, q, steps", [
+    pytest.param(cw_blocks, 7, 1, id="7"), pytest.param(cw_blocks, 8, 1, id="8"),
+    *(pytest.param(cw_blocks, q, n, id=f"cw{q}") for q, n in zip(range(1, 7), [3, 3, 4, 5, 6, 7])),
+    *(pytest.param(cw_small_blocks, q, 0, id=f"cw-small{q}") for q in range(1, 8))])
+def test_symmetric_cw_step_budget(blocks, q, steps):
+    opt = sr.maximize_symmetric(blocks(q))
+    assert opt.iterations == steps
     assert opt.kkt_residual <= 1e-10
 
 
