@@ -343,9 +343,16 @@ def _solve_block_grading(keys, counts):
         return None
 
     cuts = ((0, kx), (kx, kx + ky), (kx + ky, n - 1))
+
+    def candidate(t):
+        # sum_e t^e basis[e], by Horner's rule on whole vectors
+        vec = basis[-1]
+        for b in reversed(basis[:-1]):
+            vec = [v * t + w for v, w in zip(vec, b)]
+        return vec
+
     # the first candidate with the most distinct grades
-    vec = max(([sum(t ** e * b[idx] for e, b in enumerate(basis)) for idx in range(n)]
-               for t in (1, 2, 3, 5, 7, 11, 13)),
+    vec = max(map(candidate, (1, 2, 3, 5, 7, 11, 13)),
               key=lambda v: sum(len(set(v[a:b])) for a, b in cuts))
     denom = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * denom) for v in vec]
@@ -368,6 +375,8 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
     `bs.blocks` with its part sizes as the shape, so no block is built
     as a tensor; a block on three one-variable parts is one term,
     <1,1,1> whatever its coefficient, and is not recognized at all.
+    Under a symmetric partition only the first block of each rotation
+    orbit is recognized: the others are its rotations.
     Condition (2) scans the block indices for a hyperplane i+j+k = ell
     and falls back to solving for integer part grades (needed for
     product partitions of rotation products, whose nonzero blocks still
@@ -410,23 +419,34 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
         failures.append("block coordinates do not determine one another")
     conditions["hyperplane_support"] = hyper
 
-    # (1) maximal matmul blocks
+    # (1) maximal matmul blocks.  Under a symmetric partition the block at
+    # (j,k,i) is the block at (i,j,k) rotated, and <a,b,c> rotates to
+    # <b,c,a>, so one block per rotation orbit is recognized.
+    sx, sy, sz = (p.part_sizes(ax) for ax in "xyz")
+    dims = {}  # key -> (a, b, c), or None for a block that is not a matmul tensor
+    for orbit in bs.orbits or [(key,) for key in keys]:
+        i, j, k = key = orbit[0]
+        parts = (sx[i], sy[j], sz[k])
+        if parts == (1, 1, 1):
+            continue
+        witness = rank_tools._recognize(bs.blocks[key], parts)
+        d = None if witness is None else (witness.a, witness.b, witness.c)
+        for _ in orbit:
+            dims[key] = d
+            key, d = (key[1], key[2], key[0]), d and (d[1], d[2], d[0])
     shapes = {}
     matmul_ok = True
-    sx, sy, sz = (p.part_sizes(ax) for ax in "xyz")
     for key in keys:
         i, j, k = key
         parts = (sx[i], sy[j], sz[k])
         if parts == (1, 1, 1):
             shapes[key] = parts
             continue
-        witness = rank_tools._recognize(bs.blocks[key], parts)
-        if witness is None:
+        if dims[key] is None:
             matmul_ok = False
             failures.append(f"block {key} is not a matmul tensor")
             continue
-        a, b, c = witness.a, witness.b, witness.c
-        shapes[key] = (a, b, c)
+        a, b, c = shapes[key] = dims[key]
         if (a * b, b * c, c * a) != parts:
             matmul_ok = False
             failures.append(f"block {key} is <{a},{b},{c}>, not maximal for its parts")

@@ -114,9 +114,21 @@ def cmd_appendix(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _text_lines(text: str) -> str:
+    """Text mode's universal newlines: "\\r\\n" and "\\r" read as "\\n"."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load(path, parser):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parser(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the valid prefix decodes, so its line breaks number the bad byte's line
+        line = _text_lines(data[:exc.start].decode("utf-8")).count("\n") + 1
+        raise ParseError(line, f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})")
+    return parser(_text_lines(text))
 
 
 def cmd_bound(args) -> int:

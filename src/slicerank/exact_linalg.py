@@ -13,6 +13,8 @@ from fractions import Fraction
 
 
 def _exact(v):
+    """A `Fraction` as an `int` when integral (the loops below keep an
+    `int` as it is without the call)."""
     return v.numerator if v.denominator == 1 else v
 
 
@@ -34,7 +36,7 @@ def row_reduce(rows) -> dict:
                 if c2 != c:
                     s = row.get(c2, 0) - f * v
                     if s:
-                        row[c2] = _exact(s)
+                        row[c2] = s if type(s) is int else _exact(s)
                     else:
                         del row[c2]
         if not row:
@@ -51,7 +53,7 @@ def row_reduce(rows) -> dict:
                     if c2 != col:
                         s = other.get(c2, 0) - f * v
                         if s:
-                            other[c2] = _exact(s)
+                            other[c2] = s if type(s) is int else _exact(s)
                         else:
                             del other[c2]
         pivots[col] = row

@@ -180,9 +180,11 @@ def _recognize(entries, shape) -> Optional[MatmulWitness]:
         e[r, s, d] = coef
         y_coords[j] = (s, d)
         z_coords[k] = (d, r)
-    if any(v * e[r, 0, 0] * e[0, s, 0] * e[0, 0, d]
-           != e[r, s, 0] * e[r, 0, d] * e[0, s, d] * e[0, 0, 0]
-           for (r, s, d), v in e.items()):
+    # with one coefficient c throughout, both sides are c^4
+    if len(set(e.values())) > 1 and any(
+            v * e[r, 0, 0] * e[0, s, 0] * e[0, 0, d]
+            != e[r, s, 0] * e[r, 0, d] * e[0, s, d] * e[0, 0, 0]
+            for (r, s, d), v in e.items()):
         return None
     x_coords = {i: (row[i], col[i]) for i in range(nx)}
     return MatmulWitness(a, b, c, x_coords, y_coords, z_coords)

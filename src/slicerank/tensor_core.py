@@ -701,7 +701,9 @@ class ParseError(ValueError):
 
 
 def _content_lines(text: str):
-    for n, raw in enumerate(text.splitlines(), start=1):
+    """(1-based line number, tokens) of each line with tokens; a line ends
+    at "\n" only, and `#` starts a comment."""
+    for n, raw in enumerate(text.split("\n"), start=1):
         toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if toks:
             yield n, toks
@@ -721,16 +723,37 @@ def _coefficient(tok: str):
     return Fraction(num, den) if num % den else num // den
 
 
+class _TokenValues(dict):
+    """token -> `read(token)`, reading each distinct token once; the
+    errors of `read` pass through and nothing is stored for them."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, tok):
+        value = self[tok] = self.read(tok)
+        return value
+
+
 def parse_tensor(text: str) -> Tensor:
     """Parse the line-oriented tensor format.
 
     Header lines `xvars n`, `yvars n`, `zvars n` (n >= 0, any order, each
     once, before the entries), then one entry per line: `i j k num/den` with
-    0-based indices.  `#` starts a comment.
+    0-based indices.  `#` starts a comment; a line ends at "\n" only.
     """
     sizes = {}
     entries = {}
-    for n, toks in _content_lines(text):
+    # a file repeats few index and coefficient tokens (a cube file's 729
+    # entries use 27 indices and one coefficient), so each is read once
+    indices, values = _TokenValues(int), _TokenValues(_coefficient)
+    for n, raw in enumerate(text.split("\n"), start=1):
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not toks:
+            continue
         if toks[0] in ("xvars", "yvars", "zvars"):
             if len(toks) != 2:
                 raise ParseError(n, f"malformed header {' '.join(toks)!r}")
@@ -753,13 +776,13 @@ def parse_tensor(text: str) -> Tensor:
         if len(toks) != 4:
             raise ParseError(n, f"expected 'i j k coeff', got {' '.join(toks)!r}")
         try:
-            i, j, k = int(toks[0]), int(toks[1]), int(toks[2])
-            c = _coefficient(toks[3])
+            key = (indices[toks[0]], indices[toks[1]], indices[toks[2]])
+            c = values[toks[3]]
         except (ValueError, ZeroDivisionError):
             raise ParseError(n, f"bad entry {' '.join(toks)!r}")
-        key = (i, j, k)
         if key in entries:
             raise ParseError(n, f"duplicate entry for {key}")
+        i, j, k = key
         if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
             for idx, ax in zip(key, "xyz"):
                 if not 0 <= idx < sizes[ax]:

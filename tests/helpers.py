@@ -10,7 +10,9 @@ from itertools import permutations
 
 import numpy as np
 
-from slicerank.tensor_core import Tensor, VariablePartition, make_matmul, tensor_power
+from slicerank import exact_linalg
+from slicerank.tensor_core import (ParseError, Tensor, VariablePartition, make_matmul,
+                                    tensor_power)
 
 COEFFS = [Fraction(n) for n in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
 
@@ -264,6 +266,82 @@ def reference_coefficient(tok: str):
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         return exc
+
+
+def reference_parse_tensor(text: str) -> Tensor:
+    """The tensor parser as it was before its line scan was inlined and
+    its tokens read once per file: a per-line generator over
+    `splitlines()`, `int` and `Fraction` on every token, and the checked
+    `Tensor(...)` for the result.  Equal to `parse_tensor` on text whose
+    lines end at "\\n"."""
+    def content_lines():
+        for n, raw in enumerate(text.splitlines(), start=1):
+            toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if toks:
+                yield n, toks
+
+    sizes = {}
+    entries = {}
+    for n, toks in content_lines():
+        if toks[0] in ("xvars", "yvars", "zvars"):
+            if len(toks) != 2:
+                raise ParseError(n, f"malformed header {' '.join(toks)!r}")
+            if entries:
+                raise ParseError(n, f"{toks[0]} header after the entries")
+            if toks[0][0] in sizes:
+                raise ParseError(n, f"repeated {toks[0]} header")
+            try:
+                count = int(toks[1])
+            except ValueError:
+                count = -1
+            if count < 0:
+                raise ParseError(n, f"bad variable count {toks[1]!r}")
+            sizes[toks[0][0]] = count
+            continue
+        if len(sizes) != 3:
+            raise ParseError(n, "entry before xvars/yvars/zvars headers")
+        if len(toks) != 4:
+            raise ParseError(n, f"expected 'i j k coeff', got {' '.join(toks)!r}")
+        try:
+            i, j, k = int(toks[0]), int(toks[1]), int(toks[2])
+            c = Fraction(toks[3])
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(n, f"bad entry {' '.join(toks)!r}")
+        key = (i, j, k)
+        if key in entries:
+            raise ParseError(n, f"duplicate entry for {key}")
+        for idx, ax in zip(key, "xyz"):
+            if not 0 <= idx < sizes[ax]:
+                raise ParseError(n, f"{ax} index {idx} out of range")
+        entries[key] = c
+    if len(sizes) != 3:
+        raise ParseError(1, "missing xvars/yvars/zvars headers")
+    return Tensor(*(range(sizes[ax]) for ax in "xyz"), entries)
+
+
+def reference_block_grading(keys, counts):
+    """`bound_engines._solve_block_grading` with its candidate vectors
+    built entry by entry as sums of powers, as it was before Horner's
+    rule: the first of t = 1, 2, 3, 5, 7, 11, 13 whose vector
+    sum_e t^e basis[e] has the most distinct grades per axis."""
+    kx, ky, kz = counts
+    n = kx + ky + kz + 1
+    rows = [{i: 1, kx + j: 1, kx + ky + k: 1, n - 1: -1} for (i, j, k) in keys]
+    basis = exact_linalg.nullspace(rows, n)
+    if len(basis) <= 3:
+        return None
+    cuts = ((0, kx), (kx, kx + ky), (kx + ky, n - 1))
+    vec = max(([sum(t ** e * b[idx] for e, b in enumerate(basis)) for idx in range(n)]
+               for t in (1, 2, 3, 5, 7, 11, 13)),
+              key=lambda v: sum(len(set(v[a:b])) for a, b in cuts))
+    denom = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * denom) for v in vec]
+    g = math.gcd(*ints)
+    gx, gy, gz = ([v // g for v in ints[a:b]] for a, b in cuts)
+    ell = gx[keys[0][0]] + gy[keys[0][1]] + gz[keys[0][2]]
+    if any(gx[i] + gy[j] + gz[k] != ell for (i, j, k) in keys):
+        return None
+    return {"x": tuple(gx), "y": tuple(gy), "z": tuple(gz)}, ell
 
 
 def reference_orbits(block_set) -> list[tuple]:

@@ -13,7 +13,8 @@ from slicerank import bound_engines as be
 from slicerank import rank_tools
 from slicerank.tensor_core import Tensor
 
-from helpers import (random_partition, random_tensor, search_zeroing_independent,
+from helpers import (random_partition, random_tensor, reference_block_grading,
+                     search_zeroing_independent,
                      t112_objective_log, t112_value_lower_formula,
                      t112_value_power_mean_upper)
 
@@ -394,25 +395,68 @@ CW2_CUBE_GRADES = {
 }
 
 
-def relabeled_cw2_cube(seed):
-    """The CW_2 cube and its product partition under one seeded permutation
+def relabeled_cw_cube(q, seed):
+    """The CW_q cube and its product partition under one seeded permutation
     shared by the three axes."""
-    cw = sr.make_cw(2)
+    cw = sr.make_cw(q)
     cube = sr.symmetric_cube(cw)
-    part = sr.cube_partition(cw, sr.cw_partition(2))
-    perm = list(range(64))
+    part = sr.cube_partition(cw, sr.cw_partition(q))
+    n = (q + 2) ** 3
+    perm = list(range(n))
     random.Random(seed).shuffle(perm)
     entries = {(perm[i], perm[j], perm[k]): c for (i, j, k), c in cube.entries.items()}
     parts = [[(label, [perm[i] for i in idx]) for label, idx in part.parts(ax)]
              for ax in "xyz"]
-    t = Tensor(range(64), range(64), range(64), entries)
+    t = Tensor(range(n), range(n), range(n), entries)
     return t, sr.VariablePartition(*parts, t.shape)
+
+
+def relabeled_cw2_cube(seed):
+    return relabeled_cw_cube(2, seed)
 
 
 def test_laser_ready_relabeled_cw2_cube_grading_unchanged():
     r = be.laser_readiness(*relabeled_cw2_cube(3))
     assert r.ok
     assert (r.ell, r.grades) == (243, CW2_CUBE_GRADES)
+
+
+def grading_problem(t, p):
+    """The sorted block keys and part counts `laser_readiness` grades."""
+    return sr.blocks(t, p).keys(), tuple(p.part_count(ax) for ax in "xyz")
+
+
+@pytest.mark.parametrize("q, seed", [(1, 5), (2, 3), (2, 17)])
+def test_block_grading_pick_unchanged_on_cw_cubes(q, seed):
+    keys, counts = grading_problem(*relabeled_cw_cube(q, seed))
+    want = reference_block_grading(keys, counts)
+    assert want is not None
+    assert be._solve_block_grading(keys, counts) == want
+
+
+def test_block_grading_pick_unchanged_with_fraction_basis():
+    keys, counts = [(0, 0, 3), (0, 3, 0), (1, 0, 0), (1, 2, 1), (1, 3, 1)], (2, 4, 4)
+    want = reference_block_grading(keys, counts)
+    assert want is not None
+    assert be._solve_block_grading(keys, counts) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level_set=st.booleans())
+def test_block_grading_pick_unchanged_on_random_supports(seed, level_set):
+    """Supports drawn from the level set of random integer part grades, or
+    any few blocks (most of which admit a grading): the Horner-built
+    candidates pick the grades and level the sums of powers picked."""
+    rng = random.Random(seed)
+    counts = tuple(rng.randint(1, 5) for _ in range(3))
+    grades = [[rng.randint(-3, 3) for _ in range(n)] for n in counts]
+    level = rng.randint(-4, 4)
+    support = [(i, j, k) for i in range(counts[0]) for j in range(counts[1])
+               for k in range(counts[2])
+               if not level_set or grades[0][i] + grades[1][j] + grades[2][k] == level]
+    assume(support)
+    keys = sorted(rng.sample(support, rng.randint(1, min(len(support), 12))))
+    assert be._solve_block_grading(keys, counts) == reference_block_grading(keys, counts)
 
 
 def test_laser_ready_parity_support_fails():
@@ -444,16 +488,21 @@ def recognition_of_every_block(r, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), singletons=st.booleans(), sparse=st.booleans())
+@given(seed=st.integers(0, 2 ** 32 - 1), singletons=st.booleans(), sparse=st.booleans(),
+       cube=st.booleans())
 def test_laser_ready_matmul_verdict_matches_recognition_of_every_block(seed, singletons,
-                                                                        sparse):
+                                                                        sparse, cube):
     """One-term 1 x 1 x 1 blocks skip matmul recognition; the verdict on
     condition (1) equals the one recognition gives when run on every
     block, on random tensors with coefficients other than 1 under random
-    or singleton partitions, with one-term blocks over larger parts."""
+    or singleton partitions, with one-term blocks over larger parts, and
+    on the rotation cubes of small ones under the product partitions,
+    which are symmetric, so one block per orbit is recognized."""
     rng = random.Random(seed)
-    t = random_tensor(rng, max_dim=4, density=0.2 if sparse else 0.5)
+    t = random_tensor(rng, max_dim=2 if cube else 4, density=0.2 if sparse else 0.5)
     p = sr.singleton_partition(t) if singletons else random_partition(rng, t)
+    if cube:
+        t, p = sr.symmetric_cube(t), sr.cube_partition(t, p)
     r = be.laser_readiness(t, p)
     shapes, failures = recognition_of_every_block(r, p)
     assert r.block_shapes == shapes
@@ -467,6 +516,22 @@ def test_laser_ready_relabeled_cw2_cube_matches_recognition_of_every_block():
     shapes, failures = recognition_of_every_block(r, p)
     assert r.ok and r.failures == failures == []
     assert r.block_shapes == shapes and len(shapes) == 216
+
+
+@pytest.mark.parametrize("base, part", [
+    (sr.make_cw_small(2), sr.cw_small_partition(2)),
+    (sr.make_t112(2), sr.t112_partition(2)),
+    (sr.make_cw(2, (2, 1)), sr.cw_partition(2)),
+], ids=["cw_small2", "t112_2", "cw2_twisted"])
+def test_laser_ready_cube_shapes_match_recognition_of_every_block(base, part):
+    """Rotation cubes whose orbits hold blocks of unequal dimensions: each
+    block's shape is the one recognition gives on that block itself."""
+    t, p = sr.symmetric_cube(base), sr.cube_partition(base, part)
+    r = be.laser_readiness(t, p)
+    shapes, failures = recognition_of_every_block(r, p)
+    assert r.block_set.symmetric and r.failures == failures == []
+    assert r.block_shapes == shapes
+    assert any(len(set(dims)) > 1 for dims in shapes.values())
 
 
 def test_laser_readiness_builds_no_block_tensor(monkeypatch):

@@ -407,6 +407,49 @@ def test_negative_variable_count_exit_code(capsys, tmp_path):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("which, data, stderr", [
+    ("tensor", b"xvars 3\nyvars 3\nzvars 3\n# caf\xe9\n0 0 2 1\n",
+     "parse error: line 4: not UTF-8: byte 0xe9 (invalid continuation byte)\n"),
+    ("partition", b"x all 0 1 2\r\ny all 0 1 2\rz \xff 0 1 2\n",
+     "parse error: line 3: not UTF-8: byte 0xff (invalid start byte)\n"),
+    ("map", b"order 0\n\n\nalpha 0 0 0 1/1 # \xe2\x82",
+     "parse error: line 4: not UTF-8: byte 0xe2 (unexpected end of data)\n"),
+], ids=["tensor", "partition", "map"])
+def test_non_utf8_input_exit_code(capsys, tmp_path, which, data, stderr):
+    """A file that is not UTF-8 is a parse error (exit 3) at the line of
+    its first bad byte, lines counted as text mode reads them."""
+    files = {"tensor": sr.write_tensor(sr.make_cw(1)).encode(),
+             "partition": sr.write_partition(sr.cw_partition(1)).encode(),
+             "map": b"order 0\n", which: data}
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    tensor, partition, dmap = (str(tmp_path / name) for name in ("tensor", "partition", "map"))
+    argv = (["verify-degeneration", tensor, tensor, dmap] if which == "map"
+            else ["bound", "--mode", "mu-sum", tensor, partition])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == stderr and captured.out == ""
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_input_line_breaks_as_text_mode_reads_them(capsys, tmp_path, newline):
+    """Lines of input files end at "\\r\\n" and "\\r" too, as in text mode,
+    so the answer and the line of a parse error are those of the "\\n"
+    file."""
+    t, p = sr.make_cw(1), sr.cw_partition(1)
+    out = []
+    for brk in ("\n", newline):
+        tensor, partition = tmp_path / "t.tensor", tmp_path / "p.partition"
+        tensor.write_bytes(sr.write_tensor(t).replace("\n", brk).encode())
+        partition.write_bytes(sr.write_partition(p).replace("\n", brk).encode())
+        assert main(["bound", "--mode", "mu-sum", str(tensor), str(partition)]) == 0
+        tensor.write_bytes(f"xvars 1{brk}yvars 1{brk}zvars 1{brk}0 0 0 1/0{brk}".encode())
+        assert main(["bound", "--mode", "mu-sum", str(tensor), str(partition)]) == 3
+        out.append(capsys.readouterr())
+    assert out[0] == out[1]
+    assert out[0].err == "parse error: line 4: bad entry '0 0 0 1/0'\n"
+
+
 @pytest.mark.parametrize("argv, stderr", [
     (["table", "foo"], "parse error: slicerank table: argument family: invalid choice: "
                        "'foo' (choose from 'cw', 'cw-small', 'tq-lower')\n"),

@@ -159,6 +159,16 @@ def test_recognize_rejects_unscalable_coefficients():
         Tensor(t.x_labels, t.y_labels, t.z_labels, entries)) is None
 
 
+@pytest.mark.parametrize("c", [Fraction(-3, 2), 5])
+def test_recognize_constant_coefficients(c):
+    """A matmul tensor with one coefficient c throughout (both sides of
+    every cell identity are c^4) is recognized with the unit tensor's
+    witness."""
+    t = scramble(sr.make_matmul(2, 2, 2), random.Random(7))
+    scaled = Tensor(t.x_labels, t.y_labels, t.z_labels, dict.fromkeys(t.entries, c))
+    assert sr.recognize_matmul(scaled) == sr.recognize_matmul(t) is not None
+
+
 def random_scale(rng):
     return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
 

@@ -14,7 +14,8 @@ from slicerank.degeneration import LambdaPoly, parse_degeneration_map
 from slicerank.tensor_core import ParseError, Tensor
 
 from helpers import (random_partition, random_symmetric_tensor, random_tensor,
-                     reference_coefficient, reference_orbits, reference_restriction,
+                     reference_coefficient, reference_orbits, reference_parse_tensor,
+                     reference_restriction,
                      reference_symmetric_cube, reference_t_symmetric_partition,
                      reference_tensor_product, shared_index_partition)
 
@@ -637,3 +638,111 @@ def test_partition_roundtrip():
     assert back == p
     with pytest.raises(ParseError):
         sr.parse_partition("x onlylabel\n")
+
+
+# -- the tensor parser against its per-line reference ---------------------------
+
+# equal values under different spellings, so the parser's per-file token
+# reading meets repeated, equivalent and zero tokens
+INDEX_SPELLINGS = {0: ["0", "00", "+0", "-0"], 1: ["1", "01", "+1"], 2: ["2", "+2"]}
+COEFFICIENT_SPELLINGS = ["1/1", "1", "2/2", "-3/6", "-1/2", "5", "+5", "0", "0/4", "1.5",
+                         "2/3"]
+FAULTS = ["malformed header", "header after entries", "repeated header", "bad count",
+          "entry before headers", "token count", "bad index", "bad coefficient",
+          "duplicate", "out of range", "missing header"]
+
+
+@st.composite
+def tensor_files(draw):
+    """`write_tensor` output with its tokens respelled, comments, blank
+    lines and extra blanks added, and at most one fault injected."""
+    shape = [draw(st.integers(0, 3)) for _ in range(3)]
+    keys = draw(st.lists(st.tuples(*(st.integers(0, max(n - 1, 0)) for n in shape)),
+                         max_size=8, unique=True)) if all(shape) else []
+    coeffs = draw(st.lists(st.sampled_from(COEFFICIENT_SPELLINGS),
+                           min_size=len(keys), max_size=len(keys)))
+    t = Tensor(range(shape[0]), range(shape[1]), range(shape[2]),
+               {key: 1 for key in keys})
+    lines = [line.split() for line in sr.write_tensor(t).split("\n") if line]
+    for toks, tok in zip(lines[3:], coeffs):
+        toks[:3] = [draw(st.sampled_from(INDEX_SPELLINGS.get(int(v), [v]))) for v in toks[:3]]
+        toks[3] = tok
+    fault = draw(st.sampled_from([None] + FAULTS))
+    at = draw(st.integers(3, len(lines)))  # after the headers
+    header = draw(st.sampled_from(["xvars", "yvars", "zvars"]))
+    if fault == "malformed header":
+        lines.insert(draw(st.integers(0, len(lines))), [header, "1", "2"])
+    elif fault == "header after entries":
+        lines.append([header, "2"])
+    elif fault == "repeated header":
+        lines.insert(at, [header, "3"])
+    elif fault == "bad count":
+        lines[draw(st.integers(0, 2))][1] = draw(st.sampled_from(["-1", "x", "1.0"]))
+    elif fault == "entry before headers":
+        lines.insert(draw(st.integers(0, 2)), ["0", "0", "0", "1"])
+    elif fault == "token count":
+        lines.insert(at, draw(st.sampled_from([["0", "0", "1"], ["0", "0", "0", "1", "1"],
+                                               ["w"]])))
+    elif fault == "bad index":
+        lines.insert(at, ["0", draw(st.sampled_from(["a", "1.0", "1/1", "-"])), "0", "1"])
+    elif fault == "bad coefficient":
+        lines.insert(at, ["0", "0", "0", draw(st.sampled_from(["1/0", "x", "3/", "/2"]))])
+    elif fault == "duplicate" and len(lines) > 3:
+        lines.insert(at, list(lines[draw(st.integers(3, len(lines) - 1))]))
+    elif fault == "out of range":
+        axis = draw(st.integers(0, 2))
+        entry = ["0", "0", "0", "1"]
+        entry[axis] = draw(st.sampled_from([str(shape[axis]), "-1", "7"]))
+        lines.insert(at, entry)
+    elif fault == "missing header":
+        del lines[draw(st.integers(0, 2))]
+    out = []
+    for toks in lines:
+        for _ in range(draw(st.integers(0, 1))):
+            out.append(draw(st.sampled_from(["", "# a comment", "   ", "#", "\t# x y"])))
+        gap = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        line = draw(st.sampled_from(["", " ", "\t"])) + gap.join(toks)
+        out.append(line + draw(st.sampled_from(["", "  ", " # note", "#0 0 0 1"])))
+    return "\n".join(out) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=tensor_files())
+def test_parse_tensor_matches_its_per_line_reference(text):
+    """The parser and its per-line reference give equal tensors, with
+    equal coefficient types, or the same error at the same line."""
+    try:
+        want = reference_parse_tensor(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            sr.parse_tensor(text)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        return
+    got = sr.parse_tensor(text)
+    assert got == want
+    assert [type(c) for c in got.entries.values()] == [type(c) for c in want.entries.values()]
+
+
+# Characters `str.splitlines` breaks a line at, besides "\n" and "\r".
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+def test_lines_end_at_newline_only(brk):
+    """A line-break character other than "\\n" inside a comment stays part
+    of that comment in all three formats, and a bad line after it is
+    reported at its real line."""
+    tensor = f"xvars 2\nyvars 2\nzvars 2\n# page{brk}break\n0 0 0 1\n"
+    assert sr.parse_tensor(tensor).entries == {(0, 0, 0): 1}
+    partition = f"x a 0 1\n# page{brk}break\ny a 0 1\nz a 0\nz b 1\n"
+    assert sr.parse_partition(partition, sizes=(2, 2, 2)).part_count("z") == 2
+    dmap = f"alpha 0 0 1 1/1\n# page{brk}break\norder 1\n"
+    assert parse_degeneration_map(dmap).order == 1
+    for parse, text, message in (
+            (sr.parse_tensor, tensor + "1 1 q 1\n", "bad entry '1 1 q 1'"),
+            (lambda s: sr.parse_partition(s, sizes=(2, 2, 2)), partition + "w c 0\n",
+             "expected 'axis label idx...', got 'w c 0'"),
+            (parse_degeneration_map, dmap + "delta 0 0 1 1\n", "unknown directive 'delta'")):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line {text.count(chr(10))}: {message}"
