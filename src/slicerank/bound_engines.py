@@ -445,11 +445,8 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
         if dims[key] is None:
             matmul_ok = False
             failures.append(f"block {key} is not a matmul tensor")
-            continue
-        a, b, c = shapes[key] = dims[key]
-        if (a * b, b * c, c * a) != parts:
-            matmul_ok = False
-            failures.append(f"block {key} is <{a},{b},{c}>, not maximal for its parts")
+        else:
+            shapes[key] = dims[key]
     conditions["maximal_matmul_blocks"] = matmul_ok
 
     ok = conditions["symmetric"] and conditions["hyperplane_support"] \

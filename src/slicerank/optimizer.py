@@ -24,6 +24,19 @@ The certificate is the concavity gap at the returned weights: with g
 the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x>
 bounds the maximum from above, and the objective at x from below.
 
+`maximize_product` and `maximize_minmax` solve on colour classes:
+`colour_classes` refines blocks and parts to the coarsest equitable
+partition, and `_Problem` takes one variable per block class (its total
+mass) and one row per part class, which is exact (see `_Problem`).  On
+the cubes of CW_q this turns thousands of blocks and parts into under 50
+classes.  The start x_C proportional to |C|, the mass a class gets on
+joining the support and the Newton step's metric are the images of those
+on single blocks, so the iterates are the block problem's up to
+rounding.  The residual and gap are those of the block masses, from the
+per-block gradient (`_Problem.blockwise`): a wrong reduction shows as a
+large residual, never as a wrong value.  `maximize_symmetric` keeps its
+orbit variables, and `objective_values` single blocks.
+
 The max-min is a saddle point of sum_a w_a f_a(x).  `maximize_minmax`
 steps on (x, w) together: one `newton_step` gives the inner step s0 and
 S = H^-1 G (G the axis gradients at x); dw solves h dw - nu 1 = -(f +
@@ -35,8 +48,11 @@ saddle point) does not rise; else a nested step moves w alone.
 A Newton step on k support coordinates solves K = [[-(cD)^T cD, d],
 [d^T, 0]], the Hessian -c^T c scaled by D = diag(d) to a unit diagonal,
 where c = diag(sqrt(w_a / m_a)) R for R the incidence rows (P parts) of
-the axes with w_a > 0 on the support.  K vanishes off V = D span(R^T),
-which holds d as each axis's rows sum to the ones vector.  span(R^T)
+the axes with w_a > 0 on the support.  On block classes d_C^2 = |C| /
+sum_i |D_i| R_iC^2 w_a / m_i instead, |D_i| the parts of row i: |C| times
+the unit-diagonal scale of one of its blocks in the block problem, so the
+minimum norm below is that of the block masses.  K vanishes off V =
+D span(R^T), which holds d as each axis's rows sum to the ones vector.  span(R^T)
 depends on the support and on which w_a > 0, not on the masses: with
 R R^T = E L E^T (eigenvalues above RANK_TOL times the largest), U =
 R^T E L^(-1/2) is its orthonormal basis, found once.  In the basis W of
@@ -71,6 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -94,7 +111,7 @@ LINE_STEPS = 8           # safeguarded Newton steps of a line search before the 
 
 def objective_values(block_set: BlockSet, probs: dict) -> tuple:
     """(f_x, f_y, f_z) for a distribution {block key: mass} on the blocks."""
-    prob = _Problem(block_set)
+    prob = _Problem(block_set, [(k,) for k in block_set.blocks])
     index = {key: i for i, key in enumerate(prob.keys)}
     x = np.zeros(prob.size)
     for key, p in probs.items():
@@ -110,52 +127,131 @@ def objective_values(block_set: BlockSet, probs: dict) -> tuple:
     return tuple(map(float, prob.values(prob.marginals(x / total))))
 
 
+# -- colour classes -------------------------------------------------------------
+
+
+def colour_classes(parts, axis, sizes):
+    """The coarsest equitable partition of blocks and parts, by colour
+    refinement: parts start coloured by (axis, size), a block's colour is
+    the triple of its parts' colours, and a part's next colour adds its
+    count of incident blocks of each block colour, until the number of
+    part colours stops growing.  Then the parts of one class have one size
+    and meet equally many blocks of each block class, and the blocks of
+    one class meet one part class per axis.
+
+    `parts` holds the three part rows of each block, `axis` and `sizes`
+    each row's axis and size.  Returns the class of each block and of each
+    row, both numbered by first occurrence.
+    """
+    colour, first = _labels(axis * (sizes.max() + 1) + sizes)
+    while True:
+        count = len(first)
+        c = colour[parts]
+        block, block_first = _labels((c[:, 0] * count + c[:, 1]) * count + c[:, 2])
+        nb = len(block_first)
+        rows = np.empty((len(axis), nb + 1), np.intp)
+        rows[:, 0] = colour
+        rows[:, 1:] = np.bincount((parts * nb + block[:, None]).ravel(),
+                                  minlength=len(axis) * nb).reshape(-1, nb)
+        colour, first = _labels(rows.view(np.dtype((np.void, rows.itemsize * (nb + 1)))).ravel())
+        if len(first) == count:
+            return _by_first(block, block_first), _by_first(colour, first)
+
+
+def _labels(a):
+    """The class of each entry of a (equal entries share one) and the
+    first entry of each class."""
+    _, first, labels = np.unique(a, return_index=True, return_inverse=True)
+    return labels, first
+
+
+def _by_first(labels, first):
+    """Labels renumbered by the first entry of each class."""
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[labels]
+
+
 # -- the solver ---------------------------------------------------------------
 
 
 class _Problem:
     """The axis objectives f_a(S x) of a block set, as functions of x.
 
-    x holds the masses of groups of blocks (single blocks, in key order, by
-    default, or the block set's `orbits`), spread evenly by S.  The incidence
-    R stacks the parts x groups matrices A_a S of the three axes (A_a the
-    0/1 parts x blocks incidence of axis a), so R x holds every marginal.
-    It is kept sparse, sorted by group: R[row[e], col[e]] = val[e], and
-    `axis` names each row's axis.
+    x holds the masses of groups of blocks, spread evenly by S: the block
+    set's `orbits`, or given singletons (the unreduced problem), or by
+    default the block classes of `colour_classes`.  The incidence R stacks
+    the rows x groups matrices A_a S of the three axes (A_a the 0/1 rows x
+    blocks incidence of axis a), so R x holds every marginal.  A row is a
+    part, or on block classes a part class, of size the sum of its parts'
+    sizes: x_C is then the total mass of class C, and the problem is the
+    block problem on the coarser partition.  It is exact: with X_b and X_p
+    the averages over block and part classes, R_a X_b = X_p R_a by
+    equitability, and f_a(X_p m) >= f_a(m) because X_p m is majorized by m
+    (the parts of a class have one size), so every objective here has a
+    maximizer constant on the classes.  R is kept sparse, sorted by group:
+    R[row[e], col[e]] = val[e], and `axis` names each row's axis.  `count`
+    holds the number of blocks each variable stands for (1 on orbits),
+    `width` the number of parts in each row, and `parts` the three part
+    rows of each block in key order.
     """
 
     def __init__(self, block_set: BlockSet, groups=None):
-        groups = [(k,) for k in block_set.blocks] if groups is None else groups
-        keys = [k for group in groups for k in group]
-        self.size = len(groups)
-        lens = np.fromiter(map(len, groups), np.intp, self.size)
-        group, share = np.repeat(np.arange(self.size), lens), 1.0 / lens
-        parts = np.fromiter((i for k in keys for i in k), np.intp, 3 * len(keys)).reshape(-1, 3)
+        keys = list(block_set.blocks if groups is None else chain.from_iterable(groups))
+        parts = np.fromiter(chain.from_iterable(keys), np.intp, 3 * len(keys)).reshape(-1, 3)
         sizes = [block_set.partition.part_sizes(axis) for axis in "xyz"]
         n = [len(s) for s in sizes]
-        # blocks in key order; block i carries the share 1/len(group) of its
+        # blocks in key order; block i carries an equal share of its
         # group's mass x[group[i]]
         order = np.argsort((parts[:, 0] * n[1] + parts[:, 1]) * n[2] + parts[:, 2], kind="stable")
         self.keys = [keys[i] for i in order.tolist()]
-        self.group = group[order]
-        self.share = share[self.group]
-        self.axis = np.repeat(np.arange(3), n)
-        self.log_sizes = np.log(np.array(sizes[0] + sizes[1] + sizes[2], float))
-        cells = (parts + np.array([0, n[0], n[0] + n[1]])).ravel()
-        cells += np.repeat(group * len(self.axis), 3)
+        self.parts = parts[order] + np.array([0, n[0], n[0] + n[1]])
+        self.part_axis = np.repeat(np.arange(3), n)
+        part_sizes = np.array(sizes[0] + sizes[1] + sizes[2], float)
+        self.part_log_sizes = np.log(part_sizes)
+        if groups is None:
+            group, row = colour_classes(self.parts, self.part_axis, part_sizes)
+            lens = np.bincount(group)
+            self.count, self.width = lens.astype(float), np.bincount(row)
+            self.axis = np.empty(len(self.width), np.intp)
+            self.axis[row] = self.part_axis
+            self.log_sizes = np.log(np.bincount(row, part_sizes))
+            cells = row[self.parts]
+        else:
+            lens = np.fromiter(map(len, groups), np.intp, len(groups))
+            group = np.repeat(np.arange(len(groups)), lens)[order]
+            self.count, self.width = np.ones(len(groups)), np.ones(len(part_sizes))
+            self.axis, self.log_sizes, cells = self.part_axis, self.part_log_sizes, self.parts
+        self.size, self.group, share = len(lens), group, 1.0 / lens
+        self.share = share[group]
+        rows = len(self.axis)
+        cells = (cells + group[:, None] * rows).ravel()
         # sorted by group, then row; the stable sort, as np.sort's kernels
         # would add some 0.4 MB of resident code to a run
         cells = cells[np.argsort(cells, kind="stable")]
         new = np.ones(len(cells), bool)
-        new[1:] = cells[1:] > cells[:-1]                   # an orbit can meet a part twice
-        self.col, self.row = np.divmod(cells[new], len(self.axis))
-        # n blocks of one group on one part: n equal shares, summed exactly
+        new[1:] = cells[1:] > cells[:-1]                   # a group can meet a row twice
+        self.col, self.row = np.divmod(cells[new], rows)
+        # n blocks of one group on one row: n equal shares, summed exactly
         self.val = np.bincount(np.cumsum(new) - 1) * share[self.col]
         self._bases = {}
 
     def block_masses(self, x) -> dict:
         d = (self.share * x[self.group]).tolist()
         return {k: v for k, v in zip(self.keys, d) if v > 0}
+
+    def blockwise(self, x, w):
+        """The block masses d that x spreads to, in key order, their
+        (f_x, f_y, f_z), and the gradient of sum_a w_a f_a at d in the
+        block masses, from the part marginals of d (one bincount over all
+        entries): on the colour classes a check of the reduction, as the
+        gradient is constant on each class only when the classes are
+        equitable."""
+        d = self.share * x[self.group]
+        m = np.bincount(self.parts.ravel(), np.repeat(d, 3), len(self.part_axis))
+        f = np.bincount(self.part_axis, m * (self.part_log_sizes - np.log(np.maximum(m, TINY))), 3)
+        h = w[self.part_axis] * (self.part_log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP)) - 1.0)
+        return d, f, h[self.parts].sum(axis=1)
 
     def marginals(self, x):
         return np.bincount(self.row, weights=self.val * x[self.col], minlength=len(self.axis))
@@ -189,15 +285,15 @@ class _Problem:
         basis = self._bases.get(key)
         if basis is None:
             basis = self._bases[key] = self._basis(on, pos[self.axis])
-        act, ax, col, row, val, pair_col, flat, vv, t, spread = basis
+        act, ax, col, row, val, wval, pair_col, flat, vv, t, spread = basis
         p, nc = len(t), rhs.shape[1]
         if nc not in spread:      # cells of R b in p x (nc + 1), of R^T u in size x nc
             spread[nc] = ((row[:, None] * (nc + 1) + np.arange(nc + 1)).ravel(),
                           (col[:, None] * nc + np.arange(nc)).ravel())
         to_rows, to_cols = spread[nc]
         scale = np.sqrt(w[ax] / np.maximum(m[act], MARGINAL_CLAMP))
-        norm2 = np.bincount(col, weights=(scale[row] * val) ** 2, minlength=self.size)
-        d2 = np.divide(1.0, norm2, out=np.zeros(self.size), where=on)
+        norm2 = np.bincount(col, weights=(scale[row] * wval) ** 2, minlength=self.size)
+        d2 = np.divide(self.count, norm2, out=np.zeros(self.size), where=on)
         gt = np.bincount(flat, weights=vv * d2[pair_col], minlength=p * p).reshape(p, p) @ t
         norm = np.sqrt(np.einsum("ij,ij->j", gt, t))     # of the columns of W
         t = t / norm
@@ -217,8 +313,9 @@ class _Problem:
     def _basis(self, on, act):
         """For the support `on` and the rows `act` of the axes with w_a > 0:
         the indices of those rows, the entries of R there (their rows
-        numbered within `act`), for each pair of entries in one column that
-        column, its cell in R R^T and the product of their values, and
+        numbered within `act`) and their values times the root of their
+        row's width (these enter D), for each pair of entries in one column
+        that column, its cell in R R^T and the product of their values, and
         E L^(-1/2)."""
         ent = np.flatnonzero(on[self.col] & act[self.row])
         act_rows = np.flatnonzero(act)
@@ -233,7 +330,8 @@ class _Problem:
         flat, vv = row[pi] * p + row[pj], val[pi] * val[pj]
         lam, v = np.linalg.eigh(np.bincount(flat, weights=vv, minlength=p * p).reshape(p, p))
         big = lam > RANK_TOL * lam[-1]
-        return (act_rows, self.axis[act_rows], col, row, val, col[pi], flat, vv,
+        wval = val * np.sqrt(self.width[act_rows][row])
+        return (act_rows, self.axis[act_rows], col, row, val, wval, col[pi], flat, vv,
                 v[:, big] / np.sqrt(lam[big]), {})
 
 
@@ -320,8 +418,9 @@ def _residual(g, x) -> float:
 def _solve(prob: _Problem, w, x=None):
     """Maximize F(x) = sum_a w_a f_a(x) over the simplex.
 
-    Damped Newton on the support, from the uniform point unless x is
-    given.  Steps are minimum-norm KKT solutions, as the Hessian is
+    Damped Newton on the support, from x proportional to `prob.count` (the
+    uniform point on blocks or orbits, its image on block classes) unless x
+    is given.  Steps are minimum-norm KKT solutions, as the Hessian is
     singular whenever variables outnumber parts; one that leaves the
     simplex drops the coordinates reaching zero only if phi'(edge) >= 0,
     else stops at the line maximum before the edge (`_line_start`).  Steps
@@ -329,7 +428,7 @@ def _solve(prob: _Problem, w, x=None):
     gradients agree, coordinates with a larger gradient join the support.
     Returns (x, marginals, iterations, residual).
     """
-    x = np.full(prob.size, 1.0 / prob.size) if x is None else x.copy()
+    x = prob.count / prob.count.sum() if x is None else x.copy()
     m, f0 = prob.at(x, w)
     iters = 0
     while True:
@@ -343,7 +442,7 @@ def _solve(prob: _Problem, w, x=None):
             grow = ~on & (g > mu + TOL)
             if not grow.any():
                 break
-            x[grow] = GROW_MASS
+            x[grow] = GROW_MASS * prob.count[grow]
             x /= x.sum()
             m, f0 = prob.at(x, w)
             continue
@@ -391,13 +490,13 @@ class Optimum:
         return tuple(ax for ax, wa in self.axis_weights.items() if wa > 0.0)
 
 
-def _optimum(prob: _Problem, w, objective, x, m, iters, resid) -> Optimum:
-    """The `Optimum` at x (marginals m), where `_solve` with weights w
-    stopped after `iters` steps at residual `resid`; `objective` maps
-    (f_x, f_y, f_z) to the maximized value."""
-    f, g = prob.values(m), prob.grad(m, w)
+def _optimum(prob: _Problem, w, objective, x, iters, resid, f, g, v) -> Optimum:
+    """The `Optimum` at the solver's variables x, reached with weights w
+    after `iters` steps at residual `resid`, with axis values f and g the
+    gradient of sum_a w_a f_a at v (x, or the block masses it spreads to);
+    `objective` maps (f_x, f_y, f_z) to the maximized value."""
     return Optimum(prob.block_masses(x), tuple(map(float, f)), float(objective(f)),
-                   iters, resid, dict(zip("xyz", map(float, w))), float(g.max() - g @ x))
+                   iters, resid, dict(zip("xyz", map(float, w))), float(g.max() - g @ v))
 
 
 def maximize_symmetric(block_set: BlockSet) -> Optimum:
@@ -411,14 +510,19 @@ def maximize_symmetric(block_set: BlockSet) -> Optimum:
         raise ValueError("partition is not symmetric for this tensor")
     prob = _Problem(block_set, block_set.orbits)
     w = np.array([1.0, 0.0, 0.0])
-    return _optimum(prob, w, lambda f: f[0], *_solve(prob, w))
+    x, m, iters, resid = _solve(prob, w)
+    return _optimum(prob, w, lambda f: f[0], x, iters, resid, prob.values(m), prob.grad(m, w), x)
 
 
 def maximize_product(block_set: BlockSet) -> Optimum:
-    """Maximize value_x * value_y * value_z over the full block simplex."""
+    """Maximize value_x * value_y * value_z over the full block simplex,
+    solved on the colour classes; the residual and gap are those of the
+    block masses."""
     prob = _Problem(block_set)
     w = np.ones(3)
-    return _optimum(prob, w, sum, *_solve(prob, w))
+    x, _, iters, _ = _solve(prob, w)
+    d, f, g = prob.blockwise(x, w)
+    return _optimum(prob, w, sum, x, iters, _residual(g, d), f, g, d)
 
 
 def maximize_minmax(block_set: BlockSet) -> Optimum:
@@ -432,7 +536,8 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
     toward the lowest axis when that does not descend, and keeps a damped
     trial whose inner solve converges with phi below the upper bound at
     (x, w).  `iterations` counts joint and inner steps.  The returned
-    `axis_weights` are the multipliers of the axes.
+    `axis_weights` are the multipliers of the axes.  Solved on the colour
+    classes, as `maximize_product`.
     """
     prob = _Problem(block_set)
     w = np.full(3, 1.0 / 3.0)
@@ -469,6 +574,6 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
         else:
             break
         w, x, m, f, resid = trial, tx, tm, tf, tresid
-    x, m, n, resid = _solve(prob, w, x)
-    f = prob.values(m)
-    return _optimum(prob, w, min, x, m, iters + n, max(resid, _residual(-f, w)))
+    x, _, n, _ = _solve(prob, w, x)
+    d, f, g = prob.blockwise(x, w)
+    return _optimum(prob, w, min, x, iters + n, max(_residual(g, d), _residual(-f, w)), f, g, d)

@@ -363,6 +363,32 @@ def reference_orbits(block_set) -> list[tuple]:
     return sorted(orbits)
 
 
+def reference_colour_classes(block_set):
+    """The coarsest equitable partition of a block set's blocks and parts,
+    by colour refinement on Python tuples: ({block key: class}, {(axis,
+    part): class}), classes numbered by their first block in key order,
+    resp. first part in (axis, part) order."""
+    keys = sorted(block_set.blocks)
+    colour = {(a, i): (a, s) for a, ax in enumerate("xyz")
+              for i, s in enumerate(block_set.partition.part_sizes(ax))}
+    while True:
+        block = {k: tuple(colour[(a, i)] for a, i in enumerate(k)) for k in keys}
+        seen = {part: [] for part in colour}
+        for k in keys:
+            for a, i in enumerate(k):
+                seen[(a, i)].append(block[k])
+        refined = {part: (colour[part], tuple(sorted(seen[part]))) for part in colour}
+        if len(set(refined.values())) == len(set(colour.values())):
+            break
+        colour = refined
+
+    def numbered(labels):
+        first = {}
+        return {item: first.setdefault(label, len(first)) for item, label in labels.items()}
+
+    return numbered(block), numbered(dict(sorted(colour.items())))
+
+
 def symmetrize(block_set, probs: dict) -> dict:
     """Orbit-average a distribution {block key: mass} on a symmetric
     block partition; every block gets a mass, 0 included."""

@@ -394,6 +394,34 @@ def test_remove_x_cw1_cube_same_value_for_every_relabeling(capsys, tmp_path):
     assert abs(float(values[0]) - 26.5461) < 1e-3
 
 
+# `bound --mode remove-x` on relabeled cubes, as printed before the max-min
+# on their B parts was solved on colour classes (5,489 blocks and 1,026
+# parts of the CW_5 cube's B become 46 and 27 classes).
+REMOVE_X_CUBE_LINES = {
+    "cw3": "slice_rank_upper 110.541427812 low-x-rank-split B_bound=79.9383776,"
+           "B_bound_used=79.9383776,m_A=125,weight=0.0833486297,x_rank_A=1,x_rank_B=124 -",
+    "cw5": "slice_rank_upper 271.690193464 low-x-rank-split B_bound=189.114182,"
+           "B_bound_used=189.114182,m_A=343,weight=0.0921372072,x_rank_A=1,x_rank_B=342 -",
+    "t112": "slice_rank_upper 396.000000000 low-x-rank-split B_bound=315,"
+            "B_bound_used=315,m_A=360,weight=0.204545455,x_rank_A=81,x_rank_B=315 -",
+}
+
+
+@pytest.mark.parametrize("name, t, p", [
+    ("cw3", sr.make_cw(3), sr.cw_partition(3)), ("cw5", sr.make_cw(5), sr.cw_partition(5)),
+    ("t112", sr.make_t112(3), sr.t112_partition(3))])
+def test_remove_x_on_relabeled_cubes_prints_pinned_line(name, t, p, capsys, tmp_path):
+    cube = sr.symmetric_cube(t)
+    perm = list(range(cube.shape[0]))
+    random.Random(7).shuffle(perm)
+    ct, cp = relabeled(cube, sr.cube_partition(t, p), perm)
+    tensor, partition = tmp_path / "cube.tensor", tmp_path / "cube.partition"
+    tensor.write_text(sr.write_tensor(ct))
+    partition.write_text(sr.write_partition(cp))
+    assert main(["bound", "--mode", "remove-x", str(tensor), str(partition)]) == 0
+    assert capsys.readouterr().out == REMOVE_X_CUBE_LINES[name] + "\n"
+
+
 def test_negative_variable_count_exit_code(capsys, tmp_path):
     """A negative count is refused at its header line in the tensor file,
     not read as an empty axis that fails later in the partition file."""

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import slicerank as sr
 from slicerank import optimizer
+from slicerank.cli import KKT_LIMIT, main
 from slicerank.optimizer import (
     MARGINAL_CLAMP,
     NOISE,
@@ -24,6 +25,7 @@ from helpers import (
     random_partition,
     random_symmetric_tensor,
     random_tensor,
+    reference_colour_classes,
     reference_newton_step,
     shared_index_partition,
     symmetrize,
@@ -107,6 +109,24 @@ def test_distribution_validation():
         objective_values(bs, {(1, 1, 1): 1.0})
     with pytest.raises(ValueError, match="negative"):
         objective_values(bs, {(0, 0, 2): 1.2, (0, 2, 0): -0.2})
+
+
+def test_objective_values_off_the_classes():
+    """`objective_values` evaluates distributions that are not constant on
+    the colour classes, so it must not solve on them.  On the CW_1 cube's
+    B part (singleton parts) a point mass on one block of a class of six
+    puts mass 1 on three parts of size 1, so every f_a is 0 (the class
+    average would give log 6 and more), and a random distribution has the
+    values of the part-size formula."""
+    bs = cube_b_part(1)
+    prob = _Problem(bs)
+    key = prob.keys[np.flatnonzero(prob.count[prob.group] == 6)[0]]
+    assert objective_values(bs, {key: 1.0}) == (0.0, 0.0, 0.0)
+    rng = random.Random(3)
+    masses = {k: rng.random() for k in bs.keys()}
+    total = sum(masses.values())
+    masses = {k: v / total for k, v in masses.items()}
+    assert objective_values(bs, masses) == pytest.approx(axis_data(bs, masses)[1], abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -263,7 +283,8 @@ def test_minmax_basis_once_per_support_and_axes(monkeypatch):
     """On the CW_2 cube's B the max-min asks `newton_step` for one-column
     (inner) and four-column (joint) right-hand sides; the span basis, one
     eigh, is computed once per support and set of active axes, whatever
-    the number of columns."""
+    the number of columns.  It is solved on its 18 part classes, not its
+    189 parts, so no eigh is larger than 18 x 18."""
     keys, columns, eighs = set(), set(), []
     eigh, step = np.linalg.eigh, _Problem.newton_step
 
@@ -278,6 +299,7 @@ def test_minmax_basis_once_per_support_and_axes(monkeypatch):
     assert mm.kkt_residual <= 1e-10
     assert columns == {1, 4}
     assert len(eighs) == len(keys)
+    assert max(max(shape) for shape in eighs) <= 18
 
 
 def test_minmax_cw4_remove_x_b_part_converges():
@@ -456,6 +478,134 @@ def test_symmetric_residual_cw2_cube():
     opt = sr.maximize_symmetric(bs)
     assert opt.kkt_residual <= 1e-10
     assert abs(opt.value - 3.57165 ** 3) < 1e-2
+
+
+# -- colour classes ---------------------------------------------------------------
+
+
+def relabel(t, p, rng):
+    """t and p under one random permutation of each axis."""
+    perms = [rng.sample(range(n), n) for n in t.shape]
+    entries = {tuple(perm[i] for perm, i in zip(perms, key)): c for key, c in t.entries.items()}
+    parts = [[(label, sorted(perm[i] for i in idx)) for label, idx in p.parts(ax)]
+             for ax, perm in zip("xyz", perms)]
+    return sr.Tensor(*(range(n) for n in t.shape), entries), sr.VariablePartition(*parts, t.shape)
+
+
+def planted(seed, kind):
+    """The blocks of a random tensor under a random partition ("plain"), or
+    of its direct sum or tensor product with itself under the sum or
+    product partition, relabeled: the copies, resp. the factors, can be
+    swapped, a symmetry the relabeling hides."""
+    rng = random.Random(seed)
+    t = random_tensor(rng, max_dim=3)
+    p = random_partition(rng, t)
+    if kind == "sum":
+        s = sr.direct_sum(t, t)
+        parts = [[(f"{c}{label}", [c * n + i for i in idx]) for c in range(2)
+                  for label, idx in p.parts(ax)] for ax, n in zip("xyz", t.shape)]
+    elif kind == "product":
+        s = sr.tensor_product(t, t)
+        parts = [[(f"{l1},{l2}", [i * n + j for i in i1 for j in i2])
+                  for l1, i1 in p.parts(ax) for l2, i2 in p.parts(ax)]
+                 for ax, n in zip("xyz", t.shape)]
+    else:
+        s, parts = t, [p.parts(ax) for ax in "xyz"]
+    return sr.blocks(*relabel(s, sr.VariablePartition(*parts, s.shape), rng))
+
+
+def singletons(parts, axis, sizes):
+    """`colour_classes` with every block and part its own class."""
+    return np.arange(len(parts)), np.arange(len(axis))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["plain", "sum", "product"]))
+def test_colour_classes_are_equitable(seed, kind):
+    """The parts of a class have one axis and one size and meet equally
+    many blocks of each block class, the blocks of a class meet one part
+    class per axis, and the classes are those of colour refinement on
+    Python tuples, the coarsest such partition, numbered alike."""
+    bs = planted(seed, kind)
+    keys = sorted(bs.keys())
+    sizes = [bs.part_sizes(ax) for ax in "xyz"]
+    offsets = np.cumsum([0] + [len(s) for s in sizes])[:3]
+    parts = np.array(keys).reshape(-1, 3) + offsets
+    axis = np.repeat(np.arange(3), [len(s) for s in sizes])
+    block, row = optimizer.colour_classes(parts, axis, np.concatenate(sizes))
+    flat_sizes = np.concatenate(sizes)
+    for c in range(row.max() + 1):
+        members = np.flatnonzero(row == c)
+        assert len(set(axis[members])) == 1 and len(set(flat_sizes[members])) == 1
+        for b in range(block.max() + 1):
+            meets = np.bincount(parts[block == b].ravel(), minlength=len(axis))[members]
+            assert len(set(meets)) == 1
+    for b in range(block.max() + 1):
+        assert all(len(set(row[parts[block == b, a]])) == 1 for a in range(3))
+    ref_block, ref_part = reference_colour_classes(bs)
+    assert block.tolist() == [ref_block[k] for k in keys]
+    assert row.tolist() == list(ref_part.values())
+    if kind == "sum":
+        assert block.max() + 1 <= len(keys) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["sum", "product"]))
+def test_reduced_optima_match_unreduced(seed, kind):
+    """On relabeled direct sums and tensor products, whose copies or factors
+    can be swapped, the product and max-min solved on the colour classes
+    equal those solved on single blocks (`colour_classes` replaced by
+    singleton classes), and both certify."""
+    bs = planted(seed, kind)
+    reduced = _Problem(bs).size
+    assert reduced < len(bs) or kind == "product"
+    for solver in (sr.maximize_product, sr.maximize_minmax):
+        opt = solver(bs)
+        with mock.patch.object(optimizer, "colour_classes", singletons):
+            ref = solver(bs)
+        assert opt.kkt_residual <= 1e-10 and abs(opt.optimality_gap) <= 1e-9
+        if ref.kkt_residual <= 1e-10:
+            assert opt.log_value == pytest.approx(ref.log_value, abs=1e-9)
+        if reduced == len(bs):
+            assert opt == ref
+
+
+def test_unreduced_problem_is_the_singleton_classes():
+    """An input whose classes are all singletons, here a random tensor
+    under a random partition, builds the unreduced problem bit for bit."""
+    bs = planted(11, "plain")
+    prob, ref = _Problem(bs), _Problem(bs, [(k,) for k in bs.blocks])
+    assert prob.size == len(bs) == ref.size
+    for name in ("keys", "group", "share", "axis", "log_sizes", "col", "row", "val", "count"):
+        assert np.array_equal(getattr(prob, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("solver", [sr.maximize_product, sr.maximize_minmax])
+def test_merged_classes_fail_the_certificate(solver, capsys, tmp_path):
+    """Merging the first two block classes of the CW_1 cube's B part, whose
+    blocks carry different masses at the optimum, solves a wrong reduction:
+    the residual of the full per-block gradient then exceeds KKT_LIMIT, and
+    `bound --mode remove-x` reports a convergence failure instead of a
+    value."""
+    bs = cube_b_part(1)
+    real = optimizer.colour_classes
+
+    def merged(parts, axis, sizes):
+        block, row = real(parts, axis, sizes)
+        return np.where(block == 1, 0, np.where(block > 1, block - 1, block)), row
+
+    opt = solver(bs)
+    prob = _Problem(bs)
+    first = [prob.keys[list(prob.group).index(c)] for c in (0, 1)]
+    assert abs(opt.masses[first[0]] - opt.masses[first[1]]) > 1e-3
+    with mock.patch.object(optimizer, "colour_classes", merged):
+        assert solver(bs).kkt_residual > KKT_LIMIT
+        cw = sr.make_cw(1)
+        tensor, partition = tmp_path / "cube.tensor", tmp_path / "cube.partition"
+        tensor.write_text(sr.write_tensor(sr.symmetric_cube(cw)))
+        partition.write_text(sr.write_partition(sr.cube_partition(cw, sr.cw_partition(1))))
+        assert main(["bound", "--mode", "remove-x", str(tensor), str(partition)]) == 2
+    assert capsys.readouterr().err == "convergence failure\n"
 
 
 # -- the Newton step ------------------------------------------------------------
