@@ -12,6 +12,7 @@ from .tensor_core import (
     RankFact,
     Tensor,
     VariablePartition,
+    block_sum,
     blocks,
     cube_partition,
     cw_partition,
@@ -70,6 +71,7 @@ from .optimizer import (
     maximize_product,
     maximize_symmetric,
     objective_values,
+    summand_optima,
 )
 from .bound_engines import (
     BoundReport,

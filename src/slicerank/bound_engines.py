@@ -39,6 +39,7 @@ from .tensor_core import (
     RankFact,
     Tensor,
     VariablePartition,
+    block_sum,
     blocks,
     cw_partition,
     cw_small_partition,
@@ -62,6 +63,8 @@ THEOREM_OMEGA_GEN = "general-omega"
 THEOREM_LASER = "laser-equality"
 THEOREM_VALUE = "rotation-product-value"
 THEOREM_FLOOR = "cw-family-floor"
+
+KKT_LIMIT = 1e-6  # beyond this an optimizer result is not trusted
 
 
 class Inapplicable(RuntimeError):
@@ -465,20 +468,26 @@ def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     with `NotLaserReady`, which carries the verdict, when the partition
     is not laser-ready.
     """
-    ready = laser_readiness(t, p)
-    if not ready.ok:
-        raise NotLaserReady(ready)
-    opt = optimizer.maximize_symmetric(ready.block_set)
-    cert = {
+    return _laser_reports([laser_readiness(t, p)])[0]
+
+
+def _laser_reports(readies: Sequence[LaserReadiness]) -> list[BoundReport]:
+    """`laser_lower_bound`'s reports for laser-ready verdicts, from one
+    symmetric solve on the direct sum of their block sets: the optimum of
+    the sum splits into each summand's (`optimizer.summand_optima`)."""
+    for ready in readies:
+        if not ready.ok:
+            raise NotLaserReady(ready)
+    bs = block_sum([ready.block_set for ready in readies])
+    optima = optimizer.summand_optima(bs, optimizer.maximize_symmetric(bs))
+    return [BoundReport("slice_rank_lower", opt.value, THEOREM_LASER, certificate={
         "tight": True,
         "asymptotic_subrank_equal": True,
         "ell": ready.ell,
         "kkt_residual": opt.kkt_residual,
         "distribution": opt.masses,
         "block_shapes": dict(ready.block_shapes),
-    }
-    return BoundReport("slice_rank_lower", opt.value, THEOREM_LASER,
-                       certificate=cert)
+    }) for ready, opt in zip(readies, optima)]
 
 
 # -- the CW objective in one variable -----------------------------------------
@@ -543,6 +552,9 @@ def t112_value(q: int) -> BoundReport:
 
 @dataclass
 class TableRow:
+    """A table row; `omega` is None when the solve's residual exceeds
+    KKT_LIMIT, as the value is then not trusted."""
+
     q: int
     slice_rank: float
     omega: Optional[float]
@@ -550,36 +562,64 @@ class TableRow:
     omega_report: Optional[BoundReport]
 
 
-def _tight_row(t: Tensor, p: VariablePartition, q: int) -> TableRow:
-    tight = laser_lower_bound(t, p)
-    omega_report = omega_lower_bound(t.rank_fact(), tight.value, symmetric=True)
-    return TableRow(q, tight.value, omega_report.value, tight, omega_report)
+# A direct-sum solve saves the fixed cost of a solve per row, but building
+# the sum and splitting its optimum cost about as much per block: so rows
+# of more than SUM_ROW blocks are solved alone, and a sum holds at most
+# SUM_BLOCKS blocks, as all its rows' block sets are held at once.
+SUM_ROW = 256
+SUM_BLOCKS = 4096
+
+
+def _tight_rows(rows) -> list[TableRow]:
+    """The table rows of laser-ready (q, tensor, partition) triples, in
+    order: each checked by `laser_readiness`, then solved in runs of
+    consecutive rows, each run as one direct sum (see SUM_ROW)."""
+    out, run, size = [], [], 0
+
+    def solve():
+        nonlocal size
+        for (q, rank, _), tight in zip(run, _laser_reports([r[2] for r in run])):
+            omega = (None if tight.certificate["kkt_residual"] > KKT_LIMIT
+                     else omega_lower_bound(rank, tight.value, symmetric=True))
+            out.append(TableRow(q, tight.value, omega and omega.value, tight, omega))
+        run.clear()
+        size = 0
+
+    for q, t, p in rows:
+        ready = laser_readiness(t, p)
+        n = len(ready.block_set)
+        if run and (n > SUM_ROW or size + n > SUM_BLOCKS):
+            solve()
+        run.append((q, t.rank_fact(), ready))
+        del ready                      # a solved row's block set is not kept
+        size += n
+        if n > SUM_ROW:
+            solve()
+    if run:
+        solve()
+    return out
 
 
 def cw_table(q_max: int) -> list[TableRow]:
     """Tight slice rank and exponent floor rows for CW_q, q = 1..q_max."""
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    return [_tight_row(make_cw(q), cw_partition(q), q) for q in range(1, q_max + 1)]
+    return _tight_rows((q, make_cw(q), cw_partition(q)) for q in range(1, q_max + 1))
 
 
 def cw_small_table(q_max: int) -> list[TableRow]:
     """Rows for cw_q; the slice rank value has closed form 3 q^(2/3) / 2^(2/3)."""
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    return [_tight_row(make_cw_small(q), cw_small_partition(q), q)
-            for q in range(1, q_max + 1)]
+    return _tight_rows((q, make_cw_small(q), cw_small_partition(q)) for q in range(1, q_max + 1))
 
 
 def tq_lower_table(q_max: int) -> list[TableRow]:
     """Rows for the lower triangular cyclic tensors, q = 2..q_max."""
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
-    rows = []
-    for q in range(2, q_max + 1):
-        t = make_cyclic_lower(q)
-        rows.append(_tight_row(t, singleton_partition(t), q))
-    return rows
+    tensors = ((q, make_cyclic_lower(q)) for q in range(2, q_max + 1))
+    return _tight_rows((q, t, singleton_partition(t)) for q, t in tensors)
 
 
 # -- uniform floor over the CW family -----------------------------------------

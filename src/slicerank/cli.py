@@ -31,7 +31,7 @@ TQ_SLICE = {2: 1.88988, 3: 2.75510, 4: 3.61071, 5: 4.46157}
 TQ_OMEGA = {2: 2.17795, 3: 2.16805, 4: 2.15949, 5: 2.15237}
 FLOOR_GOLDEN = {"v_8": 0.017732422, "f_v8": 2.07389, "relaxed_at_9": 2.18562}
 
-KKT_LIMIT = 1e-6  # beyond this the optimizer result is not trusted
+KKT_LIMIT = be.KKT_LIMIT  # beyond this the optimizer result is not trusted
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -72,6 +72,23 @@ about fifty numpy calls and no Python loop: one bincount each for the
 diagonal, R D^2 R^T, R D^2 (1, r) and R^T u, four small products and
 one LU solve of the bordered system.
 
+Direct sums: `maximize_symmetric` on a `block_sum` solves every summand
+at once.  Write the orbit masses as x = (lambda_r y_r)_r, lambda on the
+simplex and y_r a distribution on summand r's orbits.  Summand r's orbits
+meet only its own parts, and each orbit's x incidence sums to 1, so f(x) =
+sum_r lambda_r f_r(y_r) + H(lambda): the maximizer has y_r = argmax f_r and
+lambda_r proportional to exp(max f_r), the maximum is log sum_r exp(max
+f_r), and on summand r the gradient of f is f_r's minus log lambda_r,
+constant there, so each summand's KKT spread is at most twice the sum's.
+`summand_optima` reads each summand's optimum off the one solve.  R is
+block-diagonal over the summands, and so are R R^T, its basis and A =
+(cDW)^T cDW: each summand has its own Gram matrix and eigh, its rank cut
+at RANK_TOL times its own largest eigenvalue, and the summands meet only
+in the simplex row, by a Schur complement (`_summed_step`).  Summands of
+near-equal row counts are stacked, padded with zero rows, for numpy's
+stacked matmul, eigh and solve (`_stacks`); one summand is the problem
+above, with its bordered solve.
+
 Step length: along a step s from x, with m = R x and r = R s (one
 bincount each), phi(sigma) = sum_a w_a f_a(x + sigma s) is concave, with
 phi'(sigma) = sum_i w_a r_i (log|X_i| - log(m_i + sigma r_i)) (the -1
@@ -103,6 +120,7 @@ NOISE = 64 * np.finfo(float).eps  # float noise of an objective, relative
 MIN_STEP = 1e-12         # shortest damped step tried
 RIDGE = 1e-10            # relative ridge of the weights' Newton system
 RANK_TOL = 1e-9          # relative eigenvalue cut of a support's Gram matrix R R^T
+STACK_SLACK = 16         # rows of padding a stack of summands always allows
 LINE_STEPS = 8           # safeguarded Newton steps of a line search before the simplex edge
 
 
@@ -175,6 +193,24 @@ def _by_first(labels, first):
 # -- the solver ---------------------------------------------------------------
 
 
+def _summand_rows(block_set: BlockSet):
+    """The summand of each part row (x parts, then y, then z) of a `block_sum`."""
+    counts = np.array(block_set.summands)
+    return np.concatenate([np.repeat(np.arange(len(counts)), c) for c in counts.T])
+
+
+def _blockwise(parts, label, log_sizes, d, w, count):
+    """For block masses d on blocks of part rows `parts` (rows of sizes
+    exp(log_sizes)), with m their part marginals (one bincount over all
+    entries): sum_i m_i (log|X_i| - log m_i) over the rows of each of
+    `count` labels, and per block the sum over its rows of w_i (log|X_i| -
+    log m_i - 1), the gradient of sum_i w_i m_i (log|X_i| - log m_i)."""
+    m = np.bincount(parts.ravel(), np.repeat(d, 3), len(label))
+    f = np.bincount(label, m * (log_sizes - np.log(np.maximum(m, TINY))), count)
+    h = w * (log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP)) - 1.0)
+    return f, h[parts].sum(axis=1)
+
+
 class _Problem:
     """The axis objectives f_a(S x) of a block set, as functions of x.
 
@@ -217,11 +253,13 @@ class _Problem:
             self.axis[row] = self.part_axis
             self.log_sizes = np.log(np.bincount(row, part_sizes))
             cells = row[self.parts]
+            self.summand = None
         else:
             lens = np.fromiter(map(len, groups), np.intp, len(groups))
             group = np.repeat(np.arange(len(groups)), lens)[order]
             self.count, self.width = np.ones(len(groups)), np.ones(len(part_sizes))
             self.axis, self.log_sizes, cells = self.part_axis, self.part_log_sizes, self.parts
+            self.summand = None if block_set.summands is None else _summand_rows(block_set)
         self.size, self.group, share = len(lens), group, 1.0 / lens
         self.share = share[group]
         rows = len(self.axis)
@@ -248,10 +286,8 @@ class _Problem:
         gradient is constant on each class only when the classes are
         equitable."""
         d = self.share * x[self.group]
-        m = np.bincount(self.parts.ravel(), np.repeat(d, 3), len(self.part_axis))
-        f = np.bincount(self.part_axis, m * (self.part_log_sizes - np.log(np.maximum(m, TINY))), 3)
-        h = w[self.part_axis] * (self.part_log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP)) - 1.0)
-        return d, f, h[self.parts].sum(axis=1)
+        return (d, *_blockwise(self.parts, self.part_axis, self.part_log_sizes, d,
+                               w[self.part_axis], 3))
 
     def marginals(self, x):
         return np.bincount(self.row, weights=self.val * x[self.col], minlength=len(self.axis))
@@ -279,44 +315,48 @@ class _Problem:
     def newton_step(self, x, m, w, rhs):
         """For each column r of rhs, the minimum-norm s with H s + nu 1 = r and
         sum(s) = 0 on the support of x, and s = 0 off it, for H the Hessian of
-        sum_a w_a f_a at x (marginals m); solved in the basis W of the module docstring."""
+        sum_a w_a f_a at x (marginals m); solved in the basis W of the module
+        docstring, one block of it per summand."""
         on, pos = x > 0.0, w > 0.0
         key = (on.tobytes(), pos.tobytes())
         basis = self._bases.get(key)
         if basis is None:
             basis = self._bases[key] = self._basis(on, pos[self.axis])
-        act, ax, col, row, val, wval, pair_col, flat, vv, t, spread = basis
-        p, nc = len(t), rhs.shape[1]
+        act, ax, col, row, at, val, wval, pair_col, flat, vv, p, cells, place, t, spread = basis
+        nc = rhs.shape[1]
         if nc not in spread:      # cells of R b in p x (nc + 1), of R^T u in size x nc
-            spread[nc] = ((row[:, None] * (nc + 1) + np.arange(nc + 1)).ravel(),
+            spread[nc] = ((at[:, None] * (nc + 1) + np.arange(nc + 1)).ravel(),
                           (col[:, None] * nc + np.arange(nc)).ravel())
         to_rows, to_cols = spread[nc]
         scale = np.sqrt(w[ax] / np.maximum(m[act], MARGINAL_CLAMP))
         norm2 = np.bincount(col, weights=(scale[row] * wval) ** 2, minlength=self.size)
         d2 = np.divide(self.count, norm2, out=np.zeros(self.size), where=on)
-        gt = np.bincount(flat, weights=vv * d2[pair_col], minlength=p * p).reshape(p, p) @ t
-        norm = np.sqrt(np.einsum("ij,ij->j", gt, t))     # of the columns of W
-        t = t / norm
-        cdw = np.multiply(gt, scale[:, None], out=gt)    # c D W, in place of gt
-        cdw /= norm
+        gram = np.bincount(flat, weights=vv * d2[pair_col], minlength=cells)
         b = np.empty((self.size, nc + 1))                 # D^2 (1, rhs)
         b[:, 0] = d2
         np.multiply(d2[:, None], rhs, out=b[:, 1:])
         rb = np.bincount(to_rows, weights=(val[:, None] * b.take(col, 0)).ravel(),
-                         minlength=p * (nc + 1))
-        e = t.T @ rb.reshape(p, nc + 1)                   # W^T (d, D rhs)
-        u = t @ _bordered(cdw.T @ cdw, e[:, 0], e[:, 1:])
-        s = np.bincount(to_cols, weights=(val[:, None] * u.take(row, 0)).ravel(),
+                         minlength=p * (nc + 1)).reshape(p, nc + 1)
+        if place is None:                                 # one summand
+            t, a, e = _system(t, gram.reshape(p, p), scale[:, None], rb)
+            u = t @ _bordered(a, e[:, 0], e[:, 1:])
+        else:
+            u = _summed_step(t, gram, scale, place, rb)
+        s = np.bincount(to_cols, weights=(val[:, None] * u.take(at, 0)).ravel(),
                         minlength=self.size * nc)
         return d2[:, None] * s.reshape(self.size, nc)
 
     def _basis(self, on, act):
         """For the support `on` and the rows `act` of the axes with w_a > 0:
         the indices of those rows, the entries of R there (their rows
-        numbered within `act`) and their values times the root of their
-        row's width (these enter D), for each pair of entries in one column
-        that column, its cell in R R^T and the product of their values, and
-        E L^(-1/2)."""
+        numbered within `act`, and their rows' places in the layout of
+        `_stacks`), their values and those times the root of their row's
+        width (these enter D), for each pair of entries in one column that
+        column, its cell in the (stacked) R R^T and the product of their
+        values, and the numbers of rows and cells of the layout.  Then for
+        one summand None and E L^(-1/2); else each row's place and per stack
+        E L^(-1/2) with its cut columns zero, the slices of its cells and
+        rows, and which columns are cut."""
         ent = np.flatnonzero(on[self.col] & act[self.row])
         act_rows = np.flatnonzero(act)
         rank, p = np.zeros(len(act), np.intp), len(act_rows)
@@ -327,12 +367,103 @@ class _Problem:
         count = np.bincount(col)[col]
         pi = np.arange(len(ent)).repeat(count)
         pj = np.arange(len(pi)) - (np.cumsum(count) - count - np.searchsorted(col, col))[pi]
-        flat, vv = row[pi] * p + row[pj], val[pi] * val[pj]
-        lam, v = np.linalg.eigh(np.bincount(flat, weights=vv, minlength=p * p).reshape(p, p))
-        big = lam > RANK_TOL * lam[-1]
+        vv = val[pi] * val[pj]
         wval = val * np.sqrt(self.width[act_rows][row])
-        return (act_rows, self.axis[act_rows], col, row, val, wval, col[pi], flat, vv,
-                v[:, big] / np.sqrt(lam[big]), {})
+        head, tail = (act_rows, self.axis[act_rows], col, row), (val, wval, col[pi])
+        if self.summand is None:
+            flat = row[pi] * p + row[pj]
+            lam, v = np.linalg.eigh(np.bincount(flat, weights=vv, minlength=p * p).reshape(p, p))
+            big = lam > RANK_TOL * lam[-1]
+            return (*head, row, *tail, flat, vv, p, p * p, None, v[:, big] / np.sqrt(lam[big]), {})
+        place, cell, local, layout = _stacks(self.summand[act_rows])
+        flat = cell[row[pi]] + local[row[pj]]
+        gram = np.bincount(flat, weights=vv, minlength=layout[-1][2].stop)
+        stacks = []
+        for n, rows, cells in layout:
+            k = (rows.stop - rows.start) // n
+            lam, v = np.linalg.eigh(gram[cells].reshape(n, k, k))
+            big = lam > RANK_TOL * lam[:, -1:]
+            keep = k - big.sum(axis=1).max()          # drop the columns every summand cuts
+            lam, v, big = lam[:, keep:], v[:, :, keep:], big[:, keep:]
+            t = v / np.sqrt(np.where(big, lam, 1.0))[:, None, :]
+            cut = None if big.all() else ~big
+            if cut is not None:
+                t *= big[:, None, :]
+            stacks.append((t, cells, rows, cut))
+        return (*head, place[row], *tail, flat, vv, layout[-1][1].stop, layout[-1][2].stop, place,
+                stacks, {})
+
+
+def _stacks(summand):
+    """The padded layout of the per-summand algebra, for the summand of each
+    row: summands sorted by their number of rows are cut into stacks of
+    near-equal size, each padded with zero rows to its largest.  Returns
+    each row's place in the layout (the stacks in order, each summand's
+    padded rows in a stack in order), its cell (row, 0) in the stacked
+    Gram matrices, its index within its summand, and per stack its number
+    of summands and the slices of its rows and its cells."""
+    sizes = np.bincount(summand)
+    order = np.argsort(sizes, kind="stable")
+    order = order[sizes[order] > 0]
+    place, cell = np.empty(len(sizes), np.intp), np.empty(len(sizes), np.intp)
+    width = np.empty(len(sizes), np.intp)
+    layout, rows, cells, i = [], 0, 0, 0
+    sorted_sizes = sizes[order].tolist()
+    while i < len(order):
+        j, first = i + 1, sorted_sizes[i]
+        while j < len(order) and sorted_sizes[j] <= first + max(STACK_SLACK, first // 4):
+            j += 1
+        n, k, members = j - i, sorted_sizes[j - 1], order[i:j]
+        width[members] = k
+        place[members] = rows + k * np.arange(n)
+        cell[members] = cells + k * k * np.arange(n)
+        layout.append((n, slice(rows, rows + n * k), slice(cells, cells + n * k * k)))
+        rows, cells, i = rows + n * k, cells + n * k * k, j
+    by_summand = np.argsort(summand, kind="stable")
+    local = np.empty(len(summand), np.intp)
+    local[by_summand] = np.arange(len(summand)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return (place[summand] + local, cell[summand] + local * width[summand], local, layout)
+
+
+def _system(t, g, scale, rb, cut=None):
+    """The system K_W of the module docstring in the basis t = E L^(-1/2),
+    for g the Gram matrix of R D^2 R^T, `scale` the column of S and rb =
+    R D^2 (1, r), of one summand or of a stack (a leading axis over its
+    summands): W (t with unit columns), A = (cDW)^T cDW and e = W^T (d, D
+    r).  The cut columns of t are zero, and get norm 1."""
+    gt = g @ t
+    norm = np.sqrt(np.einsum("...ij,...ij->...j", gt, t))      # of the columns of W
+    if cut is not None:
+        norm[cut] = 1.0
+    norm = norm[..., None, :]
+    t = t / norm
+    cdw = np.multiply(gt, scale, out=gt)                        # c D W, in place of gt
+    cdw /= norm
+    return t, cdw.swapaxes(-1, -2) @ cdw, t.swapaxes(-1, -2) @ rb
+
+
+def _summed_step(stacks, gram, scale, place, rb):
+    """u = W z for the z of the module docstring on a sum, from the stacked
+    Gram matrices `gram` of R D^2 R^T, the scale S of each row, each row's
+    place in the padded layout and rb = R D^2 (1, r) there.  K_W = [[-A,
+    e], [e^T, 0]] with A = diag(A_c) is block-diagonal but for the simplex
+    row, so z_c = A_c^-1 (e_c nu - r_c) with nu = sum_c e_c A_c^-1 r_c /
+    sum_c e_c A_c^-1 e_c, a Schur complement.  A cut column gets a unit
+    diagonal in A_c, and so z = 0 there."""
+    padded = np.zeros(len(rb))
+    padded[place] = scale
+    systems = []
+    for t, cells, rows, cut in stacks:
+        n, k = t.shape[:2]
+        t, a, e = _system(t, gram[cells].reshape(n, k, k), padded[rows].reshape(n, k, 1),
+                          rb[rows].reshape(n, k, -1), cut)
+        if cut is not None:
+            a.reshape(n, -1)[:, ::a.shape[-1] + 1] += cut
+        systems.append((t, e, np.linalg.solve(a, e)))       # A_c^-1 (e_c, r_c)
+    nu = (sum(np.einsum("ck,ckr->r", e[..., 0], y[..., 1:]) for _, e, y in systems)
+          / sum(np.einsum("ck,ck->", e[..., 0], y[..., 0]) for _, e, y in systems))
+    return np.concatenate([(t @ (y[..., :1] * nu - y[..., 1:])).reshape(-1, len(nu))
+                           for t, _, y in systems])
 
 
 def _bordered(a, e, r):
@@ -510,8 +641,65 @@ def maximize_symmetric(block_set: BlockSet) -> Optimum:
         raise ValueError("partition is not symmetric for this tensor")
     prob = _Problem(block_set, block_set.orbits)
     w = np.array([1.0, 0.0, 0.0])
-    x, m, iters, resid = _solve(prob, w)
+    x, m, iters, resid = _solve(prob, w, None if prob.summand is None else _sum_start(prob))
     return _optimum(prob, w, lambda f: f[0], x, iters, resid, prob.values(m), prob.grad(m, w), x)
+
+
+def _sum_start(prob: _Problem):
+    """The start of a symmetric solve on a `block_sum`: uniform on each
+    summand's orbits, and summand r's share proportional to exp f_r there,
+    which is the optimum when each summand's is its uniform point."""
+    summand = np.empty(prob.size, np.intp)
+    summand[prob.group] = prob.summand[prob.parts[:, 0]]
+    x = 1.0 / np.bincount(summand)[summand]
+    m = prob.marginals(x)
+    on_x = prob.axis == 0
+    f = np.bincount(prob.summand[on_x], (m * (prob.log_sizes - np.log(np.maximum(m, TINY))))[on_x])
+    share = np.exp(f - f.max())
+    x *= (share / share.sum())[summand]
+    return x
+
+
+def summand_optima(block_set: BlockSet, opt: Optimum) -> list:
+    """The `Optimum` of each summand of a `block_sum`, read off `opt`, the
+    symmetric optimum of the sum (one block set is its own one summand).
+
+    Summand r's masses are its masses in `opt`, renormalized (see "Direct
+    sums" above), keyed by its own part triples.  Its values, residual and
+    gap are taken there from its own per-block gradient of (f_x + f_y +
+    f_z) / 3, which on a symmetric point is the orbit gradient of f_x: a
+    wrong split of the sum shows as a large residual, never as a wrong
+    value.  `iterations` are those of the one solve.
+    """
+    if block_set.summands is None:
+        return [opt]
+    keys = list(block_set.blocks)
+    counts = np.array(block_set.summands)
+    first = np.cumsum(counts, axis=0) - counts      # each summand's first part, per axis
+    c, n = len(counts), counts.sum(axis=0)
+    parts = np.fromiter(chain.from_iterable(keys), np.intp, 3 * len(keys)).reshape(-1, 3)
+    summand = np.searchsorted(first[:, 0], parts[:, 0], "right") - 1
+    d = np.fromiter(map(opt.masses.get, keys, [0.0] * len(keys)), float, len(keys))
+    d /= np.bincount(summand, d, c)[summand]
+    log_sizes = np.log(np.array([s for axis in "xyz" for s in block_set.part_sizes(axis)], float))
+    label = 3 * _summand_rows(block_set) + np.repeat(np.arange(3), n)
+    f, g = _blockwise(parts + np.array([0, n[0], n[0] + n[1]]), label, log_sizes, d, 1.0 / 3.0,
+                      3 * c)
+    # per summand `_residual` and the gap, and the positive masses keyed by
+    # the summand's own part triples
+    on = d > 0.0
+    mu = (np.bincount(summand, g * on, c) / np.bincount(summand, on, c))[summand]
+    resid, top = np.zeros(c), np.full(c, -np.inf)
+    np.maximum.at(resid, summand, np.where(on, np.abs(g - mu), g - mu))
+    np.maximum.at(top, summand, g)
+    gap = (top - np.bincount(summand, g * d, c)).tolist()
+    pos = np.flatnonzero(on)
+    masses = list(zip(map(tuple, (parts - first[summand])[pos].tolist()), d[pos].tolist()))
+    ends = np.searchsorted(summand[pos], np.arange(c), "right").tolist()
+    f, resid = f.reshape(-1, 3).tolist(), resid.tolist()
+    return [Optimum(dict(masses[start:end]), tuple(f[r]), f[r][0], opt.iterations, resid[r],
+                    opt.axis_weights, gap[r])
+            for r, (start, end) in enumerate(zip([0] + ends, ends))]
 
 
 def maximize_product(block_set: BlockSet) -> Optimum:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence
 
 Entry = tuple[int, int, int]
@@ -504,6 +505,17 @@ class VariablePartition:
         object.__setattr__(self, "parts_z", pz)
         object.__setattr__(self, "where", (wx, wy, wz))
 
+    @classmethod
+    def _unchecked(cls, parts, where) -> VariablePartition:
+        """A partition taken as given: per axis its normalized parts and
+        `where` map, as a checked partition's (or `block_sum`'s) stand."""
+        p = object.__new__(cls)
+        for axis, own in zip(AXES, parts):
+            object.__setattr__(p, f"parts_{axis}", tuple(own))
+        object.__setattr__(p, "where", tuple(map(tuple, where)))
+        object.__setattr__(p, "sizes", tuple(len(w) for w in p.where))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("VariablePartition is immutable")
 
@@ -600,16 +612,20 @@ class BlockSet:
     part order), anew on every call.  `orbits` lists the key orbits under
     (i,j,k) -> (j,k,i), sorted tuples in sorted order, or is None when
     the partition is not symmetric for the tensor (`symmetric`).
+    `summands` is None, or for a `block_sum` the (x, y, z) part counts of
+    each summand, in order.
     """
 
-    __slots__ = ("tensor", "partition", "blocks", "orbits")
+    __slots__ = ("tensor", "partition", "blocks", "orbits", "summands")
 
-    def __init__(self, tensor: Tensor, partition: VariablePartition, blocks,
-                 orbits: Optional[list]):
+    def __init__(self, tensor: Tensor, partition: VariablePartition, blocks: dict,
+                 orbits: Optional[list], summands: Optional[tuple] = None):
+        """`blocks` must be in sorted key order."""
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "blocks", dict(sorted(blocks.items())))
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "summands", summands)
 
     symmetric = property(lambda self: self.orbits is not None)
 
@@ -667,7 +683,46 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
     for (i, j, k), c in t.entries.items():
         (bi, si), (bj, sj), (bk, sk) = wx[i], wy[j], wz[k]
         buckets.setdefault((bi, bj, bk), {})[(si, sj, sk)] = c
-    return BlockSet(t, p, buckets, _rotation_orbits(t, p, buckets))
+    return BlockSet(t, p, dict(sorted(buckets.items())), _rotation_orbits(t, p, buckets))
+
+
+def block_sum(block_sets: Sequence[BlockSet]) -> BlockSet:
+    """The direct sum of block sets: the blocks of the direct sum of their
+    tensors under the direct sum of their partitions.  Summand r's
+    variables, parts, keys and orbits come after those of the summands
+    before it, and its variable labels are tagged (r, label), as in
+    `direct_sum`.  As each summand's keys follow the last one's on every
+    axis, the keys and orbits stay in sorted order.  The sum is symmetric
+    when every summand is, and one block set is its own sum."""
+    if len(block_sets) == 1:
+        return block_sets[0]
+    labels, entries, parts, where = ([], [], []), {}, ([], [], []), ([], [], [])
+    blocks, orbits, summands = {}, [], []
+    for r, bs in enumerate(block_sets):
+        t, p = bs.tensor, bs.partition
+        ox, oy, oz = offsets = [len(axis) for axis in labels]
+        px, py, pz = part_offsets = [len(axis) for axis in parts]
+        for axis, own in enumerate((t.x_labels, t.y_labels, t.z_labels)):
+            labels[axis].extend(zip(repeat(r), own))
+            parts[axis].extend((f"{r}:{label}", tuple(map(offsets[axis].__add__, idx)))
+                               for label, idx in p.parts(AXES[axis]))
+            where[axis].extend((part + part_offsets[axis], slot) for part, slot in p.where[axis])
+        if r:
+            entries.update({(i + ox, j + oy, k + oz): c for (i, j, k), c in t.entries.items()})
+            keys = [(i + px, j + py, k + pz) for (i, j, k) in bs.blocks]
+        else:                    # the first summand's keys stand as they are
+            entries.update(t.entries)
+            keys = list(bs.blocks)
+        blocks.update(zip(keys, bs.blocks.values()))
+        if orbits is None or bs.orbits is None:
+            orbits = None
+        else:
+            at = dict(zip(bs.blocks, keys)).__getitem__
+            orbits += [tuple(map(at, orbit)) for orbit in bs.orbits]
+        summands.append((len(p.parts_x), len(p.parts_y), len(p.parts_z)))
+    t = Tensor._unchecked(*map(tuple, labels), entries)
+    return BlockSet(t, VariablePartition._unchecked(parts, where), blocks, orbits,
+                    tuple(summands))
 
 
 def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:

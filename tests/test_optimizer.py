@@ -480,6 +480,101 @@ def test_symmetric_residual_cw2_cube():
     assert abs(opt.value - 3.57165 ** 3) < 1e-2
 
 
+# -- direct sums ----------------------------------------------------------------
+
+
+def symmetric_block_set(kind, n):
+    """A symmetric block set: CW_q or cw_q under its partition, T_q under
+    singletons, or the symmetric cube of a small random tensor (seed n)
+    under the cube of a random partition."""
+    if kind == "cw":
+        return cw_blocks(n)
+    if kind == "cw-small":
+        return cw_small_blocks(n)
+    if kind == "tq":
+        t = sr.make_cyclic_lower(n)
+        return sr.blocks(t, sr.singleton_partition(t))
+    rng = random.Random(n)
+    t = random_tensor(rng, max_dim=2)
+    return sr.blocks(sr.symmetric_cube(t), sr.cube_partition(t, random_partition(rng, t)))
+
+
+def x_marginals(bs, masses):
+    m = np.zeros(bs.partition.part_count("x"))
+    for key, v in masses.items():
+        m[key[0]] += v
+    return m
+
+
+summand = st.one_of(st.tuples(st.just("cw"), st.integers(1, 8)),
+                    st.tuples(st.just("cw-small"), st.integers(1, 7)),
+                    st.tuples(st.just("tq"), st.integers(2, 20)),
+                    st.tuples(st.just("cube"), st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(summands=st.lists(summand, min_size=2, max_size=4))
+def test_direct_sum_splits_into_summand_optima(summands):
+    """One symmetric solve on a `block_sum` gives each summand's own
+    optimum: its log value to 1e-12 relative, its part marginals (always
+    unique) to 1e-9, its masses to 1e-9 where the maximizer is unique (the
+    orbit incidence has full column rank; T_q for q >= 7 has more orbits
+    than parts, and every distribution with the optimal marginals is
+    optimal), a residual of at most 1e-10 from its own per-block
+    gradient; and the sum's log value is log sum_r exp(max f_r)."""
+    sets = [symmetric_block_set(*s) for s in summands]
+    own = [sr.maximize_symmetric(bs) for bs in sets]
+    assume(all(o.kkt_residual <= 1e-10 for o in own))
+    union = sr.block_sum(sets)
+    opt = sr.maximize_symmetric(union)
+    split = sr.summand_optima(union, opt)
+    assert len(split) == len(sets)
+    for bs, got, ref in zip(sets, split, own):
+        assert got.log_value == pytest.approx(ref.log_value, rel=1e-12, abs=1e-15)
+        assert got.kkt_residual <= 1e-10
+        marginals = x_marginals(bs, got.masses) - x_marginals(bs, ref.masses)
+        assert np.abs(marginals).max() <= 1e-9
+        inc = np.zeros((bs.partition.part_count("x"), len(bs.orbits)))
+        for g, orbit in enumerate(bs.orbits):
+            for key in orbit:
+                inc[key[0], g] += 1.0 / len(orbit)
+        if np.linalg.matrix_rank(inc) == len(bs.orbits):
+            for key in set(got.masses) | set(ref.masses):
+                assert abs(got.masses.get(key, 0.0) - ref.masses.get(key, 0.0)) <= 1e-9
+        assert set(got.masses) <= set(bs.blocks)
+    total = math.log(sum(math.exp(o.log_value) for o in own))
+    assert opt.log_value == pytest.approx(total, rel=1e-12)
+
+
+def test_one_block_set_is_its_own_sum():
+    bs = cw_blocks(3)
+    opt = sr.maximize_symmetric(bs)
+    assert sr.block_sum([bs]) is bs and sr.summand_optima(bs, opt) == [opt]
+
+
+def test_shifted_summand_fails_the_certificate(capsys, monkeypatch):
+    """Shifting the second summand's part range of `table cw --qmax 3`'s
+    sum by one row (CW_1 gets one part more, CW_3 one fewer) splits the
+    problem wrongly: the summand's residual from its own per-block gradient
+    exceeds KKT_LIMIT, and `table` exits 2 instead of printing a value."""
+    real = sr.block_sum
+
+    def shifted(block_sets):
+        bs = real(block_sets)
+        counts = [list(c) for c in bs.summands]
+        counts[0] = [c + 1 for c in counts[0]]
+        counts[2] = [c - 1 for c in counts[2]]
+        return sr.BlockSet(bs.tensor, bs.partition, bs.blocks, bs.orbits,
+                           tuple(map(tuple, counts)))
+
+    bs = shifted([cw_blocks(q) for q in (1, 2, 3)])
+    assert sr.summand_optima(bs, sr.maximize_symmetric(bs))[1].kkt_residual > KKT_LIMIT
+    monkeypatch.setattr(sr.bound_engines, "block_sum", shifted)
+    assert main(["table", "cw", "--qmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("convergence failure at q=")
+
+
 # -- colour classes ---------------------------------------------------------------
 
 
@@ -611,9 +706,21 @@ def test_merged_classes_fail_the_certificate(solver, capsys, tmp_path):
 # -- the Newton step ------------------------------------------------------------
 
 
+def orbit_set(rng, parts, twin):
+    """A random rotation-closed block set on `parts` singleton parts per
+    axis, holding the orbits of (0, 1, 2) and (0, 2, 1) if `twin`."""
+    cells = list(itertools.product(range(parts), repeat=3))
+    picked = rng.choice(len(cells), rng.integers(1, len(cells) + 1), replace=False)
+    keys = {cells[i] for i in picked}
+    keys |= {(0, 1, 2), (0, 2, 1)} if twin else set()
+    keys |= {(j, k, i) for (i, j, k) in keys} | {(k, i, j) for (i, j, k) in keys}
+    t = sr.Tensor(range(parts), range(parts), range(parts), dict.fromkeys(keys, 1))
+    return sr.blocks(t, sr.singleton_partition(t))
+
+
 @pytest.mark.parametrize("size, factor", [
     ("identity", "incidence"), ("qr", "incidence"), ("qr", "general"),
-    ("identity", "orbit"), ("qr", "orbit")])
+    ("identity", "orbit"), ("qr", "orbit"), ("identity", "sum"), ("qr", "sum")])
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), zero=st.sampled_from([None, 0, 1, 2]),
        twin=st.booleans())
@@ -628,9 +735,13 @@ def test_newton_step_matches_dense_reference(size, factor, seed, zero, twin):
     With `twin`, two support coordinates share their incidence column on
     those axes (blocks that differ only on an axis of weight 0, or the
     orbits of (0, 1, 2) and (0, 2, 1)), which makes the bordered system
-    singular even on small supports.  The general factor drives the
-    dense step of the max-min weights instead, on h = c^T c for Gaussian
-    c, its diagonal spread over three orders of magnitude.
+    singular even on small supports.  On a sum, the orbits of a
+    `block_sum` of 2-4 orbit sets with distinct part counts, the first
+    with the twin orbits if `twin`: each summand has its own basis, the
+    summands are stacked and padded, and the step joins them through the
+    simplex row.  The general factor drives the dense step of the max-min
+    weights instead, on h = c^T c for Gaussian c, its diagonal spread over
+    three orders of magnitude.
 
     Agreement is measured against the step's norm, or against |D^2 r|,
     the step for the Hessian's diagonal alone, where the minimum-norm
@@ -652,20 +763,29 @@ def test_newton_step_matches_dense_reference(size, factor, seed, zero, twin):
             parts[:] = max(parts[0], 3 if twin else 1)
         elif twin:
             parts[zero] = max(parts[zero], 2)
+        if factor == "sum":
+            counts = rng.choice(np.arange(1, 8), size=rng.integers(2, 5), replace=False)
+            if twin:            # the twin orbits on the first summand, of 3 parts or more
+                counts[[0, counts.argmax()]] = counts[[counts.argmax(), 0]]
+                counts[0] = max(counts[0], 3)
+            bs = sr.block_sum([orbit_set(rng, c, twin and i == 0) for i, c in enumerate(counts)])
+            parts[:] = counts.sum()
         w = rng.uniform(0.05, 1.0, size=3)
         if zero is not None:
             w[zero] = 0.0
         rows = int(parts[w > 0.0].sum())
-        cells = list(itertools.product(*(range(p) for p in parts)))
-        keys = {cells[i] for i in rng.choice(len(cells), rng.integers(1, len(cells) + 1), replace=False)}
-        twins = [(0, 1, 2), (0, 2, 1)] if factor == "orbit" else [
-            (0, 0, 0), tuple(int(a == zero) for a in range(3))]
-        keys |= set(twins) if twin else set()
         if factor == "orbit":
-            keys |= {(j, k, i) for (i, j, k) in keys} | {(k, i, j) for (i, j, k) in keys}
-        t = sr.Tensor(*(range(p) for p in parts), dict.fromkeys(keys, 1))
-        bs = sr.blocks(t, sr.singleton_partition(t))
-        groups = bs.orbits if factor == "orbit" else [(key,) for key in sorted(keys)]
+            bs = orbit_set(rng, parts[0], twin)
+        elif factor == "incidence":
+            cells = list(itertools.product(*(range(p) for p in parts)))
+            keys = {cells[i] for i in rng.choice(len(cells), rng.integers(1, len(cells) + 1),
+                                                 replace=False)}
+            keys |= {(0, 0, 0), tuple(int(a == zero) for a in range(3))} if twin else set()
+            t = sr.Tensor(*(range(p) for p in parts), dict.fromkeys(keys, 1))
+            bs = sr.blocks(t, sr.singleton_partition(t))
+        groups = [(key,) for key in bs.blocks] if factor == "incidence" else bs.orbits
+        twins = ([(0, 0, 0), tuple(int(a == zero) for a in range(3))] if factor == "incidence"
+                 else [(0, 1, 2), (0, 2, 1)])
         prob = _Problem(bs, groups)
         n = len(groups)
         inc = np.zeros((3, max(parts), n))

@@ -485,6 +485,51 @@ def test_blocks_builds_no_tensor(monkeypatch):
     assert len(built) == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4), symmetric=st.booleans())
+def test_block_sum_is_the_blocks_of_the_direct_sum(seeds, symmetric):
+    """`block_sum` equals `blocks` of the direct sum of the tensors, labels
+    tagged (r, label), under the direct sum of the partitions: the same
+    keys in the same sorted order, slot-keyed entries, orbits (None unless
+    every summand is symmetric) and `bs[key]`; `summands` holds each
+    summand's part counts, and one block set is its own sum."""
+    sets = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        if symmetric:
+            t = random_symmetric_tensor(rng, rng.randint(1, 4))
+            sets.append(sr.blocks(t, shared_index_partition(rng, t)))
+        else:
+            t = random_tensor(rng)
+            sets.append(sr.blocks(t, random_partition(rng, t)))
+    got = sr.block_sum(sets)
+    if len(sets) == 1:
+        assert got is sets[0] and got.summands is None
+        return
+    labels, entries, parts, offset = ([], [], []), {}, ([], [], []), [0, 0, 0]
+    for r, bs in enumerate(sets):
+        t = bs.tensor
+        for a, own in enumerate((t.x_labels, t.y_labels, t.z_labels)):
+            labels[a].extend((r, label) for label in own)
+            parts[a].extend((f"{r}:{label}", [i + offset[a] for i in idx])
+                            for label, idx in bs.partition.parts("xyz"[a]))
+        for (i, j, k), c in t.entries.items():
+            entries[(i + offset[0], j + offset[1], k + offset[2])] = c
+        offset = [o + n for o, n in zip(offset, t.shape)]
+    t = Tensor(*labels, entries)
+    p = sr.VariablePartition(*parts, sizes=t.shape)
+    ref = sr.blocks(t, p)
+    if len(sets) == 2:
+        assert t == sr.direct_sum(sets[0].tensor, sets[1].tensor)
+    assert got.tensor == t and got.partition == p and got.partition.where == p.where
+    assert list(got.blocks.items()) == list(ref.blocks.items())
+    assert got.orbits == ref.orbits
+    assert got.symmetric == all(bs.symmetric for bs in sets)
+    assert got.summands == tuple(tuple(bs.partition.part_count(ax) for ax in "xyz") for bs in sets)
+    for key in got.keys():
+        assert got[key] == ref[key]
+
+
 # -- text formats --------------------------------------------------------------
 
 def test_tensor_roundtrip():
