@@ -426,36 +426,23 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
     # (j,k,i) is the block at (i,j,k) rotated, and <a,b,c> rotates to
     # <b,c,a>, so one block per rotation orbit is recognized.
     sx, sy, sz = (p.part_sizes(ax) for ax in "xyz")
-    dims = {}  # key -> (a, b, c), or None for a block that is not a matmul tensor
+    shapes = dict.fromkeys(keys)  # key -> (a, b, c), or None for a block that is not matmul
     for orbit in bs.orbits or [(key,) for key in keys]:
         i, j, k = key = orbit[0]
-        parts = (sx[i], sy[j], sz[k])
-        if parts == (1, 1, 1):
-            continue
-        witness = rank_tools._recognize(bs.blocks[key], parts)
-        d = None if witness is None else (witness.a, witness.b, witness.c)
+        d = (sx[i], sy[j], sz[k])
+        if d != (1, 1, 1):
+            witness = rank_tools._recognize(bs.blocks[key], d)
+            d = None if witness is None else (witness.a, witness.b, witness.c)
         for _ in orbit:
-            dims[key] = d
+            shapes[key] = d
             key, d = (key[1], key[2], key[0]), d and (d[1], d[2], d[0])
-    shapes = {}
-    matmul_ok = True
-    for key in keys:
-        i, j, k = key
-        parts = (sx[i], sy[j], sz[k])
-        if parts == (1, 1, 1):
-            shapes[key] = parts
-            continue
-        if dims[key] is None:
-            matmul_ok = False
-            failures.append(f"block {key} is not a matmul tensor")
-        else:
-            shapes[key] = dims[key]
-    conditions["maximal_matmul_blocks"] = matmul_ok
+    failures += [f"block {key} is not a matmul tensor" for key, d in shapes.items() if d is None]
+    conditions["maximal_matmul_blocks"] = None not in shapes.values()
 
     ok = conditions["symmetric"] and conditions["hyperplane_support"] \
         and conditions["maximal_matmul_blocks"]
     return LaserReadiness(ok, ell if hyper else None, grades if hyper else None,
-                          shapes, failures, conditions, bs)
+                          {key: d for key, d in shapes.items() if d}, failures, conditions, bs)
 
 
 def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:

@@ -94,7 +94,8 @@ class Tensor:
     def _unchecked(cls, x_labels, y_labels, z_labels, entries) -> Tensor:
         """A tensor taken as given, with no meta, for labels and entries
         that pass every check of `Tensor(...)` as they stand: a checked
-        tensor's and a sub-map of its entries, or `parse_tensor`'s."""
+        tensor's and a sub-map of its entries, `direct_sum`'s of checked
+        tensors, or `parse_tensor`'s."""
         t = object.__new__(cls)
         object.__setattr__(t, "x_labels", x_labels)
         object.__setattr__(t, "y_labels", y_labels)
@@ -349,35 +350,22 @@ def tensor_power(t: Tensor, n: int) -> Tensor:
     return out
 
 
-def direct_sum(a: Tensor, b: Tensor) -> Tensor:
-    """Disjoint sum; labels are tagged (0, label) resp. (1, label)."""
-    ax, ay, az = a.shape
-    entries = {k: c for k, c in a.entries.items()}
-    for (i, j, k), c in b.entries.items():
-        entries[(ax + i, ay + j, az + k)] = c
-    return Tensor(
-        [(0, l) for l in a.x_labels] + [(1, l) for l in b.x_labels],
-        [(0, l) for l in a.y_labels] + [(1, l) for l in b.y_labels],
-        [(0, l) for l in a.z_labels] + [(1, l) for l in b.z_labels],
-        entries,
-    )
+def direct_sum(*tensors: Tensor) -> Tensor:
+    """Disjoint sum; the labels of the r-th tensor are tagged (r, label)."""
+    labels, entries = ([], [], []), {}
+    for r, t in enumerate(tensors):
+        ox, oy, oz = (len(axis) for axis in labels)
+        for axis, own in zip(labels, (t.x_labels, t.y_labels, t.z_labels)):
+            axis.extend(zip(repeat(r), own))
+        entries.update({(i + ox, j + oy, k + oz): c for (i, j, k), c in t.entries.items()})
+    return Tensor._unchecked(*map(tuple, labels), entries)
 
 
 def n_copies(m: int, t: Tensor) -> Tensor:
     """Disjoint sum of m copies of t."""
     if m < 1:
         raise ValueError("m must be positive")
-    nx, ny, nz = t.shape
-    entries = {}
-    for copy in range(m):
-        for (i, j, k), c in t.entries.items():
-            entries[(copy * nx + i, copy * ny + j, copy * nz + k)] = c
-    return Tensor(
-        [(copy, l) for copy in range(m) for l in t.x_labels],
-        [(copy, l) for copy in range(m) for l in t.y_labels],
-        [(copy, l) for copy in range(m) for l in t.z_labels],
-        entries,
-    )
+    return direct_sum(*repeat(t, m))
 
 
 def tensor_add(a: Tensor, b: Tensor) -> Tensor:
@@ -655,22 +643,26 @@ class BlockSet:
         return f"BlockSet({len(self.blocks)} blocks of {self.tensor!r})"
 
 
-def _rotation_orbits(t: Tensor, p: VariablePartition, out: dict) -> Optional[list]:
-    """Rotation orbits of the slot-keyed blocks `out` of t under p, or None
+def _rotation_orbits(t: Tensor, p: VariablePartition, keys) -> Optional[list]:
+    """Rotation orbits of the block keys `keys` of t under p, or None
     unless p is symmetric for t: equal part sizes, t variable-symmetric,
     and each block (i,j,k), rotated positionally, equal to the block at (j,k,i).
+
+    With equal part sizes, phi sends an x variable to the z variable of
+    the same part and slot, psi y to x and chi z to y; the blocks then
+    rotate exactly when t[a,b,c] == t[psi(b), chi(c), phi(a)] on every entry.
     """
     if not (p.part_sizes("x") == p.part_sizes("y") == p.part_sizes("z")):
         return None
     if not is_variable_symmetric(t):
         return None
-    orbits = set()
-    for (i, j, k), block in out.items():
-        image = out.get((j, k, i))
-        if image is None or image != {(v, w, u): c for (u, v, w), c in block.items()}:
-            return None
-        orbits.add(tuple(sorted({(i, j, k), (j, k, i), (k, i, j)})))
-    return sorted(orbits)
+    wx, wy, wz = p.where
+    phi, psi, chi = ([parts[part][1][slot] for part, slot in w]
+                     for parts, w in ((p.parts_z, wx), (p.parts_x, wy), (p.parts_y, wz)))
+    get = t.entries.get
+    if not all(get((psi[b], chi[c], phi[a])) == v for (a, b, c), v in t.entries.items()):
+        return None
+    return sorted({tuple(sorted({(i, j, k), (j, k, i), (k, i, j)})) for (i, j, k) in keys})
 
 
 def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
@@ -688,31 +680,25 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
 
 def block_sum(block_sets: Sequence[BlockSet]) -> BlockSet:
     """The direct sum of block sets: the blocks of the direct sum of their
-    tensors under the direct sum of their partitions.  Summand r's
-    variables, parts, keys and orbits come after those of the summands
-    before it, and its variable labels are tagged (r, label), as in
-    `direct_sum`.  As each summand's keys follow the last one's on every
-    axis, the keys and orbits stay in sorted order.  The sum is symmetric
-    when every summand is, and one block set is its own sum."""
+    tensors (`direct_sum`) under the direct sum of their partitions.
+    Summand r's parts, keys and orbits come after those of the summands
+    before it, as its variables do.  As each summand's keys follow the
+    last one's on every axis, the keys and orbits stay in sorted order.
+    The sum is symmetric when every summand is, and one block set is its
+    own sum."""
     if len(block_sets) == 1:
         return block_sets[0]
-    labels, entries, parts, where = ([], [], []), {}, ([], [], []), ([], [], [])
+    parts, where = ([], [], []), ([], [], [])
     blocks, orbits, summands = {}, [], []
     for r, bs in enumerate(block_sets):
-        t, p = bs.tensor, bs.partition
-        ox, oy, oz = offsets = [len(axis) for axis in labels]
+        p = bs.partition
+        offsets = [len(axis) for axis in where]
         px, py, pz = part_offsets = [len(axis) for axis in parts]
-        for axis, own in enumerate((t.x_labels, t.y_labels, t.z_labels)):
-            labels[axis].extend(zip(repeat(r), own))
+        for axis, ax in enumerate(AXES):
             parts[axis].extend((f"{r}:{label}", tuple(map(offsets[axis].__add__, idx)))
-                               for label, idx in p.parts(AXES[axis]))
+                               for label, idx in p.parts(ax))
             where[axis].extend((part + part_offsets[axis], slot) for part, slot in p.where[axis])
-        if r:
-            entries.update({(i + ox, j + oy, k + oz): c for (i, j, k), c in t.entries.items()})
-            keys = [(i + px, j + py, k + pz) for (i, j, k) in bs.blocks]
-        else:                    # the first summand's keys stand as they are
-            entries.update(t.entries)
-            keys = list(bs.blocks)
+        keys = [(i + px, j + py, k + pz) for (i, j, k) in bs.blocks]
         blocks.update(zip(keys, bs.blocks.values()))
         if orbits is None or bs.orbits is None:
             orbits = None
@@ -720,7 +706,7 @@ def block_sum(block_sets: Sequence[BlockSet]) -> BlockSet:
             at = dict(zip(bs.blocks, keys)).__getitem__
             orbits += [tuple(map(at, orbit)) for orbit in bs.orbits]
         summands.append((len(p.parts_x), len(p.parts_y), len(p.parts_z)))
-    t = Tensor._unchecked(*map(tuple, labels), entries)
+    t = direct_sum(*(bs.tensor for bs in block_sets))
     return BlockSet(t, VariablePartition._unchecked(parts, where), blocks, orbits,
                     tuple(summands))
 

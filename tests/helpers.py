@@ -363,6 +363,32 @@ def reference_orbits(block_set) -> list[tuple]:
     return sorted(orbits)
 
 
+def reference_rotation_orbits(t: Tensor, p: VariablePartition):
+    """Rotation orbits of t's block keys under p, or None unless p is
+    symmetric for t, by comparing blocks as slot-keyed entry maps: equal
+    part sizes, t variable-symmetric, and each block (i,j,k), rotated
+    positionally, equal to the block at (j,k,i)."""
+    axes = (p.parts_x, p.parts_y, p.parts_z)
+    if not ([len(idx) for _, idx in p.parts_x] == [len(idx) for _, idx in p.parts_y]
+            == [len(idx) for _, idx in p.parts_z]):
+        return None
+    if any(t.entries.get((j, k, i)) != c for (i, j, k), c in t.entries.items()):
+        return None
+    locate = [{i: (part, slot) for part, (_, idx) in enumerate(parts)
+               for slot, i in enumerate(idx)} for parts in axes]
+    blocks = {}
+    for (a, b, c), coef in t.entries.items():
+        (i, u), (j, v), (k, w) = locate[0][a], locate[1][b], locate[2][c]
+        blocks.setdefault((i, j, k), {})[(u, v, w)] = coef
+    orbits = set()
+    for (i, j, k), block in blocks.items():
+        image = blocks.get((j, k, i))
+        if image is None or image != {(v, w, u): c for (u, v, w), c in block.items()}:
+            return None
+        orbits.add(tuple(sorted({(i, j, k), (j, k, i), (k, i, j)})))
+    return sorted(orbits)
+
+
 def reference_colour_classes(block_set):
     """The coarsest equitable partition of a block set's blocks and parts,
     by colour refinement on Python tuples: ({block key: class}, {(axis,

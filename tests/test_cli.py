@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: output, golden checks, exit codes."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -380,23 +382,28 @@ def test_verify_degeneration_ok(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "OK order h=0"
 
 
-@pytest.mark.parametrize("text, stderr", [
-    ("alpha 0 0 0 1/1\norder -1\n", "parse error: line 2: bad order '-1'\n"),
-    ("alpha 0 0 -2 1/1\norder 0\n",
+@pytest.mark.parametrize("text, code, stderr", [
+    ("alpha 0 0 0 1/1\norder -1\n", 3, "parse error: line 2: bad order '-1'\n"),
+    ("alpha 0 0 -2 1/1\norder 0\n", 3,
      "parse error: line 1: bad polynomial in 'alpha 0 0 -2 1/1'\n"),
-    ("beta 0 0 0 1/1\nalpha -1 0 0 1/1\n",
+    ("beta 0 0 0 1/1\nalpha -1 0 0 1/1\n", 3,
      "parse error: line 2: bad source/target in 'alpha -1 0 0 1/1'\n"),
-    ("alpha 0 -1 0 1/1\n", "parse error: line 1: bad source/target in 'alpha 0 -1 0 1/1'\n"),
-], ids=["order", "exponent", "source", "target"])
-def test_verify_degeneration_negative_map_values(capsys, tmp_path, text, stderr):
-    """A negative order, exponent or index is refused at its line of the
-    map file (exit 3), not later by the map's constructor or the domain
-    check (exit 4)."""
+    ("alpha 0 -1 0 1/1\n", 3, "parse error: line 1: bad source/target in 'alpha 0 -1 0 1/1'\n"),
+    ("alpha 0 0 0 1/1\norder x\n", 3, "parse error: line 2: bad order 'x'\n"),
+    ("alpha 0 0 0 1/1\norder 1 2\n", 3, "parse error: line 2: malformed order line\n"),
+    ("alpha 0 9 0 1/1\n", 4,
+     "inapplicable input: alpha target index 9 outside tensor variables\n"),
+], ids=["order", "exponent", "source", "target", "order-word", "order-arity", "target-range"])
+def test_verify_degeneration_negative_map_values(capsys, tmp_path, text, code, stderr):
+    """A negative or non-integer order, a malformed order line, and a
+    negative exponent or index are refused at their line of the map file
+    (exit 3), not later by the map's constructor or the domain check
+    (exit 4); an index past the target's variables is inapplicable (exit 4)."""
     src = tmp_path / "t.tensor"
     src.write_text(sr.write_tensor(sr.make_cw(1)))
     mp = tmp_path / "bad.map"
     mp.write_text(text)
-    assert main(["verify-degeneration", str(src), str(src), str(mp)]) == 3
+    assert main(["verify-degeneration", str(src), str(src), str(mp)]) == code
     captured = capsys.readouterr()
     assert captured.err == stderr and captured.out == ""
 
@@ -491,10 +498,13 @@ def test_negative_variable_count_exit_code(capsys, tmp_path):
      "parse error: line 3: not UTF-8: byte 0xff (invalid start byte)\n"),
     ("map", b"order 0\n\n\nalpha 0 0 0 1/1 # \xe2\x82",
      "parse error: line 4: not UTF-8: byte 0xe2 (unexpected end of data)\n"),
-], ids=["tensor", "partition", "map"])
+    ("partition", b"x a 0 1 2\ny a 0 1 x\nz a 0 1 2\n",
+     "parse error: line 2: bad index in 'y a 0 1 x'\n"),
+], ids=["tensor", "partition", "map", "partition-index"])
 def test_non_utf8_input_exit_code(capsys, tmp_path, which, data, stderr):
     """A file that is not UTF-8 is a parse error (exit 3) at the line of
-    its first bad byte, lines counted as text mode reads them."""
+    its first bad byte, lines counted as text mode reads them; so is a
+    partition index that is not an integer, at its line."""
     files = {"tensor": sr.write_tensor(sr.make_cw(1)).encode(),
              "partition": sr.write_partition(sr.cw_partition(1)).encode(),
              "map": b"order 0\n", which: data}
@@ -541,6 +551,20 @@ def test_usage_error_exit_code(capsys, argv, stderr):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err == stderr and captured.out == ""
+
+
+def test_module_entry_point(capsys):
+    """`python -m slicerank.cli` runs `main` on the command line and exits
+    with its code."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv, code in [(["table", "cw", "--qmax", "2"], 0), (["table", "foo"], 3)]:
+        run = subprocess.run([sys.executable, "-m", "slicerank.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert main(argv) == run.returncode == code
+        captured = capsys.readouterr()
+        assert (run.stdout, run.stderr) == (captured.out, captured.err)
 
 
 def test_help_exit_code(capsys):

@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import slicerank as sr
 from slicerank import optimizer
-from slicerank.cli import KKT_LIMIT, main
+from slicerank.bound_engines import KKT_LIMIT
+from slicerank.cli import main
 from slicerank.optimizer import (
     MARGINAL_CLAMP,
     NOISE,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import slicerank as sr
 from slicerank.degeneration import LambdaPoly, parse_degeneration_map
@@ -15,7 +15,7 @@ from slicerank.tensor_core import ParseError, Tensor
 
 from helpers import (random_partition, random_symmetric_tensor, random_tensor,
                      reference_coefficient, reference_orbits, reference_parse_tensor,
-                     reference_restriction,
+                     reference_restriction, reference_rotation_orbits,
                      reference_symmetric_cube, reference_t_symmetric_partition,
                      reference_tensor_product, shared_index_partition)
 
@@ -198,6 +198,17 @@ def test_direct_sum_and_copies():
     b = sr.make_matmul(1, 2, 2)
     s = sr.direct_sum(a, b)
     assert s.shape == tuple(x + y for x, y in zip(a.shape, b.shape))
+    summands = (a, b, sr.make_cw(1))
+    three = sr.direct_sum(*summands)
+    entries, offset = {}, (0, 0, 0)
+    for t in summands:
+        entries.update({(i + offset[0], j + offset[1], k + offset[2]): c
+                        for (i, j, k), c in t.entries.items()})
+        offset = tuple(o + n for o, n in zip(offset, t.shape))
+    assert three.entries == entries and three.shape == offset
+    assert three.y_labels == tuple((r, label) for r, t in enumerate(summands)
+                                   for label in t.y_labels)
+    assert sr.n_copies(3, summands[2]) == sr.direct_sum(*[summands[2]] * 3)
 
 
 def test_tensor_add_cancellation():
@@ -388,6 +399,43 @@ def test_block_symmetry_matches_entry_map_reference(case, perturb, axis, data):
         assert not verdict
 
 
+@st.composite
+def rotation_partitioned(draw):
+    """A variable-symmetric tensor under a partition built from one random
+    partition of its indices: on each axis the parts may be put in one
+    shared new order and the indices relabeled by one shared permutation,
+    so the axes' part sizes often agree while the blocks do not rotate."""
+    t, parts = draw(symmetric_partitioned())
+    order = draw(st.permutations(range(len(parts[0]))))
+    perm = draw(st.permutations(range(t.shape[0])))
+    axes = []
+    for own in parts:
+        if draw(st.booleans()):
+            own = [own[pos] for pos in order]
+        if draw(st.booleans()):
+            own = [(label, [perm[i] for i in idx]) for label, idx in own]
+        axes.append(own)
+    return t, sr.VariablePartition(*axes, sizes=t.shape)
+
+
+# variable-symmetric, equal part sizes, rotation-closed keys, blocks that do
+# not rotate: the entry identity alone refuses it
+_CLOSED_UNROTATED = (
+    Tensor(range(3), range(3), range(3), dict.fromkeys([(0, 2, 1), (1, 0, 2), (2, 1, 0)], 1)),
+    sr.VariablePartition([("0", (1, 2)), ("1", (0,))], [("0", (0, 1)), ("1", (2,))],
+                         [("0", (0, 2)), ("1", (1,))], sizes=(3, 3, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_partitioned())
+@example(_CLOSED_UNROTATED)
+def test_rotation_orbits_match_block_reference(case):
+    """The orbits `blocks` reads off the entry identity equal those of the
+    blockwise reference (None when the blocks do not rotate)."""
+    t, p = case
+    assert sr.blocks(t, p).orbits == reference_rotation_orbits(t, p)
+
+
 def test_orbits_match_key_reference():
     """`blocks` decides the rotation orbits with the verdict; they equal the
     orbits rebuilt from the keys alone."""
@@ -419,10 +467,7 @@ def test_orbits_none_unless_symmetric():
     key = next(key for key in sorted(entries) if len(set(key)) > 1)
     entries[key] *= 2
     doubled = Tensor(cube.x_labels, cube.y_labels, cube.z_labels, entries)
-    rotated = Tensor(range(3), range(3), range(3),
-                     dict.fromkeys([(0, 2, 1), (1, 0, 2), (2, 1, 0)], 1))
-    closed = sr.VariablePartition([("0", (1, 2)), ("1", (0,))], [("0", (0, 1)), ("1", (2,))],
-                                  [("0", (0, 2)), ("1", (1,))], sizes=(3, 3, 3))
+    rotated, closed = _CLOSED_UNROTATED
     for t, p in [(cw, unequal), (doubled, sr.cube_partition(cw, sr.cw_partition(q))),
                  (rotated, closed)]:
         bs = sr.blocks(t, p)
@@ -519,8 +564,7 @@ def test_block_sum_is_the_blocks_of_the_direct_sum(seeds, symmetric):
     t = Tensor(*labels, entries)
     p = sr.VariablePartition(*parts, sizes=t.shape)
     ref = sr.blocks(t, p)
-    if len(sets) == 2:
-        assert t == sr.direct_sum(sets[0].tensor, sets[1].tensor)
+    assert t == sr.direct_sum(*(bs.tensor for bs in sets))
     assert got.tensor == t and got.partition == p and got.partition.where == p.where
     assert list(got.blocks.items()) == list(ref.blocks.items())
     assert got.orbits == ref.orbits
