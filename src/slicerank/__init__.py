@@ -30,6 +30,7 @@ from .tensor_core import (
     n_copies,
     parse_partition,
     parse_tensor,
+    partition_sum,
     rotate,
     singleton_partition,
     split_by_blocks,

@@ -30,8 +30,11 @@ floor of the CW exponent bounds over all q.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import exact_linalg, optimizer, rank_tools
 from .tensor_core import (
@@ -39,15 +42,15 @@ from .tensor_core import (
     RankFact,
     Tensor,
     VariablePartition,
-    block_sum,
     blocks,
     cw_partition,
     cw_small_partition,
-    is_variable_symmetric,
+    direct_sum,
     make_cw,
     make_cw_small,
     make_cyclic_lower,
     make_t112,
+    partition_sum,
     singleton_partition,
     t112_partition,
     tensor_add,
@@ -157,7 +160,7 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     its weak-duality bound exp(sum_a w_a f_a + gap) at the returned weights.
     """
     bs = blocks(t, p)
-    if not bs.blocks:
+    if not len(bs):
         raise Inapplicable("the block set is empty: the tensor has no terms")
     if bs.symmetric:
         opt, theorem = optimizer.maximize_symmetric(bs), THEOREM_PARTITION_SYM
@@ -304,7 +307,8 @@ class LaserReadiness:
     grades (2), and tensor plus partition are symmetric (3).  `grades`
     holds the per-axis part grades that certify (2); these are the
     literal part indices whenever those already work.  `block_set` is
-    the split the verdict was reached on.
+    the split the verdict was reached on: the row's own, also when it was
+    read off the split of a run of rows.
     """
 
     ok: bool
@@ -374,9 +378,9 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
     Condition (1) asks for a degeneration of every block onto a maximal
     matmul tensor; deciding that in general is open, so blocks are
     checked by exact matmul recognition, which covers every structured
-    family here.  Recognition reads each block's slot-keyed entries in
-    `bs.blocks` with its part sizes as the shape, so no block is built
-    as a tensor; a block on three one-variable parts is one term,
+    family here.  Recognition reads each block's slot-keyed entries
+    (`BlockSet._block`) with its part sizes as the shape, so no block is
+    built as a tensor; a block on three one-variable parts is one term,
     <1,1,1> whatever its coefficient, and is not recognized at all.
     Under a symmetric partition only the first block of each rotation
     orbit is recognized: the others are its rotations.
@@ -384,28 +388,84 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
     and falls back to solving for integer part grades (needed for
     product partitions of rotation products, whose nonzero blocks still
     determine one another coordinatewise).
+    Condition (3) is decided by `blocks`.  This is the one-row case of
+    `_readiness`, which reads a run of rows off one split.
     """
-    bs = blocks(t, p)
-    keys = bs.keys()
+    return _readiness([(t, p)])[0][0]
+
+
+def _readiness(rows) -> tuple[list, BlockSet]:
+    """The `LaserReadiness` of each (tensor, partition) row, and the one
+    split they are read off: `blocks` of the rows' direct sum under the
+    direct sum of their partitions (`partition_sum`), or of the one row.
+    A row's verdict reads its summand's keys, symmetry and orbits, and its
+    `block_set` is its own, sliced from the split."""
+    if len(rows) == 1:
+        bs = blocks(*rows[0])
+    else:
+        bs = blocks(direct_sum(*(t for t, _ in rows)), partition_sum(*(p for _, p in rows)))
+    counts = [[p.part_count(ax) for ax in "xyz"] for _, p in rows]
+    part_off = np.cumsum(counts, axis=0) - counts
+    cuts = np.searchsorted(bs.key_array[:, 0], part_off[:, 0]).tolist() + [len(bs)]
+    local = bs.key_array - part_off.repeat(np.diff(cuts), axis=0)
+    keys = list(zip(*local.T.tolist()))
+    sums = local.sum(axis=1).tolist()
+    # the blocks off three one-variable parts, their part sizes and orbits
+    # (those on three such parts are <1,1,1>); each row's first orbit
+    sizes = np.column_stack([np.array(bs.part_sizes(ax))[bs.key_array[:, a]]
+                             for a, ax in enumerate("xyz")])
+    larger = np.flatnonzero((sizes != 1).any(axis=1))
+    shape, group = sizes[larger].tolist(), bs.group[larger].tolist()
+    larger, size = larger.tolist(), np.bincount(bs.group).tolist()
+    first_group = np.append(bs.group, 0)[cuts[:-1]]
+    readies, entry_at = [], 0
+    for r, (t, p) in enumerate(rows):
+        lo, hi = cuts[r], cuts[r + 1]
+        # (1) maximal matmul blocks.  Under a symmetric partition the block
+        # at (j,k,i) is the block at (i,j,k) rotated, and <a,b,c> rotates
+        # to <b,c,a>, so the first block of each orbit is recognized.
+        shapes = dict.fromkeys(keys[lo:hi], (1, 1, 1))   # or None if not matmul
+        seen = set()
+        for i in range(bisect_left(larger, lo), bisect_left(larger, hi)):
+            if group[i] in seen:
+                continue
+            seen.add(group[i])
+            witness = rank_tools._recognize(bs._block(larger[i]), shape[i])
+            key, d = keys[larger[i]], None if witness is None else (witness.a, witness.b, witness.c)
+            for _ in range(size[group[i]]):
+                shapes[key] = d
+                key, d = (key[1], key[2], key[0]), d and (d[1], d[2], d[0])
+        own = bs
+        if len(rows) > 1:
+            own = BlockSet(t, p, local[lo:hi], bs.entry_block[entry_at:entry_at + len(t)] - lo,
+                           bs.group[lo:hi] - first_group[r], bs.symmetry[r:r + 1])
+            entry_at += len(t)
+        readies.append(_verdict(own, keys[lo:hi], sums[lo:hi], shapes))
+    return readies, bs
+
+
+def _verdict(bs: BlockSet, keys, sums, shapes) -> LaserReadiness:
+    """The laser verdict on one row's block set, given its keys, the sum
+    i+j+k of each key and the matmul shape (or None) of each block."""
+    p = bs.partition
     failures = []
     conditions = {}
 
-    # (3) symmetry, decided by `blocks`; the tensor is checked again only
-    # to word a failure
+    # (3) symmetry, decided by `blocks`
     if not bs.symmetric:
-        failures.append("tensor is not variable-symmetric" if not is_variable_symmetric(t)
+        failures.append("tensor is not variable-symmetric"
+                        if not all(var for var, _ in bs.symmetry)
                         else "partition is not symmetric for the tensor")
     conditions["symmetric"] = bs.symmetric
 
     # (2) hyperplane support
     ell = None
     grades = None
-    sums = {i + j + k for (i, j, k) in keys}
     if not keys:
         hyper = False
         failures.append("the block set is empty: the tensor has no terms")
-    elif len(sums) == 1:
-        ell = sums.pop()
+    elif min(sums) == max(sums):
+        ell = sums[0]
         grades = {ax: tuple(range(p.part_count(ax))) for ax in "xyz"}
         hyper = True
     elif _support_trifunctional(keys):
@@ -422,27 +482,15 @@ def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:
         failures.append("block coordinates do not determine one another")
     conditions["hyperplane_support"] = hyper
 
-    # (1) maximal matmul blocks.  Under a symmetric partition the block at
-    # (j,k,i) is the block at (i,j,k) rotated, and <a,b,c> rotates to
-    # <b,c,a>, so one block per rotation orbit is recognized.
-    sx, sy, sz = (p.part_sizes(ax) for ax in "xyz")
-    shapes = dict.fromkeys(keys)  # key -> (a, b, c), or None for a block that is not matmul
-    for orbit in bs.orbits or [(key,) for key in keys]:
-        i, j, k = key = orbit[0]
-        d = (sx[i], sy[j], sz[k])
-        if d != (1, 1, 1):
-            witness = rank_tools._recognize(bs.blocks[key], d)
-            d = None if witness is None else (witness.a, witness.b, witness.c)
-        for _ in orbit:
-            shapes[key] = d
-            key, d = (key[1], key[2], key[0]), d and (d[1], d[2], d[0])
     failures += [f"block {key} is not a matmul tensor" for key, d in shapes.items() if d is None]
     conditions["maximal_matmul_blocks"] = None not in shapes.values()
 
     ok = conditions["symmetric"] and conditions["hyperplane_support"] \
         and conditions["maximal_matmul_blocks"]
-    return LaserReadiness(ok, ell if hyper else None, grades if hyper else None,
-                          {key: d for key, d in shapes.items() if d}, failures, conditions, bs)
+    if not conditions["maximal_matmul_blocks"]:
+        shapes = {key: d for key, d in shapes.items() if d}
+    return LaserReadiness(ok, ell if hyper else None, grades if hyper else None, shapes,
+                          failures, conditions, bs)
 
 
 def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
@@ -455,17 +503,18 @@ def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     with `NotLaserReady`, which carries the verdict, when the partition
     is not laser-ready.
     """
-    return _laser_reports([laser_readiness(t, p)])[0]
+    ready = laser_readiness(t, p)
+    return _laser_reports([ready], ready.block_set)[0]
 
 
-def _laser_reports(readies: Sequence[LaserReadiness]) -> list[BoundReport]:
+def _laser_reports(readies: Sequence[LaserReadiness], bs: BlockSet) -> list[BoundReport]:
     """`laser_lower_bound`'s reports for laser-ready verdicts, from one
-    symmetric solve on the direct sum of their block sets: the optimum of
-    the sum splits into each summand's (`optimizer.summand_optima`)."""
+    symmetric solve on `bs`, the split they were read off (the direct sum
+    of their block sets): the optimum of the sum splits into each
+    summand's (`optimizer.summand_optima`)."""
     for ready in readies:
         if not ready.ok:
             raise NotLaserReady(ready)
-    bs = block_sum([ready.block_set for ready in readies])
     optima = optimizer.summand_optima(bs, optimizer.maximize_symmetric(bs))
     return [BoundReport("slice_rank_lower", opt.value, THEOREM_LASER, certificate={
         "tight": True,
@@ -549,36 +598,38 @@ class TableRow:
     omega_report: Optional[BoundReport]
 
 
-# A direct-sum solve saves the fixed cost of a solve per row, but building
-# the sum and splitting its optimum cost about as much per block: so rows
-# of more than SUM_ROW blocks are solved alone, and a sum holds at most
-# SUM_BLOCKS blocks, as all its rows' block sets are held at once.
+# A run of rows is split once and solved as one direct sum, which saves the
+# fixed cost of a split and a solve per row, but holds all its rows at
+# once: rows of more than SUM_ROW entries (which bound their blocks) are
+# solved alone, and a run holds at most SUM_BLOCKS entries.  With every
+# row in one run, `table tq-lower --qmax 100` took more time and 2.9x
+# the peak memory.
 SUM_ROW = 256
 SUM_BLOCKS = 4096
 
 
 def _tight_rows(rows) -> list[TableRow]:
     """The table rows of laser-ready (q, tensor, partition) triples, in
-    order: each checked by `laser_readiness`, then solved in runs of
-    consecutive rows, each run as one direct sum (see SUM_ROW)."""
+    order, in runs of consecutive rows (see SUM_ROW): each run is split
+    once and its verdicts read off (`_readiness`), then solved as one
+    direct sum."""
     out, run, size = [], [], 0
 
     def solve():
         nonlocal size
-        for (q, rank, _), tight in zip(run, _laser_reports([r[2] for r in run])):
+        readies, bs = _readiness([(t, p) for _, t, p in run])
+        for (q, t, _), tight in zip(run, _laser_reports(readies, bs)):
             omega = (None if tight.certificate["kkt_residual"] > KKT_LIMIT
-                     else omega_lower_bound(rank, tight.value, symmetric=True))
+                     else omega_lower_bound(t.rank_fact(), tight.value, symmetric=True))
             out.append(TableRow(q, tight.value, omega and omega.value, tight, omega))
         run.clear()
         size = 0
 
     for q, t, p in rows:
-        ready = laser_readiness(t, p)
-        n = len(ready.block_set)
+        n = len(t.entries)
         if run and (n > SUM_ROW or size + n > SUM_BLOCKS):
             solve()
-        run.append((q, t.rank_fact(), ready))
-        del ready                      # a solved row's block set is not kept
+        run.append((q, t, p))
         size += n
         if n > SUM_ROW:
             solve()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import bound_engines as be
@@ -173,6 +174,18 @@ def cmd_verify_degeneration(args) -> int:
     return EXIT_MISMATCH
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0.  NaN or a negative value would
+    fail every golden check and inf would pass every one."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
+    return value
+
+
 class UsageError(Exception):
     """A command line that argparse rejects; `main` reports it as exit 3."""
 
@@ -192,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="reproduce a family table")
     p_table.add_argument("family", choices=["cw", "cw-small", "tq-lower"])
     p_table.add_argument("--qmax", type=int, default=8)
-    p_table.add_argument("--tol", type=float, default=1e-4)
+    p_table.add_argument("--tol", type=_tolerance, default=1e-4)
     p_table.add_argument("--format", choices=["plain", "tsv"], default="plain")
     p_table.set_defaults(func=cmd_table)
 
@@ -203,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_app = sub.add_parser(
         "appendix", help="verify the uniform CW-family exponent floor")
     p_app.add_argument("--qmax", type=int, default=1000)
-    p_app.add_argument("--tol", type=float, default=1e-4)
+    p_app.add_argument("--tol", type=_tolerance, default=1e-4)
     p_app.set_defaults(func=cmd_appendix)
 
     p_bound = sub.add_parser("bound", help="run a bound on tensor/partition files")

@@ -24,6 +24,13 @@ The certificate is the concavity gap at the returned weights: with g
 the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x>
 bounds the maximum from above, and the objective at x from below.
 
+`_Problem` reads a block set through its arrays: `key_array`, the block
+keys in sorted order as one int row each (its columns, offset per axis,
+are the part rows of each block), and a group array naming the variable
+of each block, the block set's `group` (its rotation orbits) for the
+symmetric solve, `arange` for single blocks, or by default the block
+classes below.  No key tuple is built until the positive masses are.
+
 `maximize_product` and `maximize_minmax` solve on colour classes:
 `colour_classes` refines blocks and parts to the coarsest equitable
 partition, and `_Problem` takes one variable per block class (its total
@@ -80,7 +87,8 @@ sum_r lambda_r f_r(y_r) + H(lambda): the maximizer has y_r = argmax f_r and
 lambda_r proportional to exp(max f_r), the maximum is log sum_r exp(max
 f_r), and on summand r the gradient of f is f_r's minus log lambda_r,
 constant there, so each summand's KKT spread is at most twice the sum's.
-`summand_optima` reads each summand's optimum off the one solve.  R is
+`summand_optima` reads each summand's optimum off the one solve, from
+the block masses in key order (`Optimum.block_mass`).  R is
 block-diagonal over the summands, and so are R R^T, its basis and A =
 (cDW)^T cDW: each summand has its own Gram matrix and eigh, its rank cut
 at RANK_TOL times its own largest eigenvalue, and the summands meet only
@@ -103,8 +111,8 @@ when a part marginal reaches zero) it goes to the maximizer of phi in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -129,8 +137,8 @@ LINE_STEPS = 8           # safeguarded Newton steps of a line search before the 
 
 def objective_values(block_set: BlockSet, probs: dict) -> tuple:
     """(f_x, f_y, f_z) for a distribution {block key: mass} on the blocks."""
-    prob = _Problem(block_set, [(k,) for k in block_set.blocks])
-    index = {key: i for i, key in enumerate(prob.keys)}
+    prob = _Problem(block_set, np.arange(len(block_set)))
+    index = {key: i for i, key in enumerate(block_set.keys())}
     x = np.zeros(prob.size)
     for key, p in probs.items():
         if key not in index:
@@ -214,14 +222,16 @@ def _blockwise(parts, label, log_sizes, d, w, count):
 class _Problem:
     """The axis objectives f_a(S x) of a block set, as functions of x.
 
-    x holds the masses of groups of blocks, spread evenly by S: the block
-    set's `orbits`, or given singletons (the unreduced problem), or by
-    default the block classes of `colour_classes`.  The incidence R stacks
-    the rows x groups matrices A_a S of the three axes (A_a the 0/1 rows x
-    blocks incidence of axis a), so R x holds every marginal.  A row is a
-    part, or on block classes a part class, of size the sum of its parts'
-    sizes: x_C is then the total mass of class C, and the problem is the
-    block problem on the coarser partition.  It is exact: with X_b and X_p
+    x holds the masses of groups of blocks, spread evenly by S: `group`
+    gives the variable of each block in key order (the block set's
+    `group`, its rotation orbits, or `arange` for single blocks), or by
+    default the block classes of `colour_classes` are the groups.  The
+    incidence R stacks the rows x groups matrices A_a S of the three axes
+    (A_a the 0/1 rows x blocks incidence of axis a), so R x holds every
+    marginal.  A row is a part, or on block classes a part class, of
+    size the sum of its parts' sizes: x_C is then the total mass of
+    class C, and the problem is the block problem on the coarser
+    partition.  It is exact: with X_b and X_p
     the averages over block and part classes, R_a X_b = X_p R_a by
     equitability, and f_a(X_p m) >= f_a(m) because X_p m is majorized by m
     (the parts of a class have one size), so every objective here has a
@@ -229,23 +239,18 @@ class _Problem:
     R[row[e], col[e]] = val[e], and `axis` names each row's axis.  `count`
     holds the number of blocks each variable stands for (1 on orbits),
     `width` the number of parts in each row, and `parts` the three part
-    rows of each block in key order.
+    rows of each block in key order, read off the block set's `key_array`.
     """
 
-    def __init__(self, block_set: BlockSet, groups=None):
-        keys = list(block_set.blocks if groups is None else chain.from_iterable(groups))
-        parts = np.fromiter(chain.from_iterable(keys), np.intp, 3 * len(keys)).reshape(-1, 3)
+    def __init__(self, block_set: BlockSet, group=None):
         sizes = [block_set.partition.part_sizes(axis) for axis in "xyz"]
         n = [len(s) for s in sizes]
-        # blocks in key order; block i carries an equal share of its
-        # group's mass x[group[i]]
-        order = np.argsort((parts[:, 0] * n[1] + parts[:, 1]) * n[2] + parts[:, 2], kind="stable")
-        self.keys = [keys[i] for i in order.tolist()]
-        self.parts = parts[order] + np.array([0, n[0], n[0] + n[1]])
+        self.key_array = block_set.key_array
+        self.parts = self.key_array + np.array([0, n[0], n[0] + n[1]])
         self.part_axis = np.repeat(np.arange(3), n)
         part_sizes = np.array(sizes[0] + sizes[1] + sizes[2], float)
         self.part_log_sizes = np.log(part_sizes)
-        if groups is None:
+        if group is None:
             group, row = colour_classes(self.parts, self.part_axis, part_sizes)
             lens = np.bincount(group)
             self.count, self.width = lens.astype(float), np.bincount(row)
@@ -255,9 +260,8 @@ class _Problem:
             cells = row[self.parts]
             self.summand = None
         else:
-            lens = np.fromiter(map(len, groups), np.intp, len(groups))
-            group = np.repeat(np.arange(len(groups)), lens)[order]
-            self.count, self.width = np.ones(len(groups)), np.ones(len(part_sizes))
+            lens = np.bincount(group)
+            self.count, self.width = np.ones(len(lens)), np.ones(len(part_sizes))
             self.axis, self.log_sizes, cells = self.part_axis, self.part_log_sizes, self.parts
             self.summand = None if block_set.summands is None else _summand_rows(block_set)
         self.size, self.group, share = len(lens), group, 1.0 / lens
@@ -274,9 +278,16 @@ class _Problem:
         self.val = np.bincount(np.cumsum(new) - 1) * share[self.col]
         self._bases = {}
 
-    def block_masses(self, x) -> dict:
-        d = (self.share * x[self.group]).tolist()
-        return {k: v for k, v in zip(self.keys, d) if v > 0}
+    @property
+    def keys(self) -> list:
+        return list(zip(*self.key_array.T.tolist()))
+
+    def block_masses(self, x):
+        """The block masses that x spreads to, in key order, and the
+        positive ones as {block key: mass}."""
+        d = self.share * x[self.group]
+        pos = np.flatnonzero(d > 0)
+        return d, dict(zip(zip(*self.key_array[pos].T.tolist()), d[pos].tolist()))
 
     def blockwise(self, x, w):
         """The block masses d that x spreads to, in key order, their
@@ -601,7 +612,9 @@ class Optimum:
     maximized objective there.  `axis_weights` are the weights w of the
     last `_solve`, and `optimality_gap` is max_t g_t - <g, x> for g the
     gradient of sum_a w_a f_a at the solver's variables x: sum_a w_a f_a
-    plus the gap bounds the maximum of that sum from above.
+    plus the gap bounds the maximum of that sum from above.  `block_mass`
+    holds the mass of every block in key order, zeros included, as the
+    solver left it (None on a summand's optimum).
     """
 
     masses: dict
@@ -611,6 +624,7 @@ class Optimum:
     kkt_residual: float
     axis_weights: dict
     optimality_gap: float
+    block_mass: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def value(self) -> float:
@@ -626,8 +640,9 @@ def _optimum(prob: _Problem, w, objective, x, iters, resid, f, g, v) -> Optimum:
     after `iters` steps at residual `resid`, with axis values f and g the
     gradient of sum_a w_a f_a at v (x, or the block masses it spreads to);
     `objective` maps (f_x, f_y, f_z) to the maximized value."""
-    return Optimum(prob.block_masses(x), tuple(map(float, f)), float(objective(f)),
-                   iters, resid, dict(zip("xyz", map(float, w))), float(g.max() - g @ v))
+    d, masses = prob.block_masses(x)
+    return Optimum(masses, tuple(map(float, f)), float(objective(f)), iters, resid,
+                   dict(zip("xyz", map(float, w))), float(g.max() - g @ v), d)
 
 
 def maximize_symmetric(block_set: BlockSet) -> Optimum:
@@ -639,7 +654,7 @@ def maximize_symmetric(block_set: BlockSet) -> Optimum:
     """
     if not block_set.symmetric:
         raise ValueError("partition is not symmetric for this tensor")
-    prob = _Problem(block_set, block_set.orbits)
+    prob = _Problem(block_set, block_set.group)
     w = np.array([1.0, 0.0, 0.0])
     x, m, iters, resid = _solve(prob, w, None if prob.summand is None else _sum_start(prob))
     return _optimum(prob, w, lambda f: f[0], x, iters, resid, prob.values(m), prob.grad(m, w), x)
@@ -664,23 +679,22 @@ def summand_optima(block_set: BlockSet, opt: Optimum) -> list:
     """The `Optimum` of each summand of a `block_sum`, read off `opt`, the
     symmetric optimum of the sum (one block set is its own one summand).
 
-    Summand r's masses are its masses in `opt`, renormalized (see "Direct
-    sums" above), keyed by its own part triples.  Its values, residual and
-    gap are taken there from its own per-block gradient of (f_x + f_y +
-    f_z) / 3, which on a symmetric point is the orbit gradient of f_x: a
-    wrong split of the sum shows as a large residual, never as a wrong
-    value.  `iterations` are those of the one solve.
+    Summand r's masses are its block masses in `opt.block_mass`,
+    renormalized (see "Direct sums" above), keyed by its own part triples.
+    Its values, residual and gap are taken there from its own per-block
+    gradient of (f_x + f_y + f_z) / 3, which on a symmetric point is the
+    orbit gradient of f_x: a wrong split of the sum shows as a large
+    residual, never as a wrong value.  `iterations` are those of the one
+    solve.
     """
     if block_set.summands is None:
         return [opt]
-    keys = list(block_set.blocks)
     counts = np.array(block_set.summands)
     first = np.cumsum(counts, axis=0) - counts      # each summand's first part, per axis
     c, n = len(counts), counts.sum(axis=0)
-    parts = np.fromiter(chain.from_iterable(keys), np.intp, 3 * len(keys)).reshape(-1, 3)
+    parts = block_set.key_array
     summand = np.searchsorted(first[:, 0], parts[:, 0], "right") - 1
-    d = np.fromiter(map(opt.masses.get, keys, [0.0] * len(keys)), float, len(keys))
-    d /= np.bincount(summand, d, c)[summand]
+    d = opt.block_mass / np.bincount(summand, opt.block_mass, c)[summand]
     log_sizes = np.log(np.array([s for axis in "xyz" for s in block_set.part_sizes(axis)], float))
     label = 3 * _summand_rows(block_set) + np.repeat(np.arange(3), n)
     f, g = _blockwise(parts + np.array([0, n[0], n[0] + n[1]]), label, log_sizes, d, 1.0 / 3.0,
@@ -694,11 +708,12 @@ def summand_optima(block_set: BlockSet, opt: Optimum) -> list:
     np.maximum.at(top, summand, g)
     gap = (top - np.bincount(summand, g * d, c)).tolist()
     pos = np.flatnonzero(on)
-    masses = list(zip(map(tuple, (parts - first[summand])[pos].tolist()), d[pos].tolist()))
+    keys = list(zip(*(parts - first[summand])[pos].T.tolist()))
+    masses = d[pos].tolist()
     ends = np.searchsorted(summand[pos], np.arange(c), "right").tolist()
     f, resid = f.reshape(-1, 3).tolist(), resid.tolist()
-    return [Optimum(dict(masses[start:end]), tuple(f[r]), f[r][0], opt.iterations, resid[r],
-                    opt.axis_weights, gap[r])
+    return [Optimum(dict(zip(keys[start:end], masses[start:end])), tuple(f[r]), f[r][0],
+                    opt.iterations, resid[r], opt.axis_weights, gap[r])
             for r, (start, end) in enumerate(zip([0] + ends, ends))]
 
 

@@ -27,8 +27,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Optional, Sequence
+
+import numpy as np
 
 Entry = tuple[int, int, int]
 
@@ -459,10 +462,11 @@ class VariablePartition:
     Each part is (label, indices); indices are stored sorted.  Parts must
     be nonempty, disjoint, and cover 0..n-1 for the axis sizes given.
     `where[axis position][i]` is (part, slot): index i is the slot-th
-    index of that part.
+    index of that part.  `summands` is None, or for a `partition_sum` the
+    (x, y, z) part counts of each summand; equality ignores it.
     """
 
-    __slots__ = ("parts_x", "parts_y", "parts_z", "sizes", "where")
+    __slots__ = ("parts_x", "parts_y", "parts_z", "sizes", "where", "summands")
 
     def __init__(self, parts_x, parts_y, parts_z, sizes):
         def normalize(parts, n, axis):
@@ -492,16 +496,18 @@ class VariablePartition:
         object.__setattr__(self, "parts_y", py)
         object.__setattr__(self, "parts_z", pz)
         object.__setattr__(self, "where", (wx, wy, wz))
+        object.__setattr__(self, "summands", None)
 
     @classmethod
-    def _unchecked(cls, parts, where) -> VariablePartition:
+    def _unchecked(cls, parts, where, summands=None) -> VariablePartition:
         """A partition taken as given: per axis its normalized parts and
-        `where` map, as a checked partition's (or `block_sum`'s) stand."""
+        `where` map, as a checked partition's (or `partition_sum`'s) stand."""
         p = object.__new__(cls)
         for axis, own in zip(AXES, parts):
             object.__setattr__(p, f"parts_{axis}", tuple(own))
         object.__setattr__(p, "where", tuple(map(tuple, where)))
         object.__setattr__(p, "sizes", tuple(len(w) for w in p.where))
+        object.__setattr__(p, "summands", summands)
         return p
 
     def __setattr__(self, name, value):
@@ -537,14 +543,11 @@ def trivial_partition(t: Tensor) -> VariablePartition:
 
 
 def singleton_partition(t: Tensor) -> VariablePartition:
-    """Every variable in its own part, parts ordered by position."""
-    nx, ny, nz = t.shape
-    return VariablePartition(
-        [(str(i), (i,)) for i in range(nx)],
-        [(str(j), (j,)) for j in range(ny)],
-        [(str(k), (k,)) for k in range(nz)],
-        sizes=t.shape,
-    )
+    """Every variable in its own part, parts ordered by position; valid as
+    built, so not checked again."""
+    return VariablePartition._unchecked(
+        [[(str(i), (i,)) for i in range(n)] for n in t.shape],
+        [[(i, 0) for i in range(n)] for n in t.shape])
 
 
 def cw_partition(q: int) -> VariablePartition:
@@ -590,41 +593,81 @@ def cube_partition(t: Tensor, p: VariablePartition) -> VariablePartition:
     return VariablePartition(parts, list(parts), list(parts), sizes=(n, n, n))
 
 
+@dataclass(frozen=True, eq=False)
 class BlockSet:
     """The nonzero blocks of a tensor under a partition, decided by `blocks`.
 
-    `blocks` maps part index triples (i, j, k), in sorted order, to the
-    entries of the parent tensor on those parts, keyed by within-part
+    The block set is held in int arrays: `key_array` lists the part index
+    triples (i, j, k) of the nonzero blocks in sorted order, `entry_block`
+    the block of each entry of the tensor (in `entries` order), and `group`
+    each block's rotation orbit on a symmetric summand, or the block alone
+    on any other, numbered in key order of their first blocks.
+    `symmetry` holds, per summand, whether its tensor is variable-symmetric
+    and whether its partition is symmetric for it (see `blocks`).
+
+    The public views are built from the arrays when first read: `keys()`
+    lists the keys as tuples; `blocks` maps each key, in sorted order, to
+    the entries of the parent tensor on those parts, keyed by within-part
     slots: {(slot_x, slot_y, slot_z): coefficient}.  `bs[key]` builds that
     block as a standalone, checked tensor over its parts' variables (in
     part order), anew on every call.  `orbits` lists the key orbits under
-    (i,j,k) -> (j,k,i), sorted tuples in sorted order, or is None when
-    the partition is not symmetric for the tensor (`symmetric`).
-    `summands` is None, or for a `block_sum` the (x, y, z) part counts of
-    each summand, in order.
+    (i,j,k) -> (j,k,i), sorted tuples in sorted order, or is None unless
+    every summand is `symmetric`.  `summands` is None, or for the blocks
+    of a direct sum (`partition_sum`) the (x, y, z) part counts of each
+    summand, in order.
     """
 
-    __slots__ = ("tensor", "partition", "blocks", "orbits", "summands")
+    tensor: Tensor
+    partition: VariablePartition
+    key_array: np.ndarray
+    entry_block: np.ndarray
+    group: np.ndarray
+    symmetry: tuple
+    summands: Optional[tuple] = None
 
-    def __init__(self, tensor: Tensor, partition: VariablePartition, blocks: dict,
-                 orbits: Optional[list], summands: Optional[tuple] = None):
-        """`blocks` must be in sorted key order."""
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "orbits", orbits)
-        object.__setattr__(self, "summands", summands)
+    symmetric = property(lambda self: all(sym for _, sym in self.symmetry))
 
-    symmetric = property(lambda self: self.orbits is not None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockSet is immutable")
+    @cached_property
+    def _keys(self) -> list:
+        return list(zip(*self.key_array.T.tolist()))
 
     def keys(self):
-        return list(self.blocks)
+        return list(self._keys)
 
     def __len__(self):
-        return len(self.blocks)
+        return len(self.key_array)
+
+    @cached_property
+    def _members(self):
+        """The entries, their positions in block order, and where the
+        positions of each block begin."""
+        order = np.argsort(self.entry_block, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.entry_block, minlength=len(self))).tolist()
+        return list(self.tensor.entries.items()), order, [0] + ends
+
+    def _block(self, b: int) -> dict:
+        """The slot-keyed entries of the block numbered b."""
+        items, order, ends = self._members
+        wx, wy, wz = self.partition.where
+        return {(wx[i][1], wy[j][1], wz[k][1]): c
+                for (i, j, k), c in map(items.__getitem__, order[ends[b]:ends[b + 1]])}
+
+    @cached_property
+    def blocks(self) -> dict:
+        return {key: self._block(b) for b, key in enumerate(self._keys)}
+
+    @cached_property
+    def orbits(self) -> Optional[list]:
+        if not self.symmetric:
+            return None
+        out = [[] for _ in range(int(self.group.max(initial=-1)) + 1)]
+        for key, g in zip(self._keys, self.group.tolist()):
+            out[g].append(key)
+        return list(map(tuple, out))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {key: b for b, key in enumerate(self._keys)}
 
     def __getitem__(self, key) -> Tensor:
         i, j, k = key
@@ -633,82 +676,147 @@ class BlockSet:
             [t.x_labels[v] for v in p.parts_x[i][1]],
             [t.y_labels[v] for v in p.parts_y[j][1]],
             [t.z_labels[v] for v in p.parts_z[k][1]],
-            self.blocks[key],
+            self._block(self._index[(i, j, k)]),
         )
 
     def part_sizes(self, axis: str) -> list[int]:
         return self.partition.part_sizes(axis)
 
     def __repr__(self):
-        return f"BlockSet({len(self.blocks)} blocks of {self.tensor!r})"
-
-
-def _rotation_orbits(t: Tensor, p: VariablePartition, keys) -> Optional[list]:
-    """Rotation orbits of the block keys `keys` of t under p, or None
-    unless p is symmetric for t: equal part sizes, t variable-symmetric,
-    and each block (i,j,k), rotated positionally, equal to the block at (j,k,i).
-
-    With equal part sizes, phi sends an x variable to the z variable of
-    the same part and slot, psi y to x and chi z to y; the blocks then
-    rotate exactly when t[a,b,c] == t[psi(b), chi(c), phi(a)] on every entry.
-    """
-    if not (p.part_sizes("x") == p.part_sizes("y") == p.part_sizes("z")):
-        return None
-    if not is_variable_symmetric(t):
-        return None
-    wx, wy, wz = p.where
-    phi, psi, chi = ([parts[part][1][slot] for part, slot in w]
-                     for parts, w in ((p.parts_z, wx), (p.parts_x, wy), (p.parts_y, wz)))
-    get = t.entries.get
-    if not all(get((psi[b], chi[c], phi[a])) == v for (a, b, c), v in t.entries.items()):
-        return None
-    return sorted({tuple(sorted({(i, j, k), (j, k, i), (k, i, j)})) for (i, j, k) in keys})
+        return f"BlockSet({len(self)} blocks of {self.tensor!r})"
 
 
 def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
-    """Split t into its nonzero blocks under p, as slot-keyed entry maps, and
-    decide their rotation orbits (see `BlockSet`); builds no block `Tensor`."""
+    """Split t into its nonzero blocks under p, in int arrays (see
+    `BlockSet`), and decide per summand of p (the whole of p unless it is
+    a `partition_sum`) whether p is symmetric for t; builds no block `Tensor`.
+
+    Summand r is symmetric when its part sizes agree on the three axes, its
+    tensor is variable-symmetric (t[a,b,c] == t[b,c,a]) and each block
+    (i,j,k), rotated positionally, equals the block at (j,k,i).  With equal
+    part sizes, phi sends an x variable to the z variable of the same part
+    and slot, psi y to x and chi z to y; the blocks then rotate exactly when
+    t[a,b,c] == t[psi(b), chi(c), phi(a)] on every entry.  Both identities
+    are checked on all entries at once, in the summand's own numbering, by
+    looking up the coded image of each entry among the sorted entry codes
+    and comparing coefficients exactly.  The orbits of a symmetric summand
+    are the classes of the least rotation of each key.
+    """
     if p.sizes != t.shape:
         raise ValueError("partition sizes do not match tensor axes")
-    wx, wy, wz = p.where
-    buckets: dict[Entry, dict] = {}
-    for (i, j, k), c in t.entries.items():
-        (bi, si), (bj, sj), (bk, sk) = wx[i], wy[j], wz[k]
-        buckets.setdefault((bi, bj, bk), {})[(si, sj, sk)] = c
-    return BlockSet(t, p, dict(sorted(buckets.items())), _rotation_orbits(t, p, buckets))
+    n, shape = len(t.entries), t.shape
+    sizes = [p.part_sizes(ax) for ax in AXES]
+    k = [len(s) for s in sizes]
+
+    # per summand: its part and index offsets, and whether its part sizes,
+    # and its axis sizes, agree on the three axes
+    layout = p.summands or (k,)
+    part_off, index_off, equal, square = [], [], [], []
+    parts_at, index_at = [0, 0, 0], [0, 0, 0]
+    for counts in layout:
+        here = [s[a:a + c] for s, a, c in zip(sizes, parts_at, counts)]
+        spans = list(map(sum, here))
+        part_off.append(parts_at)
+        index_off.append(index_at)
+        equal.append(here[0] == here[1] == here[2])
+        square.append(spans[0] == spans[1] == spans[2])
+        parts_at = [a + c for a, c in zip(parts_at, counts)]
+        index_at = [a + c for a, c in zip(index_at, spans)]
+    part_off, index_off = np.array(part_off, np.intp), np.array(index_off, np.intp)
+    rows = len(layout)
+    row_of = np.repeat(np.arange(rows), [c[0] for c in layout])     # of each x part
+
+    # the part of each entry's index on each axis (variables of the three
+    # axes numbered one after the other), and the keys in sorted order
+    start = np.array([0, shape[0], shape[0] + shape[1]])
+    where = np.fromiter(chain.from_iterable(chain.from_iterable(p.where)), np.intp,
+                        2 * sum(shape)).reshape(-1, 2)
+    ent = np.fromiter(chain.from_iterable(t.entries), np.intp, 3 * n).reshape(n, 3)
+    var = ent + start
+    pk = where[var, 0]
+    key_code = [k[1] * k[2], k[2], 1]
+    codes, firsts, entry_block = np.unique(pk @ key_code, return_index=True,
+                                           return_inverse=True)
+    keys = pk[firsts]
+    row = row_of[pk[:, 0]]
+    io = index_off[row]
+
+    # the entry identities, on entries coded (a ny + b) nz + c; read only on
+    # summands of equal axis sizes, so skipped when there is none
+    var_holds = rot_holds = np.zeros(n, bool)
+    if any(square):
+        values = list(t.entries.values())
+        ids = {c: i for i, c in enumerate(dict.fromkeys(values))}
+        coef = np.fromiter(map(ids.__getitem__, values), np.intp, n)
+        entry_code = [shape[1] * shape[2], shape[2], 1]
+        entry_codes = ent @ entry_code
+        order = np.argsort(entry_codes, kind="stable")
+        sorted_codes = entry_codes[order]
+
+        def holds(image):
+            """Whether each entry's image (one index triple per row) is an
+            entry with the same coefficient."""
+            image = image @ entry_code
+            pos = np.minimum(np.searchsorted(sorted_codes, image), max(n - 1, 0))
+            return (sorted_codes[pos] == image) & (coef[order[pos]] == coef)
+
+        var_holds = rot_holds = holds(ent[:, (1, 2, 0)] - io[:, (1, 2, 0)] + io)
+        # phi, psi and chi are the identity when the three axes share p
+        if any(equal) and not p.where[0] == p.where[1] == p.where[2]:
+            # each index's position in its axis's (part, slot) order: with
+            # equal part sizes, psi(b) is the x index at b's position, both
+            # counted from the summand's first index (clipped where none is)
+            members = np.fromiter(chain.from_iterable(idx for ax in AXES
+                                                      for _, idx in p.parts(ax)),
+                                  np.intp, sum(shape))
+            axis_start = np.repeat(start, shape)
+            position = np.empty(sum(shape), np.intp)
+            position[members + axis_start] = np.arange(sum(shape)) - axis_start
+            at = position[var][:, (1, 2, 0)] - io[:, (1, 2, 0)] + io
+            rot_holds = holds(members[np.clip(at, 0, np.array(shape) - 1) + start])
+    var_sym = np.array(square) & (np.bincount(row, ~var_holds, rows) == 0)
+    sym = var_sym & np.array(equal) & (np.bincount(row, ~rot_holds, rows) == 0)
+
+    # orbits: each key of a symmetric summand grouped by its least rotation
+    if sym.any():
+        brow = row_of[keys[:, 0]]
+        po = part_off[brow]
+        local = keys - po
+        turned = np.minimum((local[:, (1, 2, 0)] + po) @ key_code,
+                            (local[:, (2, 0, 1)] + po) @ key_code)
+        least = np.where(sym[brow], np.minimum(codes, turned), codes)
+        group = np.unique(least, return_index=True, return_inverse=True)[2]
+    else:
+        group = np.arange(len(keys))
+    return BlockSet(t, p, keys, entry_block, group, tuple(zip(var_sym.tolist(), sym.tolist())),
+                    p.summands)
+
+
+def partition_sum(*partitions: VariablePartition) -> VariablePartition:
+    """The direct sum of partitions, over `direct_sum`'s variables: summand
+    r's parts, labelled "r:label", and indices come after those of the
+    summands before it, and `summands` holds each summand's part counts."""
+    parts, where = ([], [], []), ([], [], [])
+    for r, p in enumerate(partitions):
+        for axis, ax in enumerate(AXES):
+            offset, first = len(where[axis]), len(parts[axis])
+            parts[axis].extend((f"{r}:{label}", tuple(map(offset.__add__, idx)))
+                               for label, idx in p.parts(ax))
+            where[axis].extend((part + first, slot) for part, slot in p.where[axis])
+    return VariablePartition._unchecked(parts, where, tuple(
+        (len(p.parts_x), len(p.parts_y), len(p.parts_z)) for p in partitions))
 
 
 def block_sum(block_sets: Sequence[BlockSet]) -> BlockSet:
-    """The direct sum of block sets: the blocks of the direct sum of their
-    tensors (`direct_sum`) under the direct sum of their partitions.
-    Summand r's parts, keys and orbits come after those of the summands
-    before it, as its variables do.  As each summand's keys follow the
-    last one's on every axis, the keys and orbits stay in sorted order.
-    The sum is symmetric when every summand is, and one block set is its
-    own sum."""
+    """The direct sum of block sets: `blocks` of the direct sum of their
+    tensors (`direct_sum`) under the direct sum of their partitions
+    (`partition_sum`).  Summand r's parts, keys and orbits come after those
+    of the summands before it, as its variables do.  The sum is symmetric
+    when every summand is, and one block set is its own sum."""
     if len(block_sets) == 1:
         return block_sets[0]
-    parts, where = ([], [], []), ([], [], [])
-    blocks, orbits, summands = {}, [], []
-    for r, bs in enumerate(block_sets):
-        p = bs.partition
-        offsets = [len(axis) for axis in where]
-        px, py, pz = part_offsets = [len(axis) for axis in parts]
-        for axis, ax in enumerate(AXES):
-            parts[axis].extend((f"{r}:{label}", tuple(map(offsets[axis].__add__, idx)))
-                               for label, idx in p.parts(ax))
-            where[axis].extend((part + part_offsets[axis], slot) for part, slot in p.where[axis])
-        keys = [(i + px, j + py, k + pz) for (i, j, k) in bs.blocks]
-        blocks.update(zip(keys, bs.blocks.values()))
-        if orbits is None or bs.orbits is None:
-            orbits = None
-        else:
-            at = dict(zip(bs.blocks, keys)).__getitem__
-            orbits += [tuple(map(at, orbit)) for orbit in bs.orbits]
-        summands.append((len(p.parts_x), len(p.parts_y), len(p.parts_z)))
-    t = direct_sum(*(bs.tensor for bs in block_sets))
-    return BlockSet(t, VariablePartition._unchecked(parts, where), blocks, orbits,
-                    tuple(summands))
+    return blocks(direct_sum(*(bs.tensor for bs in block_sets)),
+                  partition_sum(*(bs.partition for bs in block_sets)))
 
 
 def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:

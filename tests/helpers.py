@@ -389,6 +389,19 @@ def reference_rotation_orbits(t: Tensor, p: VariablePartition):
     return sorted(orbits)
 
 
+def reference_blocks(t: Tensor, p: VariablePartition):
+    """The blocks of t under p by one bucket loop over the entries, as
+    slot-keyed entry maps {key: {(slot_x, slot_y, slot_z): coefficient}}
+    in sorted key order, and their rotation orbits by
+    `reference_rotation_orbits` (None unless p is symmetric for t)."""
+    wx, wy, wz = p.where
+    buckets = {}
+    for (i, j, k), c in t.entries.items():
+        (bi, si), (bj, sj), (bk, sk) = wx[i], wy[j], wz[k]
+        buckets.setdefault((bi, bj, bk), {})[(si, sj, sk)] = c
+    return dict(sorted(buckets.items())), reference_rotation_orbits(t, p)
+
+
 def reference_colour_classes(block_set):
     """The coarsest equitable partition of a block set's blocks and parts,
     by colour refinement on Python tuples: ({block key: class}, {(axis,

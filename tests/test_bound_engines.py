@@ -551,6 +551,90 @@ def test_laser_readiness_builds_no_block_tensor(monkeypatch):
     assert built == []
 
 
+def readiness_row(kind, n):
+    """A (tensor, partition) row of a table run: laser-ready CW_q, cw_q and
+    T_q rows, and rows that are not ready: t_112 (not variable-symmetric),
+    CW_q and T_q under partitions relabeled on the z axis (the rotation
+    identity fails), a parity support (no hyperplane grading), a tangled
+    support (block coordinates do not determine one another), the cyclic
+    group tensor in one block (not matmul), an empty tensor, and the
+    rotation cube of a small random tensor (seed n), ready or not."""
+    if kind == "cw":
+        return sr.make_cw(n), sr.cw_partition(n)
+    if kind == "cw-small":
+        return sr.make_cw_small(n), sr.cw_small_partition(n)
+    if kind == "tq":
+        t = sr.make_cyclic_lower(n + 1)
+        return t, sr.singleton_partition(t)
+    if kind == "t112":
+        return sr.make_t112(n), sr.t112_partition(n)
+    if kind == "cw-z":
+        p = sr.cw_partition(n)
+        return sr.make_cw(n), sr.VariablePartition(p.parts_x, p.parts_y, p.parts_z[::-1], p.sizes)
+    if kind == "tq-z":
+        t = sr.make_cyclic_lower(n + 2)
+        order = [1, 0] + list(range(2, n + 2))
+        return t, sr.VariablePartition(*(sr.singleton_partition(t).parts(ax) for ax in "xy"),
+                                       [(str(i), (j,)) for i, j in enumerate(order)], t.shape)
+    if kind in ("parity", "tangled"):
+        keys = ([(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)] if kind == "parity"
+                else [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)])
+        t = Tensor(range(2), range(2), range(2), dict.fromkeys(keys, n))
+        return t, sr.singleton_partition(t)
+    if kind == "cyclic":
+        t = sr.make_cyclic(3)
+        return t, sr.trivial_partition(t)
+    if kind == "empty":
+        t = Tensor(range(n), range(n), range(n), {})
+        return t, sr.trivial_partition(t)
+    rng = random.Random(n)
+    t = random_tensor(rng, max_dim=2)
+    p = sr.singleton_partition(t) if rng.random() < 0.5 else random_partition(rng, t)
+    return sr.symmetric_cube(t), sr.cube_partition(t, p)
+
+
+READINESS_FIELDS = ("ok", "ell", "grades", "block_shapes", "failures", "conditions")
+
+run_rows = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["cw", "cw-small", "tq", "cw-z", "tq-z"]), st.integers(1, 5)),
+    st.tuples(st.sampled_from(["t112"]), st.integers(1, 2)),
+    st.tuples(st.sampled_from(["parity", "tangled", "empty"]), st.integers(1, 3)),
+    st.tuples(st.just("cyclic"), st.just(0)),
+    st.tuples(st.just("cube"), st.integers(0, 10 ** 6))), min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(run_rows)
+def test_run_readiness_equals_each_rows(kinds):
+    """Each row's `LaserReadiness` read off the one split of a run equals
+    `laser_readiness` on that row alone, its block set included, and
+    `_tight_rows` on a run with a row that is not ready refuses with the
+    verdict of the first such row; a ready run's values are each row's own."""
+    rows = [readiness_row(*kind) for kind in kinds]
+    readies, split = be._readiness(rows)
+    assert len(readies) == len(rows) and len(split) == sum(len(r.block_set) for r in readies)
+    for (t, p), got in zip(rows, readies):
+        want = be.laser_readiness(t, p)
+        for name in READINESS_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+        bs, ref = got.block_set, want.block_set
+        assert bs.tensor is t and bs.partition is p
+        assert bs.keys() == ref.keys() and bs.blocks == ref.blocks
+        assert bs.orbits == ref.orbits and bs.symmetry == ref.symmetry
+    failed = [got for got in readies if not got.ok]
+    table = [(q, t, p) for q, (t, p) in enumerate(rows)]
+    if failed:
+        with pytest.raises(be.NotLaserReady) as exc:
+            be._tight_rows(table)
+        for name in READINESS_FIELDS:
+            assert getattr(exc.value.readiness, name) == getattr(failed[0], name), name
+    else:
+        solved = ([row.slice_report for row in be._tight_rows(table)]
+                  if all(t.rank_fact() for t, _ in rows) else be._laser_reports(readies, split))
+        for report, (t, p) in zip(solved, rows):
+            assert report.value == pytest.approx(be.laser_lower_bound(t, p).value, rel=1e-9)
+
+
 # -- laser lower bound ------------------------------------------------------------------
 
 @pytest.mark.parametrize("q", [1, 2, 4])

@@ -107,6 +107,24 @@ def test_table_golden_mismatch_exit(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("command", [["table", "cw", "--qmax", "2"], ["appendix"]],
+                         ids=["table", "appendix"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, command, tol):
+    """A --tol of NaN or below 0 would fail every golden check (exit 1, as a
+    mismatch does) and inf would pass every one: each is a parse error."""
+    assert main([*command, "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"parse error: slicerank {command[0]}: argument --tol: "
+        f"not a finite number >= 0: '{tol}'\n")
+
+
+@pytest.mark.parametrize("tol, code", [("0", 1), ("0.5", 0), ("1e-4", 0)])
+def test_tolerance_accepts_finite_nonnegative(capsys, tol, code):
+    assert main(["table", "cw", "--qmax", "2", "--tol", tol]) == code
+
+
 def test_table_tsv_format(capsys):
     assert main(["table", "cw", "--qmax", "1", "--format", "tsv"]) == 0
     out = capsys.readouterr().out.strip()
@@ -185,10 +203,12 @@ def count_calls(run, *fns):
 
 
 def test_bound_laser_splits_and_checks_symmetry_once(capsys, cw5_files):
+    """One split decides the symmetry too: `blocks` checks the variable
+    symmetry on its entry arrays, so `is_variable_symmetric` is not called."""
     counts = count_calls(lambda: main(["bound", "--mode", "laser", *cw5_files]),
                          sr.tensor_core.blocks, sr.tensor_core.is_variable_symmetric)
     assert capsys.readouterr().out.strip() == "S~ = Q~ = 5.77629 (tight)"
-    assert counts == {"blocks": 1, "is_variable_symmetric": 1}
+    assert counts == {"blocks": 1, "is_variable_symmetric": 0}
 
 
 def test_bound_partition_mode(capsys, cw5_files):

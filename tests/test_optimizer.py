@@ -558,19 +558,17 @@ def test_shifted_summand_fails_the_certificate(capsys, monkeypatch):
     sum by one row (CW_1 gets one part more, CW_3 one fewer) splits the
     problem wrongly: the summand's residual from its own per-block gradient
     exceeds KKT_LIMIT, and `table` exits 2 instead of printing a value."""
-    real = sr.block_sum
-
-    def shifted(block_sets):
-        bs = real(block_sets)
+    def shifted(bs):
         counts = [list(c) for c in bs.summands]
         counts[0] = [c + 1 for c in counts[0]]
         counts[2] = [c - 1 for c in counts[2]]
-        return sr.BlockSet(bs.tensor, bs.partition, bs.blocks, bs.orbits,
-                           tuple(map(tuple, counts)))
+        return sr.BlockSet(bs.tensor, bs.partition, bs.key_array, bs.entry_block, bs.group,
+                           bs.symmetry, tuple(map(tuple, counts)))
 
-    bs = shifted([cw_blocks(q) for q in (1, 2, 3)])
+    bs = shifted(sr.block_sum([cw_blocks(q) for q in (1, 2, 3)]))
     assert sr.summand_optima(bs, sr.maximize_symmetric(bs))[1].kkt_residual > KKT_LIMIT
-    monkeypatch.setattr(sr.bound_engines, "block_sum", shifted)
+    real = optimizer.summand_optima
+    monkeypatch.setattr(optimizer, "summand_optima", lambda bs, opt: real(shifted(bs), opt))
     assert main(["table", "cw", "--qmax", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("convergence failure at q=")
@@ -670,7 +668,7 @@ def test_unreduced_problem_is_the_singleton_classes():
     """An input whose classes are all singletons, here a random tensor
     under a random partition, builds the unreduced problem bit for bit."""
     bs = planted(11, "plain")
-    prob, ref = _Problem(bs), _Problem(bs, [(k,) for k in bs.blocks])
+    prob, ref = _Problem(bs), _Problem(bs, np.arange(len(bs)))
     assert prob.size == len(bs) == ref.size
     for name in ("keys", "group", "share", "axis", "log_sizes", "col", "row", "val", "count"):
         assert np.array_equal(getattr(prob, name), getattr(ref, name)), name
@@ -787,7 +785,7 @@ def test_newton_step_matches_dense_reference(size, factor, seed, zero, twin):
         groups = [(key,) for key in bs.blocks] if factor == "incidence" else bs.orbits
         twins = ([(0, 0, 0), tuple(int(a == zero) for a in range(3))] if factor == "incidence"
                  else [(0, 1, 2), (0, 2, 1)])
-        prob = _Problem(bs, groups)
+        prob = _Problem(bs, np.arange(len(bs)) if factor == "incidence" else bs.group)
         n = len(groups)
         inc = np.zeros((3, max(parts), n))
         for g, group in enumerate(groups):

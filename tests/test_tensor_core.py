@@ -13,9 +13,9 @@ import slicerank as sr
 from slicerank.degeneration import LambdaPoly, parse_degeneration_map
 from slicerank.tensor_core import ParseError, Tensor
 
-from helpers import (random_partition, random_symmetric_tensor, random_tensor,
-                     reference_coefficient, reference_orbits, reference_parse_tensor,
-                     reference_restriction, reference_rotation_orbits,
+from helpers import (random_index_partition, random_partition, random_symmetric_tensor,
+                     random_tensor, reference_blocks, reference_coefficient, reference_orbits,
+                     reference_parse_tensor, reference_restriction, reference_rotation_orbits,
                      reference_symmetric_cube, reference_t_symmetric_partition,
                      reference_tensor_product, shared_index_partition)
 
@@ -434,6 +434,80 @@ def test_rotation_orbits_match_block_reference(case):
     blockwise reference (None when the blocks do not rotate)."""
     t, p = case
     assert sr.blocks(t, p).orbits == reference_rotation_orbits(t, p)
+
+
+@st.composite
+def blocks_inputs(draw):
+    """A tensor and a partition for `blocks`: a rotation-closed tensor with
+    int and Fraction coefficients, or one whose coefficients break the
+    rotation on one entry, or an empty one; under one random partition on
+    every axis, relabeled on a random subset of axes (part order and
+    indices), or under independent partitions of unequal part sizes."""
+    kind = draw(st.sampled_from(["symmetric", "coefficient", "empty", "single"]))
+    n = draw(st.integers(1, 4))
+    idx = st.integers(0, n - 1)
+    coeffs = st.sampled_from([1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+    entries = {}
+    if kind == "single":
+        entries[(draw(idx), draw(idx), draw(idx))] = draw(coeffs)
+    elif kind != "empty":
+        for i, j, k, c in draw(st.lists(st.tuples(idx, idx, idx, coeffs), min_size=1,
+                                        max_size=2 * n)):
+            entries.update({(i, j, k): c, (j, k, i): c, (k, i, j): c})
+    if kind == "coefficient":
+        key = draw(st.sampled_from(sorted(entries)))
+        entries[key] = draw(coeffs.filter(lambda c: c != entries[key]))
+    t = Tensor(range(n), range(n), range(n), entries)
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    parts = [(str(pos), order[lo:hi]) for pos, (lo, hi) in enumerate(zip([0] + cuts, cuts + [n]))]
+    if draw(st.booleans()):
+        axes = [random_index_partition(random.Random(draw(st.integers(0, 10 ** 6))), n)
+                for _ in range(3)]
+        return t, sr.VariablePartition(*([(str(i), own) for i, own in enumerate(ax)]
+                                         for ax in axes), sizes=t.shape)
+    reorder = draw(st.permutations(range(len(parts))))
+    perm = draw(st.permutations(range(n)))
+    axes = []
+    for _ in range(3):
+        own = list(parts)
+        if draw(st.booleans()):
+            own = [own[pos] for pos in reorder]
+        if draw(st.booleans()):
+            own = [(label, [perm[i] for i in idx]) for label, idx in own]
+        axes.append(own)
+    return t, sr.VariablePartition(*axes, sizes=t.shape)
+
+
+# the support rotates under the z relabeling, the coefficient of (1, 1, 1) does not
+_SUPPORT_ROTATES = (
+    Tensor(range(2), range(2), range(2),
+           {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1, (1, 1, 1): Fraction(1, 2)}),
+    sr.VariablePartition([("0", (0,)), ("1", (1,))], [("0", (0,)), ("1", (1,))],
+                         [("0", (1,)), ("1", (0,))], sizes=(2, 2, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks_inputs())
+@example(_SUPPORT_ROTATES)
+@example(_CLOSED_UNROTATED)
+@example((Tensor(range(2), range(1), range(3), {}),
+          sr.VariablePartition([("a", (0, 1))], [("a", (0,))], [("a", (2,)), ("b", (0, 1))],
+                               sizes=(2, 1, 3))))
+@example((Tensor(range(1), range(1), range(1), {(0, 0, 0): Fraction(7, 2)}),
+          sr.VariablePartition([("a", (0,))], [("a", (0,))], [("a", (0,))], sizes=(1, 1, 1))))
+def test_blocks_match_the_bucket_loop(case):
+    """The array-backed `blocks` equals the bucket loop over the entries
+    (`reference_blocks`): the same keys in sorted order, the same
+    slot-keyed entry maps and `bs[key]`, and the same orbits and verdict."""
+    t, p = case
+    bs = sr.blocks(t, p)
+    want, orbits = reference_blocks(t, p)
+    assert bs.keys() == list(want) and len(bs) == len(want)
+    assert list(bs.blocks.items()) == list(want.items())
+    for key in want:
+        assert bs[key] == reference_restriction(t, p, key)
+    assert bs.orbits == orbits and bs.symmetric == (orbits is not None)
 
 
 def test_orbits_match_key_reference():
