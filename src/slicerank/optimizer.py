@@ -45,12 +45,15 @@ large residual, never as a wrong value.  `maximize_symmetric` keeps its
 orbit variables, and `objective_values` single blocks.
 
 The max-min is a saddle point of sum_a w_a f_a(x).  `maximize_minmax`
-steps on (x, w) together: one `newton_step` gives the inner step s0 and
-S = H^-1 G (G the axis gradients at x); dw solves h dw - nu 1 = -(f +
-G^T s0), h = -G^T S, f + G^T s0 the axis values predicted after s0, and
-dx = s0 - S dw.  The step is kept only when x + dx and w + dw stay in
-their simplices and the upper bound above minus min_a f_a (0 only at the
-saddle point) does not rise; else a nested step moves w alone.
+steps on (x, w) together from the class-uniform x and w = 1/3: one
+`newton_step` gives the inner step s0 and S = H^-1 G (G the axis
+gradients at x); with h = -G^T S, dw minimizes the predicted (f + G^T s0)
+dw + dw h dw / 2 on the simplex, holding at 0 an axis it would drive
+below (`_weights_step`, as in Bertsekas's projected Newton method, SIAM
+J. Control Optim. 20, 1982), and dx = s0 - S dw.  The first trial of
+JOINT_STEPS, clipped at 0 and renormalized, that lowers the upper bound
+above minus min_a f_a (0 only at the saddle point) is kept; else a
+nested step moves w alone, with an inner solve per trial.
 
 A Newton step on k support coordinates solves K = [[-(cD)^T cD, d],
 [d^T, 0]], the Hessian -c^T c scaled by D = diag(d) to a unit diagonal,
@@ -75,13 +78,14 @@ per such pair, whatever the number of right-hand columns: the entries
 of R there, for each pair of entries in one column that column, its cell
 in R R^T and the product of their values, E L^(-1/2), and per column
 count the flat cells of R D^2 (1, r) and of R^T u.  A step then makes
-about fifty numpy calls and no Python loop: one bincount each for the
-diagonal, R D^2 R^T, R D^2 (1, r) and R^T u, four small products and
-one LU solve of the bordered system.
+about sixty numpy calls and a Python loop over the stacks below: one
+bincount each for the diagonal, R D^2 R^T, R D^2 (1, r) and R^T u, and
+per stack five small products and one LU solve.
 
 Direct sums: `maximize_symmetric` on a `block_sum` solves every summand
-at once.  Write the orbit masses as x = (lambda_r y_r)_r, lambda on the
-simplex and y_r a distribution on summand r's orbits.  Summand r's orbits
+at once (a block set that is not a sum is one summand).  Write the orbit
+masses as x = (lambda_r y_r)_r, lambda on the simplex and y_r a
+distribution on summand r's orbits.  Summand r's orbits
 meet only its own parts, and each orbit's x incidence sums to 1, so f(x) =
 sum_r lambda_r f_r(y_r) + H(lambda): the maximizer has y_r = argmax f_r and
 lambda_r proportional to exp(max f_r), the maximum is log sum_r exp(max
@@ -94,8 +98,8 @@ block-diagonal over the summands, and so are R R^T, its basis and A =
 at RANK_TOL times its own largest eigenvalue, and the summands meet only
 in the simplex row, by a Schur complement (`_summed_step`).  Summands of
 near-equal row counts are stacked, padded with zero rows, for numpy's
-stacked matmul, eigh and solve (`_stacks`); one summand is the problem
-above, with its bordered solve.
+stacked matmul, eigh and solve (`_stacks`); one summand is a stack of
+one.
 
 Step length: along a step s from x, with m = R x and r = R s (one
 bincount each), phi(sigma) = sum_a w_a f_a(x + sigma s) is concave, with
@@ -110,6 +114,7 @@ when a part marginal reaches zero) it goes to the maximizer of phi in
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -127,6 +132,7 @@ GROW_MASS = 1e-8         # mass given to a coordinate joining the support
 NOISE = 64 * np.finfo(float).eps  # float noise of an objective, relative
 MIN_STEP = 1e-12         # shortest damped step tried
 RIDGE = 1e-10            # relative ridge of the weights' Newton system
+JOINT_STEPS = (1.0, 0.5, 0.25)  # damped joint max-min steps tried before a nested weight step
 RANK_TOL = 1e-9          # relative eigenvalue cut of a support's Gram matrix R R^T
 STACK_SLACK = 16         # rows of padding a stack of summands always allows
 LINE_STEPS = 8           # safeguarded Newton steps of a line search before the simplex edge
@@ -202,9 +208,9 @@ def _by_first(labels, first):
 
 
 def _summand_rows(block_set: BlockSet):
-    """The summand of each part row (x parts, then y, then z) of a `block_sum`."""
-    counts = np.array(block_set.summands)
-    return np.concatenate([np.repeat(np.arange(len(counts)), c) for c in counts.T])
+    """The summand of each part row (x, then y, then z) of a `block_sum`, or 0."""
+    counts = np.array(block_set.summands or [[block_set.partition.part_count(a) for a in "xyz"]])
+    return np.repeat(np.arange(counts.size) % len(counts), counts.T.ravel())
 
 
 def _blockwise(parts, label, log_sizes, d, w, count):
@@ -258,12 +264,12 @@ class _Problem:
             self.axis[row] = self.part_axis
             self.log_sizes = np.log(np.bincount(row, part_sizes))
             cells = row[self.parts]
-            self.summand = None
+            self.summand = np.zeros(len(self.width), np.intp)
         else:
             lens = np.bincount(group)
             self.count, self.width = np.ones(len(lens)), np.ones(len(part_sizes))
             self.axis, self.log_sizes, cells = self.part_axis, self.part_log_sizes, self.parts
-            self.summand = None if block_set.summands is None else _summand_rows(block_set)
+            self.summand = _summand_rows(block_set)
         self.size, self.group, share = len(lens), group, 1.0 / lens
         self.share = share[group]
         rows = len(self.axis)
@@ -333,59 +339,46 @@ class _Problem:
         basis = self._bases.get(key)
         if basis is None:
             basis = self._bases[key] = self._basis(on, pos[self.axis])
-        act, ax, col, row, at, val, wval, pair_col, flat, vv, p, cells, place, t, spread = basis
+        act, ax, col, at, val, wval, pair_col, flat, vv, p, cells, t, spread = basis
         nc = rhs.shape[1]
         if nc not in spread:      # cells of R b in p x (nc + 1), of R^T u in size x nc
             spread[nc] = ((at[:, None] * (nc + 1) + np.arange(nc + 1)).ravel(),
                           (col[:, None] * nc + np.arange(nc)).ravel())
         to_rows, to_cols = spread[nc]
         scale = np.sqrt(w[ax] / np.maximum(m[act], MARGINAL_CLAMP))
-        norm2 = np.bincount(col, weights=(scale[row] * wval) ** 2, minlength=self.size)
+        norm2 = np.bincount(col, weights=(scale[at] * wval) ** 2, minlength=self.size)
         d2 = np.divide(self.count, norm2, out=np.zeros(self.size), where=on)
         gram = np.bincount(flat, weights=vv * d2[pair_col], minlength=cells)
         b = np.empty((self.size, nc + 1))                 # D^2 (1, rhs)
         b[:, 0] = d2
         np.multiply(d2[:, None], rhs, out=b[:, 1:])
-        rb = np.bincount(to_rows, weights=(val[:, None] * b.take(col, 0)).ravel(),
+        rb = np.bincount(to_rows, weights=(val * b.take(col, 0)).ravel(),
                          minlength=p * (nc + 1)).reshape(p, nc + 1)
-        if place is None:                                 # one summand
-            t, a, e = _system(t, gram.reshape(p, p), scale[:, None], rb)
-            u = t @ _bordered(a, e[:, 0], e[:, 1:])
-        else:
-            u = _summed_step(t, gram, scale, place, rb)
-        s = np.bincount(to_cols, weights=(val[:, None] * u.take(at, 0)).ravel(),
+        u = _summed_step(t, gram, scale, rb)
+        s = np.bincount(to_cols, weights=(val * u.take(at, 0)).ravel(),
                         minlength=self.size * nc)
         return d2[:, None] * s.reshape(self.size, nc)
 
     def _basis(self, on, act):
-        """For the support `on` and the rows `act` of the axes with w_a > 0:
-        the indices of those rows, the entries of R there (their rows
-        numbered within `act`, and their rows' places in the layout of
-        `_stacks`), their values and those times the root of their row's
-        width (these enter D), for each pair of entries in one column that
-        column, its cell in the (stacked) R R^T and the product of their
-        values, and the numbers of rows and cells of the layout.  Then for
-        one summand None and E L^(-1/2); else each row's place and per stack
-        E L^(-1/2) with its cut columns zero, the slices of its cells and
-        rows, and which columns are cut."""
-        ent = np.flatnonzero(on[self.col] & act[self.row])
-        act_rows = np.flatnonzero(act)
-        rank, p = np.zeros(len(act), np.intp), len(act_rows)
-        rank[act_rows] = np.arange(p)
+        """For the support `on` and the rows `act` of the axes with w_a > 0,
+        in the padded layout of `_stacks`: the row at each place and its axis
+        (padding repeats the first row; its Gram rows are zero), the entries
+        of R there (their rows' places), their values (a column) and those
+        times the root of their row's width (these enter D), for each pair in
+        one column that column, its cell in the stacked R R^T and the product
+        of their values, the numbers of places and cells, and per stack E
+        L^(-1/2) with its cut columns zero, its slices and its cut columns."""
+        ent = (on[self.col] & act[self.row]).nonzero()[0]
+        act_rows, rank = act.nonzero()[0], np.zeros(len(act), np.intp)
+        rank[act_rows] = np.arange(len(act_rows))
         col, row, val = self.col[ent], rank[self.row[ent]], self.val[ent]
         # pi runs over the entries, each once per entry of its column, and
         # pj over the entries of that column
         count = np.bincount(col)[col]
         pi = np.arange(len(ent)).repeat(count)
-        pj = np.arange(len(pi)) - (np.cumsum(count) - count - np.searchsorted(col, col))[pi]
+        pj = np.arange(len(pi)) - (count.cumsum() - count - col.searchsorted(col))[pi]
         vv = val[pi] * val[pj]
         wval = val * np.sqrt(self.width[act_rows][row])
-        head, tail = (act_rows, self.axis[act_rows], col, row), (val, wval, col[pi])
-        if self.summand is None:
-            flat = row[pi] * p + row[pj]
-            lam, v = np.linalg.eigh(np.bincount(flat, weights=vv, minlength=p * p).reshape(p, p))
-            big = lam > RANK_TOL * lam[-1]
-            return (*head, row, *tail, flat, vv, p, p * p, None, v[:, big] / np.sqrt(lam[big]), {})
         place, cell, local, layout = _stacks(self.summand[act_rows])
         flat = cell[row[pi]] + local[row[pj]]
         gram = np.bincount(flat, weights=vv, minlength=layout[-1][2].stop)
@@ -394,111 +387,102 @@ class _Problem:
             k = (rows.stop - rows.start) // n
             lam, v = np.linalg.eigh(gram[cells].reshape(n, k, k))
             big = lam > RANK_TOL * lam[:, -1:]
-            keep = k - big.sum(axis=1).max()          # drop the columns every summand cuts
+            keep = k - big.sum(1).max()               # drop the columns every summand cuts
             lam, v, big = lam[:, keep:], v[:, :, keep:], big[:, keep:]
-            t = v / np.sqrt(np.where(big, lam, 1.0))[:, None, :]
-            cut = None if big.all() else ~big
-            if cut is not None:
-                t *= big[:, None, :]
-            stacks.append((t, cells, rows, cut))
-        return (*head, place[row], *tail, flat, vv, layout[-1][1].stop, layout[-1][2].stop, place,
-                stacks, {})
+            t = v / np.sqrt(np.where(big, lam, 1.0))[:, None, :] * big[:, None, :]
+            stacks.append((t, cells, rows, None if big.all() else ~big))
+        row_at = np.full(layout[-1][1].stop, act_rows[0])
+        row_at[place] = act_rows
+        return (row_at, self.axis[row_at], col, place[row], val[:, None], wval, col[pi], flat, vv,
+                len(row_at), layout[-1][2].stop, stacks, {})
 
 
 def _stacks(summand):
     """The padded layout of the per-summand algebra, for the summand of each
-    row: summands sorted by their number of rows are cut into stacks of
-    near-equal size, each padded with zero rows to its largest.  Returns
-    each row's place in the layout (the stacks in order, each summand's
-    padded rows in a stack in order), its cell (row, 0) in the stacked
-    Gram matrices, its index within its summand, and per stack its number
-    of summands and the slices of its rows and its cells."""
+    row: summands sorted by row count are cut into stacks of near-equal
+    size, each padded with zero rows to its largest.  Returns each row's
+    place (stacks in order, a stack's padded summands in order), its cell
+    (row, 0) in the stacked Gram matrices, its index in its summand, and
+    per stack its number of summands and the slices of its rows and cells."""
     sizes = np.bincount(summand)
-    order = np.argsort(sizes, kind="stable")
-    order = order[sizes[order] > 0]
-    place, cell = np.empty(len(sizes), np.intp), np.empty(len(sizes), np.intp)
-    width = np.empty(len(sizes), np.intp)
+    count = sizes.tolist()
+    order = sorted((r for r, c in enumerate(count) if c), key=count.__getitem__)
+    place, cell, width = [0] * len(count), [0] * len(count), [0] * len(count)
     layout, rows, cells, i = [], 0, 0, 0
-    sorted_sizes = sizes[order].tolist()
     while i < len(order):
-        j, first = i + 1, sorted_sizes[i]
-        while j < len(order) and sorted_sizes[j] <= first + max(STACK_SLACK, first // 4):
+        j, first = i + 1, count[order[i]]
+        while j < len(order) and count[order[j]] <= first + max(STACK_SLACK, first // 4):
             j += 1
-        n, k, members = j - i, sorted_sizes[j - 1], order[i:j]
-        width[members] = k
-        place[members] = rows + k * np.arange(n)
-        cell[members] = cells + k * k * np.arange(n)
+        n, k = j - i, count[order[j - 1]]
+        for a, r in enumerate(order[i:j]):
+            place[r], cell[r], width[r] = rows + k * a, cells + k * k * a, k
         layout.append((n, slice(rows, rows + n * k), slice(cells, cells + n * k * k)))
         rows, cells, i = rows + n * k, cells + n * k * k, j
-    by_summand = np.argsort(summand, kind="stable")
-    local = np.empty(len(summand), np.intp)
-    local[by_summand] = np.arange(len(summand)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return (place[summand] + local, cell[summand] + local * width[summand], local, layout)
+    by_summand = summand.argsort(kind="stable")
+    local = np.empty_like(by_summand)
+    local[by_summand] = np.arange(len(summand)) - (sizes.cumsum() - sizes).repeat(sizes)
+    place, cell, width = np.array([place, cell, width])[:, summand]
+    return place + local, cell + local * width, local, layout
 
 
-def _system(t, g, scale, rb, cut=None):
-    """The system K_W of the module docstring in the basis t = E L^(-1/2),
-    for g the Gram matrix of R D^2 R^T, `scale` the column of S and rb =
-    R D^2 (1, r), of one summand or of a stack (a leading axis over its
-    summands): W (t with unit columns), A = (cDW)^T cDW and e = W^T (d, D
-    r).  The cut columns of t are zero, and get norm 1."""
-    gt = g @ t
-    norm = np.sqrt(np.einsum("...ij,...ij->...j", gt, t))      # of the columns of W
-    if cut is not None:
-        norm[cut] = 1.0
-    norm = norm[..., None, :]
-    t = t / norm
-    cdw = np.multiply(gt, scale, out=gt)                        # c D W, in place of gt
-    cdw /= norm
-    return t, cdw.swapaxes(-1, -2) @ cdw, t.swapaxes(-1, -2) @ rb
-
-
-def _summed_step(stacks, gram, scale, place, rb):
-    """u = W z for the z of the module docstring on a sum, from the stacked
-    Gram matrices `gram` of R D^2 R^T, the scale S of each row, each row's
-    place in the padded layout and rb = R D^2 (1, r) there.  K_W = [[-A,
-    e], [e^T, 0]] with A = diag(A_c) is block-diagonal but for the simplex
-    row, so z_c = A_c^-1 (e_c nu - r_c) with nu = sum_c e_c A_c^-1 r_c /
-    sum_c e_c A_c^-1 e_c, a Schur complement.  A cut column gets a unit
+def _summed_step(stacks, gram, scale, rb):
+    """u = W z for the z of the module docstring, from the stacked Gram
+    matrices `gram` of R D^2 R^T, and S and rb = R D^2 (1, r) at each place
+    of the padded layout.  Per stack of t = E L^(-1/2) (cut columns zero),
+    W is t with unit columns, A = (cDW)^T cDW and e = W^T (d, D r).  K_W =
+    [[-A, e], [e^T, 0]] with A = diag(A_c) is block-diagonal but for the
+    simplex row, so z_c = A_c^-1 (e_c nu - r_c) with nu = sum_c e_c A_c^-1
+    r_c / sum_c e_c A_c^-1 e_c.  A cut column gets norm 1 and a unit
     diagonal in A_c, and so z = 0 there."""
-    padded = np.zeros(len(rb))
-    padded[place] = scale
-    systems = []
+    systems, schur = [], 0.0
     for t, cells, rows, cut in stacks:
         n, k = t.shape[:2]
-        t, a, e = _system(t, gram[cells].reshape(n, k, k), padded[rows].reshape(n, k, 1),
-                          rb[rows].reshape(n, k, -1), cut)
+        gt = gram[cells].reshape(n, k, k) @ t
+        norm = np.sqrt(np.einsum("cij,cij->cj", gt, t))           # of the columns of W
+        if cut is not None:
+            norm[cut] = 1.0
+        norm = norm[:, None, :]
+        t = t / norm
+        gt *= scale[rows].reshape(n, k, 1)
+        gt /= norm                                                  # c D W, in place of gt
+        a = gt.swapaxes(1, 2) @ gt
         if cut is not None:
             a.reshape(n, -1)[:, ::a.shape[-1] + 1] += cut
-        systems.append((t, e, np.linalg.solve(a, e)))       # A_c^-1 (e_c, r_c)
-    nu = (sum(np.einsum("ck,ckr->r", e[..., 0], y[..., 1:]) for _, e, y in systems)
-          / sum(np.einsum("ck,ck->", e[..., 0], y[..., 0]) for _, e, y in systems))
+        e = t.swapaxes(1, 2) @ rb[rows].reshape(n, k, -1)
+        y = np.linalg.solve(a, e)                                   # A_c^-1 (e_c, r_c)
+        schur = schur + np.einsum("ck,ckr->r", e[..., 0], y)    # (e A^-1 e, e A^-1 r)
+        systems.append((t, y))
+    nu = schur[1:] / schur[0]
     return np.concatenate([(t @ (y[..., :1] * nu - y[..., 1:])).reshape(-1, len(nu))
-                           for t, _, y in systems])
+                           for t, y in systems])
 
 
-def _bordered(a, e, r):
-    """z solving [[-a, e], [e^T, 0]] (z, nu) = (r, 0), for each column of r,
-    as [[a, e], [e^T, 0]] (z, -nu) = (-r, 0), which needs no copy of -a."""
-    j = len(e)
-    kkt = np.empty((j + 1, j + 1))
-    kkt[:j, :j] = a
-    kkt[:j, j] = kkt[j, :j] = e
-    kkt[j, j] = 0.0
-    rhs = np.zeros((j + 1, r.shape[1]))
-    np.negative(r, out=rhs[:j])
-    return np.linalg.solve(kkt, rhs)[:j]
-
-
-def _newton_step(h, rhs):
-    """For each column r of rhs, the s with -h s + nu 1 = r and sum(s) = 0,
-    for h positive definite; solved scaled to a unit diagonal.  NaN when a
-    diagonal entry of h is not positive."""
-    diag = np.diag(h)
-    if not diag.min() > 0.0:
-        return np.full(rhs.shape, np.nan)
-    d = 1.0 / np.sqrt(diag)
-    return d[:, None] * _bordered(d[:, None] * h * d, d, d[:, None] * rhs)
+def _weights_step(h, r, w):
+    """The dw with sum(dw) = 0 and w + dw >= 0 minimizing r dw + dw h dw / 2,
+    for h positive definite: the free axes' predicted values r + h dw are
+    equal, nu, and a held axis has w + dw = 0 exactly and a predicted
+    value of at least nu.  Of the sets of held axes, smallest first, the
+    first whose solve meets both is the answer, with h scaled to a unit
+    diagonal.  NaN when a diagonal entry of h is not positive, or when
+    rounding leaves no set that meets both."""
+    n = len(w)
+    diag = h.diagonal()
+    if diag.min() > 0.0:
+        d = 1.0 / np.sqrt(diag)
+        kkt = np.zeros((n + 1, n + 1))      # [[DhD, d], [d^T, 0]] (z, -nu) = (-D r, 0), dw = D z
+        kkt[:n, :n] = d[:, None] * h * d
+        kkt[:n, n] = kkt[n, :n] = d
+        for held in (list(c) for j in range(n) for c in itertools.combinations(range(n), j)):
+            k, b = kkt.copy(), np.append(-d * r, 0.0)
+            k[held] = 0.0                    # a held axis's row: z_a = -w_a / d_a
+            k[held, held] = 1.0
+            b[held] = -w[held] / d[held]
+            sol = np.linalg.solve(k, b)
+            dw = d * sol[:n]
+            dw[held] = -w[held]
+            if (w + dw).min() >= 0.0 and (r + h @ dw)[held].min(initial=np.inf) >= -sol[n]:
+                return dw
+    return np.full(n, np.nan)
 
 
 def _trials(v, dv, start=1.0):
@@ -506,7 +490,7 @@ def _trials(v, dv, start=1.0):
     or at the edge where the first coordinates reach zero if that comes
     first (they are then set to 0 exactly, leaving the support, however
     short that step), and halves down to MIN_STEP."""
-    neg = np.flatnonzero(dv < 0.0)
+    neg = (dv < 0.0).nonzero()[0]
     ratio = v[neg] / -dv[neg]
     edge = ratio.min(initial=np.inf)
     sigma = top = min(start, edge)
@@ -557,6 +541,17 @@ def _residual(g, x) -> float:
     return float(max(np.abs(g_on - mu).max(), (g[~on] - mu).max(initial=0.0)))
 
 
+def _grow(prob: _Problem, x, g, mu) -> bool:
+    """Whether coordinates where g exceeds mu, its mean on the support of x,
+    by more than TOL join it, at GROW_MASS times their count (in place)."""
+    grow = (x == 0.0) & (g > mu + TOL)
+    if not grow.any():
+        return False
+    x[grow] = GROW_MASS * prob.count[grow]
+    x /= x.sum()
+    return True
+
+
 def _solve(prob: _Problem, w, x=None):
     """Maximize F(x) = sum_a w_a f_a(x) over the simplex.
 
@@ -577,15 +572,11 @@ def _solve(prob: _Problem, w, x=None):
         g = prob.grad(m, w)
         if iters == MAX_STEPS:
             break
-        on = x > 0.0
-        g_on = g[on]
+        g_on = g[x > 0.0]
         mu = g_on.sum() / len(g_on)
         if np.abs(g_on - mu).max() <= TOL:
-            grow = ~on & (g > mu + TOL)
-            if not grow.any():
+            if not _grow(prob, x, g, mu):
                 break
-            x[grow] = GROW_MASS * prob.count[grow]
-            x /= x.sum()
             m, f0 = prob.at(x, w)
             continue
         iters += 1
@@ -609,8 +600,8 @@ class Optimum:
 
     `masses` is the maximizer {block key: mass}, positive masses only,
     sorted by key; `log_values` its (f_x, f_y, f_z), and `log_value` the
-    maximized objective there.  `axis_weights` are the weights w of the
-    last `_solve`, and `optimality_gap` is max_t g_t - <g, x> for g the
+    maximized objective there.  `axis_weights` are the weights w the
+    solver ended with, and `optimality_gap` is max_t g_t - <g, x> for g the
     gradient of sum_a w_a f_a at the solver's variables x: sum_a w_a f_a
     plus the gap bounds the maximum of that sum from above.  `block_mass`
     holds the mass of every block in key order, zeros included, as the
@@ -656,14 +647,14 @@ def maximize_symmetric(block_set: BlockSet) -> Optimum:
         raise ValueError("partition is not symmetric for this tensor")
     prob = _Problem(block_set, block_set.group)
     w = np.array([1.0, 0.0, 0.0])
-    x, m, iters, resid = _solve(prob, w, None if prob.summand is None else _sum_start(prob))
+    x, m, iters, resid = _solve(prob, w, _sum_start(prob))
     return _optimum(prob, w, lambda f: f[0], x, iters, resid, prob.values(m), prob.grad(m, w), x)
 
 
 def _sum_start(prob: _Problem):
-    """The start of a symmetric solve on a `block_sum`: uniform on each
-    summand's orbits, and summand r's share proportional to exp f_r there,
-    which is the optimum when each summand's is its uniform point."""
+    """The start of a symmetric solve: uniform on each summand's orbits,
+    and summand r's share proportional to exp f_r there, which is the
+    optimum when each summand's is its uniform point."""
     summand = np.empty(prob.size, np.intp)
     summand[prob.group] = prob.summand[prob.parts[:, 0]]
     x = 1.0 / np.bincount(summand)[summand]
@@ -734,49 +725,53 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
     By minimax this is the minimum over axis weights w of the convex dual
     phi(w) = max_x sum_a w_a f_a(x), with gradient f(x*(w)) and Hessian
     G^T dx*/dw from the inner KKT system (G: the axis gradients).  Each
-    iteration tries the joint step on (x, w) of the module docstring; the
-    nested step that replaces it is Newton on the weights, or Frank-Wolfe
-    toward the lowest axis when that does not descend, and keeps a damped
-    trial whose inner solve converges with phi below the upper bound at
-    (x, w).  `iterations` counts joint and inner steps.  The returned
-    `axis_weights` are the multipliers of the axes.  Solved on the colour
-    classes, as `maximize_product`.
+    iteration takes the joint step on (x, w) of the module docstring; the
+    nested step that replaces it when no trial is kept is Newton on the
+    weights, or Frank-Wolfe toward the lowest axis when that does not
+    descend, keeping a damped trial whose inner solve converges with phi
+    below the upper bound at (x, w).  `iterations` counts joint steps and
+    inner solves' steps; `axis_weights` are the multipliers of the axes.
+    Solved on the colour classes, as `maximize_product`.
     """
     prob = _Problem(block_set)
-    w = np.full(3, 1.0 / 3.0)
-    x, m, iters, resid = _solve(prob, w)
-    f = prob.values(m)
-    while iters < MAX_STEPS and max(resid, _residual(-f, w)) > TOL:
-        iters += 1
-        phi, on, grads = w @ f, x > 0.0, prob.grads(m)
+    x, w, iters = prob.count / prob.count.sum(), np.full(3, 1.0 / 3.0), 0
+    while True:
+        m = prob.marginals(x)
+        f, grads = prob.values(m), prob.grads(m)
         g = grads @ w
-        upper, free = phi + g.max() - g @ x, (w > 0.0) | (f < phi)
-        s = prob.newton_step(x, m, w, np.column_stack([g[on].mean() - g, grads]))
-        h = -(grads.T @ s[:, 1:])[np.ix_(free, free)]
-        h += RIDGE * (1.0 + np.trace(h)) * np.eye(len(h))
-        dw = np.zeros(3)
-        dw[free] = _newton_step(h, (f + grads.T @ s[:, 0])[free][:, None])[:, 0]
-        tx, tw = x + s[:, 0] - s[:, 1:] @ dw, w + dw
-        # a joint step cannot grow the support: once x is stationary on it, nest
-        if min(tx.min(), tw.min()) >= 0.0 and max(_residual(g[on], x[on]), _residual(-f, w)) > TOL:
+        g_on = g[x > 0.0]
+        mu = g_on.sum() / len(g_on)
+        stationary = np.abs(g_on - mu).max() <= TOL
+        if stationary and _grow(prob, x, g, mu):
+            continue
+        if iters == MAX_STEPS or stationary and _residual(-f, w) <= TOL:
+            break
+        iters += 1
+        upper = w @ f + g.max() - g @ x
+        s = prob.newton_step(x, m, w, np.column_stack([mu - g, grads]))
+        h = -grads.T @ s[:, 1:]
+        h += RIDGE * (1.0 + np.trace(h)) * np.eye(3)
+        dw = _weights_step(h, f + grads.T @ s[:, 0], w)
+        dx = s[:, 0] - s[:, 1:] @ dw
+        for sigma in JOINT_STEPS:
+            tx, tw = (u / u.sum() for u in (np.maximum(x + sigma * dx, 0.0),
+                                             np.maximum(w + sigma * dw, 0.0)))
             tm = prob.marginals(tx)
             tf, tg = prob.values(tm), prob.grads(tm) @ tw
-            if tw @ tf + tg.max() - tg @ tx - tf.min() <= upper - f.min():
-                x, w, m, f, resid = tx, tw, tm, tf, _residual(tg, tx)
-                continue
-        dw[free] = _newton_step(h, f[free][:, None])[:, 0]    # h dw - nu 1 = -f
-        if not (f - phi) @ dw < 0.0 or np.any(dw[w == 0.0] < 0.0):    # or NaN
-            dw = -w
-            dw[np.argmin(f)] += 1.0
-        for trial in _trials(w, dw):
-            tx, tm, n, tresid = _solve(prob, trial, x)
-            iters += n
-            tf = prob.values(tm)
-            if tresid <= TOL and trial @ tf <= upper + NOISE * abs(upper):
+            if tw @ tf + tg.max() - tg @ tx - tf.min() < upper - f.min():
                 break
         else:
-            break
-        w, x, m, f, resid = trial, tx, tm, tf, tresid
-    x, _, n, _ = _solve(prob, w, x)
+            dw = _weights_step(h, f, w)
+            if not f @ dw < 0.0:                # no descent, or NaN
+                dw = -w
+                dw[np.argmin(f)] += 1.0
+            for tw in _trials(w, dw):
+                tx, tm, n, resid = _solve(prob, tw, x)
+                iters += n
+                if resid <= TOL and tw @ prob.values(tm) <= upper + NOISE * abs(upper):
+                    break
+            else:
+                break
+        x, w = tx, tw
     d, f, g = prob.blockwise(x, w)
-    return _optimum(prob, w, min, x, iters + n, max(_residual(g, d), _residual(-f, w)), f, g, d)
+    return _optimum(prob, w, min, x, iters, max(_residual(g, d), _residual(-f, w)), f, g, d)

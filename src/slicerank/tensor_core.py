@@ -94,17 +94,17 @@ class Tensor:
         object.__setattr__(self, "meta", dict(meta) if meta else {})
 
     @classmethod
-    def _unchecked(cls, x_labels, y_labels, z_labels, entries) -> Tensor:
-        """A tensor taken as given, with no meta, for labels and entries
+    def _unchecked(cls, x_labels, y_labels, z_labels, entries, meta=None) -> Tensor:
+        """A tensor taken as given, `meta` too, for label tuples and entries
         that pass every check of `Tensor(...)` as they stand: a checked
         tensor's and a sub-map of its entries, `direct_sum`'s of checked
-        tensors, or `parse_tensor`'s."""
+        tensors, `parse_tensor`'s, or the table families' builders'."""
         t = object.__new__(cls)
         object.__setattr__(t, "x_labels", x_labels)
         object.__setattr__(t, "y_labels", y_labels)
         object.__setattr__(t, "z_labels", z_labels)
         object.__setattr__(t, "entries", entries)
-        object.__setattr__(t, "meta", {})
+        object.__setattr__(t, "meta", meta or {})
         return t
 
     def __setattr__(self, name, value):
@@ -225,14 +225,13 @@ def make_cw(q: int, sigma: Optional[Sequence[int]] = None) -> Tensor:
     if q < 0:
         raise ValueError("q must be nonnegative")
     sigma = _check_permutation(q, sigma)
-    n = q + 2
-    idx = list(range(n))
+    idx = tuple(range(q + 2))
     entries = {(0, 0, q + 1): 1, (0, q + 1, 0): 1, (q + 1, 0, 0): 1}
     for i in range(1, q + 1):
         entries[(i, sigma[i - 1], 0)] = 1
         entries[(i, 0, i)] = 1
         entries[(0, i, i)] = 1
-    return Tensor(idx, idx, idx, entries, meta={
+    return Tensor._unchecked(idx, idx, idx, entries, {
         "family": "CW", "q": q, "sigma": sigma,
         "asymptotic_rank": RankFact(q + 2, True,
                                     "CW border rank construction (1990) with matching flattening lower bound"),
@@ -247,13 +246,13 @@ def make_cw_small(q: int, sigma: Optional[Sequence[int]] = None) -> Tensor:
     if q < 1:
         raise ValueError("q must be positive")
     sigma = _check_permutation(q, sigma)
-    idx = list(range(q + 1))
+    idx = tuple(range(q + 1))
     entries = {}
     for i in range(1, q + 1):
         entries[(i, sigma[i - 1], 0)] = 1
         entries[(i, 0, i)] = 1
         entries[(0, i, i)] = 1
-    return Tensor(idx, idx, idx, entries, meta={
+    return Tensor._unchecked(idx, idx, idx, entries, {
         "family": "cw", "q": q, "sigma": sigma,
         "asymptotic_rank": RankFact(q + 1, False, "x-flattening rank lower bound"),
     })
@@ -286,12 +285,12 @@ def make_cyclic_lower(q: int) -> Tensor:
     """
     if q < 1:
         raise ValueError("q must be positive")
-    idx = list(range(q))
+    idx = tuple(range(q))
     entries = {
         (i, j, q - 1 - i - j): 1
         for i in range(q) for j in range(q - i)
     }
-    return Tensor(idx, idx, idx, entries, meta={
+    return Tensor._unchecked(idx, idx, idx, entries, {
         "family": "cyclic_lower", "q": q,
         "asymptotic_rank": RankFact(q, True, "restriction of the cyclic group tensor"),
     })
@@ -552,16 +551,21 @@ def singleton_partition(t: Tensor) -> VariablePartition:
 
 def cw_partition(q: int) -> VariablePartition:
     """Standard 0-indexed CW_q partition: {0}, {1..q}, {q+1} on each axis."""
-    parts = [("0", (0,)), ("1", tuple(range(1, q + 1))), ("2", (q + 1,))]
-    n = q + 2
-    return VariablePartition(parts, list(parts), list(parts), sizes=(n, n, n))
+    return _cw_partition(q, [("2", (q + 1,))])
 
 
 def cw_small_partition(q: int) -> VariablePartition:
     """Standard cw_q partition: {0}, {1..q} on each axis."""
-    parts = [("0", (0,)), ("1", tuple(range(1, q + 1)))]
-    n = q + 1
-    return VariablePartition(parts, list(parts), list(parts), sizes=(n, n, n))
+    return _cw_partition(q, [])
+
+
+def _cw_partition(q, corner):
+    """{0}, {1..q} and `corner` on each axis; valid for q >= 1, so not checked."""
+    if q < 1:
+        raise PartitionError("x", 1, "empty part '1' on axis x")
+    parts = [("0", (0,)), ("1", tuple(range(1, q + 1))), *corner]
+    where = [(0, 0), *((1, i) for i in range(q))] + [(2, 0)] * len(corner)
+    return VariablePartition._unchecked([parts] * 3, [where] * 3)
 
 
 def t112_partition(q: int) -> VariablePartition:

@@ -298,10 +298,11 @@ def test_bound_unconverged_solve_exit(capsys, cw5_files, monkeypatch, mode):
 
 
 def test_bound_remove_x_nan_weight_system_fails_quietly(capsys, tmp_path):
-    """remove-x on the cube of this 2x3x3 tensor drives an axis weight of
-    B to 2e-18, where the weights' Newton system has a negative diagonal.
-    The solver falls back without a numpy warning, and the command line
-    reports only the unconverged solve."""
+    """remove-x on the cube of this 2x3x3 tensor once drove an axis weight
+    of B to 2e-18, where the weights' Newton system has a negative
+    diagonal, and exited 2.  The joint max-min steps now hold that weight
+    at 0 exactly: the command prints a certified bound with no numpy
+    warning and nothing on stderr."""
     t = sr.Tensor(range(2), range(3), range(3),
                   dict.fromkeys([(0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 2, 0), (1, 2, 0)], 1))
     p = sr.VariablePartition([("0", [1]), ("1", [0])], [("0", [0]), ("1", [1, 2])],
@@ -311,11 +312,15 @@ def test_bound_remove_x_nan_weight_system_fails_quietly(capsys, tmp_path):
     part.write_text(sr.write_partition(sr.cube_partition(t, p)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["bound", "--mode", "remove-x", str(tensor), str(part)]) == 2
+        assert main(["bound", "--mode", "remove-x", str(tensor), str(part)]) == 0
     assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
-    assert captured.err == "convergence failure\n"
-    assert captured.out == ""
+    assert captured.err == ""
+    _, solved = be.remove_x_bound(sr.symmetric_cube(t), sr.cube_partition(t, p))
+    assert solved.certificate["kkt_residual"] <= 1e-10
+    assert solved.value == pytest.approx(10.0, rel=1e-12)
+    assert captured.out == ("slice_rank_upper 12.000000000 low-x-rank-split B_bound=10,"
+                            "B_bound_used=10,m_A=3,weight=0.166666667,x_rank_A=2,x_rank_B=10 -\n")
 
 
 @pytest.mark.parametrize("mode, stderr", [

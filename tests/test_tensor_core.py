@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import slicerank as sr
 from slicerank.degeneration import LambdaPoly, parse_degeneration_map
-from slicerank.tensor_core import ParseError, Tensor
+from slicerank.tensor_core import ParseError, PartitionError, Tensor
 
 from helpers import (random_index_partition, random_partition, random_symmetric_tensor,
                      random_tensor, reference_blocks, reference_coefficient, reference_orbits,
@@ -99,6 +99,42 @@ def test_cyclic_counts(q):
     low = sr.make_cyclic_lower(q)
     assert len(low.entries) == q * (q + 1) // 2
     assert low.rank_fact().value == q
+
+
+def assert_same_tensor(t, checked):
+    assert type(t.x_labels) is tuple and t.x_labels == checked.x_labels
+    assert t.y_labels == checked.y_labels and t.z_labels == checked.z_labels
+    assert list(t.entries.items()) == list(checked.entries.items())
+    assert all(type(c) is int for c in t.entries.values())
+    assert t.meta == checked.meta
+
+
+def assert_same_partition(p, checked):
+    assert p == checked
+    for name in ("parts_x", "parts_y", "parts_z", "where", "sizes", "summands"):
+        assert getattr(p, name) == getattr(checked, name), name
+
+
+@pytest.mark.parametrize("q", range(0, 31))
+def test_table_families_built_unchecked_match_checked(q):
+    """CW_q, cw_q, T_q and the CW partitions skip the checks of `Tensor`
+    and `VariablePartition`: they equal what the checked constructors
+    build from the same labels, entries, meta and parts."""
+    rng = random.Random(q)
+    sigma = rng.sample(range(1, q + 1), q)
+    for t in (sr.make_cw(q), sr.make_cw(q, sigma)) + (
+            (sr.make_cw_small(q), sr.make_cw_small(q, sigma), sr.make_cyclic_lower(q)) if q else ()):
+        assert_same_tensor(t, Tensor(t.x_labels, t.y_labels, t.z_labels, t.entries, t.meta))
+    for p, corner in ((sr.cw_partition, [("2", (q + 1,))]), (sr.cw_small_partition, [])):
+        parts = [("0", (0,)), ("1", tuple(range(1, q + 1)))] + corner
+        if q == 0:
+            with pytest.raises(PartitionError, match="empty part '1' on axis x"):
+                sr.VariablePartition(parts, parts, parts, sizes=(len(corner) + 1,) * 3)
+            with pytest.raises(PartitionError, match="empty part '1' on axis x"):
+                p(q)
+            continue
+        n = q + 1 + len(corner)
+        assert_same_partition(p(q), sr.VariablePartition(parts, parts, parts, sizes=(n, n, n)))
 
 
 def test_cyclic_lower_expansion():
