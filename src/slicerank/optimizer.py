@@ -61,26 +61,27 @@ where c = diag(sqrt(w_a / m_a)) R for R the incidence rows (P parts) of
 the axes with w_a > 0 on the support.  On block classes d_C^2 = |C| /
 sum_i |D_i| R_iC^2 w_a / m_i instead, |D_i| the parts of row i: |C| times
 the unit-diagonal scale of one of its blocks in the block problem, so the
-minimum norm below is that of the block masses.  K vanishes off V =
-D span(R^T), which holds d as each axis's rows sum to the ones vector.  span(R^T)
-depends on the support and on which w_a > 0, not on the masses: with
-R R^T = E L E^T (eigenvalues above RANK_TOL times the largest), U =
-R^T E L^(-1/2) is its orthonormal basis, found once.  In the basis W of
-V, D U with columns scaled to unit norm, K_W = [[-(cDW)^T cDW, W^T d],
-[d^T W, 0]] is nonsingular (K_W (z, nu) = 0 gives cDWz = 0, then nu = 0,
-and Wz in V orthogonal to V), so the step is unique in V and equals the
-minimum-norm solution of K.  Up to the column scaling, with S =
-diag(sqrt(w_a / m_a)), cDW = S R D^2 R^T E L^(-1/2), W^T (d, D r) =
-L^(-1/2) E^T R D^2 (1, r) and s = D W z = D^2 R^T E L^(-1/2) z: a step
-costs O(nnz + P^3), plus a P x P eigh per support, and forms no k x P
-array.  What depends only on the support and on which w_a > 0 is kept
-per such pair, whatever the number of right-hand columns: the entries
-of R there, for each pair of entries in one column that column, its cell
-in R R^T and the product of their values, E L^(-1/2), and per column
-count the flat cells of R D^2 (1, r) and of R^T u.  A step then makes
-about sixty numpy calls and a Python loop over the stacks below: one
-bincount each for the diagonal, R D^2 R^T, R D^2 (1, r) and R^T u, and
-per stack five small products and one LU solve.
+minimum norm below is that of the block masses.  K vanishes off V = D
+span(R^T), which holds d as each axis's rows sum to the ones vector.
+span(R^T) depends on the support and on which w_a > 0, not on the
+masses: with R R^T = E L E^T (eigenvalues above RANK_TOL times the
+largest), U = R^T E L^(-1/2) is its orthonormal basis, found once.  In
+the basis W of V, D U with columns scaled to unit norm, K_W = [[-(cDW)^T
+cDW, W^T d], [d^T W, 0]] is nonsingular (K_W (z, nu) = 0 gives cDWz = 0,
+then nu = 0, and Wz in V orthogonal to V), so the step is unique in V
+and equals the minimum-norm solution of K.  Up to the column scaling,
+with S = diag(sqrt(w_a / m_a)), cDW = S R D^2 R^T E L^(-1/2), W^T (d, D
+r) = L^(-1/2) E^T R D^2 (1, r) and s = D W z = D^2 R^T E L^(-1/2) z: a
+step costs O(nnz + P^3), plus a P x P eigh per support, and forms no k x
+P array.  What depends only on the support and on which w_a > 0 is kept
+per such pair, whatever the number of right-hand columns: the entries of
+R there, for each pair of entries in one column that column, its cell in
+R R^T and the product of their values, E L^(-1/2), and per column count
+the flat cells of R D^2 (1, r) and of R^T u; the padded layout of the
+stacks below, once per set of axes.  A step then makes about sixty
+numpy calls and a Python loop over the stacks: one bincount each for the
+diagonal, R D^2 R^T, R D^2 (1, r) and R^T u, and per stack five small
+products and one LU solve.
 
 Direct sums: `maximize_symmetric` on a `block_sum` solves every summand
 at once (a block set that is not a sum is one summand).  Write the orbit
@@ -92,14 +93,13 @@ lambda_r proportional to exp(max f_r), the maximum is log sum_r exp(max
 f_r), and on summand r the gradient of f is f_r's minus log lambda_r,
 constant there, so each summand's KKT spread is at most twice the sum's.
 `summand_optima` reads each summand's optimum off the one solve, from
-the block masses in key order (`Optimum.block_mass`).  R is
-block-diagonal over the summands, and so are R R^T, its basis and A =
-(cDW)^T cDW: each summand has its own Gram matrix and eigh, its rank cut
-at RANK_TOL times its own largest eigenvalue, and the summands meet only
-in the simplex row, by a Schur complement (`_summed_step`).  Summands of
-near-equal row counts are stacked, padded with zero rows, for numpy's
-stacked matmul, eigh and solve (`_stacks`); one summand is a stack of
-one.
+the block masses in key order (`Optimum.block_mass`).  R is block-diagonal
+over the summands, and so are R R^T, its basis and A = (cDW)^T cDW: each
+summand has its own Gram matrix and eigh, its rank cut at RANK_TOL times
+its own largest eigenvalue, and the summands meet only in the simplex
+row, by a Schur complement (`_summed_step`).  Summands of near-equal row
+counts are stacked, padded with zero rows, for numpy's stacked matmul,
+eigh and solve (`_Problem._layout`); one summand is a stack of one.
 
 Step length: along a step s from x, with m = R x and r = R s (one
 bincount each), phi(sigma) = sum_a w_a f_a(x + sigma s) is concave, with
@@ -210,7 +210,7 @@ def _by_first(labels, first):
 def _summand_rows(block_set: BlockSet):
     """The summand of each part row (x, then y, then z) of a `block_sum`, or 0."""
     counts = np.array(block_set.summands or [[block_set.partition.part_count(a) for a in "xyz"]])
-    return np.repeat(np.arange(counts.size) % len(counts), counts.T.ravel())
+    return (np.arange(counts.size) % len(counts)).repeat(counts.T.ravel())
 
 
 def _blockwise(parts, label, log_sizes, d, w, count):
@@ -276,13 +276,13 @@ class _Problem:
         cells = (cells + group[:, None] * rows).ravel()
         # sorted by group, then row; the stable sort, as np.sort's kernels
         # would add some 0.4 MB of resident code to a run
-        cells = cells[np.argsort(cells, kind="stable")]
+        cells = cells[cells.argsort(kind="stable")]
         new = np.ones(len(cells), bool)
         new[1:] = cells[1:] > cells[:-1]                   # a group can meet a row twice
         self.col, self.row = np.divmod(cells[new], rows)
         # n blocks of one group on one row: n equal shares, summed exactly
-        self.val = np.bincount(np.cumsum(new) - 1) * share[self.col]
-        self._bases = {}
+        self.val = np.bincount(new.cumsum() - 1) * share[self.col]
+        self._bases, self._layouts = {}, {}
 
     @property
     def keys(self) -> list:
@@ -292,7 +292,7 @@ class _Problem:
         """The block masses that x spreads to, in key order, and the
         positive ones as {block key: mass}."""
         d = self.share * x[self.group]
-        pos = np.flatnonzero(d > 0)
+        pos = (d > 0).nonzero()[0]
         return d, dict(zip(zip(*self.key_array[pos].T.tolist()), d[pos].tolist()))
 
     def blockwise(self, x, w):
@@ -338,7 +338,7 @@ class _Problem:
         key = (on.tobytes(), pos.tobytes())
         basis = self._bases.get(key)
         if basis is None:
-            basis = self._bases[key] = self._basis(on, pos[self.axis])
+            basis = self._bases[key] = self._basis(on, pos)
         act, ax, col, at, val, wval, pair_col, flat, vv, p, cells, t, spread = basis
         nc = rhs.shape[1]
         if nc not in spread:      # cells of R b in p x (nc + 1), of R^T u in size x nc
@@ -359,70 +359,72 @@ class _Problem:
                         minlength=self.size * nc)
         return d2[:, None] * s.reshape(self.size, nc)
 
-    def _basis(self, on, act):
-        """For the support `on` and the rows `act` of the axes with w_a > 0,
-        in the padded layout of `_stacks`: the row at each place and its axis
-        (padding repeats the first row; its Gram rows are zero), the entries
-        of R there (their rows' places), their values (a column) and those
+    def _basis(self, on, pos):
+        """For the support `on` and the axes `pos` with w_a > 0, in the layout
+        of `_layout` (kept per `pos`): the row at each place and its axis, the
+        entries of R there (their places), their values (a column) and those
         times the root of their row's width (these enter D), for each pair in
         one column that column, its cell in the stacked R R^T and the product
         of their values, the numbers of places and cells, and per stack E
         L^(-1/2) with its cut columns zero, its slices and its cut columns."""
+        if pos.tobytes() not in self._layouts:
+            self._layouts[pos.tobytes()] = self._layout(pos[self.axis])
+        act, row_at, ax_at, place, cell, local, stacks, cells = self._layouts[pos.tobytes()]
         ent = (on[self.col] & act[self.row]).nonzero()[0]
-        act_rows, rank = act.nonzero()[0], np.zeros(len(act), np.intp)
-        rank[act_rows] = np.arange(len(act_rows))
-        col, row, val = self.col[ent], rank[self.row[ent]], self.val[ent]
+        col, row, val = self.col[ent], self.row[ent], self.val[ent]
         # pi runs over the entries, each once per entry of its column, and
         # pj over the entries of that column
         count = np.bincount(col)[col]
         pi = np.arange(len(ent)).repeat(count)
         pj = np.arange(len(pi)) - (count.cumsum() - count - col.searchsorted(col))[pi]
         vv = val[pi] * val[pj]
-        wval = val * np.sqrt(self.width[act_rows][row])
-        place, cell, local, layout = _stacks(self.summand[act_rows])
-        flat = cell[row[pi]] + local[row[pj]]
-        gram = np.bincount(flat, weights=vv, minlength=layout[-1][2].stop)
-        stacks = []
-        for n, rows, cells in layout:
+        flat = cell[row][pi] + local[row][pj]
+        gram = np.bincount(flat, weights=vv, minlength=cells)
+        bases = []
+        for n, rows, cells_at in stacks:
             k = (rows.stop - rows.start) // n
-            lam, v = np.linalg.eigh(gram[cells].reshape(n, k, k))
+            lam, v = np.linalg.eigh(gram[cells_at].reshape(n, k, k))
             big = lam > RANK_TOL * lam[:, -1:]
-            keep = k - big.sum(1).max()               # drop the columns every summand cuts
-            lam, v, big = lam[:, keep:], v[:, :, keep:], big[:, keep:]
-            t = v / np.sqrt(np.where(big, lam, 1.0))[:, None, :] * big[:, None, :]
-            stacks.append((t, cells, rows, None if big.all() else ~big))
-        row_at = np.full(layout[-1][1].stop, act_rows[0])
-        row_at[place] = act_rows
-        return (row_at, self.axis[row_at], col, place[row], val[:, None], wval, col[pi], flat, vv,
-                len(row_at), layout[-1][2].stop, stacks, {})
+            keep = big.argmax(1).min()                # drop the columns every summand cuts
+            big = big[:, keep:]
+            t = v[:, :, keep:] / np.sqrt(np.where(big, lam[:, keep:], np.inf))[:, None, :]
+            bases.append((t, cells_at, rows, None if big.all() else ~big))
+        return (row_at, ax_at, col, place[row], val[:, None], val * np.sqrt(self.width[row]),
+                col[pi], flat, vv, len(row_at), cells, bases, {})
 
-
-def _stacks(summand):
-    """The padded layout of the per-summand algebra, for the summand of each
-    row: summands sorted by row count are cut into stacks of near-equal
-    size, each padded with zero rows to its largest.  Returns each row's
-    place (stacks in order, a stack's padded summands in order), its cell
-    (row, 0) in the stacked Gram matrices, its index in its summand, and
-    per stack its number of summands and the slices of its rows and cells."""
-    sizes = np.bincount(summand)
-    count = sizes.tolist()
-    order = sorted((r for r, c in enumerate(count) if c), key=count.__getitem__)
-    place, cell, width = [0] * len(count), [0] * len(count), [0] * len(count)
-    layout, rows, cells, i = [], 0, 0, 0
-    while i < len(order):
-        j, first = i + 1, count[order[i]]
-        while j < len(order) and count[order[j]] <= first + max(STACK_SLACK, first // 4):
-            j += 1
-        n, k = j - i, count[order[j - 1]]
-        for a, r in enumerate(order[i:j]):
-            place[r], cell[r], width[r] = rows + k * a, cells + k * k * a, k
-        layout.append((n, slice(rows, rows + n * k), slice(cells, cells + n * k * k)))
-        rows, cells, i = rows + n * k, cells + n * k * k, j
-    by_summand = summand.argsort(kind="stable")
-    local = np.empty_like(by_summand)
-    local[by_summand] = np.arange(len(summand)) - (sizes.cumsum() - sizes).repeat(sizes)
-    place, cell, width = np.array([place, cell, width])[:, summand]
-    return place + local, cell + local * width, local, layout
+    def _layout(self, act):
+        """The padded layout of the per-summand algebra on the rows `act` of
+        the axes with w_a > 0: their summands, sorted by row count, are cut
+        into stacks of near-equal size, each padded with zero rows to its
+        largest.  Returns `act`, the row at each place (stacks in order, a
+        stack's summands in order; padding repeats the first row, with zero
+        Gram rows) and its axis, by row number (read on `act`) each row's
+        place, cell (row, 0) in the stacked Gram matrices and index in its
+        summand, per stack its summand count and place and cell slices, and
+        the number of cells."""
+        act_rows = act.nonzero()[0]
+        summand = self.summand[act_rows]
+        sizes = np.bincount(summand)
+        count = sizes.tolist()
+        order = sorted((r for r, c in enumerate(count) if c), key=count.__getitem__)
+        place, cell, width = [0] * len(count), [0] * len(count), [0] * len(count)
+        stacks, rows, cells, i = [], 0, 0, 0
+        while i < len(order):
+            j, first = i + 1, count[order[i]]
+            while j < len(order) and count[order[j]] <= first + max(STACK_SLACK, first // 4):
+                j += 1
+            n, k = j - i, count[order[j - 1]]
+            for a, r in enumerate(order[i:j]):
+                place[r], cell[r], width[r] = rows + k * a, cells + k * k * a, k
+            stacks.append((n, slice(rows, rows + n * k), slice(cells, cells + n * k * k)))
+            rows, cells, i = rows + n * k, cells + n * k * k, j
+        local, start = np.zeros(len(act), np.intp), (sizes.cumsum() - sizes).repeat(sizes)
+        local[act_rows[summand.argsort(kind="stable")]] = np.arange(len(summand)) - start
+        place, cell, width = np.array([place, cell, width])[:, self.summand]
+        place += local
+        row_at = np.full(rows, act_rows[0])
+        row_at[place[act_rows]] = act_rows
+        return act, row_at, self.axis[row_at], place, cell + local * width, local, stacks, cells
 
 
 def _summed_step(stacks, gram, scale, rb):
@@ -441,10 +443,9 @@ def _summed_step(stacks, gram, scale, rb):
         norm = np.sqrt(np.einsum("cij,cij->cj", gt, t))           # of the columns of W
         if cut is not None:
             norm[cut] = 1.0
-        norm = norm[:, None, :]
-        t = t / norm
+        t = t / norm[:, None, :]
         gt *= scale[rows].reshape(n, k, 1)
-        gt /= norm                                                  # c D W, in place of gt
+        gt /= norm[:, None, :]                                      # c D W, in place of gt
         a = gt.swapaxes(1, 2) @ gt
         if cut is not None:
             a.reshape(n, -1)[:, ::a.shape[-1] + 1] += cut
@@ -466,9 +467,8 @@ def _weights_step(h, r, w):
     diagonal.  NaN when a diagonal entry of h is not positive, or when
     rounding leaves no set that meets both."""
     n = len(w)
-    diag = h.diagonal()
-    if diag.min() > 0.0:
-        d = 1.0 / np.sqrt(diag)
+    if h.diagonal().min() > 0.0:
+        d = 1.0 / np.sqrt(h.diagonal())
         kkt = np.zeros((n + 1, n + 1))      # [[DhD, d], [d^T, 0]] (z, -nu) = (-D r, 0), dw = D z
         kkt[:n, :n] = d[:, None] * h * d
         kkt[:n, n] = kkt[n, :n] = d
@@ -570,7 +570,7 @@ def _solve(prob: _Problem, w, x=None):
     iters = 0
     while True:
         g = prob.grad(m, w)
-        if iters == MAX_STEPS:
+        if iters >= MAX_STEPS:
             break
         g_on = g[x > 0.0]
         mu = g_on.sum() / len(g_on)
@@ -655,8 +655,7 @@ def _sum_start(prob: _Problem):
     """The start of a symmetric solve: uniform on each summand's orbits,
     and summand r's share proportional to exp f_r there, which is the
     optimum when each summand's is its uniform point."""
-    summand = np.empty(prob.size, np.intp)
-    summand[prob.group] = prob.summand[prob.parts[:, 0]]
+    summand = prob.summand[prob.row[prob.col.searchsorted(np.arange(prob.size))]]
     x = 1.0 / np.bincount(summand)[summand]
     m = prob.marginals(x)
     on_x = prob.axis == 0
@@ -730,8 +729,9 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
     weights, or Frank-Wolfe toward the lowest axis when that does not
     descend, keeping a damped trial whose inner solve converges with phi
     below the upper bound at (x, w).  `iterations` counts joint steps and
-    inner solves' steps; `axis_weights` are the multipliers of the axes.
-    Solved on the colour classes, as `maximize_product`.
+    inner solves' steps, and the loop stops once they reach MAX_STEPS;
+    `axis_weights` are the multipliers of the axes.  Solved on the colour
+    classes, as `maximize_product`.
     """
     prob = _Problem(block_set)
     x, w, iters = prob.count / prob.count.sum(), np.full(3, 1.0 / 3.0), 0
@@ -744,7 +744,7 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
         stationary = np.abs(g_on - mu).max() <= TOL
         if stationary and _grow(prob, x, g, mu):
             continue
-        if iters == MAX_STEPS or stationary and _residual(-f, w) <= TOL:
+        if iters >= MAX_STEPS or stationary and _residual(-f, w) <= TOL:
             break
         iters += 1
         upper = w @ f + g.max() - g @ x

@@ -326,6 +326,18 @@ def test_minmax_cw4_remove_x_b_part_converges():
     assert_minmax_certified(bs, mm)
 
 
+def test_minmax_step_cap_holds_across_nested_solves(monkeypatch):
+    """The max-min counts the steps of the nested fallback's inner solves,
+    so its step count can pass MAX_STEPS without meeting it: on CW_4's B,
+    which takes the fallback, a cap of 30 is passed at 31 steps.  The loop
+    stops there, and reports the unconverged solve by its residual; a cap
+    tested for equality let it run on to 70 steps."""
+    monkeypatch.setattr(optimizer, "MAX_STEPS", 30)
+    mm = sr.maximize_minmax(cw_b_part(4))
+    assert 30 <= mm.iterations < 60
+    assert mm.kkt_residual > optimizer.TOL
+
+
 @pytest.mark.parametrize("q, budget", [(5, 8), (6, 3), (7, 3), (8, 3)])
 def test_minmax_cw_remove_x_b_part_drops_axis_x(q, budget):
     """On B of remove-x on CW_5..CW_8 the weight of axis x must leave:
