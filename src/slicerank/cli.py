@@ -106,7 +106,7 @@ def cmd_appendix(args) -> int:
         and c["relaxed_above_floor"]
     print(f"relaxed bound increasing on q=9..{args.qmax}: "
           f"{'PASS' if c['relaxed_increasing'] else 'FAIL'}")
-    floor_ok = rep.value >= be.FLOOR_TARGET - 1e-9
+    floor_ok = rep.value >= be.FLOOR_TARGET
     ok = ok and floor_ok
     print(f"floor over q<={args.qmax} = {rep.value:.6f} "
           f">= {be.FLOOR_TARGET} {'PASS' if floor_ok else 'FAIL'}")

@@ -193,14 +193,19 @@ def colour_classes(parts, axis, sizes):
 def _labels(a):
     """The class of each entry of a (equal entries share one) and the
     first entry of each class."""
-    _, first, labels = np.unique(a, return_index=True, return_inverse=True)
-    return labels, first
+    order = a.argsort(kind="stable")
+    a = a[order]
+    new = np.ones(len(a), bool)
+    new[1:] = a[1:] != a[:-1]
+    labels = np.empty(len(a), np.intp)
+    labels[order] = new.cumsum() - 1
+    return labels, order[new]
 
 
 def _by_first(labels, first):
     """Labels renumbered by the first entry of each class."""
     rank = np.empty(len(first), np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
+    rank[first.argsort()] = np.arange(len(first))
     return rank[labels]
 
 
@@ -219,7 +224,7 @@ def _blockwise(parts, label, log_sizes, d, w, count):
     entries): sum_i m_i (log|X_i| - log m_i) over the rows of each of
     `count` labels, and per block the sum over its rows of w_i (log|X_i| -
     log m_i - 1), the gradient of sum_i w_i m_i (log|X_i| - log m_i)."""
-    m = np.bincount(parts.ravel(), np.repeat(d, 3), len(label))
+    m = np.bincount(parts.ravel(), d.repeat(3), len(label))
     f = np.bincount(label, m * (log_sizes - np.log(np.maximum(m, TINY))), count)
     h = w * (log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP)) - 1.0)
     return f, h[parts].sum(axis=1)
@@ -253,7 +258,7 @@ class _Problem:
         n = [len(s) for s in sizes]
         self.key_array = block_set.key_array
         self.parts = self.key_array + np.array([0, n[0], n[0] + n[1]])
-        self.part_axis = np.repeat(np.arange(3), n)
+        self.part_axis = np.arange(3).repeat(n)
         part_sizes = np.array(sizes[0] + sizes[1] + sizes[2], float)
         self.part_log_sizes = np.log(part_sizes)
         if group is None:
@@ -683,10 +688,10 @@ def summand_optima(block_set: BlockSet, opt: Optimum) -> list:
     first = np.cumsum(counts, axis=0) - counts      # each summand's first part, per axis
     c, n = len(counts), counts.sum(axis=0)
     parts = block_set.key_array
-    summand = np.searchsorted(first[:, 0], parts[:, 0], "right") - 1
+    summand = first[:, 0].searchsorted(parts[:, 0], "right") - 1
     d = opt.block_mass / np.bincount(summand, opt.block_mass, c)[summand]
     log_sizes = np.log(np.array([s for axis in "xyz" for s in block_set.part_sizes(axis)], float))
-    label = 3 * _summand_rows(block_set) + np.repeat(np.arange(3), n)
+    label = 3 * _summand_rows(block_set) + np.arange(3).repeat(n)
     f, g = _blockwise(parts + np.array([0, n[0], n[0] + n[1]]), label, log_sizes, d, 1.0 / 3.0,
                       3 * c)
     # per summand `_residual` and the gap, and the positive masses keyed by
@@ -697,10 +702,10 @@ def summand_optima(block_set: BlockSet, opt: Optimum) -> list:
     np.maximum.at(resid, summand, np.where(on, np.abs(g - mu), g - mu))
     np.maximum.at(top, summand, g)
     gap = (top - np.bincount(summand, g * d, c)).tolist()
-    pos = np.flatnonzero(on)
+    pos = on.nonzero()[0]
     keys = list(zip(*(parts - first[summand])[pos].T.tolist()))
     masses = d[pos].tolist()
-    ends = np.searchsorted(summand[pos], np.arange(c), "right").tolist()
+    ends = summand[pos].searchsorted(np.arange(c), "right").tolist()
     f, resid = f.reshape(-1, 3).tolist(), resid.tolist()
     return [Optimum(dict(zip(keys[start:end], masses[start:end])), tuple(f[r]), f[r][0],
                     opt.iterations, resid[r], opt.axis_weights, gap[r])

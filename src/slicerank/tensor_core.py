@@ -24,7 +24,7 @@ the positional `is_variable_symmetric` check.
 
 from __future__ import annotations
 
-import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -862,18 +862,20 @@ def _content_lines(text: str):
             yield n, toks
 
 
-_INTEGER_RATIO = re.compile(r"([+-]?\d+)(?:/(\d+))?")
-
-
 def _coefficient(tok: str):
     """The value `Fraction(tok)` reads (or the error it raises), as an
-    `int` when integral; a `[+-]n[/d]` token builds no `Fraction` then."""
-    match = _INTEGER_RATIO.fullmatch(tok)
-    if match is None:
-        c = Fraction(tok)
-        return c.numerator if c.denominator == 1 else c
-    num, den = int(match[1]), int(match[2] or 1)
-    return Fraction(num, den) if num % den else num // den
+    `int` when integral; a ValueError too when its numerator or denominator
+    has more digits than `str` prints, `sys.get_int_max_str_digits()` (the
+    limit `int` sets on index tokens).  An exponent past that limit plus
+    the token's length leaves a nonzero value past it as well, so it is cut
+    to that before `Fraction` builds its power of ten."""
+    limit = sys.get_int_max_str_digits()
+    mantissa, e, exp = tok.lower().partition("e")
+    if limit and e and abs(int(exp)) > limit + len(tok):
+        tok = f"{mantissa}e{limit + len(tok)}"
+    c = Fraction(tok)
+    str(c)  # the ValueError past the limit
+    return c.numerator if c.denominator == 1 else c
 
 
 class _TokenValues(dict):

@@ -261,11 +261,22 @@ def reference_newton_step(h, on, rhs):
 
 def reference_coefficient(tok: str):
     """A coefficient token as `Fraction` reads it: the value, or the
-    ValueError or ZeroDivisionError it raises."""
+    ValueError or ZeroDivisionError it raises, or the ValueError `str`
+    raises on a numerator or denominator of more digits than
+    `sys.get_int_max_str_digits()`."""
     try:
-        return Fraction(tok)
+        c = Fraction(tok)
+        str(c)
+        return c
     except (ValueError, ZeroDivisionError) as exc:
         return exc
+
+
+def reference_labels(a):
+    """`optimizer._labels` by `np.unique`: the class of each entry of a,
+    classes numbered in sorted order, and the first entry of each class."""
+    _, first, labels = np.unique(a, return_index=True, return_inverse=True)
+    return labels, first
 
 
 def reference_parse_tensor(text: str) -> Tensor:

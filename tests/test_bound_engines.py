@@ -806,6 +806,17 @@ def test_cw_family_floor_requires_nine():
         be.cw_family_floor(5)
 
 
+def test_cw_family_floor_is_the_proof_at_nine(monkeypatch):
+    """The floor and its flags are the proof's inequalities at q = 9, so
+    q_max changes neither, and a target at R(9) fails the strict
+    R(9) > FLOOR_TARGET."""
+    rep = be.cw_family_floor(9)
+    far = be.cw_family_floor(10 ** 12)
+    assert far.value == rep.value and {**far.certificate, "q_max": 9} == rep.certificate
+    monkeypatch.setattr(be, "FLOOR_TARGET", rep.certificate["relaxed_at_9"])
+    assert not be.cw_family_floor(9).certificate["relaxed_above_floor"]
+
+
 def test_floor_consistent_with_table():
     rows = be.cw_table(8)
     floor = be.cw_family_floor(9)

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: output, golden checks, exit codes."""
 
+import dataclasses
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -157,11 +159,35 @@ def test_t112_command(capsys, q, out):
     assert captured.out == out and captured.err == ""
 
 
+def appendix_out(q_max, floor="2.168053 >= 2.16805 PASS"):
+    return ("v_8 = 0.017732422  (PASS)\nf_v8 = 2.073892745  (PASS)\n"
+            "relaxed_at_9 = 2.185623399  (PASS)\n"
+            f"relaxed bound increasing on q=9..{q_max}: PASS\n"
+            f"floor over q<={q_max} = {floor}\n")
+
+
 def test_appendix(capsys):
-    assert main(["appendix", "--qmax", "1000"]) == 0
-    out = capsys.readouterr().out
-    assert ">= 2.16805 PASS" in out
-    assert "v_8" in out and "f_v8" in out
+    """The whole output is pinned; --qmax only names the range, since the
+    floor rests on the proof's inequalities at q = 9, so any --qmax is
+    answered at once."""
+    for q_max in (9, 1000, 10 ** 12):
+        start = time.perf_counter()
+        assert main(["appendix", "--qmax", str(q_max)]) == 0
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == appendix_out(q_max) and captured.err == ""
+
+
+def test_appendix_floor_below_target_fails(capsys, monkeypatch):
+    """The floor's PASS has no slack: 5e-10 below FLOOR_TARGET fails."""
+    floor = be.cw_family_floor
+
+    def lowered(q_max):
+        return dataclasses.replace(floor(q_max), value=be.FLOOR_TARGET - 5e-10)
+
+    monkeypatch.setattr(be, "cw_family_floor", lowered)
+    assert main(["appendix", "--qmax", "9"]) == 1
+    assert capsys.readouterr().out == appendix_out(9, "2.168050 >= 2.16805 FAIL")
 
 
 def test_bound_laser(capsys, cw5_files):
@@ -431,6 +457,28 @@ def test_verify_degeneration_negative_map_values(capsys, tmp_path, text, code, s
     assert main(["verify-degeneration", str(src), str(src), str(mp)]) == code
     captured = capsys.readouterr()
     assert captured.err == stderr and captured.out == ""
+
+
+@pytest.mark.parametrize("which", ["tensor", "map"])
+def test_oversized_coefficient_is_a_parse_error(capsys, tmp_path, which):
+    """A coefficient whose numerator or denominator would need more digits
+    than `int` reads is refused at its line (exit 3) before its power of
+    ten is built, in a tensor file and in a map."""
+    t = sr.make_cw(1)
+    tensor, partition, dmap = tmp_path / "t.tensor", tmp_path / "t.partition", tmp_path / "t.map"
+    text = sr.write_tensor(t)
+    tensor.write_text(text + "2 2 2 1e10000000\n" if which == "tensor" else text)
+    partition.write_text(sr.write_partition(sr.cw_partition(1)))
+    dmap.write_text("order 0\nalpha 0 0 0 1\nbeta 1 1 0 1e-10000000\n")
+    argv = (["verify-degeneration", str(tensor), str(tensor), str(dmap)] if which == "map"
+            else ["bound", "--mode", "partition", str(tensor), str(partition)])
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == {
+        "tensor": f"parse error: line {text.count(chr(10)) + 1}: bad entry '2 2 2 1e10000000'\n",
+        "map": "parse error: line 3: bad polynomial in 'beta 1 1 0 1e-10000000'\n"}[which]
 
 
 def test_verify_degeneration_failure(capsys, tmp_path):

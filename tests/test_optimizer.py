@@ -27,6 +27,7 @@ from helpers import (
     random_symmetric_tensor,
     random_tensor,
     reference_colour_classes,
+    reference_labels,
     reference_newton_step,
     shared_index_partition,
     symmetrize,
@@ -660,6 +661,22 @@ def planted(seed, kind):
 def singletons(parts, axis, sizes):
     """`colour_classes` with every block and part its own class."""
     return np.arange(len(parts)), np.arange(len(axis))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-3, 3), min_size=1, max_size=800),
+       width=st.sampled_from([1, 2, 3]))
+def test_labels_as_np_unique_gives_them(values, width):
+    """`_labels` numbers the classes in sorted order and finds each one's
+    first entry as `np.unique` does, on ints and (width 2, 3) on rows
+    read as voids, as `colour_classes` reads them."""
+    a = np.array(values, np.intp)
+    if width > 1:
+        a = np.resize(a, (max(len(a) // width, 1), width))
+        a = a.view(np.dtype((np.void, a.itemsize * width))).ravel()
+    labels, first = optimizer._labels(a)
+    ref_labels, ref_first = reference_labels(a)
+    assert labels.tolist() == ref_labels.tolist() and first.tolist() == ref_first.tolist()
 
 
 @settings(max_examples=150, deadline=None)

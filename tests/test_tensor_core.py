@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import namedtuple
 from fractions import Fraction
 
@@ -710,6 +711,14 @@ COEFFICIENT_TOKENS = ["7", "-3/6", "+3", "-0", "0/5", "1.5", "1e3", "1_000", "\u
 
 
 @settings(max_examples=300, deadline=None)
+# at the 4,300-digit limit `int` sets by default: 10^4299 fits, 10^4300 does
+# not, and 5e-4300 = 1/(2 10^4299) fits once reduced
+@example(tok="1e4299")
+@example(tok="1e4300")
+@example(tok="-1e-4300")
+@example(tok="5e-4300")
+@example(tok="0e99999")
+@example(tok="2e-99999")
 @given(tok=st.one_of(
     st.sampled_from(COEFFICIENT_TOKENS),
     st.from_regex(r"[+-]?[0-9]{1,20}(/[0-9]{1,3})?", fullmatch=True),
@@ -735,6 +744,20 @@ def test_coefficients_read_as_fraction_reads_them(tok):
         assert (type(entries[(0, 0, 0)]) is int) == (want.denominator == 1)
     poly = parse_degeneration_map(map_text).beta.get((0, 0), LambdaPoly())
     assert poly.coefficient(1) == want
+
+
+def test_coefficient_exponent_checked_before_its_power():
+    """An exponent that leaves only 0 within the digit limit is read
+    without building its power of ten: 0 stays 0, any other value is
+    refused at its line."""
+    header = "xvars 1\nyvars 1\nzvars 1\n"
+    start = time.perf_counter()
+    assert sr.parse_tensor(header + "0 0 0 -0.0E99999999\n").entries == {}
+    for tok in ("1e10000000", "-0.5e-99999999", "1e" + "9" * 4300):
+        with pytest.raises(ParseError) as err:
+            sr.parse_tensor(header + f"0 0 0 {tok}\n")
+        assert str(err.value) == f"line 4: bad entry '0 0 0 {tok}'"
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("text, line, message", [
