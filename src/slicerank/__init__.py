@@ -33,7 +33,6 @@ from .tensor_core import (
     partition_sum,
     rotate,
     singleton_partition,
-    split_by_blocks,
     symmetric_cube,
     t112_partition,
     tensor_add,
@@ -79,6 +78,7 @@ from .bound_engines import (
     Inapplicable,
     LaserReadiness,
     NotLaserReady,
+    block_measures_bound,
     cw_family_floor,
     cw_slice_rank_1d,
     cw_small_table,

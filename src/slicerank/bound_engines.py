@@ -4,7 +4,8 @@ Three upper-bound tools are implemented for the asymptotic slice rank
 of a tensor T:
 
 * `sum_of_measures_bound` -- if T = T_1 + ... + T_k then the asymptotic
-  slice rank is at most sum_i measure(T_i)^(1/3);
+  slice rank is at most sum_i measure(T_i)^(1/3); `block_measures_bound`
+  sums over the nonzero blocks of a partition, as `blocks` holds them;
 * `partition_bound` -- for any partition of the variables into parts,
   it is at most max over block distributions p of
   min(value_x(p), value_y(p), value_z(p)); on symmetric partitions the
@@ -124,8 +125,7 @@ def _xlogx(t: float) -> float:
 
 def sum_of_measures_bound(total: Tensor, parts: Sequence[Tensor]) -> BoundReport:
     """Upper bound sum_i measure(T_i)^(1/3) for any exact sum T = sum T_i."""
-    if not parts:
-        raise ValueError("need at least one part")
+    report = _measures_bound(map(rank_tools.measure, parts))  # refuses an empty sum first
     labels = (total.x_labels, total.y_labels, total.z_labels)
     acc = {}
     for part in parts:
@@ -140,11 +140,24 @@ def sum_of_measures_bound(total: Tensor, parts: Sequence[Tensor]) -> BoundReport
         raise ValueError(
             f"parts do not sum to the tensor; first differing entry {key}: "
             f"sum has {acc.get(key, 0)}, tensor has {total.coefficient(*key)}")
-    measures = [rank_tools.measure(part) for part in parts]
-    value = sum(m ** (1.0 / 3.0) for m in measures)
+    return report
+
+
+def block_measures_bound(t: Tensor, p: VariablePartition) -> BoundReport:
+    """`sum_of_measures_bound` for t as the sum of its nonzero blocks under
+    p, in key order, each measured on its slot-keyed entries (`blocks`)."""
+    bs = blocks(t, p)
+    return _measures_bound(map(rank_tools._measure, map(bs._block, range(len(bs)))))
+
+
+def _measures_bound(measures) -> BoundReport:
+    """Tool one's report on the parts' measures; refuses an empty sum."""
+    measures = tuple(measures)
+    if not measures:
+        raise ValueError("need at least one part")
     return BoundReport(
-        "slice_rank_upper", value, THEOREM_SUM,
-        certificate={"part_measures": tuple(measures), "parts": len(parts)},
+        "slice_rank_upper", sum(m ** (1.0 / 3.0) for m in measures), THEOREM_SUM,
+        certificate={"part_measures": measures, "parts": len(measures)},
     )
 
 

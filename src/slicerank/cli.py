@@ -138,8 +138,7 @@ def cmd_bound(args) -> int:
         solved = be.partition_bound(t, p)
         line = solved.to_line()
     elif args.mode == "mu-sum":
-        parts = list(tensor_core.split_by_blocks(t, p).values())
-        line = be.sum_of_measures_bound(t, parts).to_line()
+        line = be.block_measures_bound(t, p).to_line()
     elif args.mode == "remove-x":
         try:
             split, solved = be.remove_x_bound(t, p)

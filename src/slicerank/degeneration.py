@@ -272,7 +272,7 @@ def identity_map(t: Tensor) -> DegenerationMap:
 
 def zeroing_to_block(bs: BlockSet, key) -> DegenerationMap:
     """The zeroing out that restricts the parent tensor to block `key`."""
-    if key not in bs.blocks:
+    if key not in bs._index:
         raise ValueError(f"no block {key}")
     i, j, k = key
     p = bs.partition

@@ -440,7 +440,8 @@ def _summed_step(stacks, gram, scale, rb):
     [[-A, e], [e^T, 0]] with A = diag(A_c) is block-diagonal but for the
     simplex row, so z_c = A_c^-1 (e_c nu - r_c) with nu = sum_c e_c A_c^-1
     r_c / sum_c e_c A_c^-1 e_c.  A cut column gets norm 1 and a unit
-    diagonal in A_c, and so z = 0 there."""
+    diagonal in A_c, and so z = 0 there.  An A_c left singular by an axis
+    weight all but 0 (rows scaled by sqrt(w_a)) is inverted on its range."""
     systems, schur = [], 0.0
     for t, cells, rows, cut in stacks:
         n, k = t.shape[:2]
@@ -455,7 +456,10 @@ def _summed_step(stacks, gram, scale, rb):
         if cut is not None:
             a.reshape(n, -1)[:, ::a.shape[-1] + 1] += cut
         e = t.swapaxes(1, 2) @ rb[rows].reshape(n, k, -1)
-        y = np.linalg.solve(a, e)                                   # A_c^-1 (e_c, r_c)
+        try:
+            y = np.linalg.solve(a, e)                               # A_c^-1 (e_c, r_c)
+        except np.linalg.LinAlgError:
+            y = np.linalg.pinv(a) @ e
         schur = schur + np.einsum("ck,ckr->r", e[..., 0], y)    # (e A^-1 e, e A^-1 r)
         systems.append((t, y))
     nu = schur[1:] / schur[0]

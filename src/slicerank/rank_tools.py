@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import exact_linalg
-from .tensor_core import AXES, Tensor
+from .tensor_core import Tensor
 
 _FLATTEN = {
     # axis -> (row position, first col position, second col position)
@@ -75,7 +75,13 @@ def max_flattening_rank(t: Tensor) -> int:
 
 def measure(t: Tensor) -> int:
     """mu(T): product of the numbers of variables used on each axis."""
-    return math.prod(len(t.used_indices(ax)) for ax in AXES)
+    return _measure(t.entries)
+
+
+def _measure(entries) -> int:
+    """`measure` of an entry map {(i, j, k): coefficient}, such as a
+    `BlockSet` block's: its distinct indices per axis, multiplied."""
+    return math.prod(map(len, map(set, zip(*entries)))) if entries else 0
 
 
 def slice_rank_flattening_bound(t: Tensor) -> int:

@@ -33,8 +33,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-Entry = tuple[int, int, int]
-
 AXES = ("x", "y", "z")
 
 # Tensor powers are materialized eagerly; this cap keeps an accidental
@@ -97,8 +95,9 @@ class Tensor:
     def _unchecked(cls, x_labels, y_labels, z_labels, entries, meta=None) -> Tensor:
         """A tensor taken as given, `meta` too, for label tuples and entries
         that pass every check of `Tensor(...)` as they stand: a checked
-        tensor's and a sub-map of its entries, `direct_sum`'s of checked
-        tensors, `parse_tensor`'s, or the table families' builders'."""
+        tensor's and a sub-map of its entries, `trimmed`'s remap of a
+        checked tensor's, `direct_sum`'s of checked tensors,
+        `parse_tensor`'s, or the table families' builders'."""
         t = object.__new__(cls)
         object.__setattr__(t, "x_labels", x_labels)
         object.__setattr__(t, "y_labels", y_labels)
@@ -151,30 +150,21 @@ class Tensor:
 
 def is_minimal(t: Tensor) -> bool:
     """True when every variable of every axis occurs in some entry."""
-    nx, ny, nz = t.shape
-    return (
-        len(t.used_indices("x")) == nx
-        and len(t.used_indices("y")) == ny
-        and len(t.used_indices("z")) == nz
-    )
+    return tuple(len(t.used_indices(ax)) for ax in AXES) == t.shape
 
 
 def trimmed(t: Tensor) -> Tensor:
     """Drop unused variables so the result is minimal for its axes."""
-    if is_minimal(t):
+    used = [t.used_indices(ax) for ax in AXES]
+    if tuple(map(len, used)) == t.shape:
         return t
-    keep = [sorted(t.used_indices(ax)) for ax in AXES]
-    remap = [{old: new for new, old in enumerate(kp)} for kp in keep]
-    return Tensor(
-        [t.x_labels[i] for i in keep[0]],
-        [t.y_labels[j] for j in keep[1]],
-        [t.z_labels[k] for k in keep[2]],
-        {
-            (remap[0][i], remap[1][j], remap[2][k]): c
-            for (i, j, k), c in t.entries.items()
-        },
-        meta=t.meta,
-    )
+    keep = list(map(sorted, used))
+    rx, ry, rz = ({old: new for new, old in enumerate(kp)} for kp in keep)
+    labels = (t.x_labels, t.y_labels, t.z_labels)
+    return Tensor._unchecked(
+        *(tuple(map(own.__getitem__, kp)) for own, kp in zip(labels, keep)),
+        {(rx[i], ry[j], rz[k]): c for (i, j, k), c in t.entries.items()},
+        dict(t.meta))
 
 
 # -- constructors ---------------------------------------------------------
@@ -479,7 +469,9 @@ class VariablePartition:
                     if not 0 <= i < n:
                         raise PartitionError(axis, pos, f"index {i} out of range on axis {axis}")
                     if where[i] is not None:
-                        raise PartitionError(axis, pos, f"index {i} in two parts on axis {axis}")
+                        twice = (f"listed twice in part {label!r}" if where[i][0] == pos
+                                 else "in two parts")
+                        raise PartitionError(axis, pos, f"index {i} {twice} on axis {axis}")
                     where[i] = (pos, slot)
                 out.append((str(label), idx))
             if None in where:
@@ -643,17 +635,17 @@ class BlockSet:
 
     @cached_property
     def _members(self):
-        """The entries, their positions in block order, and where the
-        positions of each block begin."""
+        """The entries, their positions in block order, where the positions
+        of each block begin, and each index's slot on each axis."""
         order = np.argsort(self.entry_block, kind="stable").tolist()
         ends = np.cumsum(np.bincount(self.entry_block, minlength=len(self))).tolist()
-        return list(self.tensor.entries.items()), order, [0] + ends
+        slots = [[slot for _, slot in w] for w in self.partition.where]
+        return list(self.tensor.entries.items()), order, [0] + ends, slots
 
     def _block(self, b: int) -> dict:
         """The slot-keyed entries of the block numbered b."""
-        items, order, ends = self._members
-        wx, wy, wz = self.partition.where
-        return {(wx[i][1], wy[j][1], wz[k][1]): c
+        items, order, ends, (sx, sy, sz) = self._members
+        return {(sx[i], sy[j], sz[k]): c
                 for (i, j, k), c in map(items.__getitem__, order[ends[b]:ends[b + 1]])}
 
     @cached_property
@@ -823,25 +815,6 @@ def block_sum(block_sets: Sequence[BlockSet]) -> BlockSet:
                   partition_sum(*(bs.partition for bs in block_sets)))
 
 
-def split_by_blocks(t: Tensor, p: VariablePartition) -> dict:
-    """The nonzero blocks as tensors over the parent's full variable lists.
-
-    Unlike `blocks`, the returned tensors keep the ambient axes, so they
-    sum (entrywise) to the parent tensor.  They share the parent's label
-    tuples and hold sub-maps of its entries, so they are not checked again.
-    """
-    if p.sizes != t.shape:
-        raise ValueError("partition sizes do not match tensor axes")
-    wx, wy, wz = p.where
-    buckets: dict[Entry, dict] = {}
-    for (i, j, k), c in t.entries.items():
-        buckets.setdefault((wx[i][0], wy[j][0], wz[k][0]), {})[(i, j, k)] = c
-    return {
-        key: Tensor._unchecked(t.x_labels, t.y_labels, t.z_labels, buckets[key])
-        for key in sorted(buckets)
-    }
-
-
 # -- text formats ---------------------------------------------------------
 
 
@@ -900,7 +873,7 @@ def parse_tensor(text: str) -> Tensor:
     once, before the entries), then one entry per line: `i j k num/den` with
     0-based indices.  `#` starts a comment; a line ends at "\n" only.
     """
-    sizes = {}
+    labels = {}
     entries = {}
     # a file repeats few index and coefficient tokens (a cube file's 729
     # entries use 27 indices and one coefficient), so each is read once
@@ -914,7 +887,7 @@ def parse_tensor(text: str) -> Tensor:
                 raise ParseError(n, f"malformed header {' '.join(toks)!r}")
             if entries:
                 raise ParseError(n, f"{toks[0]} header after the entries")
-            if toks[0][0] in sizes:
+            if toks[0][0] in labels:
                 raise ParseError(n, f"repeated {toks[0]} header")
             try:
                 count = int(toks[1])
@@ -922,11 +895,14 @@ def parse_tensor(text: str) -> Tensor:
                 count = -1
             if count < 0:
                 raise ParseError(n, f"bad variable count {toks[1]!r}")
-            sizes[toks[0][0]] = count
-            if len(sizes) == 3:
-                nx, ny, nz = sizes["x"], sizes["y"], sizes["z"]
+            try:
+                labels[toks[0][0]] = tuple(range(count))
+            except (MemoryError, OverflowError):
+                raise ParseError(n, f"variable count {count} too large")
+            if len(labels) == 3:
+                nx, ny, nz = len(labels["x"]), len(labels["y"]), len(labels["z"])
             continue
-        if len(sizes) != 3:
+        if len(labels) != 3:
             raise ParseError(n, "entry before xvars/yvars/zvars headers")
         if len(toks) != 4:
             raise ParseError(n, f"expected 'i j k coeff', got {' '.join(toks)!r}")
@@ -939,13 +915,13 @@ def parse_tensor(text: str) -> Tensor:
             raise ParseError(n, f"duplicate entry for {key}")
         i, j, k = key
         if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-            for idx, ax in zip(key, "xyz"):
-                if not 0 <= idx < sizes[ax]:
+            for idx, ax, size in zip(key, "xyz", (nx, ny, nz)):
+                if not 0 <= idx < size:
                     raise ParseError(n, f"{ax} index {idx} out of range")
         entries[key] = c
-    if len(sizes) != 3:
+    if len(labels) != 3:
         raise ParseError(1, "missing xvars/yvars/zvars headers")
-    return Tensor._unchecked(*(tuple(range(sizes[ax])) for ax in "xyz"),
+    return Tensor._unchecked(labels["x"], labels["y"], labels["z"],
                              {key: c for key, c in entries.items() if c})
 
 

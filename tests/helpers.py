@@ -11,7 +11,8 @@ from itertools import permutations
 import numpy as np
 
 from slicerank import exact_linalg
-from slicerank.tensor_core import (ParseError, Tensor, VariablePartition, make_matmul,
+from slicerank.tensor_core import (ParseError, Tensor, VariablePartition, cube_partition,
+                                    cw_partition, make_cw, make_matmul, symmetric_cube,
                                     tensor_power)
 
 COEFFS = [Fraction(n) for n in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -75,6 +76,26 @@ def shared_index_partition(rng: random.Random, t: Tensor) -> VariablePartition:
     n = t.shape[0]
     parts = [(str(i), p) for i, p in enumerate(random_index_partition(rng, n))]
     return VariablePartition(parts, list(parts), list(parts), sizes=t.shape)
+
+
+def relabeled_cw_cube(q: int, seed: int):
+    """The CW_q cube and its product partition under one seeded permutation
+    shared by the three axes."""
+    cw = make_cw(q)
+    cube = symmetric_cube(cw)
+    part = cube_partition(cw, cw_partition(q))
+    n = (q + 2) ** 3
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    entries = {(perm[i], perm[j], perm[k]): c for (i, j, k), c in cube.entries.items()}
+    parts = [[(label, [perm[i] for i in idx]) for label, idx in part.parts(ax)]
+             for ax in "xyz"]
+    t = Tensor(range(n), range(n), range(n), entries)
+    return t, VariablePartition(*parts, t.shape)
+
+
+def relabeled_cw2_cube(seed: int):
+    return relabeled_cw_cube(2, seed)
 
 
 def scramble(t: Tensor, rng: random.Random) -> Tensor:
@@ -216,6 +237,18 @@ def reference_restriction(t: Tensor, p: VariablePartition, key) -> Tensor:
                     entries[(a, b, c)] = t.coefficient(i, j, k)
     return Tensor([t.x_labels[i] for i in xs], [t.y_labels[j] for j in ys],
                   [t.z_labels[k] for k in zs], entries)
+
+
+def block_entries(block_set) -> list:
+    """Every entry of every block of `block_set`, as ((i, j, k),
+    coefficient) in the tensor's own indices: slot s of part P on an axis
+    is read back as the s-th index of P."""
+    p = block_set.partition
+    out = []
+    for (i, j, k), block in block_set.blocks.items():
+        xs, ys, zs = p.parts_x[i][1], p.parts_y[j][1], p.parts_z[k][1]
+        out += [((xs[a], ys[b], zs[c]), coef) for (a, b, c), coef in block.items()]
+    return out
 
 
 def is_matmul_by_search(t: Tensor, a: int, b: int, c: int) -> bool:

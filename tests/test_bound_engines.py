@@ -14,7 +14,7 @@ from slicerank import rank_tools
 from slicerank.tensor_core import Tensor
 
 from helpers import (random_partition, random_tensor, reference_block_grading,
-                     search_zeroing_independent,
+                     relabeled_cw2_cube, relabeled_cw_cube, search_zeroing_independent,
                      t112_objective_log, t112_value_lower_formula,
                      t112_value_power_mean_upper)
 
@@ -64,6 +64,32 @@ def test_sum_of_measures_mismatch():
     with pytest.raises(ValueError) as err:
         be.sum_of_measures_bound(t, [part])
     assert "(1, 1, 1)" in str(err.value)
+
+
+def test_block_measures_bound_is_the_sum_over_the_blocks():
+    """On random tensors and partitions, the report of the blocks' measures
+    is that of `sum_of_measures_bound` on the blocks as tensors over the
+    tensor's variables, keyed by their part triples in sorted order."""
+    rng = random.Random(17)
+    for _ in range(40):
+        t = random_tensor(rng, max_dim=4)
+        p = random_partition(rng, t)
+        split = {}
+        for (i, j, k), c in t.entries.items():
+            key = (p.where[0][i][0], p.where[1][j][0], p.where[2][k][0])
+            split.setdefault(key, {})[(i, j, k)] = c
+        parts = [Tensor(t.x_labels, t.y_labels, t.z_labels, split[key]) for key in sorted(split)]
+        want = be.sum_of_measures_bound(t, parts)
+        got = be.block_measures_bound(t, p)
+        assert got == want and got.to_line() == want.to_line()
+
+
+def test_sums_of_no_parts_are_refused():
+    t = sr.Tensor(range(2), range(2), range(2), {})
+    for bound in (lambda: be.sum_of_measures_bound(t, []),
+                  lambda: be.block_measures_bound(t, sr.trivial_partition(t))):
+        with pytest.raises(ValueError, match="^need at least one part$"):
+            bound()
 
 
 # -- partition bound --------------------------------------------------------------
@@ -238,8 +264,9 @@ def test_remove_x_bound_splits_off_the_first_x_part():
 
 
 def test_remove_x_bound_checks_no_sub_map_again(monkeypatch):
-    """A and B are sub-maps of the checked tensor's entries, so the only
-    tensor `remove_x_bound` checks is B trimmed to its used variables."""
+    """A and B are sub-maps of the checked tensor's entries and B trimmed
+    to its used variables is a remap of B's, so `remove_x_bound` checks
+    no tensor again."""
     t = sr.make_cw(2)
     built, init = [], Tensor.__init__
 
@@ -249,7 +276,7 @@ def test_remove_x_bound_checks_no_sub_map_again(monkeypatch):
 
     monkeypatch.setattr(Tensor, "__init__", counted)
     be.remove_x_bound(t, sr.cw_partition(2))
-    assert len(built) == 1 and built[0].shape == (3, 3, 3)
+    assert built == []
 
 
 def test_remove_x_bound_trivial_split():
@@ -393,26 +420,6 @@ CW2_CUBE_GRADES = {
     "z": (-327, -273, -219, -255, -201, -147, -183, -129, -75, -249, -195, -141,
           -177, -123, -69, -105, -51, 3, -171, -117, -63, -99, -45, 9, -27, 27, 81),
 }
-
-
-def relabeled_cw_cube(q, seed):
-    """The CW_q cube and its product partition under one seeded permutation
-    shared by the three axes."""
-    cw = sr.make_cw(q)
-    cube = sr.symmetric_cube(cw)
-    part = sr.cube_partition(cw, sr.cw_partition(q))
-    n = (q + 2) ** 3
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    entries = {(perm[i], perm[j], perm[k]): c for (i, j, k), c in cube.entries.items()}
-    parts = [[(label, [perm[i] for i in idx]) for label, idx in part.parts(ax)]
-             for ax in "xyz"]
-    t = Tensor(range(n), range(n), range(n), entries)
-    return t, sr.VariablePartition(*parts, t.shape)
-
-
-def relabeled_cw2_cube(seed):
-    return relabeled_cw_cube(2, seed)
 
 
 def test_laser_ready_relabeled_cw2_cube_grading_unchanged():

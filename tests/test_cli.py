@@ -11,10 +11,13 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import slicerank as sr
 from slicerank import bound_engines as be
 from slicerank.cli import main
+
+from helpers import relabeled_cw2_cube
 
 
 @pytest.fixture
@@ -250,6 +253,31 @@ def test_bound_mu_sum_mode(capsys, cw5_files):
     assert capsys.readouterr().out.startswith("slice_rank_upper")
 
 
+# `bound --mode mu-sum` as printed when each block was split off as a
+# tensor over the parent's variables and the blocks were summed back
+MU_SUM_LINES = {
+    "cw2-cube": "slice_rank_upper 467.686695292 sum-of-measures parts=216 -",
+    "cw1": "slice_rank_upper 6.000000000 sum-of-measures parts=6 -",
+    "cw2": "slice_rank_upper 7.762203156 sum-of-measures parts=6 -",
+    "cw3": "slice_rank_upper 9.240251469 sum-of-measures parts=6 -",
+    "t112": "slice_rank_upper 12.813665068 sum-of-measures parts=4 -",
+}
+
+
+@pytest.mark.parametrize("name, case", [
+    ("cw2-cube", lambda: relabeled_cw2_cube(3)),
+    *((f"cw{q}", lambda q=q: (sr.make_cw(q), sr.cw_partition(q))) for q in (1, 2, 3)),
+    ("t112", lambda: (sr.make_t112(3), sr.t112_partition(3)))])
+def test_bound_mu_sum_prints_pinned_line(capsys, tmp_path, name, case):
+    t, p = case()
+    tensor, partition = tmp_path / "t.tensor", tmp_path / "t.partition"
+    tensor.write_text(sr.write_tensor(t))
+    partition.write_text(sr.write_partition(p))
+    assert main(["bound", "--mode", "mu-sum", str(tensor), str(partition)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == MU_SUM_LINES[name] + "\n" and captured.err == ""
+
+
 def test_bound_remove_x_mode(capsys, cw5_files):
     tensor, part = cw5_files
     assert main(["bound", "--mode", "remove-x", tensor, part]) == 0
@@ -350,6 +378,7 @@ def test_bound_remove_x_nan_weight_system_fails_quietly(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("mode, stderr", [
+    ("mu-sum", "inapplicable input: need at least one part\n"),
     ("partition", "inapplicable input: the block set is empty: the tensor has no terms\n"),
     ("laser", "not laser-ready: the block set is empty: the tensor has no terms\n")])
 def test_bound_empty_tensor_inapplicable(capsys, tmp_path, mode, stderr):
@@ -549,6 +578,72 @@ def test_remove_x_on_relabeled_cubes_prints_pinned_line(name, t, p, capsys, tmp_
     partition.write_text(sr.write_partition(cp))
     assert main(["bound", "--mode", "remove-x", str(tensor), str(partition)]) == 0
     assert capsys.readouterr().out == REMOVE_X_CUBE_LINES[name] + "\n"
+
+
+@pytest.mark.parametrize("argv", [["bound", "--mode", "mu-sum", "t", "p"],
+                                  ["verify-degeneration", "t", "t", "m"]])
+def test_variable_count_too_large_exit_code(capsys, tmp_path, monkeypatch, argv):
+    """A count whose labels cannot be held is a parse error at its header
+    line (exit 3), not a MemoryError (exit 1); CPython refuses a tuple of
+    2**62 items before allocating it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t").write_text(f"xvars 1\nyvars {2 ** 62}\nzvars 1\n")
+    (tmp_path / "p").write_text("x a 0\ny a 0\nz a 0\n")
+    (tmp_path / "m").write_text("order 0\n")
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"parse error: line 2: variable count {2 ** 62} too large\n"
+    assert captured.out == ""
+
+
+@st.composite
+def malformed_files(draw):
+    """A tiny tensor file and a partition file for it, with at most one
+    fault: a count negative, not a number or too large to hold, a token
+    out of range or not a number, a line dropped or moved to the end, or
+    an index listed twice in its part."""
+    sizes = [draw(st.integers(0, 3)) for _ in range(3)]
+    tensor = [[f"{ax}vars", str(n)] for ax, n in zip("xyz", sizes)]
+    if all(sizes):
+        keys = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in sizes)),
+                             max_size=5, unique=True))
+        tensor += [[*map(str, key), draw(st.sampled_from(["1", "-1/2", "0", "2e1"]))]
+                   for key in keys]
+    partition = []
+    for ax, n in zip("xyz", sizes):
+        cut = draw(st.integers(min(n, 1), n))
+        partition += [[ax, label, *map(str, idx)]
+                      for label, idx in (("a", range(cut)), ("b", range(cut, n))) if idx]
+    lines = draw(st.sampled_from([tensor, partition]))
+    fault = draw(st.sampled_from([None, "count", "token", "drop", "move", "twice"]))
+    if fault == "count":
+        draw(st.sampled_from(tensor[:3]))[1] = draw(st.sampled_from(["-1", "x", str(2 ** 62)]))
+    elif fault == "token" and lines:
+        line = draw(st.sampled_from(lines))
+        line[draw(st.integers(1, len(line) - 1))] = draw(st.sampled_from(["-1", "3", "q", "1/0"]))
+    elif fault in ("drop", "move") and lines:
+        line = lines.pop(draw(st.integers(0, len(lines) - 1)))
+        if fault == "move":
+            lines.append(line)
+    elif fault == "twice" and partition:
+        line = draw(st.sampled_from(partition))
+        line.append(line[-1])
+    return "\n".join(map(" ".join, tensor)) + "\n", "\n".join(map(" ".join, partition)) + "\n"
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=malformed_files(), mode=st.sampled_from(["mu-sum", "partition", "remove-x", "laser"]))
+@example(files=(f"xvars 1\nyvars {2 ** 62}\nzvars 1\n0 0 0 1\n", "x a 0\ny a 0\nz a 0\n"),
+         mode="mu-sum")
+def test_malformed_files_never_end_in_exit_1(capsys, tmp_path, files, mode):
+    """`bound` on malformed tensor and partition files ends in a defined
+    exit code, never in exit 1 (a golden mismatch) or a traceback."""
+    tensor, partition = tmp_path / "t.tensor", tmp_path / "t.partition"
+    tensor.write_text(files[0])
+    partition.write_text(files[1])
+    assert main(["bound", "--mode", mode, str(tensor), str(partition)]) in (0, 2, 3, 4)
+    capsys.readouterr()
 
 
 def test_negative_variable_count_exit_code(capsys, tmp_path):

@@ -15,7 +15,7 @@ from slicerank.degeneration import (
     write_degeneration_map,
 )
 
-from helpers import random_tensor, search_zeroing_independent
+from helpers import random_tensor, relabeled_cw2_cube, search_zeroing_independent
 
 
 def random_monomial_map(rng, t1, dst_shape, general=False):
@@ -73,6 +73,17 @@ def test_zeroing_to_blocks_families():
             assert dmap.kind == "zeroing"
             res = sr.verify_degeneration(t, bs[key], dmap)
             assert res.ok, (t.meta.get("family"), key, res.detail)
+
+
+def test_zeroing_to_block_builds_no_slot_map():
+    """The key is looked up among the block keys; no block's slot map is
+    built for it."""
+    bs = sr.blocks(*relabeled_cw2_cube(3))
+    key = bs.keys()[-1]
+    assert sr.zeroing_to_block(bs, key).kind == "zeroing"
+    with pytest.raises(ValueError, match=r"^no block \(0, 0, 0\)$"):
+        sr.zeroing_to_block(bs, (0, 0, 0))
+    assert "blocks" not in vars(bs)
 
 
 def test_zero_map_diagnostic():

@@ -373,10 +373,13 @@ def test_minmax_returns_when_the_weight_system_is_nan():
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), singletons=st.booleans())
+@example(seed=1608642901, singletons=False)
 def test_minmax_certified_on_random_tensors(seed, singletons):
     """The max-min certifies on random tensors under random and singleton
     partitions, where the joint steps on masses and weights, clipped to
-    their simplices, carry the solve, and a nested weight step is rare."""
+    their simplices, carry the solve, and a nested weight step is rare.
+    The example's y weight falls to 6e-18 and leaves the Newton system
+    singular before it reaches 0."""
     rng = random.Random(seed)
     t = random_tensor(rng, max_dim=6)
     bs = sr.blocks(t, sr.singleton_partition(t) if singletons else random_partition(rng, t))

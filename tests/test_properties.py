@@ -10,6 +10,7 @@ import slicerank as sr
 from slicerank.optimizer import objective_values
 
 from helpers import (
+    block_entries,
     random_partition,
     random_symmetric_tensor,
     random_tensor,
@@ -60,12 +61,8 @@ def test_block_reconstruction():
     rng = random.Random(1004)
     for _ in range(CASES):
         t = random_tensor(rng, max_dim=4)
-        p = random_partition(rng, t)
-        parts = sr.tensor_core.split_by_blocks(t, p)
-        acc = None
-        for part in parts.values():
-            acc = part if acc is None else sr.tensor_add(acc, part)
-        assert acc.entries == t.entries
+        entries = block_entries(sr.blocks(t, random_partition(rng, t)))
+        assert len(entries) == len(t.entries) and dict(entries) == t.entries
 
 
 def test_rotate_three_times_identity():

@@ -14,8 +14,9 @@ import slicerank as sr
 from slicerank.degeneration import LambdaPoly, parse_degeneration_map
 from slicerank.tensor_core import ParseError, PartitionError, Tensor
 
-from helpers import (random_index_partition, random_partition, random_symmetric_tensor,
-                     random_tensor, reference_blocks, reference_coefficient, reference_orbits,
+from helpers import (block_entries, random_index_partition, random_partition,
+                     random_symmetric_tensor, random_tensor, reference_blocks,
+                     reference_coefficient, reference_orbits,
                      reference_parse_tensor, reference_restriction, reference_rotation_orbits,
                      reference_symmetric_cube, reference_t_symmetric_partition,
                      reference_tensor_product, shared_index_partition)
@@ -276,6 +277,33 @@ def test_minimal_and_trimmed():
     assert sr.trimmed(bigger).shape == (3, 3, 3)
 
 
+def test_trimmed_equals_the_checked_construction():
+    """`trimmed` builds its tensor unchecked; on random tensors padded with
+    unused variables it equals the tensor `Tensor(...)` builds from the
+    used variables, with tuple labels, the same coefficient types and a
+    copy of the meta."""
+    rng = random.Random(23)
+    for _ in range(40):
+        small = random_tensor(rng, max_dim=3, density=0.3)
+        n = [size + rng.randint(0, 2) for size in small.shape]
+        spots = [sorted(rng.sample(range(m), size)) for m, size in zip(n, small.shape)]
+        t = Tensor(*([f"{ax}{v}" for v in range(m)] for ax, m in zip("xyz", n)),
+                   {tuple(spot[v] for spot, v in zip(spots, key)): c
+                    for key, c in small.entries.items()}, meta={"family": "padded"})
+        used = [sorted(t.used_indices(ax)) for ax in "xyz"]
+        got = sr.trimmed(t)
+        want = Tensor(*([labels[v] for v in u] for labels, u in
+                        zip((t.x_labels, t.y_labels, t.z_labels), used)),
+                      {tuple(u.index(v) for u, v in zip(used, key)): c
+                       for key, c in t.entries.items()}, meta=t.meta)
+        assert got == want and sr.is_minimal(got)
+        assert all(type(labels) is tuple for labels in (got.x_labels, got.y_labels, got.z_labels))
+        assert [type(c) for c in got.entries.values()] == [type(c) for c in want.entries.values()]
+        assert got.meta == t.meta and got.meta is not t.meta
+        if sr.is_minimal(t):
+            assert got is t
+
+
 # -- symmetry ---------------------------------------------------------------
 
 def test_variable_symmetric():
@@ -362,11 +390,8 @@ def test_t112_blocks():
 def test_block_reconstruction_families():
     for t, p in [(sr.make_cw(2), sr.cw_partition(2)),
                  (sr.make_t112(2), sr.t112_partition(2))]:
-        parts = sr.tensor_core.split_by_blocks(t, p)
-        acc = None
-        for part in parts.values():
-            acc = part if acc is None else sr.tensor_add(acc, part)
-        assert acc.entries == t.entries
+        entries = block_entries(sr.blocks(t, p))
+        assert len(entries) == len(t.entries) and dict(entries) == t.entries
 
 
 def test_is_t_symmetric_partition():
@@ -590,28 +615,23 @@ def test_orbits_none_unless_symmetric():
 
 
 def test_blocks_random_reconstruction():
+    """Every entry of random tensors under random partitions falls in
+    exactly one block, with its coefficient unchanged."""
     rng = random.Random(7)
     for _ in range(30):
         t = random_tensor(rng, max_dim=4)
-        p = random_partition(rng, t)
-        parts = sr.tensor_core.split_by_blocks(t, p)
-        acc = None
-        for part in parts.values():
-            acc = part if acc is None else sr.tensor_add(acc, part)
-        assert acc.entries == t.entries
-        bs = sr.blocks(t, p)
-        assert sum(len(b) for b in bs.blocks.values()) == len(t.entries)
+        entries = block_entries(sr.blocks(t, random_partition(rng, t)))
+        assert len(entries) == len(t.entries) and dict(entries) == t.entries
 
 
 def test_blocks_match_reference_restriction():
-    """bs[key] and split_by_blocks(t, p)[key] against the definition, on
-    random tensors with rational coefficients and random partitions."""
+    """bs[key] against the definition, on random tensors with rational
+    coefficients and random partitions."""
     rng = random.Random(11)
     for _ in range(60):
         t = random_tensor(rng, max_dim=4)
         p = random_partition(rng, t)
         bs = sr.blocks(t, p)
-        split = sr.split_by_blocks(t, p)
         nonzero = []
         for key in itertools.product(*(range(p.part_count(ax)) for ax in "xyz")):
             ref = reference_restriction(t, p, key)
@@ -619,11 +639,7 @@ def test_blocks_match_reference_restriction():
                 continue
             nonzero.append(key)
             assert bs[key] == ref
-            xs, ys, zs = (parts[part][1] for parts, part in
-                          zip((p.parts_x, p.parts_y, p.parts_z), key))
-            assert split[key] == Tensor(t.x_labels, t.y_labels, t.z_labels, {
-                (xs[a], ys[b], zs[c]): coef for (a, b, c), coef in ref.entries.items()})
-        assert bs.keys() == nonzero == list(split)
+        assert bs.keys() == nonzero
 
 
 def test_blocks_builds_no_tensor(monkeypatch):
@@ -846,12 +862,25 @@ def test_integer_first_coefficients():
     ("x a 0 1 2\n# comment\ny a 0 1\n\ny b 1 2\nz a 0 1 2\n", 5,
      "index 1 in two parts on axis y"),
     ("x a 0 1 2\ny a 0 1 2\nz a 0\nz b 1\n", 4, "parts do not cover axis z"),
+    ("x a 0 0 1\nx b 2\ny a 0 1 2\nz a 0 1 2\n", 1, "index 0 listed twice in part 'a' on axis x"),
+    ("x a 0 1 2\ny a 0\n\ny b 2 1 2\nz a 0 1 2\n", 4,
+     "index 2 listed twice in part 'b' on axis y"),
 ])
 def test_partition_errors_name_their_line(text, line, message):
     with pytest.raises(ParseError) as err:
         sr.parse_partition(text, sizes=(3, 3, 3))
     assert err.value.line_no == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("count", [2 ** 62, 2 ** 64])
+def test_variable_count_too_large_is_a_parse_error(count):
+    """A header count whose labels cannot be held is refused at its line.
+    CPython refuses a tuple of 2**62 items before allocating it, and a range
+    of 2**64 has no length, so neither allocates anything."""
+    with pytest.raises(ParseError) as err:
+        sr.parse_tensor(f"xvars 1\n# wide\nyvars {count}\nzvars 1\n0 0 0 1\n")
+    assert str(err.value) == f"line 3: variable count {count} too large"
 
 
 def test_partition_roundtrip():
