@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .tensor_core import BlockSet, ParseError, Tensor, _coefficient, _content_lines
+from .tensor_core import BlockSet, ParseError, Tensor, _coefficient, _content_lines, _index
 
 
 class LambdaPoly:
@@ -37,7 +37,7 @@ class LambdaPoly:
                 if c != 0:
                     if e < 0:
                         raise ValueError("negative lambda exponent")
-                    clean[int(e)] = c
+                    clean[_index(e)] = c
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
@@ -116,7 +116,7 @@ class DegenerationMap:
                 if not isinstance(poly, LambdaPoly):
                     poly = LambdaPoly.monomial(poly)
                 if poly:
-                    out[(int(src), int(dst))] = poly
+                    out[(_index(src), _index(dst))] = poly
             return out
 
         if order < 0:
@@ -124,7 +124,7 @@ class DegenerationMap:
         object.__setattr__(self, "alpha", clean(alpha))
         object.__setattr__(self, "beta", clean(beta))
         object.__setattr__(self, "gamma", clean(gamma))
-        object.__setattr__(self, "order", int(order))
+        object.__setattr__(self, "order", _index(order))
         object.__setattr__(self, "kind", self._classify())
 
     def __setattr__(self, name, value):
@@ -323,16 +323,17 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
 
     Monomial lines: `alpha src dst exponent num/den` (same for beta and
     gamma).  General polynomial lines: `alphaP src dst e1 c1 e2 c2 ...`.
-    A final `order h` line sets the degeneration order (default 0).
+    One `order h` line sets the degeneration order (default 0); a second
+    is an error.
     Indices, exponents and the order are nonnegative integers.
     """
     maps = ({}, {}, {})
-    order = 0
+    order = None
     for n, toks in _content_lines(text):
         head = toks[0]
         if head == "order":
-            if len(toks) != 2:
-                raise ParseError(n, "malformed order line")
+            if len(toks) != 2 or order is not None:
+                raise ParseError(n, f"{'malformed' if order is None else 'repeated'} order line")
             try:
                 order = int(toks[1])
             except ValueError:
@@ -370,7 +371,7 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
         except (ValueError, ZeroDivisionError):
             raise ParseError(n, f"bad polynomial in {' '.join(toks)!r}")
         target[src, dst] = target.get((src, dst), LambdaPoly()) + LambdaPoly(coeffs)
-    return DegenerationMap(maps[0], maps[1], maps[2], order)
+    return DegenerationMap(maps[0], maps[1], maps[2], order or 0)
 
 
 def write_degeneration_map(d: DegenerationMap) -> str:

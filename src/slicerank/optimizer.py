@@ -78,10 +78,10 @@ per such pair, whatever the number of right-hand columns: the entries of
 R there, for each pair of entries in one column that column, its cell in
 R R^T and the product of their values, E L^(-1/2), and per column count
 the flat cells of R D^2 (1, r) and of R^T u; the padded layout of the
-stacks below, once per set of axes.  A step then makes about sixty
-numpy calls and a Python loop over the stacks: one bincount each for the
-diagonal, R D^2 R^T, R D^2 (1, r) and R^T u, and per stack five small
-products and one LU solve.
+stack below, once per set of axes.  A step then makes about fifty numpy
+calls and no Python loop: one bincount each for the diagonal, R D^2 R^T,
+R D^2 (1, r) and R^T u, five small stacked products and one stacked LU
+solve.
 
 Direct sums: `maximize_symmetric` on a `block_sum` solves every summand
 at once (a block set that is not a sum is one summand).  Write the orbit
@@ -97,9 +97,12 @@ the block masses in key order (`Optimum.block_mass`).  R is block-diagonal
 over the summands, and so are R R^T, its basis and A = (cDW)^T cDW: each
 summand has its own Gram matrix and eigh, its rank cut at RANK_TOL times
 its own largest eigenvalue, and the summands meet only in the simplex
-row, by a Schur complement (`_summed_step`).  Summands of near-equal row
-counts are stacked, padded with zero rows, for numpy's stacked matmul,
-eigh and solve (`_Problem._layout`); one summand is a stack of one.
+row, by a Schur complement (`_summed_step`).  Every summand is padded
+with zero rows to the largest one's row count, and all of them are one
+stack for numpy's stacked matmul, eigh and solve (`_Problem._layout`);
+a block set that is not a sum is a stack of one.  The table builders
+cap the rows of a run (`bound_engines.SUM_ROW`), which keeps the
+padding small.
 
 Step length: along a step s from x, with m = R x and r = R s (one
 bincount each), phi(sigma) = sum_a w_a f_a(x + sigma s) is concave, with
@@ -134,7 +137,6 @@ MIN_STEP = 1e-12         # shortest damped step tried
 RIDGE = 1e-10            # relative ridge of the weights' Newton system
 JOINT_STEPS = (1.0, 0.5, 0.25)  # damped joint max-min steps tried before a nested weight step
 RANK_TOL = 1e-9          # relative eigenvalue cut of a support's Gram matrix R R^T
-STACK_SLACK = 16         # rows of padding a stack of summands always allows
 LINE_STEPS = 8           # safeguarded Newton steps of a line search before the simplex edge
 
 
@@ -213,8 +215,8 @@ def _by_first(labels, first):
 
 
 def _summand_rows(block_set: BlockSet):
-    """The summand of each part row (x, then y, then z) of a `block_sum`, or 0."""
-    counts = np.array(block_set.summands or [[block_set.partition.part_count(a) for a in "xyz"]])
+    """The summand of each part row (x, then y, then z) of a block set."""
+    counts = np.array(block_set.summands)
     return (np.arange(counts.size) % len(counts)).repeat(counts.T.ravel())
 
 
@@ -344,13 +346,13 @@ class _Problem:
         basis = self._bases.get(key)
         if basis is None:
             basis = self._bases[key] = self._basis(on, pos)
-        act, ax, col, at, val, wval, pair_col, flat, vv, p, cells, t, spread = basis
+        row_at, ax, col, at, val, wval, pair_col, flat, vv, cells, t, cut, spread = basis
         nc = rhs.shape[1]
         if nc not in spread:      # cells of R b in p x (nc + 1), of R^T u in size x nc
             spread[nc] = ((at[:, None] * (nc + 1) + np.arange(nc + 1)).ravel(),
                           (col[:, None] * nc + np.arange(nc)).ravel())
         to_rows, to_cols = spread[nc]
-        scale = np.sqrt(w[ax] / np.maximum(m[act], MARGINAL_CLAMP))
+        scale = np.sqrt(w[ax] / np.maximum(m[row_at], MARGINAL_CLAMP))
         norm2 = np.bincount(col, weights=(scale[at] * wval) ** 2, minlength=self.size)
         d2 = np.divide(self.count, norm2, out=np.zeros(self.size), where=on)
         gram = np.bincount(flat, weights=vv * d2[pair_col], minlength=cells)
@@ -358,8 +360,8 @@ class _Problem:
         b[:, 0] = d2
         np.multiply(d2[:, None], rhs, out=b[:, 1:])
         rb = np.bincount(to_rows, weights=(val * b.take(col, 0)).ravel(),
-                         minlength=p * (nc + 1)).reshape(p, nc + 1)
-        u = _summed_step(t, gram, scale, rb)
+                         minlength=len(row_at) * (nc + 1))
+        u = _summed_step(t, cut, gram, scale, rb)
         s = np.bincount(to_cols, weights=(val * u.take(at, 0)).ravel(),
                         minlength=self.size * nc)
         return d2[:, None] * s.reshape(self.size, nc)
@@ -369,12 +371,14 @@ class _Problem:
         of `_layout` (kept per `pos`): the row at each place and its axis, the
         entries of R there (their places), their values (a column) and those
         times the root of their row's width (these enter D), for each pair in
-        one column that column, its cell in the stacked R R^T and the product
-        of their values, the numbers of places and cells, and per stack E
-        L^(-1/2) with its cut columns zero, its slices and its cut columns."""
+        one column that column, its cell in the stacked R R^T (place of its
+        row times k, the padded row count, plus the index of its column's
+        row in their summand) and the product of their values, the number of
+        cells, and E L^(-1/2) of each summand, with its cut columns zero and
+        marked."""
         if pos.tobytes() not in self._layouts:
             self._layouts[pos.tobytes()] = self._layout(pos[self.axis])
-        act, row_at, ax_at, place, cell, local, stacks, cells = self._layouts[pos.tobytes()]
+        act, row_at, ax_at, place, local, n = self._layouts[pos.tobytes()]
         ent = (on[self.col] & act[self.row]).nonzero()[0]
         col, row, val = self.col[ent], self.row[ent], self.val[ent]
         # pi runs over the entries, each once per entry of its column, and
@@ -383,88 +387,65 @@ class _Problem:
         pi = np.arange(len(ent)).repeat(count)
         pj = np.arange(len(pi)) - (count.cumsum() - count - col.searchsorted(col))[pi]
         vv = val[pi] * val[pj]
-        flat = cell[row][pi] + local[row][pj]
-        gram = np.bincount(flat, weights=vv, minlength=cells)
-        bases = []
-        for n, rows, cells_at in stacks:
-            k = (rows.stop - rows.start) // n
-            lam, v = np.linalg.eigh(gram[cells_at].reshape(n, k, k))
-            big = lam > RANK_TOL * lam[:, -1:]
-            keep = big.argmax(1).min()                # drop the columns every summand cuts
-            big = big[:, keep:]
-            t = v[:, :, keep:] / np.sqrt(np.where(big, lam[:, keep:], np.inf))[:, None, :]
-            bases.append((t, cells_at, rows, None if big.all() else ~big))
+        k = len(row_at) // n
+        flat = place[row][pi] * k + local[row][pj]
+        lam, v = np.linalg.eigh(np.bincount(flat, weights=vv, minlength=n * k * k).reshape(n, k, k))
+        big = lam > RANK_TOL * lam[:, -1:]
+        keep = big.argmax(1).min()                    # drop the columns every summand cuts
+        big = big[:, keep:]
+        t = v[:, :, keep:] / np.sqrt(np.where(big, lam[:, keep:], np.inf))[:, None, :]
         return (row_at, ax_at, col, place[row], val[:, None], val * np.sqrt(self.width[row]),
-                col[pi], flat, vv, len(row_at), cells, bases, {})
+                col[pi], flat, vv, n * k * k, t, None if big.all() else ~big, {})
 
     def _layout(self, act):
         """The padded layout of the per-summand algebra on the rows `act` of
-        the axes with w_a > 0: their summands, sorted by row count, are cut
-        into stacks of near-equal size, each padded with zero rows to its
-        largest.  Returns `act`, the row at each place (stacks in order, a
-        stack's summands in order; padding repeats the first row, with zero
-        Gram rows) and its axis, by row number (read on `act`) each row's
-        place, cell (row, 0) in the stacked Gram matrices and index in its
-        summand, per stack its summand count and place and cell slices, and
-        the number of cells."""
+        the axes with w_a > 0: the summands with such rows, in order, each
+        padded with zero rows to the largest, in one stack.  Returns `act`,
+        the row at each place (padding repeats the first row, with zero Gram
+        rows) and its axis, by row number (read on `act`) each row's place and
+        index in its summand, and the number of summands in the stack."""
         act_rows = act.nonzero()[0]
         summand = self.summand[act_rows]
-        sizes = np.bincount(summand)
-        count = sizes.tolist()
-        order = sorted((r for r, c in enumerate(count) if c), key=count.__getitem__)
-        place, cell, width = [0] * len(count), [0] * len(count), [0] * len(count)
-        stacks, rows, cells, i = [], 0, 0, 0
-        while i < len(order):
-            j, first = i + 1, count[order[i]]
-            while j < len(order) and count[order[j]] <= first + max(STACK_SLACK, first // 4):
-                j += 1
-            n, k = j - i, count[order[j - 1]]
-            for a, r in enumerate(order[i:j]):
-                place[r], cell[r], width[r] = rows + k * a, cells + k * k * a, k
-            stacks.append((n, slice(rows, rows + n * k), slice(cells, cells + n * k * k)))
-            rows, cells, i = rows + n * k, cells + n * k * k, j
+        sizes = np.bincount(summand, minlength=self.summand.max() + 1)
+        k, stack = sizes.max(), (sizes > 0).cumsum() - 1   # each summand's place in the stack
         local, start = np.zeros(len(act), np.intp), (sizes.cumsum() - sizes).repeat(sizes)
         local[act_rows[summand.argsort(kind="stable")]] = np.arange(len(summand)) - start
-        place, cell, width = np.array([place, cell, width])[:, self.summand]
-        place += local
-        row_at = np.full(rows, act_rows[0])
+        place = stack[self.summand] * k + local
+        row_at = np.full(k * (stack[-1] + 1), act_rows[0])
         row_at[place[act_rows]] = act_rows
-        return act, row_at, self.axis[row_at], place, cell + local * width, local, stacks, cells
+        return act, row_at, self.axis[row_at], place, local, stack[-1] + 1
 
 
-def _summed_step(stacks, gram, scale, rb):
+def _summed_step(t, cut, gram, scale, rb):
     """u = W z for the z of the module docstring, from the stacked Gram
     matrices `gram` of R D^2 R^T, and S and rb = R D^2 (1, r) at each place
-    of the padded layout.  Per stack of t = E L^(-1/2) (cut columns zero),
-    W is t with unit columns, A = (cDW)^T cDW and e = W^T (d, D r).  K_W =
-    [[-A, e], [e^T, 0]] with A = diag(A_c) is block-diagonal but for the
-    simplex row, so z_c = A_c^-1 (e_c nu - r_c) with nu = sum_c e_c A_c^-1
-    r_c / sum_c e_c A_c^-1 e_c.  A cut column gets norm 1 and a unit
-    diagonal in A_c, and so z = 0 there.  An A_c left singular by an axis
-    weight all but 0 (rows scaled by sqrt(w_a)) is inverted on its range."""
-    systems, schur = [], 0.0
-    for t, cells, rows, cut in stacks:
-        n, k = t.shape[:2]
-        gt = gram[cells].reshape(n, k, k) @ t
-        norm = np.sqrt(np.einsum("cij,cij->cj", gt, t))           # of the columns of W
-        if cut is not None:
-            norm[cut] = 1.0
-        t = t / norm[:, None, :]
-        gt *= scale[rows].reshape(n, k, 1)
-        gt /= norm[:, None, :]                                      # c D W, in place of gt
-        a = gt.swapaxes(1, 2) @ gt
-        if cut is not None:
-            a.reshape(n, -1)[:, ::a.shape[-1] + 1] += cut
-        e = t.swapaxes(1, 2) @ rb[rows].reshape(n, k, -1)
-        try:
-            y = np.linalg.solve(a, e)                               # A_c^-1 (e_c, r_c)
-        except np.linalg.LinAlgError:
-            y = np.linalg.pinv(a) @ e
-        schur = schur + np.einsum("ck,ckr->r", e[..., 0], y)    # (e A^-1 e, e A^-1 r)
-        systems.append((t, y))
+    of the padded layout.  With t = E L^(-1/2) per summand c (cut columns
+    zero, marked in `cut`), W is t with unit columns, A = (cDW)^T cDW and
+    e = W^T (d, D r).  K_W = [[-A, e], [e^T, 0]] with A = diag(A_c) is
+    block-diagonal but for the simplex row, so z_c = A_c^-1 (e_c nu - r_c)
+    with nu = sum_c e_c A_c^-1 r_c / sum_c e_c A_c^-1 e_c.  A cut column
+    gets norm 1 and a unit diagonal in A_c, and so z = 0 there.  An A_c
+    left singular by an axis weight all but 0 (rows scaled by sqrt(w_a))
+    is inverted on its range."""
+    n, k = t.shape[:2]
+    gt = gram.reshape(n, k, k) @ t
+    norm = np.sqrt(np.einsum("cij,cij->cj", gt, t))               # of the columns of W
+    if cut is not None:
+        norm[cut] = 1.0
+    t = t / norm[:, None, :]
+    gt *= scale.reshape(n, k, 1)
+    gt /= norm[:, None, :]                                          # c D W, in place of gt
+    a = gt.swapaxes(1, 2) @ gt
+    if cut is not None:
+        a.reshape(n, -1)[:, ::a.shape[-1] + 1] += cut
+    e = t.swapaxes(1, 2) @ rb.reshape(n, k, -1)
+    try:
+        y = np.linalg.solve(a, e)                                   # A_c^-1 (e_c, r_c)
+    except np.linalg.LinAlgError:
+        y = np.linalg.pinv(a) @ e
+    schur = np.einsum("ck,ckr->r", e[..., 0], y)                    # (e A^-1 e, e A^-1 r)
     nu = schur[1:] / schur[0]
-    return np.concatenate([(t @ (y[..., :1] * nu - y[..., 1:])).reshape(-1, len(nu))
-                           for t, y in systems])
+    return (t @ (y[..., :1] * nu - y[..., 1:])).reshape(n * k, -1)
 
 
 def _weights_step(h, r, w):
@@ -686,9 +667,9 @@ def summand_optima(block_set: BlockSet, opt: Optimum) -> list:
     residual, never as a wrong value.  `iterations` are those of the one
     solve.
     """
-    if block_set.summands is None:
-        return [opt]
     counts = np.array(block_set.summands)
+    if len(counts) == 1:
+        return [opt]
     first = np.cumsum(counts, axis=0) - counts      # each summand's first part, per axis
     c, n = len(counts), counts.sum(axis=0)
     parts = block_set.key_array

@@ -24,6 +24,7 @@ the positional `is_variable_symmetric` check.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,15 @@ class RankFact:
     source: str
 
 
+def _index(i) -> int:
+    """i as an int, for an integer of any type (a numpy one too); a
+    ValueError otherwise, where `int` would truncate 1.5 to 1."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"{i!r} is not an integer") from None
+
+
 class Tensor:
     """Sparse trilinear form with exact rational coefficients.
 
@@ -79,11 +89,11 @@ class Tensor:
                     c = c.numerator
             if c == 0:
                 continue
-            if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-                raise ValueError(f"entry index {(i, j, k)} out of range")
             if not (type(key) is tuple and type(i) is int and type(j) is int
                     and type(k) is int):
-                key = (int(i), int(j), int(k))
+                key = i, j, k = _index(i), _index(j), _index(k)
+            if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+                raise ValueError(f"entry index {(i, j, k)} out of range")
             clean[key] = c
         object.__setattr__(self, "x_labels", x_labels)
         object.__setattr__(self, "y_labels", y_labels)
@@ -197,7 +207,7 @@ def make_independent(q: int) -> Tensor:
 def _check_permutation(q: int, sigma) -> tuple[int, ...]:
     if sigma is None:
         return tuple(range(1, q + 1))
-    sigma = tuple(sigma)
+    sigma = tuple(map(_index, sigma))
     if sorted(sigma) != list(range(1, q + 1)):
         raise ValueError(f"sigma must be a permutation of 1..{q}")
     return sigma
@@ -451,8 +461,8 @@ class VariablePartition:
     Each part is (label, indices); indices are stored sorted.  Parts must
     be nonempty, disjoint, and cover 0..n-1 for the axis sizes given.
     `where[axis position][i]` is (part, slot): index i is the slot-th
-    index of that part.  `summands` is None, or for a `partition_sum` the
-    (x, y, z) part counts of each summand; equality ignores it.
+    index of that part.  `summands` holds the (x, y, z) part counts of each
+    summand: one entry, unless built by `partition_sum`; equality ignores it.
     """
 
     __slots__ = ("parts_x", "parts_y", "parts_z", "sizes", "where", "summands")
@@ -462,7 +472,7 @@ class VariablePartition:
             out = []
             where = [None] * n
             for pos, (label, idx) in enumerate(parts):
-                idx = tuple(sorted(int(i) for i in idx))
+                idx = tuple(sorted(map(_index, idx)))
                 if not idx:
                     raise PartitionError(axis, pos, f"empty part {label!r} on axis {axis}")
                 for slot, i in enumerate(idx):
@@ -487,18 +497,19 @@ class VariablePartition:
         object.__setattr__(self, "parts_y", py)
         object.__setattr__(self, "parts_z", pz)
         object.__setattr__(self, "where", (wx, wy, wz))
-        object.__setattr__(self, "summands", None)
+        object.__setattr__(self, "summands", ((len(px), len(py), len(pz)),))
 
     @classmethod
     def _unchecked(cls, parts, where, summands=None) -> VariablePartition:
         """A partition taken as given: per axis its normalized parts and
-        `where` map, as a checked partition's (or `partition_sum`'s) stand."""
+        `where` map, as a checked partition's (or `partition_sum`'s) stand,
+        and its `summands`, by default one of all its parts."""
         p = object.__new__(cls)
         for axis, own in zip(AXES, parts):
             object.__setattr__(p, f"parts_{axis}", tuple(own))
         object.__setattr__(p, "where", tuple(map(tuple, where)))
         object.__setattr__(p, "sizes", tuple(len(w) for w in p.where))
-        object.__setattr__(p, "summands", summands)
+        object.__setattr__(p, "summands", summands or (tuple(map(len, parts)),))
         return p
 
     def __setattr__(self, name, value):
@@ -608,9 +619,8 @@ class BlockSet:
     block as a standalone, checked tensor over its parts' variables (in
     part order), anew on every call.  `orbits` lists the key orbits under
     (i,j,k) -> (j,k,i), sorted tuples in sorted order, or is None unless
-    every summand is `symmetric`.  `summands` is None, or for the blocks
-    of a direct sum (`partition_sum`) the (x, y, z) part counts of each
-    summand, in order.
+    every summand is `symmetric`.  `summands` reads the partition's: the
+    (x, y, z) part counts of each summand, in order.
     """
 
     tensor: Tensor
@@ -619,9 +629,9 @@ class BlockSet:
     entry_block: np.ndarray
     group: np.ndarray
     symmetry: tuple
-    summands: Optional[tuple] = None
 
     symmetric = property(lambda self: all(sym for _, sym in self.symmetry))
+    summands = property(lambda self: self.partition.summands)
 
     @cached_property
     def _keys(self) -> list:
@@ -706,10 +716,9 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
 
     # per summand: its part and index offsets, and whether its part sizes,
     # and its axis sizes, agree on the three axes
-    layout = p.summands or (k,)
     part_off, index_off, equal, square = [], [], [], []
     parts_at, index_at = [0, 0, 0], [0, 0, 0]
-    for counts in layout:
+    for counts in p.summands:
         here = [s[a:a + c] for s, a, c in zip(sizes, parts_at, counts)]
         spans = list(map(sum, here))
         part_off.append(parts_at)
@@ -719,8 +728,8 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
         parts_at = [a + c for a, c in zip(parts_at, counts)]
         index_at = [a + c for a, c in zip(index_at, spans)]
     part_off, index_off = np.array(part_off, np.intp), np.array(index_off, np.intp)
-    rows = len(layout)
-    row_of = np.repeat(np.arange(rows), [c[0] for c in layout])     # of each x part
+    rows = len(p.summands)
+    row_of = np.repeat(np.arange(rows), [c[0] for c in p.summands])  # of each x part
 
     # the part of each entry's index on each axis (variables of the three
     # axes numbered one after the other), and the keys in sorted order
@@ -784,8 +793,7 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
         group = np.unique(least, return_index=True, return_inverse=True)[2]
     else:
         group = np.arange(len(keys))
-    return BlockSet(t, p, keys, entry_block, group, tuple(zip(var_sym.tolist(), sym.tolist())),
-                    p.summands)
+    return BlockSet(t, p, keys, entry_block, group, tuple(zip(var_sym.tolist(), sym.tolist())))
 
 
 def partition_sum(*partitions: VariablePartition) -> VariablePartition:

@@ -762,6 +762,31 @@ def test_tq_lower_table():
         assert abs(row.omega - o) < 1e-4
 
 
+def kss_slice_rank(q, mp):
+    """min over gamma > 0 of sum_{i<q} gamma^i / gamma^((q-1)/3), the
+    asymptotic slice rank of the lower triangular T_q in the closed form of
+    Kleinberg, Sawin and Speyer (arXiv 1607.00047), at 40 digits.  The
+    minimizer is the one positive root of sum_{i<q} (i - (q-1)/3)
+    gamma^i (one sign change), in (0, 1), where the sum goes from
+    -(q-1)/3 to q(q-1)/6."""
+    with mp.workdps(40):
+        c = mp.mpf(q - 1) / 3
+        gamma = mp.findroot(lambda g: mp.fsum((i - c) * g ** i for i in range(q)),
+                            (mp.mpf(0), mp.mpf(1)), solver="anderson")
+        return mp.fsum(gamma ** i for i in range(q)) / gamma ** c
+
+
+def test_tq_lower_table_is_the_closed_form():
+    """Every row of `tq_lower_table(40)`, the run T_2..T_22 solved as one
+    sum and each later row alone, is the closed form to 1e-12 relative,
+    which shares no code with the solver."""
+    mp = pytest.importorskip("mpmath").mp
+    rows = be.tq_lower_table(40)
+    assert [row.q for row in rows] == list(range(2, 41))
+    for row in rows:
+        assert row.slice_rank == pytest.approx(float(kss_slice_rank(row.q, mp)), rel=1e-12)
+
+
 def test_any_upper_bound_dominates_tight_value():
     # all three tools upper bound the same quantity, so each is at least
     # the laser value on laser-ready inputs

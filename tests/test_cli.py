@@ -471,11 +471,13 @@ def test_verify_degeneration_ok(capsys, tmp_path):
     ("alpha 0 -1 0 1/1\n", 3, "parse error: line 1: bad source/target in 'alpha 0 -1 0 1/1'\n"),
     ("alpha 0 0 0 1/1\norder x\n", 3, "parse error: line 2: bad order 'x'\n"),
     ("alpha 0 0 0 1/1\norder 1 2\n", 3, "parse error: line 2: malformed order line\n"),
+    ("alpha 0 0 0 1\norder 2\norder 0\n", 3, "parse error: line 3: repeated order line\n"),
     ("alpha 0 9 0 1/1\n", 4,
      "inapplicable input: alpha target index 9 outside tensor variables\n"),
-], ids=["order", "exponent", "source", "target", "order-word", "order-arity", "target-range"])
+], ids=["order", "exponent", "source", "target", "order-word", "order-arity", "order-twice",
+        "target-range"])
 def test_verify_degeneration_negative_map_values(capsys, tmp_path, text, code, stderr):
-    """A negative or non-integer order, a malformed order line, and a
+    """A negative or non-integer order, a malformed or second order line, and a
     negative exponent or index are refused at their line of the map file
     (exit 3), not later by the map's constructor or the domain check
     (exit 4); an index past the target's variables is inapplicable (exit 4)."""

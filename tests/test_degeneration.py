@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import slicerank as sr
@@ -238,6 +239,23 @@ def test_map_roundtrip():
         assert back.order == d.order
         assert back.alpha == d.alpha and back.beta == d.beta and back.gamma == d.gamma
         assert back.kind == d.kind
+
+
+def test_map_indices_and_exponents_must_be_integers():
+    """Map indices, lambda exponents and the order are read as `int` when
+    integral (a numpy integer too) and refused when not, not truncated."""
+    d = DegenerationMap({(np.int64(1), 0): LambdaPoly({np.int64(2): 1})}, {}, {}, 0)
+    (key, poly), = d.alpha.items()
+    assert key == (1, 0) and all(type(i) is int for i in key)
+    assert list(poly.coeffs) == [2] and type(next(iter(poly.coeffs))) is int
+    for bad in ({(0.5, 0): 1}, {(0, 1.0): 1}):
+        with pytest.raises(ValueError, match="is not an integer$"):
+            DegenerationMap(bad, {}, {}, 0)
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        LambdaPoly({1.5: 1})
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        DegenerationMap({}, {}, {}, 1.5)
+    assert type(DegenerationMap({}, {}, {}, np.int64(2)).order) is int
 
 
 def test_map_parse_errors():

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import slicerank as sr
 from slicerank import optimizer
-from slicerank.bound_engines import KKT_LIMIT
+from slicerank.bound_engines import KKT_LIMIT, tq_lower_table
 from slicerank.cli import main
 from slicerank.optimizer import (
     MARGINAL_CLAMP,
@@ -568,6 +568,8 @@ summand = st.one_of(st.tuples(st.just("cw"), st.integers(1, 8)),
 
 @settings(max_examples=60, deadline=None)
 @given(summands=st.lists(summand, min_size=2, max_size=4))
+@example(summands=[("cw", 1), ("tq", 20)])
+@example(summands=[("cube", 27), ("cw-small", 1)])
 def test_direct_sum_splits_into_summand_optima(summands):
     """One symmetric solve on a `block_sum` gives each summand's own
     optimum: its log value to 1e-12 relative, its part marginals (always
@@ -575,7 +577,8 @@ def test_direct_sum_splits_into_summand_optima(summands):
     orbit incidence has full column rank; T_q for q >= 7 has more orbits
     than parts, and every distribution with the optimal marginals is
     optimal), a residual of at most 1e-10 from its own per-block
-    gradient; and the sum's log value is log sum_r exp(max f_r)."""
+    gradient; and the sum's log value is log sum_r exp(max f_r).  The
+    examples pad a summand of 3 parts to 20, and one of 2 to a cube's 8."""
     sets = [symmetric_block_set(*s) for s in summands]
     own = [sr.maximize_symmetric(bs) for bs in sets]
     assume(all(o.kkt_residual <= 1e-10 for o in own))
@@ -606,6 +609,20 @@ def test_one_block_set_is_its_own_sum():
     assert sr.block_sum([bs]) is bs and sr.summand_optima(bs, opt) == [opt]
 
 
+def test_tq_lower_run_is_one_stack(monkeypatch):
+    """`tq_lower_table(23)` solves T_2..T_22 as one run, 21 summands of 2
+    to 22 parts per axis, and T_23 alone: each basis is one eigh, of shape
+    (21, 22, 22) on the run, every summand padded to 22 rows, and (1, 23,
+    23) on T_23."""
+    shapes, bases = [], []
+    eigh, basis = np.linalg.eigh, _Problem._basis
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    monkeypatch.setattr(_Problem, "_basis",
+                        lambda self, on, pos: bases.append(on) or basis(self, on, pos))
+    assert [row.q for row in tq_lower_table(23)] == list(range(2, 24))
+    assert len(shapes) == len(bases) and set(shapes) == {(21, 22, 22), (1, 23, 23)}
+
+
 def test_shifted_summand_fails_the_certificate(capsys, monkeypatch):
     """Shifting the second summand's part range of `table cw --qmax 3`'s
     sum by one row (CW_1 gets one part more, CW_3 one fewer) splits the
@@ -615,8 +632,10 @@ def test_shifted_summand_fails_the_certificate(capsys, monkeypatch):
         counts = [list(c) for c in bs.summands]
         counts[0] = [c + 1 for c in counts[0]]
         counts[2] = [c - 1 for c in counts[2]]
-        return sr.BlockSet(bs.tensor, bs.partition, bs.key_array, bs.entry_block, bs.group,
-                           bs.symmetry, tuple(map(tuple, counts)))
+        p = bs.partition
+        moved = sr.VariablePartition._unchecked((p.parts_x, p.parts_y, p.parts_z), p.where,
+                                                tuple(map(tuple, counts)))
+        return sr.BlockSet(bs.tensor, moved, bs.key_array, bs.entry_block, bs.group, bs.symmetry)
 
     bs = shifted(sr.block_sum([cw_blocks(q) for q in (1, 2, 3)]))
     assert sr.summand_optima(bs, sr.maximize_symmetric(bs))[1].kkt_residual > KKT_LIMIT

@@ -353,6 +353,33 @@ def test_constructor_keys_become_int_triples():
         Tensor([0], [1, 1], [0], {})
 
 
+def test_indices_must_be_integers():
+    """An index that is not an integer is refused with a ValueError, not
+    truncated: a float entry index or part index, even an integral one, a
+    string entry index (which failed its range check with a TypeError),
+    and a float sigma, which `make_cw` would otherwise store in its keys,
+    so that `write_tensor` wrote a file `parse_tensor` refuses.  Integers
+    of any type are read as `int`."""
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        Tensor(range(3), range(3), range(3), {(1.5, 0, 0): 1})
+    with pytest.raises(ValueError, match=r"^2\.0 is not an integer$"):
+        Tensor(range(3), range(3), range(3), {(0, 2.0, 0): 1})
+    with pytest.raises(ValueError, match="^'a' is not an integer$"):
+        Tensor(range(3), range(3), range(3), {(0, 0, "a"): 1})
+    with pytest.raises(ValueError, match=r"^1\.7 is not an integer$"):
+        sr.VariablePartition([("a", [0, 1.7])], [("a", [0, 1])], [("a", [0, 1])], sizes=(2, 2, 2))
+    for make in (sr.make_cw, sr.make_cw_small):
+        with pytest.raises(ValueError, match=r"^2\.0 is not an integer$"):
+            make(2, sigma=(2.0, 1.0))
+        t = make(2, sigma=(np.int64(2), np.int64(1)))
+        assert t == make(2, sigma=(2, 1)) and t.meta["sigma"] == (2, 1)
+        assert all(type(i) is int for key in t.entries for i in key)
+        assert sr.parse_tensor(sr.write_tensor(t)).entries == t.entries
+    p = sr.VariablePartition([("a", [np.int64(1), 0])], [("a", [0, 1])], [("a", [0, 1])],
+                             sizes=(2, 2, 2))
+    assert p.parts_x == (("a", (0, 1)),) and all(type(i) is int for i in p.parts_x[0][1])
+
+
 # -- partitions and blocks ----------------------------------------------------
 
 def test_partition_validation():
@@ -664,7 +691,8 @@ def test_block_sum_is_the_blocks_of_the_direct_sum(seeds, symmetric):
     tagged (r, label), under the direct sum of the partitions: the same
     keys in the same sorted order, slot-keyed entries, orbits (None unless
     every summand is symmetric) and `bs[key]`; `summands` holds each
-    summand's part counts, and one block set is its own sum."""
+    summand's part counts, and one block set is its own sum, its one
+    summand's counts those of its partition."""
     sets = []
     for seed in seeds:
         rng = random.Random(seed)
@@ -675,8 +703,9 @@ def test_block_sum_is_the_blocks_of_the_direct_sum(seeds, symmetric):
             t = random_tensor(rng)
             sets.append(sr.blocks(t, random_partition(rng, t)))
     got = sr.block_sum(sets)
+    counts = tuple(tuple(bs.partition.part_count(ax) for ax in "xyz") for bs in sets)
     if len(sets) == 1:
-        assert got is sets[0] and got.summands is None
+        assert got is sets[0] and got.summands == got.partition.summands == counts
         return
     labels, entries, parts, offset = ([], [], []), {}, ([], [], []), [0, 0, 0]
     for r, bs in enumerate(sets):
@@ -696,7 +725,7 @@ def test_block_sum_is_the_blocks_of_the_direct_sum(seeds, symmetric):
     assert list(got.blocks.items()) == list(ref.blocks.items())
     assert got.orbits == ref.orbits
     assert got.symmetric == all(bs.symmetric for bs in sets)
-    assert got.summands == tuple(tuple(bs.partition.part_count(ax) for ax in "xyz") for bs in sets)
+    assert got.summands == got.partition.summands == counts
     for key in got.keys():
         assert got[key] == ref[key]
 
