@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -319,18 +320,35 @@ class LaserReadiness:
     parts (1), the block support lies on an integer hyperplane of part
     grades (2), and tensor plus partition are symmetric (3).  `grades`
     holds the per-axis part grades that certify (2); these are the
-    literal part indices whenever those already work.  `block_set` is
-    the split the verdict was reached on: the row's own, also when it was
-    read off the split of a run of rows.
+    literal part indices whenever those already work.  `block_shapes`
+    maps each block key, in key order, to its matmul shape (a, b, c), and
+    leaves out the blocks that are not matmul; it is a read-only mapping
+    built when first read from the block set's key rows and the shapes of
+    the blocks off three one-variable parts (`BlockShapes`).  `block_set`
+    is the split the verdict was reached on: the row's own, also when it
+    was read off the split of a run of rows.
     """
 
     ok: bool
     ell: Optional[int]
     grades: Optional[dict]
-    block_shapes: dict
+    block_shapes: Mapping
     failures: list
     conditions: dict
     block_set: BlockSet
+
+
+class BlockShapes(optimizer.ArrayMap):
+    """`LaserReadiness.block_shapes`, held as the key rows of a block set
+    and `values`, {key: (a, b, c) or None} of its blocks off three
+    one-variable parts: every other block is <1,1,1>, and a None block is
+    not matmul, so it is left out."""
+
+    __slots__ = ()
+
+    def _build(self) -> dict:
+        shapes = dict.fromkeys(zip(*self._rows.T.tolist()), (1, 1, 1)) | self._values
+        return {key: d for key, d in shapes.items() if d}
 
 
 def _support_trifunctional(keys) -> bool:
@@ -412,22 +430,23 @@ def _readiness(rows) -> tuple[list, BlockSet]:
     split they are read off: `blocks` of the rows' direct sum under the
     direct sum of their partitions (`partition_sum`), or of the one row.
     A row's verdict reads its summand's keys, symmetry and orbits, and its
-    `block_set` is its own, sliced from the split."""
+    `block_set` is its own, sliced from the split.  A row's own partition
+    may be a `partition_sum`: the row is then all of its summands."""
     if len(rows) == 1:
         bs = blocks(*rows[0])
     else:
         bs = blocks(direct_sum(*(t for t, _ in rows)), partition_sum(*(p for _, p in rows)))
-    counts = np.array(bs.summands)
+    counts = np.array([[p.part_count(ax) for ax in "xyz"] for _, p in rows])
     part_off = counts.cumsum(axis=0) - counts
     cuts = np.searchsorted(bs.key_array[:, 0], part_off[:, 0]).tolist() + [len(bs)]
     local = bs.key_array - part_off.repeat(np.diff(cuts), axis=0)
-    keys = list(zip(*local.T.tolist()))
     sums = local.sum(axis=1).tolist()
-    # the blocks off three one-variable parts, their part sizes and orbits
-    # (those on three such parts are <1,1,1>); each row's first orbit
+    # the blocks off three one-variable parts, their keys, part sizes and
+    # orbits (those on three such parts are <1,1,1>); each row's first orbit
     sizes = np.column_stack([np.array(bs.part_sizes(ax))[bs.key_array[:, a]]
                              for a, ax in enumerate("xyz")])
     larger = np.flatnonzero((sizes != 1).any(axis=1))
+    keys = list(zip(*local[larger].T.tolist()))
     shape, group = sizes[larger].tolist(), bs.group[larger].tolist()
     larger, size = larger.tolist(), np.bincount(bs.group).tolist()
     first_group = np.append(bs.group, 0)[cuts[:-1]]
@@ -437,14 +456,12 @@ def _readiness(rows) -> tuple[list, BlockSet]:
         # (1) maximal matmul blocks.  Under a symmetric partition the block
         # at (j,k,i) is the block at (i,j,k) rotated, and <a,b,c> rotates
         # to <b,c,a>, so the first block of each orbit is recognized.
-        shapes = dict.fromkeys(keys[lo:hi], (1, 1, 1))   # or None if not matmul
-        seen = set()
+        shapes = {}                                       # (a, b, c), or None if not matmul
         for i in range(bisect_left(larger, lo), bisect_left(larger, hi)):
-            if group[i] in seen:
+            if keys[i] in shapes:
                 continue
-            seen.add(group[i])
             witness = rank_tools._recognize(bs._block(larger[i]), shape[i])
-            key, d = keys[larger[i]], None if witness is None else (witness.a, witness.b, witness.c)
+            key, d = keys[i], None if witness is None else (witness.a, witness.b, witness.c)
             for _ in range(size[group[i]]):
                 shapes[key] = d
                 key, d = (key[1], key[2], key[0]), d and (d[1], d[2], d[0])
@@ -453,13 +470,14 @@ def _readiness(rows) -> tuple[list, BlockSet]:
             own = BlockSet(t, p, local[lo:hi], bs.entry_block[entry_at:entry_at + len(t)] - lo,
                            bs.group[lo:hi] - first_group[r], bs.symmetry[r:r + 1])
             entry_at += len(t)
-        readies.append(_verdict(own, keys[lo:hi], sums[lo:hi], shapes))
+        readies.append(_verdict(own, sums[lo:hi], dict(sorted(shapes.items()))))
     return readies, bs
 
 
-def _verdict(bs: BlockSet, keys, sums, shapes) -> LaserReadiness:
-    """The laser verdict on one row's block set, given its keys, the sum
-    i+j+k of each key and the matmul shape (or None) of each block."""
+def _verdict(bs: BlockSet, sums, shapes) -> LaserReadiness:
+    """The laser verdict on one row's block set, given the sum i+j+k of
+    each key and, in key order, the matmul shape (or None) of each block
+    off three one-variable parts."""
     p = bs.partition
     failures = []
     conditions = {}
@@ -474,14 +492,14 @@ def _verdict(bs: BlockSet, keys, sums, shapes) -> LaserReadiness:
     # (2) hyperplane support
     ell = None
     grades = None
-    if not keys:
+    if not sums:
         hyper = False
         failures.append("the block set is empty: the tensor has no terms")
     elif min(sums) == max(sums):
         ell = sums[0]
         grades = {ax: tuple(range(p.part_count(ax))) for ax in "xyz"}
         hyper = True
-    elif _support_trifunctional(keys):
+    elif _support_trifunctional(keys := list(zip(*bs.key_array.T.tolist()))):
         counts = tuple(p.part_count(ax) for ax in "xyz")
         solved = _solve_block_grading(keys, counts)
         if solved is None:
@@ -500,10 +518,8 @@ def _verdict(bs: BlockSet, keys, sums, shapes) -> LaserReadiness:
 
     ok = conditions["symmetric"] and conditions["hyperplane_support"] \
         and conditions["maximal_matmul_blocks"]
-    if not conditions["maximal_matmul_blocks"]:
-        shapes = {key: d for key, d in shapes.items() if d}
-    return LaserReadiness(ok, ell if hyper else None, grades if hyper else None, shapes,
-                          failures, conditions, bs)
+    return LaserReadiness(ok, ell if hyper else None, grades if hyper else None,
+                          BlockShapes(bs.key_array, shapes), failures, conditions, bs)
 
 
 def laser_lower_bound(t: Tensor, p: VariablePartition) -> BoundReport:
@@ -524,18 +540,20 @@ def _laser_reports(readies: Sequence[LaserReadiness], bs: BlockSet) -> list[Boun
     """`laser_lower_bound`'s reports for laser-ready verdicts, from one
     symmetric solve on `bs`, the split they were read off (the direct sum
     of their block sets): the optimum of the sum splits into each
-    summand's (`optimizer.summand_optima`)."""
+    summand's (`optimizer.summand_optima`).  One verdict takes the whole
+    optimum, also when its partition is a sum."""
     for ready in readies:
         if not ready.ok:
             raise NotLaserReady(ready)
-    optima = optimizer.summand_optima(bs, optimizer.maximize_symmetric(bs))
+    opt = optimizer.maximize_symmetric(bs)
+    optima = optimizer.summand_optima(bs, opt) if len(readies) > 1 else [opt]
     return [BoundReport("slice_rank_lower", opt.value, THEOREM_LASER, certificate={
         "tight": True,
         "asymptotic_subrank_equal": True,
         "ell": ready.ell,
         "kkt_residual": opt.kkt_residual,
         "distribution": opt.masses,
-        "block_shapes": dict(ready.block_shapes),
+        "block_shapes": ready.block_shapes,
     }) for ready, opt in zip(readies, optima)]
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .tensor_core import BlockSet, ParseError, Tensor, _coefficient, _content_lines, _index
+from .tensor_core import (BlockSet, ParseError, Tensor, _coefficient, _content_lines,
+                          _immutable, _index, _restore)
 
 
 class LambdaPoly:
@@ -40,8 +41,7 @@ class LambdaPoly:
                     clean[_index(e)] = c
         object.__setattr__(self, "coeffs", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaPoly is immutable")
+    __setattr__, __setstate__ = _immutable, _restore
 
     @classmethod
     def monomial(cls, coeff, exponent=0):
@@ -127,8 +127,7 @@ class DegenerationMap:
         object.__setattr__(self, "order", _index(order))
         object.__setattr__(self, "kind", self._classify())
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DegenerationMap is immutable")
+    __setattr__, __setstate__ = _immutable, _restore
 
     def _classify(self) -> str:
         one = LambdaPoly.one()

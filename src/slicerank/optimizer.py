@@ -29,7 +29,8 @@ keys in sorted order as one int row each (its columns, offset per axis,
 are the part rows of each block), and a group array naming the variable
 of each block, the block set's `group` (its rotation orbits) for the
 symmetric solve, `arange` for single blocks, or by default the block
-classes below.  No key tuple is built until the positive masses are.
+classes below.  No key tuple is built until an optimum's `masses` are
+read (`ArrayMap`).
 
 `maximize_product` and `maximize_minmax` solve on colour classes:
 `colour_classes` refines blocks and parts to the coarsest equitable
@@ -119,6 +120,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -297,10 +299,10 @@ class _Problem:
 
     def block_masses(self, x):
         """The block masses that x spreads to, in key order, and the
-        positive ones as {block key: mass}."""
+        positive ones as {block key: mass}, held as arrays."""
         d = self.share * x[self.group]
         pos = (d > 0).nonzero()[0]
-        return d, dict(zip(zip(*self.key_array[pos].T.tolist()), d[pos].tolist()))
+        return d, ArrayMap(self.key_array[pos], d[pos])
 
     def blockwise(self, x, w):
         """The block masses d that x spreads to, in key order, their
@@ -584,13 +586,53 @@ def _solve(prob: _Problem, w, x=None):
 # -- the three maximizations ---------------------------------------------------
 
 
+class ArrayMap(Mapping):
+    """A read-only {key triple: value} map held as two arrays, `rows` (one
+    int key row each, in order) and `values` (one value each), and built
+    into a dict of tuple keys and Python values when first read.  The
+    arrays are kept, so a copy or pickle carries them, and two threads
+    reading it first at once each build an equal dict, one of which is
+    kept.  A subclass that keeps other values overrides `_build`."""
+
+    __slots__ = ("_rows", "_values", "_dict")
+
+    def __init__(self, rows, values):
+        self._rows, self._values, self._dict = rows, values, None
+
+    def _build(self) -> dict:
+        return dict(zip(zip(*self._rows.T.tolist()), self._values.tolist()))
+
+    @property
+    def _map(self) -> dict:
+        built = self._dict
+        if built is None:
+            built = self._dict = self._build()
+        return built
+
+    def __getitem__(self, key):
+        return self._map[key]
+
+    def __iter__(self):
+        return iter(self._map)
+
+    def __len__(self):
+        return len(self._map)
+
+    def __eq__(self, other):
+        return self._map == other
+
+    def __repr__(self):
+        return repr(self._map)
+
+
 @dataclass(frozen=True)
 class Optimum:
     """The result of a maximization.
 
     `masses` is the maximizer {block key: mass}, positive masses only,
-    sorted by key; `log_values` its (f_x, f_y, f_z), and `log_value` the
-    maximized objective there.  `axis_weights` are the weights w the
+    sorted by key, a read-only mapping built when first read (`ArrayMap`);
+    `log_values` its (f_x, f_y, f_z), and `log_value` the maximized
+    objective there.  `axis_weights` are the weights w the
     solver ended with, and `optimality_gap` is max_t g_t - <g, x> for g the
     gradient of sum_a w_a f_a at the solver's variables x: sum_a w_a f_a
     plus the gap bounds the maximum of that sum from above.  `block_mass`
@@ -598,7 +640,7 @@ class Optimum:
     solver left it (None on a summand's optimum).
     """
 
-    masses: dict
+    masses: Mapping
     log_values: tuple
     log_value: float
     iterations: int
@@ -688,11 +730,10 @@ def summand_optima(block_set: BlockSet, opt: Optimum) -> list:
     np.maximum.at(top, summand, g)
     gap = (top - np.bincount(summand, g * d, c)).tolist()
     pos = on.nonzero()[0]
-    keys = list(zip(*(parts - first[summand])[pos].T.tolist()))
-    masses = d[pos].tolist()
+    rows, masses = (parts - first[summand])[pos], d[pos]
     ends = summand[pos].searchsorted(np.arange(c), "right").tolist()
     f, resid = f.reshape(-1, 3).tolist(), resid.tolist()
-    return [Optimum(dict(zip(keys[start:end], masses[start:end])), tuple(f[r]), f[r][0],
+    return [Optimum(ArrayMap(rows[start:end], masses[start:end]), tuple(f[r]), f[r][0],
                     opt.iterations, resid[r], opt.axis_weights, gap[r])
             for r, (start, end) in enumerate(zip([0] + ends, ends))]
 

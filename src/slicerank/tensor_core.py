@@ -63,6 +63,18 @@ def _index(i) -> int:
         raise ValueError(f"{i!r} is not an integer") from None
 
 
+def _immutable(self, name, value):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _restore(self, state):
+    """`__setstate__` of the immutable types, whose `__setattr__` refuses
+    every assignment: sets the slots a pickle or copy saved, in the
+    state (None, {slot: value}) that a slotted object gives."""
+    for name, value in state[1].items():
+        object.__setattr__(self, name, value)
+
+
 class Tensor:
     """Sparse trilinear form with exact rational coefficients.
 
@@ -116,8 +128,7 @@ class Tensor:
         object.__setattr__(t, "meta", meta or {})
         return t
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
+    __setattr__, __setstate__ = _immutable, _restore
 
     # -- basic views ------------------------------------------------------
 
@@ -512,8 +523,7 @@ class VariablePartition:
         object.__setattr__(p, "summands", summands or (tuple(map(len, parts)),))
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VariablePartition is immutable")
+    __setattr__, __setstate__ = _immutable, _restore
 
     def parts(self, axis: str):
         return {"x": self.parts_x, "y": self.parts_y, "z": self.parts_z}[axis]

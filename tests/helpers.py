@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +18,10 @@ from slicerank.tensor_core import (ParseError, Tensor, VariablePartition, cube_p
                                     tensor_power)
 
 COEFFS = [Fraction(n) for n in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
+
+# the ways a value is copied: a pickle round trip, a copy and a deep copy
+ROUND_TRIPS = {"pickle": lambda value: pickle.loads(pickle.dumps(value)),
+               "copy": copy.copy, "deepcopy": copy.deepcopy}
 
 
 def random_tensor(rng: random.Random, max_dim: int = 3, density: float = 0.5,

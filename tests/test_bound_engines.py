@@ -1,19 +1,25 @@
 """The bounding tools, laser machinery, tables, and family floor."""
 
+import gc
 import itertools
 import math
+import os
 import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import slicerank as sr
 from slicerank import bound_engines as be
-from slicerank import rank_tools
+from slicerank import optimizer, rank_tools
 from slicerank.tensor_core import Tensor
 
-from helpers import (random_partition, random_tensor, reference_block_grading,
+from helpers import (ROUND_TRIPS, random_partition, random_tensor, reference_block_grading,
                      relabeled_cw2_cube, relabeled_cw_cube, search_zeroing_independent,
                      t112_objective_log, t112_value_lower_formula,
                      t112_value_power_mean_upper)
@@ -624,6 +630,7 @@ def test_run_readiness_equals_each_rows(kinds):
         want = be.laser_readiness(t, p)
         for name in READINESS_FIELDS:
             assert getattr(got, name) == getattr(want, name), name
+        assert repr(got.block_shapes) == repr(want.block_shapes)
         bs, ref = got.block_set, want.block_set
         assert bs.tensor is t and bs.partition is p
         assert bs.keys() == ref.keys() and bs.blocks == ref.blocks
@@ -640,6 +647,216 @@ def test_run_readiness_equals_each_rows(kinds):
                   if all(t.rank_fact() for t, _ in rows) else be._laser_reports(readies, split))
         for report, (t, p) in zip(solved, rows):
             assert report.value == pytest.approx(be.laser_lower_bound(t, p).value, rel=1e-9)
+
+
+def eager_block_shapes(bs):
+    """The block shapes and matmul failures of a one-row verdict as the
+    eager code built them, a dict of every key: each key at (1, 1, 1), the
+    first block off three one-variable parts of each orbit recognized and
+    its shape rotated over the orbit, the blocks that are not matmul
+    named in key order and then dropped."""
+    keys = list(zip(*bs.key_array.T.tolist()))
+    sizes = np.column_stack([np.array(bs.part_sizes(ax))[bs.key_array[:, a]]
+                             for a, ax in enumerate("xyz")])
+    size, seen = np.bincount(bs.group).tolist(), set()
+    shapes = dict.fromkeys(keys, (1, 1, 1))
+    for b in np.flatnonzero((sizes != 1).any(axis=1)).tolist():
+        g = int(bs.group[b])
+        if g in seen:
+            continue
+        seen.add(g)
+        witness = rank_tools._recognize(bs._block(b), sizes[b].tolist())
+        key, d = keys[b], None if witness is None else (witness.a, witness.b, witness.c)
+        for _ in range(size[g]):
+            shapes[key] = d
+            key, d = (key[1], key[2], key[0]), d and (d[1], d[2], d[0])
+    failures = [f"block {key} is not a matmul tensor" for key, d in shapes.items() if d is None]
+    return {key: d for key, d in shapes.items() if d}, failures
+
+
+def eager_masses(d, key_array):
+    """The positive block masses d as the eager code keyed them."""
+    pos = (d > 0).nonzero()[0]
+    return dict(zip(zip(*key_array[pos].T.tolist()), d[pos].tolist()))
+
+
+def eager_summand_masses(union, opt):
+    """Each summand's renormalized positive masses of the optimum of a
+    sum, keyed by its own part triples, as the eager code built them."""
+    counts = np.array(union.summands)
+    first = np.cumsum(counts, axis=0) - counts
+    parts = union.key_array
+    summand = first[:, 0].searchsorted(parts[:, 0], "right") - 1
+    d = opt.block_mass / np.bincount(summand, opt.block_mass, len(counts))[summand]
+    pos = (d > 0.0).nonzero()[0]
+    keys = list(zip(*(parts - first[summand])[pos].T.tolist()))
+    masses = d[pos].tolist()
+    ends = summand[pos].searchsorted(np.arange(len(counts)), "right").tolist()
+    return [dict(zip(keys[a:b], masses[a:b])) for a, b in zip([0] + ends, ends)]
+
+
+def assert_reads_as(view, want, value_type):
+    """A map built when read equals the eager dict once read: the same
+    items in the same order, int triple keys, values of `value_type`,
+    equality both ways and the same repr."""
+    assert isinstance(view, optimizer.ArrayMap) and view._dict is None
+    assert list(view.items()) == list(want.items())
+    assert view == want and want == view and repr(view) == repr(want)
+    assert len(view) == len(want) and list(view) == list(want)
+    for key, value in view.items():
+        assert type(key) is tuple and all(type(i) is int for i in key)
+        assert type(value) is value_type
+
+
+def cw2_with_cyclic():
+    """CW_2 next to the cyclic group tensor of order 3, one part per axis
+    for the latter, under one plain partition: one block is not matmul."""
+    cyclic = sr.make_cyclic(3)
+    t = sr.direct_sum(sr.make_cw(2), cyclic)
+    p = sr.partition_sum(sr.cw_partition(2), sr.trivial_partition(cyclic))
+    return t, sr.VariablePartition(p.parts_x, p.parts_y, p.parts_z, p.sizes)
+
+
+@pytest.mark.parametrize("case", ["cw2-cube", "not-matmul", "t112-cube"])
+def test_maps_read_as_the_eager_dicts(case):
+    """`block_shapes` and `masses`, built when first read, equal the dicts
+    the eager code built, in key order, on the relabeled CW_2 cube, on a
+    block set with a block that is not matmul and on the t_112 cube
+    (orbits of unequal shapes); so do the certificate's maps and, on a
+    run of T_q rows, each row's distribution read off the one solve."""
+    if case == "cw2-cube":
+        t, p = relabeled_cw2_cube(31)
+    elif case == "not-matmul":
+        t, p = cw2_with_cyclic()
+    else:
+        t, p = sr.symmetric_cube(sr.make_t112(1)), sr.cube_partition(sr.make_t112(1),
+                                                                      sr.t112_partition(1))
+    r = be.laser_readiness(t, p)
+    shapes, failures = eager_block_shapes(r.block_set)
+    assert [f for f in r.failures if f.startswith("block (")] == failures
+    assert r.conditions["maximal_matmul_blocks"] == (not failures) == (case != "not-matmul")
+    assert_reads_as(r.block_shapes, shapes, tuple)
+    opt = optimizer.maximize_symmetric(r.block_set)
+    assert_reads_as(opt.masses, eager_masses(opt.block_mass, r.block_set.key_array), float)
+    if r.ok:
+        cert = be.laser_lower_bound(t, p).certificate
+        assert_reads_as(cert["block_shapes"], shapes, tuple)
+        assert_reads_as(cert["distribution"], opt.masses, float)
+    rows = [(t, sr.singleton_partition(t)) for t in map(sr.make_cyclic_lower, range(2, 12))]
+    readies, split = be._readiness(rows)
+    opt = optimizer.maximize_symmetric(split)
+    for got, want in zip(optimizer.summand_optima(split, opt), eager_summand_masses(split, opt)):
+        assert_reads_as(got.masses, want, float)
+    for ready in readies:
+        assert_reads_as(ready.block_shapes, eager_block_shapes(ready.block_set)[0], tuple)
+
+
+def test_laser_on_a_partition_sum_reads_every_summand():
+    """A partition built by `partition_sum` is one row: its verdict reads
+    the blocks of every summand, and its tight value is that of the whole
+    sum, as under the same partition built plainly."""
+    t, plain = cw2_with_cyclic()
+    summed = sr.partition_sum(sr.cw_partition(2), sr.trivial_partition(sr.make_cyclic(3)))
+    got, want = be.laser_readiness(t, summed), be.laser_readiness(t, plain)
+    assert not got.ok and got.failures == ["block (3, 3, 3) is not a matmul tensor"]
+    for name in READINESS_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    t = sr.direct_sum(sr.make_cw(1), sr.make_cw(2))
+    summed = sr.partition_sum(sr.cw_partition(1), sr.cw_partition(2))
+    plain = sr.VariablePartition(summed.parts_x, summed.parts_y, summed.parts_z, summed.sizes)
+    value = be.laser_lower_bound(t, plain).value
+    assert be.laser_lower_bound(t, summed).value == pytest.approx(value, rel=1e-12)
+    assert value == pytest.approx(CW_SLICE[0] + CW_SLICE[1], rel=1e-4)
+
+
+def assert_same_block_set(got, want):
+    assert got.tensor == want.tensor and got.partition == want.partition
+    assert got.partition.summands == want.partition.summands
+    for name in ("key_array", "entry_block", "group"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.symmetry == want.symmetry
+    assert got.keys() == want.keys() and got.blocks == want.blocks
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("how", ROUND_TRIPS)
+def test_results_copy_and_pickle(how, read):
+    """Block sets, laser verdicts, optima and table rows survive pickling,
+    copying and deep-copying, with their maps read or not: each copy
+    equals its original."""
+    t, p = sr.make_cw(2), sr.cw_partition(2)
+    ready = be.laser_readiness(t, p)
+    opt = optimizer.maximize_symmetric(ready.block_set)
+    row = be.cw_table(3)[2]
+    if read:
+        for view in (ready.block_shapes, opt.masses, row.slice_report.certificate["distribution"],
+                     row.slice_report.certificate["block_shapes"]):
+            assert view._dict is None and len(dict(view)) == 6
+    for value in (ready.block_set, ready, opt, row):
+        got = ROUND_TRIPS[how](value)
+        assert type(got) is type(value)
+        if isinstance(value, sr.BlockSet):
+            assert_same_block_set(got, value)
+        elif isinstance(value, be.LaserReadiness):
+            for name in READINESS_FIELDS:
+                assert getattr(got, name) == getattr(value, name), name
+            assert_same_block_set(got.block_set, value.block_set)
+        else:
+            assert got == value
+    assert np.array_equal(ROUND_TRIPS[how](opt).block_mass, opt.block_mass)
+
+
+def test_first_read_of_a_map_is_safe_across_threads():
+    """More threads than cores read one unread `masses` map and one unread
+    `block_shapes` map at once, half of them in each order, with the
+    interpreter switching threads every microsecond: every thread gets
+    the eager dicts."""
+    t, p = relabeled_cw2_cube(37)
+    report = be.laser_lower_bound(t, p)
+    bs = be.laser_readiness(t, p).block_set
+    maps = [report.certificate["distribution"], report.certificate["block_shapes"]]
+    want = [list(eager_masses(optimizer.maximize_symmetric(bs).block_mass, bs.key_array).items()),
+            list(eager_block_shapes(bs)[0].items())]
+    assert [m._dict for m in maps] == [None, None]
+    count = 4 * (os.cpu_count() or 1) + 2
+    start = threading.Barrier(count, timeout=30)
+    got = [None] * count
+
+    def read(i):
+        start.wait()
+        order = (0, 1) if i % 2 else (1, 0)
+        got[i] = {j: list(maps[j].items()) for j in order}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        alive = [thread for thread in threads if thread.is_alive()]
+    finally:
+        sys.setswitchinterval(switch)
+    assert alive == []
+    assert all(g == {0: want[0], 1: want[1]} for g in got)
+
+
+def test_tq_lower_rows_hold_little_memory():
+    """The rows `tq_lower_table(64)` returns hold under 4 MB, by tracemalloc:
+    each certificate keeps its distribution and block shapes as key and
+    mass arrays, 10.2 MB when it held them as dicts."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = be.tq_lower_table(64)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [row.q for row in rows] == list(range(2, 65))
+    assert held < 4e6
 
 
 # -- laser lower bound ------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import slicerank as sr
-from slicerank import bound_engines as be
+from slicerank import bound_engines as be, optimizer
 from slicerank.cli import main
 
 from helpers import relabeled_cw2_cube
@@ -98,6 +98,18 @@ TQ_LOWER_TABLE_24 = [
 def test_table_output_pinned(capsys, argv, lines):
     assert main(argv) == 0
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
+def test_table_builds_no_per_block_map(capsys, monkeypatch):
+    """`table` prints no certificate map, so `table tq-lower --qmax 16`
+    builds none: neither a solve's `masses` nor a verdict's
+    `block_shapes` is read."""
+    built = []
+    for kind in (optimizer.ArrayMap, be.BlockShapes):
+        monkeypatch.setattr(kind, "_build", lambda view: built.append(type(view)) or {})
+    assert main(["table", "tq-lower", "--qmax", "16"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 15
+    assert built == []
 
 
 def test_table_beyond_golden_rows(capsys):

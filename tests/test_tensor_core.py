@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import slicerank as sr
-from slicerank.degeneration import LambdaPoly, parse_degeneration_map
+from slicerank.degeneration import DegenerationMap, LambdaPoly, parse_degeneration_map
 from slicerank.tensor_core import ParseError, PartitionError, Tensor
 
-from helpers import (block_entries, random_index_partition, random_partition,
+from helpers import (ROUND_TRIPS, block_entries, random_index_partition, random_partition,
                      random_symmetric_tensor, random_tensor, reference_blocks,
                      reference_coefficient, reference_orbits,
                      reference_parse_tensor, reference_restriction, reference_rotation_orbits,
@@ -156,6 +156,29 @@ def test_t112_counts(q, nz, entries):
     assert t.shape == (2 * q, 2 * q, q * q + 2)
     assert t.shape[2] == nz
     assert len(t.entries) == entries == 2 * q + 2 * q * q
+
+
+@pytest.mark.parametrize("how", ROUND_TRIPS)
+@pytest.mark.parametrize("value", [
+    Tensor(range(2), "ab", range(1), {(1, 0, 0): Fraction(1, 3)}, {"family": "t"}),
+    sr.cw_partition(3),
+    sr.partition_sum(sr.cw_partition(1), sr.singleton_partition(sr.make_cyclic_lower(2))),
+    LambdaPoly({0: 1, 2: Fraction(-1, 2)}),
+    DegenerationMap({(0, 1): LambdaPoly({1: 2})}, {(1, 0): 1}, {}, 2),
+], ids=["tensor", "partition", "partition-sum", "lambda-poly", "degeneration-map"])
+def test_immutable_values_copy_and_pickle(value, how):
+    """Pickling, copying and deep-copying restore every slot, the copy
+    equals the original where its type defines equality, and it is as
+    immutable as the original: setting any slot raises."""
+    got = ROUND_TRIPS[how](value)
+    kind = type(value)
+    assert type(got) is kind
+    for slot in kind.__slots__:
+        assert getattr(got, slot) == getattr(value, slot), slot
+        with pytest.raises(AttributeError, match=f"{kind.__name__} is immutable"):
+            setattr(got, slot, getattr(value, slot))
+    if kind.__eq__ is not object.__eq__:
+        assert got == value
 
 
 # -- algebra ----------------------------------------------------------------
