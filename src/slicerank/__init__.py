@@ -8,7 +8,6 @@ matrix multiplication exponent limits.
 
 from .tensor_core import (
     BlockSet,
-    ParseError,
     RankFact,
     Tensor,
     VariablePartition,
@@ -28,8 +27,6 @@ from .tensor_core import (
     make_matmul,
     make_t112,
     n_copies,
-    parse_partition,
-    parse_tensor,
     partition_sum,
     rotate,
     singleton_partition,
@@ -40,8 +37,6 @@ from .tensor_core import (
     tensor_product,
     trimmed,
     trivial_partition,
-    write_partition,
-    write_tensor,
 )
 from .rank_tools import (
     flattening,
@@ -60,10 +55,17 @@ from .degeneration import (
     apply_degeneration,
     compose,
     identity_map,
-    parse_degeneration_map,
     verify_degeneration,
-    write_degeneration_map,
     zeroing_to_block,
+)
+from .formats import (
+    ParseError,
+    parse_degeneration_map,
+    parse_partition,
+    parse_tensor,
+    write_degeneration_map,
+    write_partition,
+    write_tensor,
 )
 from .optimizer import (
     Optimum,

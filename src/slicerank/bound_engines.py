@@ -55,7 +55,6 @@ from .tensor_core import (
     partition_sum,
     singleton_partition,
     t112_partition,
-    tensor_add,
     trimmed,
 )
 
@@ -228,11 +227,7 @@ def split_bound(a: Tensor, b: Tensor, b_value_upper: float,
     if (a.x_labels, a.y_labels, a.z_labels) != (b.x_labels, b.y_labels, b.z_labels):
         raise ValueError("split parts must share variable lists")
     if total is not None:
-        s = tensor_add(a, b)
-        if s.entries != total.entries:
-            diff = sorted(set(s.entries.items()) ^ set(total.entries.items()))
-            key = diff[0][0]
-            raise ValueError(f"A + B differs from the tensor at entry {key}")
+        sum_of_measures_bound(total, (a, b))  # for its check that A + B is total
     sxa, sya, sza = (rank_tools.flattening_rank(a, ax) for ax in "xyz")
     ma = max(sxa, sya, sza)
     sxb = rank_tools.x_rank(b)

@@ -17,8 +17,8 @@ import math
 import sys
 
 from . import bound_engines as be
-from . import degeneration, tensor_core
-from .tensor_core import ParseError
+from . import degeneration, formats
+from .formats import ParseError
 
 # Golden values at printed precision; comparisons use |computed - golden|
 # <= tol (default 1e-4), which covers the truncation of the printed digits.
@@ -113,26 +113,9 @@ def cmd_appendix(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _text_lines(text: str) -> str:
-    """Text mode's universal newlines: "\\r\\n" and "\\r" read as "\\n"."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _load(path, parser):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the valid prefix decodes, so its line breaks number the bad byte's line
-        line = _text_lines(data[:exc.start].decode("utf-8")).count("\n") + 1
-        raise ParseError(line, f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})")
-    return parser(_text_lines(text))
-
-
 def cmd_bound(args) -> int:
-    t = _load(args.tensor, tensor_core.parse_tensor)
-    p = _load(args.partition, lambda s: tensor_core.parse_partition(s, t.shape))
+    t = formats.load(args.tensor, formats.parse_tensor)
+    p = formats.load(args.partition, lambda s: formats.parse_partition(s, t.shape))
     solved = None  # the report whose optimizer residual is checked
     if args.mode == "partition":
         solved = be.partition_bound(t, p)
@@ -162,9 +145,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify_degeneration(args) -> int:
-    t1 = _load(args.source, tensor_core.parse_tensor)
-    t2 = _load(args.target, tensor_core.parse_tensor)
-    dmap = _load(args.map, degeneration.parse_degeneration_map)
+    t1 = formats.load(args.source, formats.parse_tensor)
+    t2 = formats.load(args.target, formats.parse_tensor)
+    dmap = formats.load(args.map, formats.parse_degeneration_map)
     result = degeneration.verify_degeneration(t1, t2, dmap)
     if result.ok:
         print(f"OK order h={dmap.order}")

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .tensor_core import (BlockSet, ParseError, Tensor, _coefficient, _content_lines,
-                          _immutable, _index, _restore)
+from .tensor_core import BlockSet, Frozen, Tensor, _index
 
 
-class LambdaPoly:
+class LambdaPoly(Frozen):
     """Sparse polynomial in lambda with Fraction coefficients."""
 
     __slots__ = ("coeffs",)
@@ -36,12 +35,11 @@ class LambdaPoly:
             for e, c in coeffs.items():
                 c = Fraction(c)
                 if c != 0:
+                    e = _index(e)
                     if e < 0:
                         raise ValueError("negative lambda exponent")
-                    clean[_index(e)] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    __setattr__, __setstate__ = _immutable, _restore
+                    clean[e] = c
+        self._set(clean)
 
     @classmethod
     def monomial(cls, coeff, exponent=0):
@@ -97,7 +95,7 @@ class LambdaPoly:
         return " + ".join(terms)
 
 
-class DegenerationMap:
+class DegenerationMap(Frozen):
     """The maps alpha, beta, gamma plus the order h.
 
     alpha/beta/gamma map (source index, target index) pairs to nonzero
@@ -119,21 +117,18 @@ class DegenerationMap:
                     out[(_index(src), _index(dst))] = poly
             return out
 
+        order = _index(order)
         if order < 0:
             raise ValueError("order must be nonnegative")
-        object.__setattr__(self, "alpha", clean(alpha))
-        object.__setattr__(self, "beta", clean(beta))
-        object.__setattr__(self, "gamma", clean(gamma))
-        object.__setattr__(self, "order", _index(order))
-        object.__setattr__(self, "kind", self._classify())
+        maps = clean(alpha), clean(beta), clean(gamma)
+        self._set(*maps, order, self._classify(maps))
 
-    __setattr__, __setstate__ = _immutable, _restore
-
-    def _classify(self) -> str:
+    @staticmethod
+    def _classify(maps) -> str:
         one = LambdaPoly.one()
         zeroing = True
         monomial = True
-        for mapping in (self.alpha, self.beta, self.gamma):
+        for mapping in maps:
             sources = {}
             for (src, dst), poly in mapping.items():
                 sources[src] = sources.get(src, 0) + 1
@@ -310,81 +305,3 @@ def compose(d1: DegenerationMap, d2: DegenerationMap) -> DegenerationMap:
         combine(d1.gamma, d2.gamma),
         order=d1.order * factor + d2.order,
     )
-
-
-# -- text format -----------------------------------------------------------
-
-_MAP_NAMES = {"alpha": 0, "beta": 1, "gamma": 2}
-
-
-def parse_degeneration_map(text: str) -> DegenerationMap:
-    """Parse the line-oriented map format.
-
-    Monomial lines: `alpha src dst exponent num/den` (same for beta and
-    gamma).  General polynomial lines: `alphaP src dst e1 c1 e2 c2 ...`.
-    One `order h` line sets the degeneration order (default 0); a second
-    is an error.
-    Indices, exponents and the order are nonnegative integers.
-    """
-    maps = ({}, {}, {})
-    order = None
-    for n, toks in _content_lines(text):
-        head = toks[0]
-        if head == "order":
-            if len(toks) != 2 or order is not None:
-                raise ParseError(n, f"{'malformed' if order is None else 'repeated'} order line")
-            try:
-                order = int(toks[1])
-            except ValueError:
-                order = -1
-            if order < 0:
-                raise ParseError(n, f"bad order {toks[1]!r}")
-            continue
-        general = head.endswith("P")
-        name = head[:-1] if general else head
-        if name not in _MAP_NAMES:
-            raise ParseError(n, f"unknown directive {head!r}")
-        target = maps[_MAP_NAMES[name]]
-        try:
-            src, dst = int(toks[1]), int(toks[2])
-            if src < 0 or dst < 0:
-                raise ValueError
-        except (IndexError, ValueError):
-            raise ParseError(n, f"bad source/target in {' '.join(toks)!r}")
-        body = toks[3:]
-        if general:
-            if not body or len(body) % 2:
-                raise ParseError(n, "polynomial needs exponent/coefficient pairs")
-            pairs = zip(body[0::2], body[1::2])
-        else:
-            if len(body) != 2:
-                raise ParseError(n, "monomial line needs exponent and coefficient")
-            pairs = [(body[0], body[1])]
-        coeffs = {}
-        try:
-            for e_tok, c_tok in pairs:
-                e = int(e_tok)
-                if e < 0:
-                    raise ValueError
-                coeffs[e] = coeffs.get(e, 0) + _coefficient(c_tok)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(n, f"bad polynomial in {' '.join(toks)!r}")
-        target[src, dst] = target.get((src, dst), LambdaPoly()) + LambdaPoly(coeffs)
-    return DegenerationMap(maps[0], maps[1], maps[2], order or 0)
-
-
-def write_degeneration_map(d: DegenerationMap) -> str:
-    lines = []
-    for name, mapping in zip(("alpha", "beta", "gamma"), d.maps()):
-        for (src, dst) in sorted(mapping):
-            poly = mapping[(src, dst)]
-            if poly.is_monomial():
-                (e, c), = poly.coeffs.items()
-                lines.append(f"{name} {src} {dst} {e} {c.numerator}/{c.denominator}")
-            else:
-                body = " ".join(
-                    f"{e} {c.numerator}/{c.denominator}"
-                    for e, c in sorted(poly.coeffs.items()))
-                lines.append(f"{name}P {src} {dst} {body}")
-    lines.append(f"order {d.order}")
-    return "\n".join(lines) + "\n"

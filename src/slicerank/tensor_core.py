@@ -25,7 +25,6 @@ the positional `is_variable_symmetric` check.
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,19 +62,33 @@ def _index(i) -> int:
         raise ValueError(f"{i!r} is not an integer") from None
 
 
-def _immutable(self, name, value):
-    raise AttributeError(f"{type(self).__name__} is immutable")
+class Frozen:
+    """Base of the immutable value types.  `_set` fills the slots once, in
+    `__slots__` order, through the slot setters collected per class;
+    setting or deleting an attribute raises, and `__setstate__` restores
+    for pickle and copy the state (None, {slot: value}) a slotted object
+    saves."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set(self, *values):
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __setattr__(self, name, value=None):  # `__delattr__` passes no value
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
-def _restore(self, state):
-    """`__setstate__` of the immutable types, whose `__setattr__` refuses
-    every assignment: sets the slots a pickle or copy saved, in the
-    state (None, {slot: value}) that a slotted object gives."""
-    for name, value in state[1].items():
-        object.__setattr__(self, name, value)
-
-
-class Tensor:
+class Tensor(Frozen):
     """Sparse trilinear form with exact rational coefficients.
 
     `x_labels`, `y_labels`, `z_labels` are the ordered variable lists;
@@ -107,11 +120,7 @@ class Tensor:
             if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
                 raise ValueError(f"entry index {(i, j, k)} out of range")
             clean[key] = c
-        object.__setattr__(self, "x_labels", x_labels)
-        object.__setattr__(self, "y_labels", y_labels)
-        object.__setattr__(self, "z_labels", z_labels)
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "meta", dict(meta) if meta else {})
+        self._set(x_labels, y_labels, z_labels, clean, dict(meta) if meta else {})
 
     @classmethod
     def _unchecked(cls, x_labels, y_labels, z_labels, entries, meta=None) -> Tensor:
@@ -121,14 +130,8 @@ class Tensor:
         checked tensor's, `direct_sum`'s of checked tensors,
         `parse_tensor`'s, or the table families' builders'."""
         t = object.__new__(cls)
-        object.__setattr__(t, "x_labels", x_labels)
-        object.__setattr__(t, "y_labels", y_labels)
-        object.__setattr__(t, "z_labels", z_labels)
-        object.__setattr__(t, "entries", entries)
-        object.__setattr__(t, "meta", meta or {})
+        t._set(x_labels, y_labels, z_labels, entries, meta or {})
         return t
-
-    __setattr__, __setstate__ = _immutable, _restore
 
     # -- basic views ------------------------------------------------------
 
@@ -466,7 +469,7 @@ class PartitionError(ValueError):
         self.part = part
 
 
-class VariablePartition:
+class VariablePartition(Frozen):
     """A partition of each axis into labeled, ordered parts.
 
     Each part is (label, indices); indices are stored sorted.  Parts must
@@ -503,12 +506,7 @@ class VariablePartition:
         px, wx = normalize(parts_x, nx, "x")
         py, wy = normalize(parts_y, ny, "y")
         pz, wz = normalize(parts_z, nz, "z")
-        object.__setattr__(self, "sizes", (nx, ny, nz))
-        object.__setattr__(self, "parts_x", px)
-        object.__setattr__(self, "parts_y", py)
-        object.__setattr__(self, "parts_z", pz)
-        object.__setattr__(self, "where", (wx, wy, wz))
-        object.__setattr__(self, "summands", ((len(px), len(py), len(pz)),))
+        self._set(px, py, pz, (nx, ny, nz), (wx, wy, wz), ((len(px), len(py), len(pz)),))
 
     @classmethod
     def _unchecked(cls, parts, where, summands=None) -> VariablePartition:
@@ -516,14 +514,10 @@ class VariablePartition:
         `where` map, as a checked partition's (or `partition_sum`'s) stand,
         and its `summands`, by default one of all its parts."""
         p = object.__new__(cls)
-        for axis, own in zip(AXES, parts):
-            object.__setattr__(p, f"parts_{axis}", tuple(own))
-        object.__setattr__(p, "where", tuple(map(tuple, where)))
-        object.__setattr__(p, "sizes", tuple(len(w) for w in p.where))
-        object.__setattr__(p, "summands", summands or (tuple(map(len, parts)),))
+        where = tuple(map(tuple, where))
+        p._set(*map(tuple, parts), tuple(map(len, where)), where,
+               summands or (tuple(map(len, parts)),))
         return p
-
-    __setattr__, __setstate__ = _immutable, _restore
 
     def parts(self, axis: str):
         return {"x": self.parts_x, "y": self.parts_y, "z": self.parts_z}[axis]
@@ -831,161 +825,3 @@ def block_sum(block_sets: Sequence[BlockSet]) -> BlockSet:
         return block_sets[0]
     return blocks(direct_sum(*(bs.tensor for bs in block_sets)),
                   partition_sum(*(bs.partition for bs in block_sets)))
-
-
-# -- text formats ---------------------------------------------------------
-
-
-class ParseError(ValueError):
-    """Input file syntax error; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-def _content_lines(text: str):
-    """(1-based line number, tokens) of each line with tokens; a line ends
-    at "\n" only, and `#` starts a comment."""
-    for n, raw in enumerate(text.split("\n"), start=1):
-        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if toks:
-            yield n, toks
-
-
-def _coefficient(tok: str):
-    """The value `Fraction(tok)` reads (or the error it raises), as an
-    `int` when integral; a ValueError too when its numerator or denominator
-    has more digits than `str` prints, `sys.get_int_max_str_digits()` (the
-    limit `int` sets on index tokens).  An exponent past that limit plus
-    the token's length leaves a nonzero value past it as well, so it is cut
-    to that before `Fraction` builds its power of ten."""
-    limit = sys.get_int_max_str_digits()
-    mantissa, e, exp = tok.lower().partition("e")
-    if limit and e and abs(int(exp)) > limit + len(tok):
-        tok = f"{mantissa}e{limit + len(tok)}"
-    c = Fraction(tok)
-    str(c)  # the ValueError past the limit
-    return c.numerator if c.denominator == 1 else c
-
-
-class _TokenValues(dict):
-    """token -> `read(token)`, reading each distinct token once; the
-    errors of `read` pass through and nothing is stored for them."""
-
-    __slots__ = ("read",)
-
-    def __init__(self, read):
-        super().__init__()
-        self.read = read
-
-    def __missing__(self, tok):
-        value = self[tok] = self.read(tok)
-        return value
-
-
-def parse_tensor(text: str) -> Tensor:
-    """Parse the line-oriented tensor format.
-
-    Header lines `xvars n`, `yvars n`, `zvars n` (n >= 0, any order, each
-    once, before the entries), then one entry per line: `i j k num/den` with
-    0-based indices.  `#` starts a comment; a line ends at "\n" only.
-    """
-    labels = {}
-    entries = {}
-    # a file repeats few index and coefficient tokens (a cube file's 729
-    # entries use 27 indices and one coefficient), so each is read once
-    indices, values = _TokenValues(int), _TokenValues(_coefficient)
-    for n, raw in enumerate(text.split("\n"), start=1):
-        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not toks:
-            continue
-        if toks[0] in ("xvars", "yvars", "zvars"):
-            if len(toks) != 2:
-                raise ParseError(n, f"malformed header {' '.join(toks)!r}")
-            if entries:
-                raise ParseError(n, f"{toks[0]} header after the entries")
-            if toks[0][0] in labels:
-                raise ParseError(n, f"repeated {toks[0]} header")
-            try:
-                count = int(toks[1])
-            except ValueError:
-                count = -1
-            if count < 0:
-                raise ParseError(n, f"bad variable count {toks[1]!r}")
-            try:
-                labels[toks[0][0]] = tuple(range(count))
-            except (MemoryError, OverflowError):
-                raise ParseError(n, f"variable count {count} too large")
-            if len(labels) == 3:
-                nx, ny, nz = len(labels["x"]), len(labels["y"]), len(labels["z"])
-            continue
-        if len(labels) != 3:
-            raise ParseError(n, "entry before xvars/yvars/zvars headers")
-        if len(toks) != 4:
-            raise ParseError(n, f"expected 'i j k coeff', got {' '.join(toks)!r}")
-        try:
-            key = (indices[toks[0]], indices[toks[1]], indices[toks[2]])
-            c = values[toks[3]]
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(n, f"bad entry {' '.join(toks)!r}")
-        if key in entries:
-            raise ParseError(n, f"duplicate entry for {key}")
-        i, j, k = key
-        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-            for idx, ax, size in zip(key, "xyz", (nx, ny, nz)):
-                if not 0 <= idx < size:
-                    raise ParseError(n, f"{ax} index {idx} out of range")
-        entries[key] = c
-    if len(labels) != 3:
-        raise ParseError(1, "missing xvars/yvars/zvars headers")
-    return Tensor._unchecked(labels["x"], labels["y"], labels["z"],
-                             {key: c for key, c in entries.items() if c})
-
-
-def write_tensor(t: Tensor) -> str:
-    nx, ny, nz = t.shape
-    lines = [f"xvars {nx}", f"yvars {ny}", f"zvars {nz}"]
-    for (i, j, k) in sorted(t.entries):
-        c = t.entries[(i, j, k)]
-        lines.append(f"{i} {j} {k} {c.numerator}/{c.denominator}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_partition(text: str, sizes=None) -> VariablePartition:
-    """Parse the partition format: one `axis label index index ...` per line.
-
-    If `sizes` is omitted the axis sizes are taken to be the total index
-    counts seen per axis.
-    """
-    parts = {"x": [], "y": [], "z": []}
-    line_of = {"x": [], "y": [], "z": []}
-    last = 1
-    for n, toks in _content_lines(text):
-        if toks[0] not in parts or len(toks) < 3:
-            raise ParseError(n, f"expected 'axis label idx...', got {' '.join(toks)!r}")
-        try:
-            idx = [int(tok) for tok in toks[2:]]
-        except ValueError:
-            raise ParseError(n, f"bad index in {' '.join(toks)!r}")
-        parts[toks[0]].append((toks[1], idx))
-        line_of[toks[0]].append(n)
-        last = n
-    if sizes is None:
-        sizes = tuple(sum(len(idx) for _, idx in parts[ax]) for ax in AXES)
-    try:
-        return VariablePartition(parts["x"], parts["y"], parts["z"], sizes)
-    except PartitionError as exc:
-        # a missing index is reported at the axis's last part, or at the
-        # end of the input when the axis has no parts
-        lines = line_of[exc.axis]
-        at = lines[-1 if exc.part is None else exc.part] if lines else last
-        raise ParseError(at, str(exc))
-
-
-def write_partition(p: VariablePartition) -> str:
-    lines = []
-    for ax in AXES:
-        for label, idx in p.parts(ax):
-            lines.append(f"{ax} {label} " + " ".join(str(i) for i in idx))
-    return "\n".join(lines) + "\n"

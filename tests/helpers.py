@@ -13,7 +13,8 @@ from itertools import permutations
 import numpy as np
 
 from slicerank import exact_linalg
-from slicerank.tensor_core import (ParseError, Tensor, VariablePartition, cube_partition,
+from slicerank.formats import ParseError
+from slicerank.tensor_core import (Tensor, VariablePartition, cube_partition,
                                     cw_partition, make_cw, make_matmul, symmetric_cube,
                                     tensor_power)
 

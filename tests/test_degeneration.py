@@ -12,9 +12,8 @@ from slicerank.degeneration import (
     LambdaPoly,
     apply_degeneration,
     compose,
-    parse_degeneration_map,
-    write_degeneration_map,
 )
+from slicerank.formats import parse_degeneration_map, write_degeneration_map
 
 from helpers import random_tensor, relabeled_cw2_cube, search_zeroing_independent
 
@@ -255,11 +254,16 @@ def test_map_indices_and_exponents_must_be_integers():
         LambdaPoly({1.5: 1})
     with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
         DegenerationMap({}, {}, {}, 1.5)
+    # a string is refused as not an integer before its sign is compared
+    with pytest.raises(ValueError, match=r"^'1' is not an integer$"):
+        LambdaPoly({"1": 1})
+    with pytest.raises(ValueError, match=r"^'1' is not an integer$"):
+        DegenerationMap({}, {}, {}, "1")
     assert type(DegenerationMap({}, {}, {}, np.int64(2)).order) is int
 
 
 def test_map_parse_errors():
-    from slicerank.tensor_core import ParseError
+    from slicerank.formats import ParseError
     with pytest.raises(ParseError):
         parse_degeneration_map("alpha 0 0 1\n")  # missing coefficient
     with pytest.raises(ParseError):

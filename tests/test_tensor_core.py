@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import slicerank as sr
-from slicerank.degeneration import DegenerationMap, LambdaPoly, parse_degeneration_map
-from slicerank.tensor_core import ParseError, PartitionError, Tensor
+from slicerank.degeneration import DegenerationMap, LambdaPoly
+from slicerank.formats import ParseError, parse_degeneration_map
+from slicerank.tensor_core import PartitionError, Tensor
 
 from helpers import (ROUND_TRIPS, block_entries, random_index_partition, random_partition,
                      random_symmetric_tensor, random_tensor, reference_blocks,
@@ -169,7 +170,8 @@ def test_t112_counts(q, nz, entries):
 def test_immutable_values_copy_and_pickle(value, how):
     """Pickling, copying and deep-copying restore every slot, the copy
     equals the original where its type defines equality, and it is as
-    immutable as the original: setting any slot raises."""
+    immutable as the original: setting any slot raises, and so does
+    deleting one, on the original and on the copy."""
     got = ROUND_TRIPS[how](value)
     kind = type(value)
     assert type(got) is kind
@@ -177,6 +179,9 @@ def test_immutable_values_copy_and_pickle(value, how):
         assert getattr(got, slot) == getattr(value, slot), slot
         with pytest.raises(AttributeError, match=f"{kind.__name__} is immutable"):
             setattr(got, slot, getattr(value, slot))
+        for either in (value, got):
+            with pytest.raises(AttributeError, match=f"{kind.__name__} is immutable"):
+                delattr(either, slot)
     if kind.__eq__ is not object.__eq__:
         assert got == value
 
