@@ -31,7 +31,6 @@ floor of the CW exponent bounds over all q.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -145,9 +144,15 @@ def sum_of_measures_bound(total: Tensor, parts: Sequence[Tensor]) -> BoundReport
 
 def block_measures_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     """`sum_of_measures_bound` for t as the sum of its nonzero blocks under
-    p, in key order, each measured on its slot-keyed entries (`blocks`)."""
+    p, in key order (`blocks`), read off the split's arrays: a block's
+    measure multiplies, over the three axes, the number of distinct
+    (block, variable) pairs among the entries that fall in it."""
     bs = blocks(t, p)
-    return _measures_bound(map(rank_tools._measure, map(bs._block, range(len(bs)))))
+    ent = np.array(list(t.entries), np.intp).reshape(-1, 3)
+    counts = [np.bincount(bs.entry_block[np.unique(bs.entry_block * n + ent[:, a],
+                                                   return_index=True)[1]],
+                          minlength=len(bs)).tolist() for a, n in enumerate(t.shape)]
+    return _measures_bound(map(math.prod, zip(*counts)))
 
 
 def _measures_bound(measures) -> BoundReport:
@@ -346,17 +351,13 @@ class BlockShapes(optimizer.ArrayMap):
         return {key: d for key, d in shapes.items() if d}
 
 
-def _support_trifunctional(keys) -> bool:
-    """Each coordinate of a block key is determined by the other two."""
-    seen = [{}, {}, {}]
-    for key in keys:
-        pairs = [((key[1], key[2]), key[0]),
-                 ((key[0], key[2]), key[1]),
-                 ((key[0], key[1]), key[2])]
-        for pos, (pair, val) in enumerate(pairs):
-            if seen[pos].setdefault(pair, val) != val:
-                return False
-    return True
+def _support_trifunctional(keys: np.ndarray) -> bool:
+    """Each coordinate of a block key is determined by the other two, on
+    distinct keys (the rows of a `key_array`): so exactly when no two keys
+    share their coordinates on any two axes."""
+    base = int(keys.max(initial=0)) + 1
+    return all(len(np.unique(keys[:, a] * base + keys[:, b], return_index=True)[1]) == len(keys)
+               for a, b in ((1, 2), (0, 2), (0, 1)))
 
 
 def _solve_block_grading(keys, counts):
@@ -426,7 +427,9 @@ def _readiness(rows) -> tuple[list, BlockSet]:
     direct sum of their partitions (`partition_sum`), or of the one row.
     A row's verdict reads its summand's keys, symmetry and orbits, and its
     `block_set` is its own, sliced from the split.  A row's own partition
-    may be a `partition_sum`: the row is then all of its summands."""
+    may be a `partition_sum`: the row is then all of its summands.
+    Matmul recognition runs once per orbit (`BlockSet.group`) that has a
+    part of size > 1, on its first block in key order."""
     if len(rows) == 1:
         bs = blocks(*rows[0])
     else:
@@ -436,15 +439,17 @@ def _readiness(rows) -> tuple[list, BlockSet]:
     cuts = np.searchsorted(bs.key_array[:, 0], part_off[:, 0]).tolist() + [len(bs)]
     local = bs.key_array - part_off.repeat(np.diff(cuts), axis=0)
     sums = local.sum(axis=1).tolist()
-    # the blocks off three one-variable parts, their keys, part sizes and
-    # orbits (those on three such parts are <1,1,1>); each row's first orbit
+    # the first block of each orbit, if it is off three one-variable parts
+    # (blocks on three such parts are <1,1,1>): its key, part sizes and
+    # orbit size, and where each row's first such block is
     sizes = np.column_stack([np.array(bs.part_sizes(ax))[bs.key_array[:, a]]
                              for a, ax in enumerate("xyz")])
-    larger = np.flatnonzero((sizes != 1).any(axis=1))
-    keys = list(zip(*local[larger].T.tolist()))
-    shape, group = sizes[larger].tolist(), bs.group[larger].tolist()
-    larger, size = larger.tolist(), np.bincount(bs.group).tolist()
-    first_group = np.append(bs.group, 0)[cuts[:-1]]
+    firsts = np.unique(bs.group, return_index=True)[1]
+    firsts = firsts[(sizes[firsts] != 1).any(axis=1)]
+    at = np.searchsorted(firsts, cuts).tolist()
+    keys = list(zip(*local[firsts].T.tolist()))
+    shape, orbit = sizes[firsts].tolist(), np.bincount(bs.group)[bs.group[firsts]].tolist()
+    firsts, first_group = firsts.tolist(), np.append(bs.group, 0)[cuts[:-1]]
     readies, entry_at = [], 0
     for r, (t, p) in enumerate(rows):
         lo, hi = cuts[r], cuts[r + 1]
@@ -452,12 +457,10 @@ def _readiness(rows) -> tuple[list, BlockSet]:
         # at (j,k,i) is the block at (i,j,k) rotated, and <a,b,c> rotates
         # to <b,c,a>, so the first block of each orbit is recognized.
         shapes = {}                                       # (a, b, c), or None if not matmul
-        for i in range(bisect_left(larger, lo), bisect_left(larger, hi)):
-            if keys[i] in shapes:
-                continue
-            witness = rank_tools._recognize(bs._block(larger[i]), shape[i])
+        for i in range(at[r], at[r + 1]):
+            witness = rank_tools._recognize(bs._block(firsts[i]), shape[i])
             key, d = keys[i], None if witness is None else (witness.a, witness.b, witness.c)
-            for _ in range(size[group[i]]):
+            for _ in range(orbit[i]):
                 shapes[key] = d
                 key, d = (key[1], key[2], key[0]), d and (d[1], d[2], d[0])
         own = bs
@@ -485,35 +488,24 @@ def _verdict(bs: BlockSet, sums, shapes) -> LaserReadiness:
     conditions["symmetric"] = bs.symmetric
 
     # (2) hyperplane support
-    ell = None
-    grades = None
+    ell = grades = None
     if not sums:
-        hyper = False
         failures.append("the block set is empty: the tensor has no terms")
     elif min(sums) == max(sums):
         ell = sums[0]
         grades = {ax: tuple(range(p.part_count(ax))) for ax in "xyz"}
-        hyper = True
-    elif _support_trifunctional(keys := list(zip(*bs.key_array.T.tolist()))):
-        counts = tuple(p.part_count(ax) for ax in "xyz")
-        solved = _solve_block_grading(keys, counts)
-        if solved is None:
-            hyper = False
-            failures.append("block support admits no informative hyperplane grading")
-        else:
-            grades, ell = solved
-            hyper = True
-    else:
-        hyper = False
+    elif not _support_trifunctional(bs.key_array):
         failures.append("block coordinates do not determine one another")
-    conditions["hyperplane_support"] = hyper
+    elif solved := _solve_block_grading(bs.keys(), tuple(p.part_count(ax) for ax in "xyz")):
+        grades, ell = solved
+    else:
+        failures.append("block support admits no informative hyperplane grading")
+    conditions["hyperplane_support"] = grades is not None
 
     failures += [f"block {key} is not a matmul tensor" for key, d in shapes.items() if d is None]
     conditions["maximal_matmul_blocks"] = None not in shapes.values()
 
-    ok = conditions["symmetric"] and conditions["hyperplane_support"] \
-        and conditions["maximal_matmul_blocks"]
-    return LaserReadiness(ok, ell if hyper else None, grades if hyper else None,
+    return LaserReadiness(all(conditions.values()), ell, grades,
                           BlockShapes(bs.key_array, shapes), failures, conditions, bs)
 
 

@@ -33,11 +33,10 @@ class LambdaPoly(Frozen):
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                e, c = _index(e), Fraction(c)
+                if e < 0:
+                    raise ValueError("negative lambda exponent")
                 if c != 0:
-                    e = _index(e)
-                    if e < 0:
-                        raise ValueError("negative lambda exponent")
                     clean[e] = c
         self._set(clean)
 
@@ -111,10 +110,11 @@ class DegenerationMap(Frozen):
         def clean(mapping):
             out = {}
             for (src, dst), poly in mapping.items():
+                pair = _index(src), _index(dst)
                 if not isinstance(poly, LambdaPoly):
                     poly = LambdaPoly.monomial(poly)
                 if poly:
-                    out[(_index(src), _index(dst))] = poly
+                    out[pair] = poly
             return out
 
         order = _index(order)

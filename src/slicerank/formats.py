@@ -205,7 +205,7 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
     Monomial lines: `alpha src dst exponent num/den` (same for beta and
     gamma).  General polynomial lines: `alphaP src dst e1 c1 e2 c2 ...`.
     One `order h` line sets the degeneration order (default 0); a second
-    is an error.
+    is an error.  Lines on one map's (source, target) pair add up.
     Indices, exponents and the order are nonnegative integers.
     """
     maps = ({}, {}, {})
@@ -224,7 +224,6 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
         name = head[:-1] if general else head
         if name not in _MAP_NAMES:
             raise ParseError(n, f"unknown directive {head!r}")
-        target = maps[_MAP_NAMES[name]]
         try:
             src, dst = _natural(toks[1]), _natural(toks[2])
         except (IndexError, ValueError):
@@ -238,15 +237,15 @@ def parse_degeneration_map(text: str) -> DegenerationMap:
             if len(body) != 2:
                 raise ParseError(n, "monomial line needs exponent and coefficient")
             pairs = [(body[0], body[1])]
-        coeffs = {}
+        coeffs = maps[_MAP_NAMES[name]].setdefault((src, dst), {})
         try:
             for e_tok, c_tok in pairs:
                 e = _natural(e_tok)
                 coeffs[e] = coeffs.get(e, 0) + _coefficient(c_tok)
         except (ValueError, ZeroDivisionError):
             raise ParseError(n, f"bad polynomial in {' '.join(toks)!r}")
-        target[src, dst] = target.get((src, dst), LambdaPoly()) + LambdaPoly(coeffs)
-    return DegenerationMap(maps[0], maps[1], maps[2], order or 0)
+    return DegenerationMap(*({pair: LambdaPoly(coeffs) for pair, coeffs in m.items()}
+                             for m in maps), order or 0)
 
 
 def write_degeneration_map(d: DegenerationMap) -> str:

@@ -74,14 +74,9 @@ def max_flattening_rank(t: Tensor) -> int:
 
 
 def measure(t: Tensor) -> int:
-    """mu(T): product of the numbers of variables used on each axis."""
-    return _measure(t.entries)
-
-
-def _measure(entries) -> int:
-    """`measure` of an entry map {(i, j, k): coefficient}, such as a
-    `BlockSet` block's: its distinct indices per axis, multiplied."""
-    return math.prod(map(len, map(set, zip(*entries)))) if entries else 0
+    """mu(T): product of the numbers of variables used on each axis, the
+    distinct indices of the entries per axis (0 for the zero tensor)."""
+    return math.prod(map(len, map(set, zip(*t.entries)))) if t.entries else 0
 
 
 def slice_rank_flattening_bound(t: Tensor) -> int:

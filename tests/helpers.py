@@ -395,6 +395,20 @@ def reference_block_grading(keys, counts):
     return {"x": tuple(gx), "y": tuple(gy), "z": tuple(gz)}, ell
 
 
+def reference_support_trifunctional(keys) -> bool:
+    """`bound_engines._support_trifunctional` as a loop over key tuples:
+    each coordinate of a key is determined by the other two."""
+    seen = [{}, {}, {}]
+    for key in keys:
+        pairs = [((key[1], key[2]), key[0]),
+                 ((key[0], key[2]), key[1]),
+                 ((key[0], key[1]), key[2])]
+        for pos, (pair, val) in enumerate(pairs):
+            if seen[pos].setdefault(pair, val) != val:
+                return False
+    return True
+
+
 def reference_orbits(block_set) -> list[tuple]:
     """Orbits of the block keys under the rotation (i,j,k) -> (j,k,i),
     rebuilt from the keys alone.

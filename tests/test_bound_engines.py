@@ -20,7 +20,8 @@ from slicerank import optimizer, rank_tools
 from slicerank.tensor_core import Tensor
 
 from helpers import (ROUND_TRIPS, random_partition, random_tensor, reference_block_grading,
-                     relabeled_cw2_cube, relabeled_cw_cube, search_zeroing_independent,
+                     reference_support_trifunctional, relabeled_cw2_cube, relabeled_cw_cube,
+                     search_zeroing_independent,
                      t112_objective_log, t112_value_lower_formula,
                      t112_value_power_mean_upper)
 
@@ -73,13 +74,18 @@ def test_sum_of_measures_mismatch():
 
 
 def test_block_measures_bound_is_the_sum_over_the_blocks():
-    """On random tensors and partitions, the report of the blocks' measures
+    """On random tensors and partitions, and on direct sums of 2-4 of them
+    under the sums of their partitions, the report of the blocks' measures
     is that of `sum_of_measures_bound` on the blocks as tensors over the
     tensor's variables, keyed by their part triples in sorted order."""
     rng = random.Random(17)
-    for _ in range(40):
-        t = random_tensor(rng, max_dim=4)
-        p = random_partition(rng, t)
+    for rows in [1] * 40 + [2, 3, 4] * 10:
+        pairs = [(t, random_partition(rng, t))
+                 for t in (random_tensor(rng, max_dim=4) for _ in range(rows))]
+        t, p = pairs[0]
+        if rows > 1:
+            t = sr.direct_sum(*(t for t, _ in pairs))
+            p = sr.partition_sum(*(p for _, p in pairs))
         split = {}
         for (i, j, k), c in t.entries.items():
             key = (p.where[0][i][0], p.where[1][j][0], p.where[2][k][0])
@@ -88,6 +94,15 @@ def test_block_measures_bound_is_the_sum_over_the_blocks():
         want = be.sum_of_measures_bound(t, parts)
         got = be.block_measures_bound(t, p)
         assert got == want and got.to_line() == want.to_line()
+
+
+def test_block_measures_bound_builds_no_block(monkeypatch):
+    """The blocks' measures are read off the split's arrays: no block's
+    slot-keyed entries are built."""
+    monkeypatch.setattr(sr.tensor_core.BlockSet, "_block",
+                        lambda bs, b: pytest.fail("BlockSet._block called"))
+    rep = be.block_measures_bound(*relabeled_cw2_cube(7))
+    assert rep.certificate["parts"] == 216
 
 
 def test_sums_of_no_parts_are_refused():
@@ -472,6 +487,24 @@ def test_block_grading_pick_unchanged_on_random_supports(seed, level_set):
     assert be._solve_block_grading(keys, counts) == reference_block_grading(keys, counts)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=20),
+       st.data())
+def test_support_trifunctional_matches_the_key_loop(keys, data):
+    """The check on the key rows agrees with the loop over key tuples on
+    distinct keys, also where two keys share their coordinates on two axes."""
+    keys = sorted(keys)
+    if data.draw(st.booleans()):
+        # a key sharing two coordinates with a drawn key, off the third
+        i, j, k = data.draw(st.sampled_from(keys))
+        axis = data.draw(st.integers(0, 2))
+        other = [i, j, k]
+        other[axis] += 4
+        keys = sorted({*keys, tuple(other)})
+    expected = reference_support_trifunctional(keys)
+    assert be._support_trifunctional(np.array(keys, np.intp)) is expected
+
+
 def test_laser_ready_parity_support_fails():
     # blocks on {i+j+k even} are trifunctional but admit only constant
     # gradings, which certify nothing
@@ -562,6 +595,25 @@ def test_laser_readiness_builds_no_block_tensor(monkeypatch):
     r = be.laser_readiness(cube, part)
     assert r.ok and len(r.block_shapes) == 216
     assert built == []
+
+
+def test_laser_readiness_recognizes_once_per_orbit(monkeypatch):
+    """Matmul recognition runs once per orbit with a part of size > 1: 65
+    times on the relabeled CW_2 cube (76 orbits of 216 blocks), once on
+    each orbit's first block, and never on a T_q table, whose parts all
+    hold one variable."""
+    calls = []
+    recognize = rank_tools._recognize
+    monkeypatch.setattr(rank_tools, "_recognize",
+                        lambda entries, shape: calls.append(shape) or recognize(entries, shape))
+    r = be.laser_readiness(*relabeled_cw2_cube(13))
+    sizes = [r.block_set.part_sizes(ax) for ax in "xyz"]
+    shapes = [[s[i] for s, i in zip(sizes, orbit[0])] for orbit in r.block_set.orbits]
+    assert r.ok and len(r.block_set.orbits) == 76
+    assert calls == [shape for shape in shapes if shape != [1, 1, 1]] and len(calls) == 65
+    calls.clear()
+    be.tq_lower_table(16)
+    assert calls == []
 
 
 def readiness_row(kind, n):

@@ -240,6 +240,32 @@ def test_map_roundtrip():
         assert back.kind == d.kind
 
 
+def test_map_lines_on_one_pair_add_up():
+    """Lines on one (source, target) pair of a map add up to one polynomial,
+    kept in the order the pairs first appear; a sum that cancels is left
+    out.  The reference adds one `LambdaPoly` per line."""
+    rng = random.Random(11)
+    for _ in range(60):
+        lines, want = [], ({}, {}, {})
+        for _ in range(rng.randint(1, 12)):
+            m, pair = rng.randrange(3), (rng.randrange(2), rng.randrange(2))
+            terms = [(rng.randrange(3), Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                     for _ in range(rng.randint(1, 3))]
+            name = ("alpha", "beta", "gamma")[m]
+            body = " ".join(f"{e} {c.numerator}/{c.denominator}" for e, c in terms)
+            lines.append(f"{name}{'P' if len(terms) > 1 else ''} {pair[0]} {pair[1]} {body}")
+            poly = LambdaPoly()
+            for e, c in terms:
+                poly += LambdaPoly({e: c})
+            want[m][pair] = want[m].get(pair, LambdaPoly()) + poly
+        order = rng.randint(0, 2)
+        lines.insert(rng.randint(0, len(lines)), f"order {order}")
+        got = parse_degeneration_map("\n".join(lines) + "\n")
+        ref = DegenerationMap(*want, order)
+        assert [list(m.items()) for m in got.maps()] == [list(m.items()) for m in ref.maps()]
+        assert (got.order, got.kind) == (ref.order, ref.kind)
+
+
 def test_map_indices_and_exponents_must_be_integers():
     """Map indices, lambda exponents and the order are read as `int` when
     integral (a numpy integer too) and refused when not, not truncated."""
@@ -259,6 +285,18 @@ def test_map_indices_and_exponents_must_be_integers():
         LambdaPoly({"1": 1})
     with pytest.raises(ValueError, match=r"^'1' is not an integer$"):
         DegenerationMap({}, {}, {}, "1")
+    # with a zero coefficient too: the term is dropped only after its key is read
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        LambdaPoly({1.5: 0, "x": 0})
+    with pytest.raises(ValueError, match=r"^'x' is not an integer$"):
+        LambdaPoly({0: 1, "x": 0})
+    with pytest.raises(ValueError, match="^negative lambda exponent$"):
+        LambdaPoly({-1: 0})
+    for zero in (0, LambdaPoly()):
+        with pytest.raises(ValueError, match=r"^0\.5 is not an integer$"):
+            DegenerationMap({(0.5, "a"): zero}, {}, {}, 0)
+        with pytest.raises(ValueError, match=r"^'a' is not an integer$"):
+            DegenerationMap({}, {}, {(0, "a"): zero}, 0)
     assert type(DegenerationMap({}, {}, {}, np.int64(2)).order) is int
 
 
