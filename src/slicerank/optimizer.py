@@ -13,13 +13,12 @@ p and continuous on the closed simplex, so suprema are maxima.
 `maximize_symmetric` maximizes f_x over rotation-symmetric distributions
 of a symmetric partition, `maximize_product` f_x + f_y + f_z, and
 `maximize_minmax` min(f_x, f_y, f_z).  Each objective is concave, so one
-start is enough, and one Newton solver (`_solve`) serves all three: it
-maximizes sum_a w_a f_a(S x), where S maps orbit or block masses x to
-block masses, with the weights w = (1, 0, 0) (on orbit masses the three
-axes' incidence matrices are equal, so f_x alone is the objective and
-the Newton factor holds one axis's incidence rows, not three copies),
-(1, 1, 1), or for the max-min the minimizer of the convex dual
-max_x sum_a w_a f_a(x).
+start is enough.  The Newton solver `_solve` maximizes sum_a w_a f_a(S x),
+where S maps orbit or block masses x to block masses, for w = (1, 0, 0)
+(on orbit masses the three axes' incidence matrices are equal, so f_x
+alone is the objective and the Newton factor holds one axis's incidence
+rows, not three copies) or (1, 1, 1); the max-min steps on x and on w,
+the minimizer of the convex dual max_x sum_a w_a f_a(x), together.
 The certificate is the concavity gap at the returned weights: with g
 the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x>
 bounds the maximum from above, and the objective at x from below.
@@ -51,10 +50,14 @@ steps on (x, w) together from the class-uniform x and w = 1/3: one
 gradients at x); with h = -G^T S, dw minimizes the predicted (f + G^T s0)
 dw + dw h dw / 2 on the simplex, holding at 0 an axis it would drive
 below (`_weights_step`, as in Bertsekas's projected Newton method, SIAM
-J. Control Optim. 20, 1982), and dx = s0 - S dw.  The first trial of
-JOINT_STEPS, clipped at 0 and renormalized, that lowers the upper bound
-above minus min_a f_a (0 only at the saddle point) is kept; else a
-nested step moves w alone, with an inner solve per trial.
+J. Control Optim. 20, 1982), or is 0 if that fails, and dx = s0 - S dw.
+The trials (x, w) + sigma (dx, dw), clipped at 0 and renormalized, halve
+sigma from 1 to MIN_STEP; the first whose gap (the upper bound above less
+min_a f_a, 0 only at the saddle point) is below the largest of the last
+GAP_MEMORY gaps is kept (nonmonotone acceptance: Grippo, Lampariello and
+Lucidi, SIAM J. Numer. Anal. 23, 1986).  After a damped trial, or none, w
+on its simplex edge along dw, with x at sigma = 1, is kept if its gap is
+lower.  The loop ends when no trial is kept.
 
 A Newton step on k support coordinates solves K = [[-(cD)^T cD, d],
 [d^T, 0]], the Hessian -c^T c scaled by D = diag(d) to a unit diagonal,
@@ -137,7 +140,7 @@ GROW_MASS = 1e-8         # mass given to a coordinate joining the support
 NOISE = 64 * np.finfo(float).eps  # float noise of an objective, relative
 MIN_STEP = 1e-12         # shortest damped step tried
 RIDGE = 1e-10            # relative ridge of the weights' Newton system
-JOINT_STEPS = (1.0, 0.5, 0.25)  # damped joint max-min steps tried before a nested weight step
+GAP_MEMORY = 5           # max-min gaps a joint trial is compared with (nonmonotone acceptance)
 RANK_TOL = 1e-9          # relative eigenvalue cut of a support's Gram matrix R R^T
 LINE_STEPS = 8           # safeguarded Newton steps of a line search before the simplex edge
 
@@ -456,8 +459,8 @@ def _weights_step(h, r, w):
     equal, nu, and a held axis has w + dw = 0 exactly and a predicted
     value of at least nu.  Of the sets of held axes, smallest first, the
     first whose solve meets both is the answer, with h scaled to a unit
-    diagonal.  NaN when a diagonal entry of h is not positive, or when
-    rounding leaves no set that meets both."""
+    diagonal.  NaN, no weight step to the max-min, when a diagonal entry
+    of h is not positive, or when rounding leaves no set that meets both."""
     n = len(w)
     if h.diagonal().min() > 0.0:
         d = 1.0 / np.sqrt(h.diagonal())
@@ -479,8 +482,8 @@ def _weights_step(h, r, w):
 
 def _trials(v, dv, start=1.0):
     """Damped points v + sigma dv on the simplex: sigma starts at `start`,
-    or at the edge where the first coordinates reach zero if that comes
-    first (they are then set to 0 exactly, leaving the support, however
+    or at the edge where the first coordinates reach zero if that comes no
+    later (they are then set to 0 exactly, leaving the support, however
     short that step), and halves down to MIN_STEP."""
     neg = (dv < 0.0).nonzero()[0]
     ratio = v[neg] / -dv[neg]
@@ -488,7 +491,7 @@ def _trials(v, dv, start=1.0):
     sigma = top = min(start, edge)
     while sigma > MIN_STEP or sigma == top:
         trial = np.maximum(v + sigma * dv, 0.0)
-        if sigma == edge < 1.0:
+        if sigma == edge:
             trial[neg[ratio <= edge * (1.0 + 1e-9)]] = 0.0
         yield trial / trial.sum()
         sigma /= 2.0
@@ -749,60 +752,56 @@ def maximize_product(block_set: BlockSet) -> Optimum:
     return _optimum(prob, w, sum, x, iters, _residual(g, d), f, g, d)
 
 
+def _saddle(prob: _Problem, x, w):
+    """At (x, w): m = R x, f, G, g = G w, and the gap w f + max g - g x - min f."""
+    m = prob.marginals(x)
+    f, grads = prob.values(m), prob.grads(m)
+    g = grads @ w
+    return m, f, grads, g, w @ f + g.max() - g @ x - f.min()
+
+
 def maximize_minmax(block_set: BlockSet) -> Optimum:
     """Maximize min(value_x, value_y, value_z) over the block simplex.
 
     By minimax this is the minimum over axis weights w of the convex dual
     phi(w) = max_x sum_a w_a f_a(x), with gradient f(x*(w)) and Hessian
-    G^T dx*/dw from the inner KKT system (G: the axis gradients).  Each
-    iteration takes the joint step on (x, w) of the module docstring; the
-    nested step that replaces it when no trial is kept is Newton on the
-    weights, or Frank-Wolfe toward the lowest axis when that does not
-    descend, keeping a damped trial whose inner solve converges with phi
-    below the upper bound at (x, w).  `iterations` counts joint steps and
-    inner solves' steps, and the loop stops once they reach MAX_STEPS;
-    `axis_weights` are the multipliers of the axes.  Solved on the colour
-    classes, as `maximize_product`.
+    G^T dx*/dw from the inner KKT system (G: the axis gradients); solved
+    on colour classes by the joint steps of the module docstring, at most
+    MAX_STEPS (`iterations`).  `axis_weights` are the axes' multipliers.
     """
     prob = _Problem(block_set)
-    x, w, iters = prob.count / prob.count.sum(), np.full(3, 1.0 / 3.0), 0
+    x, w, gaps = prob.count / prob.count.sum(), np.full(3, 1.0 / 3.0), []
+    m, f, grads, g, gap = _saddle(prob, x, w)
     while True:
-        m = prob.marginals(x)
-        f, grads = prob.values(m), prob.grads(m)
-        g = grads @ w
         g_on = g[x > 0.0]
         mu = g_on.sum() / len(g_on)
         stationary = np.abs(g_on - mu).max() <= TOL
         if stationary and _grow(prob, x, g, mu):
+            m, f, grads, g, gap = _saddle(prob, x, w)
             continue
-        if iters >= MAX_STEPS or stationary and _residual(-f, w) <= TOL:
+        if len(gaps) >= MAX_STEPS or stationary and _residual(-f, w) <= TOL:
             break
-        iters += 1
-        upper = w @ f + g.max() - g @ x
+        gaps.append(gap)                                  # one per step
         s = prob.newton_step(x, m, w, np.column_stack([mu - g, grads]))
         h = -grads.T @ s[:, 1:]
         h += RIDGE * (1.0 + np.trace(h)) * np.eye(3)
         dw = _weights_step(h, f + grads.T @ s[:, 0], w)
+        dw[np.isnan(dw)] = 0.0                            # no weight step
         dx = s[:, 0] - s[:, 1:] @ dw
-        for sigma in JOINT_STEPS:
-            tx, tw = (u / u.sum() for u in (np.maximum(x + sigma * dx, 0.0),
-                                             np.maximum(w + sigma * dw, 0.0)))
-            tm = prob.marginals(tx)
-            tf, tg = prob.values(tm), prob.grads(tm) @ tw
-            if tw @ tf + tg.max() - tg @ tx - tf.min() < upper - f.min():
+        bound, kept = max(gaps[-GAP_MEMORY:]), None
+        for sigma in 0.5 ** np.arange(-math.log2(MIN_STEP)):   # 1 down to MIN_STEP
+            trial = [u / u.sum() for u in (np.maximum(x + sigma * dx, 0.0),
+                                           np.maximum(w + sigma * dw, 0.0))]
+            if (state := _saddle(prob, *trial))[-1] < bound:
+                bound, kept = state[-1], (trial, state)
                 break
-        else:
-            dw = _weights_step(h, f, w)
-            if not f @ dw < 0.0:                # no descent, or NaN
-                dw = -w
-                dw[np.argmin(f)] += 1.0
-            for tw in _trials(w, dw):
-                tx, tm, n, resid = _solve(prob, tw, x)
-                iters += n
-                if resid <= TOL and tw @ prob.values(tm) <= upper + NOISE * abs(upper):
-                    break
-            else:
-                break
-        x, w = tx, tw
+        if sigma < 1.0 and dw.min() < 0.0 < dw.max():   # damped or none kept, and w moves
+            tx = np.maximum(x + dx, 0.0)
+            trial = [tx / tx.sum(), next(_trials(w, dw, np.inf))]
+            if (edge := _saddle(prob, *trial))[-1] < bound:
+                kept = trial, edge
+        if kept is None:
+            break
+        (x, w), (m, f, grads, g, gap) = kept
     d, f, g = prob.blockwise(x, w)
-    return _optimum(prob, w, min, x, iters, max(_residual(g, d), _residual(-f, w)), f, g, d)
+    return _optimum(prob, w, min, x, len(gaps), max(_residual(g, d), _residual(-f, w)), f, g, d)

@@ -14,9 +14,9 @@ import numpy as np
 
 from slicerank import exact_linalg
 from slicerank.formats import ParseError
-from slicerank.tensor_core import (Tensor, VariablePartition, cube_partition,
-                                    cw_partition, make_cw, make_matmul, symmetric_cube,
-                                    tensor_power)
+from slicerank.tensor_core import (Tensor, VariablePartition, blocks, cube_partition,
+                                    cw_partition, make_cw, make_matmul, singleton_partition,
+                                    symmetric_cube, tensor_power, trimmed)
 
 COEFFS = [Fraction(n) for n in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
 
@@ -85,20 +85,52 @@ def shared_index_partition(rng: random.Random, t: Tensor) -> VariablePartition:
     return VariablePartition(parts, list(parts), list(parts), sizes=t.shape)
 
 
+def scan_cube(seed: int, shared: bool = False):
+    """The cube of the max-min robustness scans and its product partition:
+    `symmetric_cube(t)` under `cube_partition(t, p)`, for t =
+    `random_tensor(Random(seed), max_dim=3, density=0.4)` and p a
+    `random_partition` of t drawn from a second Random(seed), or from the
+    same generator when `shared`."""
+    rng = random.Random(seed)
+    t = random_tensor(rng, max_dim=3, density=0.4)
+    p = random_partition(rng if shared else random.Random(seed), t)
+    return symmetric_cube(t), cube_partition(t, p)
+
+
+def remove_x_b_part(t: Tensor, p: VariablePartition):
+    """The blocks of what remove-x bounds on t under p: x part 0 dropped,
+    trimmed, singleton partition; None when the split is trivial (x part
+    0 carries every term or none)."""
+    b = {k: c for k, c in t.entries.items() if p.where[0][k[0]][0] != 0}
+    if not b or len(b) == len(t.entries):
+        return None
+    b = trimmed(Tensor(t.x_labels, t.y_labels, t.z_labels, b))
+    return blocks(b, singleton_partition(b))
+
+
+def relabeled(t: Tensor, p: VariablePartition, seed: int, shared: bool = False):
+    """t and p under one seeded permutation of each axis's indices, drawn
+    from Random(seed) by `shuffle` in axis order, or under the first one
+    on all three axes when `shared`."""
+    rng = random.Random(seed)
+    perms = []
+    for n in t.shape:
+        perms.append(list(range(n)))
+        rng.shuffle(perms[-1])
+    if shared:
+        perms = [perms[0]] * 3
+    entries = {tuple(perm[i] for perm, i in zip(perms, key)): c for key, c in t.entries.items()}
+    parts = [[(label, [perm[i] for i in idx]) for label, idx in p.parts(ax)]
+             for ax, perm in zip("xyz", perms)]
+    u = Tensor(*(range(n) for n in t.shape), entries)
+    return u, VariablePartition(*parts, u.shape)
+
+
 def relabeled_cw_cube(q: int, seed: int):
     """The CW_q cube and its product partition under one seeded permutation
     shared by the three axes."""
     cw = make_cw(q)
-    cube = symmetric_cube(cw)
-    part = cube_partition(cw, cw_partition(q))
-    n = (q + 2) ** 3
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    entries = {(perm[i], perm[j], perm[k]): c for (i, j, k), c in cube.entries.items()}
-    parts = [[(label, [perm[i] for i in idx]) for label, idx in part.parts(ax)]
-             for ax in "xyz"]
-    t = Tensor(range(n), range(n), range(n), entries)
-    return t, VariablePartition(*parts, t.shape)
+    return relabeled(symmetric_cube(cw), cube_partition(cw, cw_partition(q)), seed, shared=True)
 
 
 def relabeled_cw2_cube(seed: int):

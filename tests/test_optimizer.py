@@ -29,6 +29,8 @@ from helpers import (
     reference_colour_classes,
     reference_labels,
     reference_newton_step,
+    remove_x_b_part,
+    scan_cube,
     shared_index_partition,
     symmetrize,
 )
@@ -234,14 +236,6 @@ def test_minmax_single_block():
     assert_minmax_certified(bs, mm)
 
 
-def remove_x_b_part(t, p):
-    """The blocks of what remove-x bounds on t under p: x part 0 dropped,
-    trimmed, singleton partition."""
-    b = sr.trimmed(sr.Tensor(t.x_labels, t.y_labels, t.z_labels,
-                             {k: c for k, c in t.entries.items() if p.where[0][k[0]][0] != 0}))
-    return sr.blocks(b, sr.singleton_partition(b))
-
-
 def cube_b_part(q):
     cw = sr.make_cw(q)
     return remove_x_b_part(sr.symmetric_cube(cw), sr.cube_partition(cw, sr.cw_partition(q)))
@@ -256,8 +250,8 @@ def test_minmax_cw1_cube_b_part_certified():
     mm = sr.maximize_minmax(bs)
     assert abs(mm.log_value - 2.984548001552) < 1e-9
     # pinned: a different step would change the Newton path, and with it this
-    # count (18 when every trial of the weights ran an inner solve to TOL, 8
-    # when the joint steps began after a first inner solve)
+    # count (18, then 8, when trial weights were scored by inner solves of x
+    # to TOL)
     assert mm.iterations == 4
     assert mm.kkt_residual <= 1e-10
     assert_minmax_certified(bs, mm)
@@ -318,24 +312,28 @@ def test_minmax_basis_once_per_support_and_axes(monkeypatch):
 def test_minmax_cw4_remove_x_b_part_converges():
     """B of remove-x on CW_4 has all three axes tied at log 4; dropping
     coordinates at every boundary step and regrowing them from GROW_MASS
-    stalled it at the step cap with residual 6e-8."""
+    stalled it at the step cap with residual 6e-8, and weight steps nested
+    in the joint loop took 70 steps.  One joint step with w on its simplex
+    edge, w = (0, 1/2, 1/2), reaches the saddle point."""
     bs = cw_b_part(4)
     mm = sr.maximize_minmax(bs)
-    assert mm.iterations <= 100
+    assert mm.iterations == 1
     assert mm.kkt_residual <= 1e-10
     assert mm.value == pytest.approx(4.0, rel=1e-9)
     assert_minmax_certified(bs, mm)
 
 
-def test_minmax_step_cap_holds_across_nested_solves(monkeypatch):
-    """The max-min counts the steps of the nested fallback's inner solves,
-    so its step count can pass MAX_STEPS without meeting it: on CW_4's B,
-    which takes the fallback, a cap of 30 is passed at 31 steps.  The loop
-    stops there, and reports the unconverged solve by its residual; a cap
-    tested for equality let it run on to 70 steps."""
-    monkeypatch.setattr(optimizer, "MAX_STEPS", 30)
-    mm = sr.maximize_minmax(cw_b_part(4))
-    assert 30 <= mm.iterations < 60
+def test_minmax_step_cap_is_exact(monkeypatch):
+    """The max-min's `iterations` counts joint steps alone, so a capped
+    solve stops at exactly MAX_STEPS and reports itself unconverged by its
+    residual.  On the 339 blocks of the shared-Random(116) scan cube's B
+    (27 steps uncapped), a cap of 5 returned 203 steps while weight steps
+    nested in the loop ran an inner solve per trial and added its steps."""
+    monkeypatch.setattr(optimizer, "MAX_STEPS", 5)
+    bs = remove_x_b_part(*scan_cube(116, shared=True))
+    assert len(bs) == 339
+    mm = sr.maximize_minmax(bs)
+    assert mm.iterations == 5
     assert mm.kkt_residual > optimizer.TOL
 
 
@@ -352,13 +350,14 @@ def test_minmax_cw_remove_x_b_part_drops_axis_x(q, budget):
 
 @pytest.mark.filterwarnings("error")
 def test_minmax_returns_when_the_weight_system_is_nan():
-    """On B of remove-x on the cube of this 2x3x3 tensor, a nested weight
-    loop once left a weight at 2e-18, where the weights' Newton system is
-    NaN (it then fell back to Frank-Wolfe, rather than raise IndexError on
-    NaN weights, and ended unconverged).  The joint steps hold a weight
-    the step would drive below 0 at 0 exactly: the solve certifies, with
-    no numpy warning.  `test_weights_step_nan_on_a_non_positive_diagonal`
-    covers the NaN system itself."""
+    """On B of remove-x on the cube of this 2x3x3 tensor, a weight loop
+    nested in the joint one once left a weight at 2e-18, where the
+    weights' Newton system is NaN (and an IndexError on NaN weights, then
+    an unconverged end, followed).  The joint steps hold a weight the step
+    would drive below 0 at 0 exactly, and take a NaN weight step as none:
+    the solve certifies, with no numpy warning.
+    `test_weights_step_nan_on_a_non_positive_diagonal` covers the NaN
+    system itself."""
     t = sr.Tensor(range(2), range(3), range(3),
                   dict.fromkeys([(0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 2, 0), (1, 2, 0)], 1))
     p = sr.VariablePartition([("0", [1]), ("1", [0])], [("0", [0]), ("1", [1, 2])],
@@ -371,15 +370,33 @@ def test_minmax_returns_when_the_weight_system_is_nan():
     assert_minmax_certified(bs, mm)
 
 
+# The draws of seeds 0-5999 (`tests/scan_minmax.py random`) on which, at
+# some step, no joint trial at sigma = 1, 1/2 or 1/4 lowers the gap: the
+# nonmonotone acceptance, a more damped trial or the weight-edge trial
+# carries them.
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), singletons=st.booleans())
 @example(seed=1608642901, singletons=False)
+@example(seed=853, singletons=True)
+@example(seed=1002, singletons=False)
+@example(seed=1802, singletons=False)
+@example(seed=1846, singletons=True)
+@example(seed=2252, singletons=True)
+@example(seed=2619, singletons=False)
+@example(seed=3236, singletons=False)
+@example(seed=4076, singletons=True)
+@example(seed=4266, singletons=False)
+@example(seed=4293, singletons=False)
+@example(seed=4582, singletons=False)
+@example(seed=4826, singletons=False)
+@example(seed=5309, singletons=True)
+@example(seed=5324, singletons=True)
+@example(seed=5718, singletons=False)
 def test_minmax_certified_on_random_tensors(seed, singletons):
     """The max-min certifies on random tensors under random and singleton
     partitions, where the joint steps on masses and weights, clipped to
-    their simplices, carry the solve, and a nested weight step is rare.
-    The example's y weight falls to 6e-18 and leaves the Newton system
-    singular before it reaches 0."""
+    their simplices, carry the solve.  The first example's y weight falls
+    to 6e-18 and leaves the Newton system singular before it reaches 0."""
     rng = random.Random(seed)
     t = random_tensor(rng, max_dim=6)
     bs = sr.blocks(t, sr.singleton_partition(t) if singletons else random_partition(rng, t))
@@ -388,12 +405,16 @@ def test_minmax_certified_on_random_tensors(seed, singletons):
     assert_minmax_certified(bs, mm)
 
 
-# Seeds of the scan below where the nested weight loop, which took joint
-# steps only after a first inner solve, ended unconverged (residual 6.6e-6
-# to 0.27, after up to 1,849 steps); and 136, 406 and 424, where joint
-# loops that held every axis driven below weight 0 at once, instead of
-# minimizing the weights' model on the simplex, stalled.
-SCAN_SEEDS = [116, 129, 136, 151, 219, 291, 307, 329, 376, 386, 406, 424, 454, 487, 493, 497]
+# Seeds of the scan below where the weight loop once nested in the joint
+# one, which took joint steps only after a first inner solve, ended
+# unconverged (residual 6.6e-6 to 0.27, after up to 1,849 steps); 136, 406
+# and 424, where joint loops that held every axis driven below weight 0 at
+# once, instead of minimizing the weights' model on the simplex, stalled;
+# and 271 and 424, where at some step no joint trial at sigma = 1, 1/2 or
+# 1/4 lowers the gap (271 stops after 2 steps at residual 0.22 without the
+# nonmonotone acceptance and the weight-edge trial).
+SCAN_SEEDS = [116, 129, 136, 151, 219, 271, 291, 307, 329, 376, 386, 406, 424, 454, 487, 493,
+              497]
 
 
 @pytest.mark.parametrize("seed", SCAN_SEEDS)
@@ -401,10 +422,19 @@ def test_minmax_certified_on_random_cube_b_parts(seed):
     """B of remove-x on the cube of a random tensor under a random
     partition (both drawn from Random(seed)) certifies: the joint steps
     on masses and weights reach the saddle point."""
-    t = random_tensor(random.Random(seed), max_dim=3, density=0.4)
-    p = random_partition(random.Random(seed), t)
-    bs = remove_x_b_part(sr.symmetric_cube(t), sr.cube_partition(t, p))
+    bs = remove_x_b_part(*scan_cube(seed))
     mm = sr.maximize_minmax(bs)
+    assert mm.kkt_residual <= 1e-10
+    assert_minmax_certified(bs, mm)
+
+
+def test_minmax_certified_on_shared_random_cube_b_part():
+    """The same with the tensor and the partition drawn from one
+    Random(116): 339 blocks, where at some step no joint trial at sigma =
+    1, 1/2 or 1/4 lowers the gap.  Pinned at 27 steps."""
+    bs = remove_x_b_part(*scan_cube(116, shared=True))
+    mm = sr.maximize_minmax(bs)
+    assert mm.iterations == 27
     assert mm.kkt_residual <= 1e-10
     assert_minmax_certified(bs, mm)
 
