@@ -54,6 +54,7 @@ from .tensor_core import (
     partition_sum,
     singleton_partition,
     t112_partition,
+    tensor_add,
     trimmed,
 )
 
@@ -126,13 +127,9 @@ def sum_of_measures_bound(total: Tensor, parts: Sequence[Tensor]) -> BoundReport
     """Upper bound sum_i measure(T_i)^(1/3) for any exact sum T = sum T_i."""
     report = _measures_bound(map(rank_tools.measure, parts))  # refuses an empty sum first
     labels = (total.x_labels, total.y_labels, total.z_labels)
-    acc = {}
-    for part in parts:
-        if (part.x_labels, part.y_labels, part.z_labels) != labels:
-            raise ValueError("parts are not over the tensor's variables")
-        for key, c in part.entries.items():
-            acc[key] = acc.get(key, 0) + c
-    acc = {key: c for key, c in acc.items() if c != 0}
+    if any((part.x_labels, part.y_labels, part.z_labels) != labels for part in parts):
+        raise ValueError("parts are not over the tensor's variables")
+    acc = tensor_add(*parts).entries
     if acc != total.entries:
         diff = sorted(set(acc.items()) ^ set(total.entries.items()))
         key = diff[0][0]

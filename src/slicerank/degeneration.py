@@ -200,32 +200,21 @@ def _check_domains(t1: Tensor, t2: Tensor, d: DegenerationMap):
 def verify_degeneration(t1: Tensor, t2: Tensor, d: DegenerationMap) -> VerifyResult:
     """Check that d witnesses a degeneration from t1 to t2.
 
-    Substitutes, collects the lambda polynomial with tensor coefficients,
-    and checks that the coefficient of lambda^order equals t2 exactly
-    while every lower coefficient vanishes.  The diagnostic names the
-    first failing lambda degree or tensor entry.
+    Reads `apply_degeneration`'s lowest nonzero lambda degree and the
+    tensor there: below the order it must not occur, and at the order
+    the tensor must equal t2 exactly.  The diagnostic names the first
+    failing lambda degree or tensor entry.
     """
     _check_domains(t1, t2, d)
     h = d.order
-    image = _substitute(t1, d)
-    low_bad = None
-    at_h = {}
-    for key in sorted(image):
-        poly = image[key]
-        for e in sorted(poly.coeffs):
-            if e < h and (low_bad is None or (e, key) < low_bad):
-                low_bad = (e, key)
-        c = poly.coefficient(h)
-        if c != 0:
-            at_h[key] = c
-    if low_bad is not None:
-        e, key = low_bad
-        return VerifyResult(False, f"nonzero lambda^{e} coefficient at entry {key}")
+    low, image = apply_degeneration(t1, d, t2.shape)
+    if low is not None and low < h:
+        return VerifyResult(False, f"nonzero lambda^{low} coefficient at entry {min(image.entries)}")
+    at_h = image.entries if low == h else {}
     if not at_h and t2.entries:
         return VerifyResult(False, f"lambda^{h} coefficient is the zero tensor")
-    for key in sorted(set(at_h) | set(t2.entries)):
-        got = at_h.get(key, Fraction(0))
-        want = t2.entries.get(key, Fraction(0))
+    for key in sorted(at_h.keys() | t2.entries.keys()):
+        got, want = at_h.get(key, 0), t2.coefficient(*key)
         if got != want:
             return VerifyResult(
                 False,
@@ -253,28 +242,25 @@ def apply_degeneration(t1: Tensor, d: DegenerationMap, target_shape):
     return h, Tensor(range(nx), range(ny), range(nz), entries)
 
 
-def identity_map(t: Tensor) -> DegenerationMap:
-    nx, ny, nz = t.shape
+def _zeroing(*kept) -> DegenerationMap:
+    """The zeroing out that keeps, on each axis, the listed source
+    variables, numbered in their order."""
     one = LambdaPoly.one()
-    return DegenerationMap(
-        {(i, i): one for i in range(nx)},
-        {(j, j): one for j in range(ny)},
-        {(k, k): one for k in range(nz)},
-        order=0,
-    )
+    return DegenerationMap(*({(src, w): one for w, src in enumerate(srcs)} for srcs in kept),
+                           order=0)
+
+
+def identity_map(t: Tensor) -> DegenerationMap:
+    """The zeroing out that keeps every variable."""
+    return _zeroing(*map(range, t.shape))
 
 
 def zeroing_to_block(bs: BlockSet, key) -> DegenerationMap:
     """The zeroing out that restricts the parent tensor to block `key`."""
     if key not in bs._index:
         raise ValueError(f"no block {key}")
-    i, j, k = key
     p = bs.partition
-    one = LambdaPoly.one()
-    alpha = {(src, w): one for w, src in enumerate(p.parts_x[i][1])}
-    beta = {(src, w): one for w, src in enumerate(p.parts_y[j][1])}
-    gamma = {(src, w): one for w, src in enumerate(p.parts_z[k][1])}
-    return DegenerationMap(alpha, beta, gamma, order=0)
+    return _zeroing(*(parts[b][1] for parts, b in zip((p.parts_x, p.parts_y, p.parts_z), key)))
 
 
 def compose(d1: DegenerationMap, d2: DegenerationMap) -> DegenerationMap:

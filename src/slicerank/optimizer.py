@@ -296,10 +296,6 @@ class _Problem:
         self.val = np.bincount(new.cumsum() - 1) * share[self.col]
         self._bases, self._layouts = {}, {}
 
-    @property
-    def keys(self) -> list:
-        return list(zip(*self.key_array.T.tolist()))
-
     def block_masses(self, x):
         """The block masses that x spreads to, in key order, and the
         positive ones as {block key: mass}, held as arrays."""

@@ -30,30 +30,23 @@ _FLATTEN = {
 }
 
 
-@dataclass
-class FlatteningMatrix:
-    """One-axis flattening: rows are that axis's variables, columns pairs."""
-
-    axis: str
-    row_labels: tuple
-    n_cols: int  # pair (a, b) of the two column axes is column a*n2 + b
-    rows: list  # list of dict col_index -> int or Fraction coefficient
-
-
-def flattening(t: Tensor, axis: str) -> FlatteningMatrix:
+def flattening(t: Tensor, axis: str) -> list:
+    """The rows of t's flattening along `axis`, one {column: coefficient}
+    dict per variable of that axis; the pair (a, b) of the next two axes,
+    in cyclic order, is column a * n2 + b, n2 the size of the second."""
     if axis not in _FLATTEN:
         raise ValueError(f"axis must be one of x/y/z, got {axis!r}")
     rp, cp1, cp2 = _FLATTEN[axis]
-    axis_labels = [t.x_labels, t.y_labels, t.z_labels]
-    n1, n2 = len(axis_labels[cp1]), len(axis_labels[cp2])
-    rows = [dict() for _ in axis_labels[rp]]
+    shape = t.shape
+    n2 = shape[cp2]
+    rows = [dict() for _ in range(shape[rp])]
     for key, c in t.entries.items():
         rows[key[rp]][key[cp1] * n2 + key[cp2]] = c
-    return FlatteningMatrix(axis, tuple(axis_labels[rp]), n1 * n2, rows)
+    return rows
 
 
 def flattening_rank(t: Tensor, axis: str) -> int:
-    return len(exact_linalg.row_reduce(flattening(t, axis).rows))
+    return len(exact_linalg.row_reduce(flattening(t, axis)))
 
 
 def x_rank(t: Tensor) -> int:

@@ -218,13 +218,18 @@ def make_independent(q: int) -> Tensor:
                   meta={"family": "independent", "q": q})
 
 
-def _check_permutation(q: int, sigma) -> tuple[int, ...]:
-    if sigma is None:
-        return tuple(range(1, q + 1))
-    sigma = tuple(map(_index, sigma))
+def _cw_terms(q: int, sigma, entries: dict) -> tuple:
+    """sigma checked (None is the identity) and `entries` with the terms
+    x_i y_sigma(i) z_0 + x_i y_0 z_i + x_0 y_i z_i, i = 1..q, added in
+    that order."""
+    sigma = tuple(range(1, q + 1)) if sigma is None else tuple(map(_index, sigma))
     if sorted(sigma) != list(range(1, q + 1)):
         raise ValueError(f"sigma must be a permutation of 1..{q}")
-    return sigma
+    for i in range(1, q + 1):
+        entries[(i, sigma[i - 1], 0)] = 1
+        entries[(i, 0, i)] = 1
+        entries[(0, i, i)] = 1
+    return sigma, entries
 
 
 def make_cw(q: int, sigma: Optional[Sequence[int]] = None) -> Tensor:
@@ -238,13 +243,8 @@ def make_cw(q: int, sigma: Optional[Sequence[int]] = None) -> Tensor:
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    sigma = _check_permutation(q, sigma)
+    sigma, entries = _cw_terms(q, sigma, {(0, 0, q + 1): 1, (0, q + 1, 0): 1, (q + 1, 0, 0): 1})
     idx = tuple(range(q + 2))
-    entries = {(0, 0, q + 1): 1, (0, q + 1, 0): 1, (q + 1, 0, 0): 1}
-    for i in range(1, q + 1):
-        entries[(i, sigma[i - 1], 0)] = 1
-        entries[(i, 0, i)] = 1
-        entries[(0, i, i)] = 1
     return Tensor._unchecked(idx, idx, idx, entries, {
         "family": "CW", "q": q, "sigma": sigma,
         "asymptotic_rank": RankFact(q + 2, True,
@@ -259,13 +259,8 @@ def make_cw_small(q: int, sigma: Optional[Sequence[int]] = None) -> Tensor:
     """
     if q < 1:
         raise ValueError("q must be positive")
-    sigma = _check_permutation(q, sigma)
+    sigma, entries = _cw_terms(q, sigma, {})
     idx = tuple(range(q + 1))
-    entries = {}
-    for i in range(1, q + 1):
-        entries[(i, sigma[i - 1], 0)] = 1
-        entries[(i, 0, i)] = 1
-        entries[(0, i, i)] = 1
     return Tensor._unchecked(idx, idx, idx, entries, {
         "family": "cw", "q": q, "sigma": sigma,
         "asymptotic_rank": RankFact(q + 1, False, "x-flattening rank lower bound"),
@@ -384,18 +379,17 @@ def n_copies(m: int, t: Tensor) -> Tensor:
     return direct_sum(*repeat(t, m))
 
 
-def tensor_add(a: Tensor, b: Tensor) -> Tensor:
-    """Coefficient-wise sum of two tensors over identical variable lists."""
-    if (a.x_labels, a.y_labels, a.z_labels) != (b.x_labels, b.y_labels, b.z_labels):
+def tensor_add(a: Tensor, *rest: Tensor) -> Tensor:
+    """Coefficient-wise sum of tensors over identical variable lists, in
+    one pass over their entries however many there are."""
+    labels = a.x_labels, a.y_labels, a.z_labels
+    if any((t.x_labels, t.y_labels, t.z_labels) != labels for t in rest):
         raise ValueError("tensor_add requires identical variable lists")
     entries = dict(a.entries)
-    for key, c in b.entries.items():
-        s = entries.get(key, 0) + c
-        if s == 0:
-            entries.pop(key, None)
-        else:
-            entries[key] = s
-    return Tensor(a.x_labels, a.y_labels, a.z_labels, entries)
+    for t in rest:
+        for key, c in t.entries.items():
+            entries[key] = entries.get(key, 0) + c
+    return Tensor(*labels, entries)  # the constructor drops the entries that cancel
 
 
 def rotate(t: Tensor) -> Tensor:

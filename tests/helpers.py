@@ -13,6 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from slicerank import exact_linalg
+from slicerank.degeneration import _check_domains, _substitute
 from slicerank.formats import ParseError
 from slicerank.tensor_core import (Tensor, VariablePartition, blocks, cube_partition,
                                     cw_partition, make_cw, make_matmul, singleton_partition,
@@ -400,6 +401,37 @@ def reference_parse_tensor(text: str) -> Tensor:
     if len(sizes) != 3:
         raise ParseError(1, "missing xvars/yvars/zvars headers")
     return Tensor(*(range(sizes[ax]) for ax in "xyz"), entries)
+
+
+def reference_verify_degeneration(t1: Tensor, t2: Tensor, d) -> tuple:
+    """`degeneration.verify_degeneration` as it was before it read
+    `apply_degeneration`, as (ok, detail): every polynomial of the
+    substitution walked for its lowest bad degree, then the coefficients
+    at the order compared with t2 entry by entry."""
+    _check_domains(t1, t2, d)
+    h = d.order
+    image = _substitute(t1, d)
+    low_bad = None
+    at_h = {}
+    for key in sorted(image):
+        poly = image[key]
+        for e in sorted(poly.coeffs):
+            if e < h and (low_bad is None or (e, key) < low_bad):
+                low_bad = (e, key)
+        c = poly.coefficient(h)
+        if c != 0:
+            at_h[key] = c
+    if low_bad is not None:
+        e, key = low_bad
+        return False, f"nonzero lambda^{e} coefficient at entry {key}"
+    if not at_h and t2.entries:
+        return False, f"lambda^{h} coefficient is the zero tensor"
+    for key in sorted(set(at_h) | set(t2.entries)):
+        got = at_h.get(key, Fraction(0))
+        want = t2.entries.get(key, Fraction(0))
+        if got != want:
+            return False, f"lambda^{h} coefficient at entry {key} is {got}, expected {want}"
+    return True, f"degeneration of order {h} verified ({d.kind})"
 
 
 def reference_block_grading(keys, counts):

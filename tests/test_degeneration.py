@@ -1,10 +1,12 @@
 """Degeneration maps: verification, composition, and the zeroing search."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slicerank as sr
 from slicerank.degeneration import (
@@ -15,7 +17,8 @@ from slicerank.degeneration import (
 )
 from slicerank.formats import parse_degeneration_map, write_degeneration_map
 
-from helpers import random_tensor, relabeled_cw2_cube, search_zeroing_independent
+from helpers import (COEFFS, random_tensor, reference_verify_degeneration, relabeled_cw2_cube,
+                     search_zeroing_independent)
 
 
 def random_monomial_map(rng, t1, dst_shape, general=False):
@@ -51,6 +54,17 @@ def random_verified_instance(rng, general=False):
 def test_identity():
     t = sr.make_cw(2)
     assert sr.verify_degeneration(t, t, sr.identity_map(t)).ok
+
+
+def test_identity_is_the_zeroing_to_the_trivial_block():
+    """On a tensor that uses every variable, the trivial partition has one
+    block, the whole tensor, and the zeroing out to it is the identity."""
+    t = sr.make_t112(2)
+    bs = sr.blocks(t, sr.trivial_partition(t))
+    (key,) = bs.keys()
+    ident, zeroing = sr.identity_map(t), sr.zeroing_to_block(bs, key)
+    assert (ident.maps(), ident.order, ident.kind) == (zeroing.maps(), zeroing.order, "zeroing")
+    assert ident.alpha == {(i, i): LambdaPoly.one() for i in range(t.shape[0])}
 
 
 def test_zeroing_to_blocks_families():
@@ -125,6 +139,40 @@ def test_random_instances_verify():
     for i in range(60):
         t1, t2, d = random_verified_instance(rng, general=(i % 2 == 0))
         assert sr.verify_degeneration(t1, t2, d).ok
+
+
+# the detail each kind of (t1, t2, map) below must give
+VERDICTS = {"pass": r"degeneration of order \d+ verified \(\w+\)",
+            "low": r"nonzero lambda\^\d+ coefficient at entry \(\d+, \d+, \d+\)",
+            "zero": r"lambda\^\d+ coefficient is the zero tensor",
+            "wrong": r"lambda\^\d+ coefficient at entry \(\d+, \d+, \d+\) is \S+, expected \S+"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(sorted(VERDICTS)),
+       general=st.booleans())
+def test_verify_matches_the_reference(seed, kind, general):
+    """`verify_degeneration` returns the (ok, detail) of the reference that
+    walks every polynomial of the substitution: on maps that pass, maps
+    raised to a higher order (a nonzero coefficient below it), maps whose
+    alpha is multiplied by lambda (the coefficient at the order is the
+    zero tensor) and targets with one coefficient changed."""
+    rng = random.Random(seed)
+    t1, t2, d = random_verified_instance(rng, general)
+    if kind == "low":
+        d = DegenerationMap(*d.maps(), order=d.order + rng.randint(1, 3))
+    elif kind == "zero":
+        lam = LambdaPoly.monomial(1, rng.randint(1, 2))
+        d = DegenerationMap({pair: lam * poly for pair, poly in d.alpha.items()},
+                            d.beta, d.gamma, d.order)
+    elif kind == "wrong":
+        key = tuple(rng.randrange(n) for n in t2.shape)
+        entries = dict(t2.entries)
+        entries[key] = t2.coefficient(*key) + rng.choice(COEFFS)
+        t2 = sr.Tensor(t2.x_labels, t2.y_labels, t2.z_labels, entries)
+    res = sr.verify_degeneration(t1, t2, d)
+    assert (res.ok, res.detail) == reference_verify_degeneration(t1, t2, d)
+    assert res.ok == (kind == "pass") and re.fullmatch(VERDICTS[kind], res.detail)
 
 
 def test_composition_property():

@@ -68,7 +68,7 @@ def test_grading_and_flattening_reduce_without_fractions(monkeypatch):
     rows = [{i: 1, 27 + j: 1, 54 + k: 1, 81: -1} for (i, j, k) in keys]
     assert len(exact_linalg.row_reduce(rows)) == 76
     flat = sr.rank_tools.flattening(sr.symmetric_cube(sr.make_cw(1)), "x")
-    assert len(exact_linalg.row_reduce(flat.rows)) == 27
+    assert len(exact_linalg.row_reduce(flat)) == 27
     assert built == []
 
 

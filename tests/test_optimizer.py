@@ -124,7 +124,7 @@ def test_objective_values_off_the_classes():
     values of the part-size formula."""
     bs = cube_b_part(1)
     prob = _Problem(bs)
-    key = prob.keys[np.flatnonzero(prob.count[prob.group] == 6)[0]]
+    key = tuple(prob.key_array[np.flatnonzero(prob.count[prob.group] == 6)[0]].tolist())
     assert objective_values(bs, {key: 1.0}) == (0.0, 0.0, 0.0)
     rng = random.Random(3)
     masses = {k: rng.random() for k in bs.keys()}
@@ -788,7 +788,7 @@ def test_unreduced_problem_is_the_singleton_classes():
     bs = planted(11, "plain")
     prob, ref = _Problem(bs), _Problem(bs, np.arange(len(bs)))
     assert prob.size == len(bs) == ref.size
-    for name in ("keys", "group", "share", "axis", "log_sizes", "col", "row", "val", "count"):
+    for name in ("key_array", "group", "share", "axis", "log_sizes", "col", "row", "val", "count"):
         assert np.array_equal(getattr(prob, name), getattr(ref, name)), name
 
 
@@ -808,7 +808,7 @@ def test_merged_classes_fail_the_certificate(solver, capsys, tmp_path):
 
     opt = solver(bs)
     prob = _Problem(bs)
-    first = [prob.keys[list(prob.group).index(c)] for c in (0, 1)]
+    first = [tuple(prob.key_array[list(prob.group).index(c)].tolist()) for c in (0, 1)]
     assert abs(opt.masses[first[0]] - opt.masses[first[1]]) > 1e-3
     with mock.patch.object(optimizer, "colour_classes", merged):
         assert solver(bs).kkt_residual > KKT_LIMIT

@@ -27,8 +27,9 @@ def test_independent_ranks(q):
     t = sr.make_independent(q)
     assert sr.x_rank(t) == sr.y_rank(t) == sr.z_rank(t) == q
     assert oracle_rank(t, "x") == q
-    mat = sr.flattening(t, "x")
-    assert (len(mat.row_labels), mat.n_cols) == (q, q * q)
+    rows = sr.flattening(t, "x")
+    assert len(rows) == q and all(col < q * q for row in rows for col in row)
+    assert rows == [{i * q + i: 1} for i in range(q)]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

@@ -95,6 +95,19 @@ def test_cw_small_counts(q):
     assert fact.value == q + 1 and not fact.exact
 
 
+@pytest.mark.parametrize("q", range(1, 7))
+@pytest.mark.parametrize("twisted", [False, True])
+def test_cw_is_cw_small_with_corners(q, twisted):
+    """CW_{q,sigma} less its three corner terms is cw_{q,sigma}, entry for
+    entry in one insertion order, with one sigma in the meta."""
+    sigma = tuple(range(2, q + 1)) + (1,) if twisted else None
+    big, small = sr.make_cw(q, sigma), sr.make_cw_small(q, sigma)
+    corners = [(0, 0, q + 1), (0, q + 1, 0), (q + 1, 0, 0)]
+    assert list(big.entries)[:3] == corners
+    assert list(big.entries.items())[3:] == list(small.entries.items())
+    assert big.meta["sigma"] == small.meta["sigma"] == (sigma or tuple(range(1, q + 1)))
+
+
 @pytest.mark.parametrize("q", [1, 3, 4])
 def test_cyclic_counts(q):
     t = sr.make_cyclic(q)
@@ -285,6 +298,24 @@ def test_tensor_add_cancellation():
     assert s.entries == {(1, 1, 1): 1}
     with pytest.raises(ValueError):
         sr.tensor_add(t, sr.make_independent(3))
+
+
+def test_tensor_add_of_many_is_the_pairwise_sum():
+    """One call over several tensors equals the two-tensor calls chained,
+    cancellations included; a summand over other variables raises."""
+    rng = random.Random(5)
+    for _ in range(100):
+        a = random_tensor(rng)
+        parts = [a] + [Tensor(a.x_labels, a.y_labels, a.z_labels,
+                              {key: rng.choice((-c, c, 1)) for key, c in a.entries.items()
+                               if rng.random() < 0.5})
+                       for _ in range(rng.randint(1, 4))]
+        pairwise = parts[0]
+        for part in parts[1:]:
+            pairwise = sr.tensor_add(pairwise, part)
+        assert sr.tensor_add(*parts) == pairwise
+    with pytest.raises(ValueError, match="identical variable lists"):
+        sr.tensor_add(a, a, sr.make_independent(4))
 
 
 def test_rotate():
