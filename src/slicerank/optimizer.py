@@ -13,15 +13,16 @@ p and continuous on the closed simplex, so suprema are maxima.
 `maximize_symmetric` maximizes f_x over rotation-symmetric distributions
 of a symmetric partition, `maximize_product` f_x + f_y + f_z, and
 `maximize_minmax` min(f_x, f_y, f_z).  Each objective is concave, so one
-start is enough.  The Newton solver `_solve` maximizes sum_a w_a f_a(S x),
-where S maps orbit or block masses x to block masses, for w = (1, 0, 0)
-(on orbit masses the three axes' incidence matrices are equal, so f_x
-alone is the objective and the Newton factor holds one axis's incidence
-rows, not three copies) or (1, 1, 1); the max-min steps on x and on w,
-the minimizer of the convex dual max_x sum_a w_a f_a(x), together.
-The certificate is the concavity gap at the returned weights: with g
-the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x>
-bounds the maximum from above, and the objective at x from below.
+start is enough, and one Newton loop, `_maximize`, serves all three.  It
+maximizes sum_a w_a f_a(S x), where S maps orbit or block masses x to
+block masses, with w held at (1, 0, 0) (on orbit masses the three axes'
+incidence matrices are equal, so f_x alone is the objective and the
+Newton factor holds one axis's incidence rows, not three copies) or at
+(1, 1, 1); for the max-min it steps on x and on w, the minimizer of the
+convex dual max_x sum_a w_a f_a(x), together.  The certificate is the
+concavity gap at the returned weights: with g the gradient of sum_a w_a
+f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x> bounds the maximum from
+above, and the objective at x from below.
 
 `_Problem` reads a block set through its arrays: `key_array`, the block
 keys in sorted order as one int row each (its columns, offset per axis,
@@ -44,20 +45,29 @@ per-block gradient (`_Problem.blockwise`): a wrong reduction shows as a
 large residual, never as a wrong value.  `maximize_symmetric` keeps its
 orbit variables, and `objective_values` single blocks.
 
-The max-min is a saddle point of sum_a w_a f_a(x).  `maximize_minmax`
-steps on (x, w) together from the class-uniform x and w = 1/3: one
-`newton_step` gives the inner step s0 and S = H^-1 G (G the axis
-gradients at x); with h = -G^T S, dw minimizes the predicted (f + G^T s0)
-dw + dw h dw / 2 on the simplex, holding at 0 an axis it would drive
-below (`_weights_step`, as in Bertsekas's projected Newton method, SIAM
-J. Control Optim. 20, 1982), or is 0 if that fails, and dx = s0 - S dw.
-The trials (x, w) + sigma (dx, dw), clipped at 0 and renormalized, halve
-sigma from 1 to MIN_STEP; the first whose gap (the upper bound above less
-min_a f_a, 0 only at the saddle point) is below the largest of the last
-GAP_MEMORY gaps is kept (nonmonotone acceptance: Grippo, Lampariello and
-Lucidi, SIAM J. Numer. Anal. 23, 1986).  After a damped trial, or none, w
-on its simplex edge along dw, with x at sigma = 1, is kept if its gap is
-lower.  The loop ends when no trial is kept.
+The max-min is a saddle point of sum_a w_a f_a(x).  The loop starts
+from the class-uniform x (orbit masses from `_sum_start`) and, for the
+max-min, w = 1/3.  Its gap is max g - <g, x>, plus w f - min_a f_a when w moves
+(the upper bound above less min_a f_a, 0 only at the saddle point).
+Once the support gradients agree, coordinates with a larger gradient
+join the support (`_grow`); when none does, a solve with w held stops,
+and the max-min once f is also equal on the axes with w_a > 0 and no
+lower off them.  With w held a step is one `newton_step` s0 and dw = 0.
+Else one `newton_step` gives s0 and S = H^-1 G (G the axis gradients at
+x); with h = -G^T S, dw minimizes the predicted (f + G^T s0) dw + dw h
+dw / 2 on the simplex, holding at 0 an axis it would drive below
+(`_weights_step`, as in Bertsekas's projected Newton method, SIAM J.
+Control Optim. 20, 1982), or is 0 if that fails, and dx = s0 - S dw.
+The trials (x, w) + sigma (dx, dw), clipped at 0 and renormalized (a
+held w is kept as it is), halve sigma from 1 to MIN_STEP; the first whose
+gap is below the largest of the last GAP_MEMORY gaps is kept (nonmonotone
+acceptance: Grippo, Lampariello and Lucidi, SIAM J. Numer. Anal. 23,
+1986).  With w held, a step that leaves the simplex has two first
+trials: the point of `_line_start` (see "Step length") and the clipped
+point at sigma = 1; the one with the lower gap is kept if that gap is
+below the bound.  After a damped trial, or none, w on its simplex edge
+along dw, with x at sigma = 1, is kept if its gap is lower.  The loop
+ends when no trial is kept, or after MAX_STEPS steps.
 
 A Newton step on k support coordinates solves K = [[-(cD)^T cD, d],
 [d^T, 0]], the Hessian -c^T c scaled by D = diag(d) to a unit diagonal,
@@ -108,15 +118,21 @@ a block set that is not a sum is a stack of one.  The table builders
 cap the rows of a run (`bound_engines.SUM_ROW`), which keeps the
 padding small.
 
-Step length: along a step s from x, with m = R x and r = R s (one
-bincount each), phi(sigma) = sum_a w_a f_a(x + sigma s) is concave, with
-phi'(sigma) = sum_i w_a r_i (log|X_i| - log(m_i + sigma r_i)) (the -1
-terms cancel, as each axis's r sums to sum(s) = 0) and phi''(sigma) =
--sum_i w_a r_i^2 / (m_i + sigma r_i).  A step that meets the simplex
-boundary at sigma = edge < 1 stops there, setting the coordinates that
-reach zero to 0, only if phi'(edge) >= 0.  Otherwise (phi'(edge) = -inf
-when a part marginal reaches zero) it goes to the maximizer of phi in
-(0, edge), found by safeguarded Newton on phi', and keeps the support.
+Step length, with w held: along a step s from x, with m = R x and r = R
+s (one bincount each), phi(sigma) = sum_a w_a f_a(x + sigma s) is
+concave, with phi'(sigma) = sum_i w_a r_i (log|X_i| - log(m_i + sigma
+r_i)) (the -1 terms cancel, as each axis's r sums to sum(s) = 0) and
+phi''(sigma) = -sum_i w_a r_i^2 / (m_i + sigma r_i).  For a step that
+meets the simplex boundary at sigma = edge < 1, `_line_start` gives the
+edge, where the coordinates that reach zero are set to 0, if phi'(edge)
+>= 0.  Otherwise (phi'(edge) = -inf when a part marginal reaches zero)
+it gives the maximizer of phi in (0, edge), found by safeguarded Newton
+on phi', which keeps the support.  Tried alone, that point drops only
+the coordinates of one edge per step, so the step count grows with the
+number of coordinates that leave the support (28 steps on the T_150
+row, 7 with both); the clipped point at sigma = 1 alone drops many at
+once, but misses an optimum that the edge reaches in one step (7 steps
+on the CW_7 and CW_8 rows, 1 with both).  So both are tried.
 """
 
 from __future__ import annotations
@@ -137,7 +153,6 @@ TINY = 5e-324            # least positive float: log(max(m, TINY)) is log m for 
 TOL = 1e-12              # stationarity target of the Newton solver
 MAX_STEPS = 200          # Newton steps per solve
 GROW_MASS = 1e-8         # mass given to a coordinate joining the support
-NOISE = 64 * np.finfo(float).eps  # float noise of an objective, relative
 MIN_STEP = 1e-12         # shortest damped step tried
 RIDGE = 1e-10            # relative ridge of the weights' Newton system
 GAP_MEMORY = 5           # max-min gaps a joint trial is compared with (nonmonotone acceptance)
@@ -317,11 +332,6 @@ class _Problem:
     def marginals(self, x):
         return np.bincount(self.row, weights=self.val * x[self.col], minlength=len(self.axis))
 
-    def at(self, x, w):
-        """The marginals m of x and sum_a w_a f_a there."""
-        m = self.marginals(x)
-        return m, w @ self.values(m)
-
     def values(self, m):
         """(f_x, f_y, f_z) at the marginals m (a part of mass 0 adds 0)."""
         return np.bincount(self.axis, m * (self.log_sizes - np.log(np.maximum(m, TINY))), 3)
@@ -331,11 +341,6 @@ class _Problem:
         h = self.log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP)) - 1.0
         return np.bincount(3 * self.col + self.axis[self.row], weights=self.val * h[self.row],
                            minlength=3 * self.size).reshape(self.size, 3)
-
-    def grad(self, m, w):
-        """The gradient of sum_a w_a f_a at the marginals m."""
-        h = w[self.axis] * (self.log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP)) - 1.0)
-        return np.bincount(self.col, weights=self.val * h[self.row], minlength=self.size)
 
     def newton_step(self, x, m, w, rhs):
         """For each column r of rhs, the minimum-norm s with H s + nu 1 = r and
@@ -476,26 +481,31 @@ def _weights_step(h, r, w):
     return np.full(n, np.nan)
 
 
-def _trials(v, dv, start=1.0):
-    """Damped points v + sigma dv on the simplex: sigma starts at `start`,
-    or at the edge where the first coordinates reach zero if that comes no
+def _trial(v, dv, start=1.0):
+    """The damped point v + sigma dv on the simplex at sigma = `start`, or
+    at the edge where the first coordinates reach zero if that comes no
     later (they are then set to 0 exactly, leaving the support, however
-    short that step), and halves down to MIN_STEP."""
+    short that step)."""
     neg = (dv < 0.0).nonzero()[0]
     ratio = v[neg] / -dv[neg]
     edge = ratio.min(initial=np.inf)
-    sigma = top = min(start, edge)
-    while sigma > MIN_STEP or sigma == top:
-        trial = np.maximum(v + sigma * dv, 0.0)
-        if sigma == edge:
-            trial[neg[ratio <= edge * (1.0 + 1e-9)]] = 0.0
-        yield trial / trial.sum()
-        sigma /= 2.0
+    trial = np.maximum(v + min(start, edge) * dv, 0.0)
+    if edge <= start:
+        trial[neg[ratio <= edge * (1.0 + 1e-9)]] = 0.0
+    return trial / trial.sum()
+
+
+def _arc(v, dv, sigma):
+    """The projection arc's point at sigma: v + sigma dv clipped at 0 and
+    renormalized."""
+    u = np.maximum(v + sigma * dv, 0.0)
+    return u / u.sum()
 
 
 def _line_start(prob: _Problem, w, x, m, s) -> float:
-    """The sigma at which the trials of the step s from x (marginals m)
-    start: 1 when the step stays in the simplex; else the edge, where the
+    """The sigma of the first trial of the step s from x (marginals m) with
+    w held, besides the clipped point at sigma = 1: 1 when the step stays
+    in the simplex, and then the two are one; else the edge, where the
     first coordinates reach zero, if phi'(edge) >= 0; else the maximizer
     of phi on (0, edge), by safeguarded Newton on phi', or the edge if phi
     is no lower there (phi'(edge) < 0 can be float noise)."""
@@ -507,7 +517,7 @@ def _line_start(prob: _Problem, w, x, m, s) -> float:
     on = (w[prob.axis] > 0.0) & (r != 0.0)
     wa, r, m, log_sizes = w[prob.axis][on], r[on], m[on], prob.log_sizes[on]
     wr = wa * r
-    at_edge = prob.marginals(next(_trials(x, s)))[on]
+    at_edge = prob.marginals(_trial(x, s))[on]
     if at_edge.min(initial=1.0) > 0.0 and wr @ (log_sizes - np.log(at_edge)) >= 0.0:
         return edge
     lo, hi, sigma = 0.0, edge, edge / 2.0
@@ -543,43 +553,64 @@ def _grow(prob: _Problem, x, g, mu) -> bool:
     return True
 
 
-def _solve(prob: _Problem, w, x=None):
-    """Maximize F(x) = sum_a w_a f_a(x) over the simplex.
+def _saddle(prob: _Problem, x, w, move):
+    """At (x, w): m = R x, f, G, g = G w, and the gap max g - g x, plus
+    w f - min f when w moves."""
+    m = prob.marginals(x)
+    f, grads = prob.values(m), prob.grads(m)
+    g = grads @ w
+    return m, f, grads, g, w @ f + g.max() - g @ x - f.min() if move else g.max() - g @ x
 
-    Damped Newton on the support, from x proportional to `prob.count` (the
-    uniform point on blocks or orbits, its image on block classes) unless x
-    is given.  Steps are minimum-norm KKT solutions, as the Hessian is
-    singular whenever variables outnumber parts; one that leaves the
-    simplex drops the coordinates reaching zero only if phi'(edge) >= 0,
-    else stops at the line maximum before the edge (`_line_start`).  Steps
-    are halved while F drops by more than float noise.  Once the support
-    gradients agree, coordinates with a larger gradient join the support.
-    Returns (x, marginals, iterations, residual).
-    """
-    x = prob.count / prob.count.sum() if x is None else x.copy()
-    m, f0 = prob.at(x, w)
-    iters = 0
+
+def _maximize(prob: _Problem, w, move, x=None):
+    """Maximize sum_a w_a f_a over the simplex with w held, or the max-min
+    when w moves, by the steps of the module docstring from x proportional
+    to `prob.count` (the uniform point on blocks or orbits, its image on
+    block classes) unless x is given, at most MAX_STEPS.  Returns x, w,
+    the marginals m and the gradient g of sum_a w_a f_a at x, and the
+    number of steps."""
+    x = prob.count / prob.count.sum() if x is None else x
+    m, f, grads, g, gap = _saddle(prob, x, w, move)
+    gaps = []
     while True:
-        g = prob.grad(m, w)
-        if iters >= MAX_STEPS:
-            break
         g_on = g[x > 0.0]
         mu = g_on.sum() / len(g_on)
-        if np.abs(g_on - mu).max() <= TOL:
-            if not _grow(prob, x, g, mu):
-                break
-            m, f0 = prob.at(x, w)
+        stationary = np.abs(g_on - mu).max() <= TOL
+        if stationary and _grow(prob, x, g, mu):
+            m, f, grads, g, gap = _saddle(prob, x, w, move)
             continue
-        iters += 1
-        step = prob.newton_step(x, m, w, (mu - g)[:, None])[:, 0]
-        for trial in _trials(x, step, _line_start(prob, w, x, m, step)):
-            tm, tf = prob.at(trial, w)
-            if tf >= f0 - NOISE * abs(f0):
-                break
-        else:
+        if len(gaps) >= MAX_STEPS or stationary and (not move or _residual(-f, w) <= TOL):
             break
-        x, m, f0 = trial, tm, tf
-    return x, m, iters, _residual(g, x)
+        gaps.append(gap)                                  # one per step
+        first = []                        # with w held, `_line_start`'s point, tried at sigma = 1
+        if move:
+            s = prob.newton_step(x, m, w, np.column_stack([mu - g, grads]))
+            h = -grads.T @ s[:, 1:]
+            h += RIDGE * (1.0 + np.trace(h)) * np.eye(3)
+            dw = _weights_step(h, f + grads.T @ s[:, 0], w)
+            dw[np.isnan(dw)] = 0.0                        # no weight step
+            dx = s[:, 0] - s[:, 1:] @ dw
+        else:
+            dx, dw = prob.newton_step(x, m, w, (mu - g)[:, None])[:, 0], np.zeros(3)
+            if (start := _line_start(prob, w, x, m, dx)) < 1.0:
+                first.append(_trial(x, dx, start))
+        bound, kept = max(gaps[-GAP_MEMORY:]), None
+        for sigma in 0.5 ** np.arange(-math.log2(MIN_STEP)):   # 1 down to MIN_STEP
+            tw = _arc(w, dw, sigma) if move else w
+            for tx in [*first, _arc(x, dx, sigma)]:
+                if (state := _saddle(prob, tx, tw, move))[-1] < bound:
+                    bound, kept = state[-1], ((tx, tw), state)
+            if kept is not None:
+                break
+            first = []
+        if sigma < 1.0 and dw.min() < 0.0 < dw.max():   # damped or none kept, and w moves
+            trial = _arc(x, dx, 1.0), _trial(w, dw, np.inf)
+            if (edge := _saddle(prob, *trial, move))[-1] < bound:
+                kept = trial, edge
+        if kept is None:
+            break
+        (x, w), (m, f, grads, g, gap) = kept
+    return x, w, m, g, len(gaps)
 
 
 # -- the three maximizations ---------------------------------------------------
@@ -678,8 +709,8 @@ def maximize_symmetric(block_set: BlockSet) -> Optimum:
         raise ValueError("partition is not symmetric for this tensor")
     prob = _Problem(block_set, block_set.group)
     w = np.array([1.0, 0.0, 0.0])
-    x, m, iters, resid = _solve(prob, w, _sum_start(prob))
-    return _optimum(prob, w, lambda f: f[0], x, iters, resid, prob.values(m), prob.grad(m, w), x)
+    x, _, m, g, iters = _maximize(prob, w, False, _sum_start(prob))
+    return _optimum(prob, w, lambda f: f[0], x, iters, _residual(g, x), prob.values(m), g, x)
 
 
 def _sum_start(prob: _Problem):
@@ -743,17 +774,9 @@ def maximize_product(block_set: BlockSet) -> Optimum:
     block masses."""
     prob = _Problem(block_set)
     w = np.ones(3)
-    x, _, iters, _ = _solve(prob, w)
+    x, _, _, _, iters = _maximize(prob, w, False)
     d, f, g = prob.blockwise(x, w)
     return _optimum(prob, w, sum, x, iters, _residual(g, d), f, g, d)
-
-
-def _saddle(prob: _Problem, x, w):
-    """At (x, w): m = R x, f, G, g = G w, and the gap w f + max g - g x - min f."""
-    m = prob.marginals(x)
-    f, grads = prob.values(m), prob.grads(m)
-    g = grads @ w
-    return m, f, grads, g, w @ f + g.max() - g @ x - f.min()
 
 
 def maximize_minmax(block_set: BlockSet) -> Optimum:
@@ -766,38 +789,6 @@ def maximize_minmax(block_set: BlockSet) -> Optimum:
     MAX_STEPS (`iterations`).  `axis_weights` are the axes' multipliers.
     """
     prob = _Problem(block_set)
-    x, w, gaps = prob.count / prob.count.sum(), np.full(3, 1.0 / 3.0), []
-    m, f, grads, g, gap = _saddle(prob, x, w)
-    while True:
-        g_on = g[x > 0.0]
-        mu = g_on.sum() / len(g_on)
-        stationary = np.abs(g_on - mu).max() <= TOL
-        if stationary and _grow(prob, x, g, mu):
-            m, f, grads, g, gap = _saddle(prob, x, w)
-            continue
-        if len(gaps) >= MAX_STEPS or stationary and _residual(-f, w) <= TOL:
-            break
-        gaps.append(gap)                                  # one per step
-        s = prob.newton_step(x, m, w, np.column_stack([mu - g, grads]))
-        h = -grads.T @ s[:, 1:]
-        h += RIDGE * (1.0 + np.trace(h)) * np.eye(3)
-        dw = _weights_step(h, f + grads.T @ s[:, 0], w)
-        dw[np.isnan(dw)] = 0.0                            # no weight step
-        dx = s[:, 0] - s[:, 1:] @ dw
-        bound, kept = max(gaps[-GAP_MEMORY:]), None
-        for sigma in 0.5 ** np.arange(-math.log2(MIN_STEP)):   # 1 down to MIN_STEP
-            trial = [u / u.sum() for u in (np.maximum(x + sigma * dx, 0.0),
-                                           np.maximum(w + sigma * dw, 0.0))]
-            if (state := _saddle(prob, *trial))[-1] < bound:
-                bound, kept = state[-1], (trial, state)
-                break
-        if sigma < 1.0 and dw.min() < 0.0 < dw.max():   # damped or none kept, and w moves
-            tx = np.maximum(x + dx, 0.0)
-            trial = [tx / tx.sum(), next(_trials(w, dw, np.inf))]
-            if (edge := _saddle(prob, *trial))[-1] < bound:
-                kept = trial, edge
-        if kept is None:
-            break
-        (x, w), (m, f, grads, g, gap) = kept
+    x, w, _, _, iters = _maximize(prob, np.full(3, 1.0 / 3.0), True)
     d, f, g = prob.blockwise(x, w)
-    return _optimum(prob, w, min, x, len(gaps), max(_residual(g, d), _residual(-f, w)), f, g, d)
+    return _optimum(prob, w, min, x, iters, max(_residual(g, d), _residual(-f, w)), f, g, d)

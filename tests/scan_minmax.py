@@ -21,7 +21,9 @@ with no scan named to run all four:
 Each scan prints its number of solves, the solves whose `kkt_residual`
 exceeds `bound_engines.KKT_LIMIT` (unconverged, as the CLI reads them;
 listed by seed), the median, 90th percentile and largest step count,
-the largest residual, and its seconds.
+the largest residual, and its seconds.  The script exits with status 1
+when any scan has an unconverged solve, and 0 otherwise, so it can gate
+a change to the solvers.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ def scan(name):
           f"p90 {p90:g} max {max(steps)}, residual max {max(resid):.2g}, {seconds:.1f} s")
     if failed:
         print(f"  unconverged: {failed}")
+    return len(failed)
 
 
 if __name__ == "__main__":
-    for name in sys.argv[1:] or SCANS:
-        scan(name)
+    unconverged = [scan(name) for name in sys.argv[1:] or SCANS]
+    sys.exit(1 if any(unconverged) else 0)

@@ -16,7 +16,6 @@ from slicerank.bound_engines import KKT_LIMIT, tq_lower_table
 from slicerank.cli import main
 from slicerank.optimizer import (
     MARGINAL_CLAMP,
-    NOISE,
     _Problem,
     _weights_step,
     objective_values,
@@ -428,6 +427,14 @@ def test_minmax_certified_on_random_cube_b_parts(seed):
     assert_minmax_certified(bs, mm)
 
 
+# The `product` scan's seeds where the product solve, when its steps kept
+# only trials on which the objective did not drop, ended unconverged after
+# 200 steps (residual 0.0046 to 0.52).
+@pytest.mark.parametrize("seed", [219, 329, 376, 386, 487, 497])
+def test_product_converges_on_random_cube_b_parts(seed):
+    assert sr.maximize_product(remove_x_b_part(*scan_cube(seed))).kkt_residual <= KKT_LIMIT
+
+
 def test_minmax_certified_on_shared_random_cube_b_part():
     """The same with the tensor and the partition drawn from one
     Random(116): 339 blocks, where at some step no joint trial at sigma =
@@ -469,12 +476,14 @@ def test_minmax_deterministic():
     assert a.masses == b.masses
 
 
-# The Newton steps of the tq-lower table rows q = 2..16 and of q = 18, 19,
-# pinned, like the CW_1-cube count above.
-TQ_LOWER_STEPS = dict(zip(range(2, 20), [0, 3, 4, 4, 4, 4, 4] + [5] * 11))
+# The Newton steps of the tq-lower table rows q = 2..16 and of q = 18, 19
+# and 150, pinned, like the CW_1-cube count above.  q = 150 took 28 steps
+# when a step meeting the simplex boundary tried only `_line_start`'s sigma
+# and points short of it.
+TQ_LOWER_STEPS = dict(zip(range(2, 20), [0, 3, 4, 4, 4, 4, 4] + [5] * 11)) | {150: 7}
 
 
-@pytest.mark.parametrize("q", [15, 18, 19] + [q for q in range(2, 17) if q != 15])
+@pytest.mark.parametrize("q", [15, 18, 19, 150] + [q for q in range(2, 17) if q != 15])
 def test_symmetric_residual_tq_lower(q):
     t = sr.make_cyclic_lower(q)
     opt = sr.maximize_symmetric(sr.blocks(t, sr.singleton_partition(t)))
@@ -507,30 +516,34 @@ def test_t112_step_budget(q, solver, budget):
     assert opt.kkt_residual <= 1e-10
 
 
+NOISE = 64 * np.finfo(float).eps  # float noise of an objective, relative
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        weights=st.sampled_from(["product", "x only", "random"]))
 @example(seed=1290, weights="random")
 @example(seed=681, weights="product")
 def test_boundary_steps_keep_the_edge_value(seed, weights):
-    """On random block sets `_solve` certifies (gap <= 1e-9), and a step
-    that meets the simplex boundary is accepted at an F no lower than at
-    its edge trial, the point where the first coordinates reach zero."""
+    """On random block sets the loop with w held certifies (gap <= 1e-9),
+    and the first trial of a step that meets the simplex boundary, from
+    `_line_start`'s sigma, has an F no lower than at its edge trial, the
+    point where the first coordinates reach zero, unless F drops there."""
     rng = random.Random(seed)
     t = random_tensor(rng, max_dim=5)
     prob = _Problem(sr.blocks(t, random_partition(rng, t)))
     w = {"product": np.ones(3), "x only": np.array([1.0, 0.0, 0.0]),
          "random": np.array([rng.uniform(0.1, 1.0) for _ in range(3)])}[weights]
-    steps, trials = [], optimizer._trials
+    steps, trial = [], optimizer._trial
 
     def recorded(v, dv, start=None):
         if start is None:                    # `_line_start` reading the edge trial
-            return trials(v, dv)
-        steps.append((v, dv, list(trials(v, dv, start))))
-        return iter(steps[-1][2])
+            return trial(v, dv)
+        steps.append((v, dv, [trial(v, dv, start)]))
+        return steps[-1][2][0]
 
-    with mock.patch.object(optimizer, "_trials", recorded):
-        x, m, _, _ = optimizer._solve(prob, w)
+    with mock.patch.object(optimizer, "_trial", recorded):
+        x, _, m, _, _ = optimizer._maximize(prob, w, False)
     g = prob.grads(m) @ w
     assert g.max() - g @ x <= 1e-9
     big_f = lambda v: w @ prob.values(prob.marginals(v))
@@ -538,7 +551,7 @@ def test_boundary_steps_keep_the_edge_value(seed, weights):
         f0 = big_f(v)
         accepted = next((u for u in tried if big_f(u) >= f0 - NOISE * abs(f0)), None)
         if accepted is not None and (v[dv < 0.0] / -dv[dv < 0.0]).min(initial=1.0) < 1.0:
-            edge = big_f(next(trials(v, dv)))
+            edge = big_f(trial(v, dv))
             assert big_f(accepted) >= edge - NOISE * abs(edge)
 
 
