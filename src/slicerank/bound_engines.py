@@ -439,8 +439,8 @@ def _readiness(rows) -> tuple[list, BlockSet]:
     # the first block of each orbit, if it is off three one-variable parts
     # (blocks on three such parts are <1,1,1>): its key, part sizes and
     # orbit size, and where each row's first such block is
-    sizes = np.column_stack([np.array(bs.part_sizes(ax))[bs.key_array[:, a]]
-                             for a, ax in enumerate("xyz")])
+    parts, _, part_size, _ = bs.part_rows
+    sizes = part_size[parts]
     firsts = np.unique(bs.group, return_index=True)[1]
     firsts = firsts[(sizes[firsts] != 1).any(axis=1)]
     at = np.searchsorted(firsts, cuts).tolist()

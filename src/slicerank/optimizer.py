@@ -24,13 +24,13 @@ concavity gap at the returned weights: with g the gradient of sum_a w_a
 f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x> bounds the maximum from
 above, and the objective at x from below.
 
-`_Problem` reads a block set through its arrays: `key_array`, the block
-keys in sorted order as one int row each (its columns, offset per axis,
-are the part rows of each block), and a group array naming the variable
-of each block, the block set's `group` (its rotation orbits) for the
-symmetric solve, `arange` for single blocks, or by default the block
-classes below.  No key tuple is built until an optimum's `masses` are
-read (`ArrayMap`).
+`_Problem` reads a block set through its arrays: `part_rows`, the three
+part rows of each block in key order and each row's axis, size and
+summand, and a group array naming the variable of each block, the block
+set's `group` (its rotation orbits) for the symmetric solve, `arange`
+for single blocks, or by default the block classes below.
+`objective_values` and `summand_optima` read `part_rows` too.  No key
+tuple is built until an optimum's `masses` are read (`ArrayMap`).
 
 `maximize_product` and `maximize_minmax` solve on colour classes:
 `colour_classes` refines blocks and parts to the coarsest equitable
@@ -165,9 +165,8 @@ LINE_STEPS = 8           # safeguarded Newton steps of a line search before the 
 
 def objective_values(block_set: BlockSet, probs: dict) -> tuple:
     """(f_x, f_y, f_z) for a distribution {block key: mass} on the blocks."""
-    prob = _Problem(block_set, np.arange(len(block_set)))
     index = {key: i for i, key in enumerate(block_set.keys())}
-    x = np.zeros(prob.size)
+    x = np.zeros(len(index))
     for key, p in probs.items():
         if key not in index:
             raise ValueError(f"mass on nonexistent block {key}")
@@ -178,7 +177,8 @@ def objective_values(block_set: BlockSet, probs: dict) -> tuple:
     total = x.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    return tuple(map(float, prob.values(prob.marginals(x / total))))
+    parts, axis, sizes, _ = block_set.part_rows
+    return tuple(map(float, _blockwise(parts, axis, np.log(sizes), x / total, 1.0, 3)[0]))
 
 
 # -- colour classes -------------------------------------------------------------
@@ -234,12 +234,6 @@ def _by_first(labels, first):
 # -- the solver ---------------------------------------------------------------
 
 
-def _summand_rows(block_set: BlockSet):
-    """The summand of each part row (x, then y, then z) of a block set."""
-    counts = np.array(block_set.summands)
-    return (np.arange(counts.size) % len(counts)).repeat(counts.T.ravel())
-
-
 def _blockwise(parts, label, log_sizes, d, w, count):
     """For block masses d on blocks of part rows `parts` (rows of sizes
     exp(log_sizes)), with m their part marginals (one bincount over all
@@ -272,16 +266,13 @@ class _Problem:
     R[row[e], col[e]] = val[e], and `axis` names each row's axis.  `count`
     holds the number of blocks each variable stands for (1 on orbits),
     `width` the number of parts in each row, and `parts` the three part
-    rows of each block in key order, read off the block set's `key_array`.
+    rows of each block in key order, and `part_axis` each part's axis, as
+    the block set's `part_rows` number them.
     """
 
     def __init__(self, block_set: BlockSet, group=None):
-        sizes = [block_set.partition.part_sizes(axis) for axis in "xyz"]
-        n = [len(s) for s in sizes]
         self.key_array = block_set.key_array
-        self.parts = self.key_array + np.array([0, n[0], n[0] + n[1]])
-        self.part_axis = np.arange(3).repeat(n)
-        part_sizes = np.array(sizes[0] + sizes[1] + sizes[2], float)
+        self.parts, self.part_axis, part_sizes, summand = block_set.part_rows
         self.part_log_sizes = np.log(part_sizes)
         if group is None:
             group, row = colour_classes(self.parts, self.part_axis, part_sizes)
@@ -296,7 +287,7 @@ class _Problem:
             lens = np.bincount(group)
             self.count, self.width = np.ones(len(lens)), np.ones(len(part_sizes))
             self.axis, self.log_sizes, cells = self.part_axis, self.part_log_sizes, self.parts
-            self.summand = _summand_rows(block_set)
+            self.summand = summand
         self.size, self.group, share = len(lens), group, 1.0 / lens
         self.share = share[group]
         rows = len(self.axis)
@@ -743,14 +734,11 @@ def summand_optima(block_set: BlockSet, opt: Optimum) -> list:
     if len(counts) == 1:
         return [opt]
     first = np.cumsum(counts, axis=0) - counts      # each summand's first part, per axis
-    c, n = len(counts), counts.sum(axis=0)
-    parts = block_set.key_array
-    summand = first[:, 0].searchsorted(parts[:, 0], "right") - 1
+    c = len(counts)
+    parts, axis, sizes, row_summand = block_set.part_rows
+    summand = row_summand[parts[:, 0]]
     d = opt.block_mass / np.bincount(summand, opt.block_mass, c)[summand]
-    log_sizes = np.log(np.array([s for axis in "xyz" for s in block_set.part_sizes(axis)], float))
-    label = 3 * _summand_rows(block_set) + np.arange(3).repeat(n)
-    f, g = _blockwise(parts + np.array([0, n[0], n[0] + n[1]]), label, log_sizes, d, 1.0 / 3.0,
-                      3 * c)
+    f, g = _blockwise(parts, 3 * row_summand + axis, np.log(sizes), d, 1.0 / 3.0, 3 * c)
     # per summand `_residual` and the gap, and the positive masses keyed by
     # the summand's own part triples
     on = d > 0.0
@@ -760,7 +748,7 @@ def summand_optima(block_set: BlockSet, opt: Optimum) -> list:
     np.maximum.at(top, summand, g)
     gap = (top - np.bincount(summand, g * d, c)).tolist()
     pos = on.nonzero()[0]
-    rows, masses = (parts - first[summand])[pos], d[pos]
+    rows, masses = (block_set.key_array - first[summand])[pos], d[pos]
     ends = summand[pos].searchsorted(np.arange(c), "right").tolist()
     f, resid = f.reshape(-1, 3).tolist(), resid.tolist()
     return [Optimum(ArrayMap(rows[start:end], masses[start:end]), tuple(f[r]), f[r][0],

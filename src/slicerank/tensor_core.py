@@ -434,17 +434,17 @@ def symmetric_cube(t: Tensor) -> Tensor:
 
 
 def is_variable_symmetric(t: Tensor) -> bool:
-    """Equal axis sizes and coefficient(i,j,k) == coefficient(j,k,i).
+    """Equal axis sizes and coefficient(i,j,k) == coefficient(j,k,i), as
+    `blocks` decides it on the trivial partition (an axis of size 0 has no
+    part, and no entry to check).
 
     This is a positional check under the constructor's index order, not a
     search over relabelings; isomorphism testing in general is out of
     scope.
     """
-    nx, ny, nz = t.shape
-    if not (nx == ny == nz):
-        return False
-    get = t.entries.get
-    return all(get((j, k, i)) == c for (i, j, k), c in t.entries.items())
+    if not all(t.shape):
+        return t.shape == (0, 0, 0)
+    return blocks(t, trivial_partition(t)).symmetry[0][0]
 
 
 # -- partitions and blocks ------------------------------------------------
@@ -619,6 +619,11 @@ class BlockSet:
     (i,j,k) -> (j,k,i), sorted tuples in sorted order, or is None unless
     every summand is `symmetric`.  `summands` reads the partition's: the
     (x, y, z) part counts of each summand, in order.
+
+    `part_rows`, built when first read, numbers the parts of x, then y,
+    then z one after the other, as rows: it holds each block's three part
+    rows in key order (`key_array` plus each axis's offset), and each
+    row's axis (0, 1, 2), size and summand.
     """
 
     tensor: Tensor
@@ -640,6 +645,14 @@ class BlockSet:
 
     def __len__(self):
         return len(self.key_array)
+
+    @cached_property
+    def part_rows(self) -> tuple:
+        sizes = [self.partition.part_sizes(ax) for ax in AXES]
+        n, counts = list(map(len, sizes)), np.array(self.summands)
+        return (self.key_array + np.array([0, n[0], n[0] + n[1]]), np.arange(3).repeat(n),
+                np.array(sizes[0] + sizes[1] + sizes[2]),
+                (np.arange(counts.size) % len(counts)).repeat(counts.T.ravel()))
 
     @cached_property
     def _members(self):

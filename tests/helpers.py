@@ -188,7 +188,9 @@ def reference_symmetric_cube(t: Tensor) -> Tensor:
 
 
 def gauss_rank(rows) -> int:
-    """Plain fraction Gaussian elimination; independent of the Bareiss path."""
+    """Rank by plain fraction Gaussian elimination on dense rows, column by
+    column; independent of `exact_linalg.row_reduce`, which inserts sparse
+    rows one at a time."""
     m = [list(map(Fraction, row)) for row in rows if any(row)]
     if not m:
         return 0
@@ -239,6 +241,15 @@ def oracle_rank(t: Tensor, axis: str) -> int:
     return gauss_rank(flattening_dense(t, axis))
 
 
+def reference_variable_symmetric(t: Tensor) -> bool:
+    """Equal axis sizes and t[i,j,k] == t[j,k,i], by one lookup per entry."""
+    nx, ny, nz = t.shape
+    if not (nx == ny == nz):
+        return False
+    get = t.entries.get
+    return all(get((j, k, i)) == c for (i, j, k), c in t.entries.items())
+
+
 def reference_t_symmetric_partition(t: Tensor, p: VariablePartition) -> bool:
     """Entry-map rotation check of a symmetric partition.
 
@@ -247,9 +258,7 @@ def reference_t_symmetric_partition(t: Tensor, p: VariablePartition) -> bool:
     (x part j, y part k, z part i for an entry of block (i, j, k)) at the
     same within-part slots, must reproduce t's entry map.
     """
-    if not (t.shape[0] == t.shape[1] == t.shape[2]):
-        return False
-    if any(t.entries.get((j, k, i)) != c for (i, j, k), c in t.entries.items()):
+    if not reference_variable_symmetric(t):
         return False
     axes = (p.parts_x, p.parts_y, p.parts_z)
     if not ([len(idx) for _, idx in p.parts_x] == [len(idx) for _, idx in p.parts_y]

@@ -4,6 +4,7 @@ pytest does not collect this file (its name does not start with
 `test_`).  Run it from the repository root:
 
     python tests/src_lines.py [package directory]
+    python tests/src_lines.py BEFORE AFTER
 
 The directory defaults to this checkout's `src/slicerank`.  For each
 module, and in total, it prints:
@@ -14,6 +15,10 @@ module, and in total, it prints:
   first in a module, class or function body, found by `ast`);
 - `tokens`: the tokens the parser reads, neither comments nor NL tokens,
   as `tests/test_source.py` counts them.
+
+Given two package directories, it prints the table of each, headed by
+its directory, then each module's change from BEFORE to AFTER, and the
+total's (a module missing from one tree counts zero there).
 """
 
 from __future__ import annotations
@@ -53,15 +58,35 @@ def counts(path: Path) -> tuple[int, int, int]:
     return text.count("\n"), len(code), len(tokens)
 
 
-def main(argv: list[str]) -> None:
-    package = Path(argv[0]) if argv else PACKAGE
+def table(package: Path) -> dict:
+    """{module file name: (lines, code, tokens)} of a package directory."""
+    return {path.name: counts(path) for path in sorted(package.glob("*.py"))}
+
+
+def show(rows: dict, sign: str = "") -> None:
     total = [0, 0, 0]
     print(f"{'module':<20} {'lines':>7} {'code':>7} {'tokens':>7}")
-    for path in sorted(package.glob("*.py")):
-        row = counts(path)
+    for name, row in rows.items():
         total = [a + b for a, b in zip(total, row)]
-        print(f"{path.name:<20} {row[0]:>7,} {row[1]:>7,} {row[2]:>7,}")
-    print(f"{'total':<20} {total[0]:>7,} {total[1]:>7,} {total[2]:>7,}")
+        print(f"{name:<20} " + " ".join(f"{v:>{sign}7,}" for v in row))
+    print(f"{'total':<20} " + " ".join(f"{v:>{sign}7,}" for v in total))
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) > 2:
+        sys.exit("usage: python tests/src_lines.py [PACKAGE | BEFORE AFTER]")
+    if len(argv) < 2:
+        show(table(Path(argv[0]) if argv else PACKAGE))
+        return
+    before, after = map(table, map(Path, argv))
+    for package, rows in zip(argv, (before, after)):
+        print(package)
+        show(rows)
+        print()
+    print("change")
+    show({name: tuple(a - b for a, b in zip(after.get(name, (0, 0, 0)),
+                                            before.get(name, (0, 0, 0))))
+          for name in sorted(before.keys() | after.keys())}, "+")
 
 
 if __name__ == "__main__":

@@ -108,6 +108,12 @@ def test_recognize_rotation():
     assert (w.a, w.b, w.c) == (3, 4, 2)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 1)])
+def test_recognize_no_entries(shape):
+    """An empty entry map is no matmul tensor, whatever its shape."""
+    assert rank_tools._recognize({}, shape) is None
+
+
 def test_recognize_rejects_non_matmul():
     for q in (1, 2, 3):
         assert sr.recognize_matmul(sr.make_cw(q)) is None

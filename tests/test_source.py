@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import src_lines
+
 MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "slicerank").glob("*.py"))
 
 # Compiling a module peaks about 0.45 MB higher once it has more than
@@ -22,3 +24,21 @@ def test_module_stays_under_the_compile_token_step(path):
         count = sum(1 for tok in tokenize.generate_tokens(f.readline)
                     if tok.type not in (tokenize.COMMENT, tokenize.NL))
     assert count < TOKEN_STEP
+
+
+def test_src_lines_prints_the_change_between_two_trees(tmp_path, capsys):
+    """Given two package directories, `tests/src_lines.py` prints each
+    tree's table and then each module's change, a module missing from one
+    tree counting zero there."""
+    before, after = tmp_path / "before", tmp_path / "after"
+    before.mkdir()
+    after.mkdir()
+    (before / "a.py").write_text('"""Doc."""\n\nx = 1\n')
+    (before / "gone.py").write_text("y = 2\n")
+    (after / "a.py").write_text('"""Doc."""\n\nx = 1\n# a comment\nz = x\n')
+    src_lines.main([str(before), str(after)])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == str(before) and str(after) in out
+    change = [line.split() for line in out[out.index("change") + 2:]]
+    assert change == [["a.py", "+2", "+1", "+4"], ["gone.py", "-1", "-1", "-5"],
+                      ["total", "+1", "+0", "-1"]]

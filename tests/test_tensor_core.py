@@ -20,7 +20,8 @@ from helpers import (ROUND_TRIPS, block_entries, random_index_partition, random_
                      reference_coefficient, reference_orbits,
                      reference_parse_tensor, reference_restriction, reference_rotation_orbits,
                      reference_symmetric_cube, reference_t_symmetric_partition,
-                     reference_tensor_product, shared_index_partition)
+                     reference_tensor_product, reference_variable_symmetric,
+                     shared_index_partition)
 
 # halves, thirds and quarters multiply with 2, 3 and 4 to integral values
 PRODUCT_COEFFS = [-2, -1, 1, 2, 3, 4, Fraction(1, 2), Fraction(-3, 2),
@@ -392,6 +393,35 @@ def test_symmetric_cube_arbitrary_tensor():
         assert sr.is_variable_symmetric(sr.symmetric_cube(t))
 
 
+@st.composite
+def rotation_candidates(draw):
+    """A tensor with axes of size 0 to 3, square in most draws; a square
+    one's entries are closed under (i,j,k) -> (j,k,i) in most draws, and
+    then one coefficient may be changed."""
+    n = draw(st.integers(0, 3))
+    shape = [n] * 3 if draw(st.booleans()) else [draw(st.integers(0, 3)) for _ in range(3)]
+    entries = draw(st.dictionaries(
+        st.tuples(*(st.integers(0, max(m - 1, 0)) for m in shape)),
+        st.sampled_from(PRODUCT_COEFFS), max_size=8)) if all(shape) else {}
+    if len(set(shape)) == 1 and draw(st.booleans()):
+        for (i, j, k), c in list(entries.items()):
+            entries[(j, k, i)] = entries[(k, i, j)] = c
+        if entries and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(entries)))
+            entries[key] = draw(st.sampled_from([c for c in PRODUCT_COEFFS if c != entries[key]]))
+    return Tensor(*(range(m) for m in shape), entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_candidates())
+@example(Tensor((), (), (), {}))
+@example(Tensor(range(2), range(2), range(2), {(0, 1, 1): 1, (1, 1, 0): 1, (1, 0, 1): 2}))
+def test_variable_symmetry_matches_the_entry_loop(t):
+    """`is_variable_symmetric`, decided by `blocks` on the trivial
+    partition, agrees with one lookup of t[j,k,i] per entry."""
+    assert sr.is_variable_symmetric(t) == reference_variable_symmetric(t)
+
+
 def test_constructor_keys_become_int_triples():
     Key = namedtuple("Key", "i j k")
     key = (1, 1, 0)
@@ -458,6 +488,30 @@ def test_trivial_partition_single_block():
     bs = sr.blocks(t, sr.trivial_partition(t))
     assert bs.keys() == [(0, 0, 0)]
     assert bs[(0, 0, 0)].entries == t.entries
+
+
+def test_part_rows_follow_the_partition():
+    """`part_rows` numbers the x parts, then the y parts, then the z parts:
+    each block's rows are its key plus each axis's offset, and each row has
+    its part's axis and size and its summand's number, on a plain split
+    and on a `block_sum` whose summands have unequal part counts."""
+    plain = sr.blocks(sr.make_t112(2), sr.t112_partition(2))
+    cyclic = sr.make_cyclic(3)
+    summed = sr.block_sum([plain, sr.blocks(sr.make_cw(2), sr.cw_partition(2)),
+                           sr.blocks(cyclic, sr.trivial_partition(cyclic))])
+    assert summed.summands == ((2, 2, 3), (3, 3, 3), (1, 1, 1))
+    for bs in (plain, summed):
+        p = bs.partition
+        want = []
+        for a, ax in enumerate("xyz"):
+            first = 0
+            for r, counts in enumerate(bs.summands):
+                want += [(a, len(idx), r) for _, idx in p.parts(ax)[first:first + counts[a]]]
+                first += counts[a]
+        parts, axis, size, summand = bs.part_rows
+        assert list(zip(axis.tolist(), size.tolist(), summand.tolist())) == want
+        kx, ky = p.part_count("x"), p.part_count("y")
+        assert parts.tolist() == [[i, kx + j, kx + ky + k] for i, j, k in bs.keys()]
 
 
 def test_cw_blocks():
@@ -1085,3 +1139,37 @@ def test_lines_end_at_newline_only(brk):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == f"line {text.count(chr(10))}: {message}"
+
+
+# Guards that no other test reaches: a call, the exception it raises and
+# its message.
+CW_1 = sr.make_cw(1)
+OTHER_VARIABLES = sr.Tensor(("a", "b"), ("a", "b"), ("a", "b"), {(0, 0, 0): 1})
+REFUSALS = {
+    "make_matmul": (lambda: sr.make_matmul(0, 1, 1), "matmul dimensions must be positive"),
+    "make_independent": (lambda: sr.make_independent(0), "q must be positive"),
+    "make_cw": (lambda: sr.make_cw(-1), "q must be nonnegative"),
+    "make_cw_small": (lambda: sr.make_cw_small(0), "q must be positive"),
+    "make_cyclic": (lambda: sr.make_cyclic(0), "q must be positive"),
+    "make_cyclic_lower": (lambda: sr.make_cyclic_lower(0), "q must be positive"),
+    "make_t112": (lambda: sr.make_t112(0), "q must be positive"),
+    "tensor_power": (lambda: sr.tensor_power(CW_1, 0), "power must be >= 1"),
+    "n_copies": (lambda: sr.n_copies(0, CW_1), "m must be positive"),
+    "cube_partition": (lambda: sr.cube_partition(CW_1, sr.cw_partition(2)),
+                       "partition does not match tensor"),
+    "flattening": (lambda: sr.flattening(CW_1, "w"), "axis must be one of x/y/z, got 'w'"),
+    "DegenerationMap": (lambda: DegenerationMap({}, {}, {}, -1), "order must be nonnegative"),
+    "cw_small_table": (lambda: sr.cw_small_table(0), "q_max must be >= 1"),
+    "split_bound": (lambda: sr.split_bound(CW_1, OTHER_VARIABLES, 1.0),
+                    "split parts must share variable lists"),
+    "sum_of_measures_bound": (lambda: sr.sum_of_measures_bound(CW_1, [OTHER_VARIABLES]),
+                              "parts are not over the tensor's variables"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_guards_refuse_with_their_message(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
