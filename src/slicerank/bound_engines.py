@@ -388,12 +388,10 @@ def _solve_block_grading(keys, counts):
     denom = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * denom) for v in vec]
     g = math.gcd(*ints)  # nonzero: the basis vectors are independent
+    # every vector of the nullspace solves each key's equation, so the
+    # grades put every key on the level ell, its last coordinate
     gx, gy, gz = ([v // g for v in ints[a:b]] for a, b in cuts)
-    ell = gx[keys[0][0]] + gy[keys[0][1]] + gz[keys[0][2]]
-    for (i, j, k) in keys:
-        if gx[i] + gy[j] + gz[k] != ell:
-            return None
-    return {"x": tuple(gx), "y": tuple(gy), "z": tuple(gz)}, ell
+    return {"x": tuple(gx), "y": tuple(gy), "z": tuple(gz)}, ints[-1] // g
 
 
 def laser_readiness(t: Tensor, p: VariablePartition) -> LaserReadiness:

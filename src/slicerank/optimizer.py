@@ -8,7 +8,8 @@ and z part).  The per-axis objective is
 
 with the convention 0**0 = 1, handled throughout in the log domain:
 f_x(p) = log value_x = sum_i p(X_i) (log|X_i| - log p(X_i)), concave in
-p and continuous on the closed simplex, so suprema are maxima.
+p and continuous on the closed simplex, so suprema are maxima.  A log
+of a marginal m reads max(m, MARGINAL_CLAMP), finite at m = 0.
 
 `maximize_symmetric` maximizes f_x over rotation-symmetric distributions
 of a symmetric partition, `maximize_product` f_x + f_y + f_z, and
@@ -17,18 +18,19 @@ start is enough, and one Newton loop, `_maximize`, serves all three.  It
 maximizes sum_a w_a f_a(S x), where S maps orbit or block masses x to
 block masses, with w held at (1, 0, 0) (on orbit masses the three axes'
 incidence matrices are equal, so f_x alone is the objective and the
-Newton factor holds one axis's incidence rows, not three copies) or at
-(1, 1, 1); for the max-min it steps on x and on w, the minimizer of the
-convex dual max_x sum_a w_a f_a(x), together.  The certificate is the
-concavity gap at the returned weights: with g the gradient of sum_a w_a
-f_a at x, sum_a w_a f_a(x) + max_t g_t - <g, x> bounds the maximum from
-above, and the objective at x from below.
+problem holds the x rows alone) or at (1, 1, 1); for the max-min it
+steps on x and on w, the minimizer of the convex dual max_x sum_a w_a
+f_a(x), together.  The certificate is the concavity gap at the returned
+weights: with g the gradient of sum_a w_a f_a at x, sum_a w_a f_a(x) +
+max_t g_t - <g, x> bounds the maximum from above, and the objective at
+x from below.
 
-`_Problem` reads a block set through its arrays: `part_rows`, the three
-part rows of each block in key order and each row's axis, size and
-summand, and a group array naming the variable of each block, the block
-set's `group` (its rotation orbits) for the symmetric solve, `arange`
-for single blocks, or by default the block classes below.
+`_Problem` reads a block set through its arrays: `part_rows`, the part
+rows of each block in key order (on x alone for the symmetric solve)
+and each row's axis, size and summand, and a group array naming the
+variable of each block, the block set's `group` (its rotation orbits)
+for the symmetric solve, `arange` for single blocks, or by default the
+block classes below.
 `objective_values` and `summand_optima` read `part_rows` too.  No key
 tuple is built until an optimum's `masses` are read (`ArrayMap`).
 
@@ -45,9 +47,9 @@ per-block gradient (`_Problem.blockwise`): a wrong reduction shows as a
 large residual, never as a wrong value.  `maximize_symmetric` keeps its
 orbit variables, and `objective_values` single blocks.
 
-The max-min is a saddle point of sum_a w_a f_a(x).  The loop starts
-from the class-uniform x (orbit masses from `_sum_start`) and, for the
-max-min, w = 1/3.  Its gap is max g - <g, x>, plus w f - min_a f_a when w moves
+The max-min is a saddle point of sum_a w_a f_a(x).  Every solve starts
+at `_sum_start` (the class-uniform x, each summand of a direct sum
+weighted) and, for the max-min, w = 1/3.  Its gap is max g - <g, x>, plus w f - min_a f_a when w moves
 (the upper bound above less min_a f_a, 0 only at the saddle point).
 Once the support gradients agree, coordinates with a larger gradient
 join the support (`_grow`); when none does, a solve with w held stops,
@@ -148,8 +150,7 @@ import numpy as np
 from .tensor_core import BlockSet
 
 
-MARGINAL_CLAMP = 1e-18   # gradient log clamp near the simplex boundary
-TINY = 5e-324            # least positive float: log(max(m, TINY)) is log m for m > 0
+MARGINAL_CLAMP = 1e-18   # log clamp of a marginal near the simplex boundary
 TOL = 1e-12              # stationarity target of the Newton solver
 MAX_STEPS = 200          # Newton steps per solve
 GROW_MASS = 1e-8         # mass given to a coordinate joining the support
@@ -241,9 +242,8 @@ def _blockwise(parts, label, log_sizes, d, w, count):
     `count` labels, and per block the sum over its rows of w_i (log|X_i| -
     log m_i - 1), the gradient of sum_i w_i m_i (log|X_i| - log m_i)."""
     m = np.bincount(parts.ravel(), d.repeat(3), len(label))
-    f = np.bincount(label, m * (log_sizes - np.log(np.maximum(m, TINY))), count)
-    h = w * (log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP)) - 1.0)
-    return f, h[parts].sum(axis=1)
+    h = log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP))
+    return np.bincount(label, m * h, count), (w * (h - 1.0))[parts].sum(axis=1)
 
 
 class _Problem:
@@ -253,26 +253,30 @@ class _Problem:
     gives the variable of each block in key order (the block set's
     `group`, its rotation orbits, or `arange` for single blocks), or by
     default the block classes of `colour_classes` are the groups.  The
-    incidence R stacks the rows x groups matrices A_a S of the three axes
-    (A_a the 0/1 rows x blocks incidence of axis a), so R x holds every
-    marginal.  A row is a part, or on block classes a part class, of
-    size the sum of its parts' sizes: x_C is then the total mass of
-    class C, and the problem is the block problem on the coarser
-    partition.  It is exact: with X_b and X_p
-    the averages over block and part classes, R_a X_b = X_p R_a by
-    equitability, and f_a(X_p m) >= f_a(m) because X_p m is majorized by m
-    (the parts of a class have one size), so every objective here has a
-    maximizer constant on the classes.  R is kept sparse, sorted by group:
-    R[row[e], col[e]] = val[e], and `axis` names each row's axis.  `count`
+    incidence R stacks the rows x groups matrices A_a S of the first
+    `axes` axes of x, y, z (A_a the 0/1 rows x blocks incidence of axis
+    a), so R x holds their marginals: x alone serves the symmetric solve,
+    as the axes are equal on orbit masses.
+    A row is a part, or on block classes a part class, of size the sum of
+    its parts' sizes: x_C is then the total mass of class C, and the
+    problem is the block problem on the coarser partition.  It is exact:
+    with X_b and X_p the averages over block and part classes, R_a X_b =
+    X_p R_a by equitability, and f_a(X_p m) >= f_a(m) because X_p m is
+    majorized by m (the parts of a class have one size), so every
+    objective here has a maximizer constant on the classes.  R is kept
+    sparse, sorted by group: R[row[e], col[e]] = val[e], and `axis` names
+    each row's axis.  `count`
     holds the number of blocks each variable stands for (1 on orbits),
-    `width` the number of parts in each row, and `parts` the three part
-    rows of each block in key order, and `part_axis` each part's axis, as
-    the block set's `part_rows` number them.
+    `width` the number of parts in each row, and `parts` the part rows of
+    each block on those axes in key order, and `part_axis` each part's
+    axis, as the block set's `part_rows` number them.
     """
 
-    def __init__(self, block_set: BlockSet, group=None):
+    def __init__(self, block_set: BlockSet, group=None, axes=3):
         self.key_array = block_set.key_array
-        self.parts, self.part_axis, part_sizes, summand = block_set.part_rows
+        parts, part_axis, part_sizes, summand = block_set.part_rows
+        n = part_axis.searchsorted(axes)                   # the rows of the first `axes` axes
+        self.parts, self.part_axis, part_sizes = parts[:, :axes], part_axis[:n], part_sizes[:n]
         self.part_log_sizes = np.log(part_sizes)
         if group is None:
             group, row = colour_classes(self.parts, self.part_axis, part_sizes)
@@ -287,7 +291,7 @@ class _Problem:
             lens = np.bincount(group)
             self.count, self.width = np.ones(len(lens)), np.ones(len(part_sizes))
             self.axis, self.log_sizes, cells = self.part_axis, self.part_log_sizes, self.parts
-            self.summand = summand
+            self.summand = summand[:n]
         self.size, self.group, share = len(lens), group, 1.0 / lens
         self.share = share[group]
         rows = len(self.axis)
@@ -301,13 +305,6 @@ class _Problem:
         # n blocks of one group on one row: n equal shares, summed exactly
         self.val = np.bincount(new.cumsum() - 1) * share[self.col]
         self._bases, self._layouts = {}, {}
-
-    def block_masses(self, x):
-        """The block masses that x spreads to, in key order, and the
-        positive ones as {block key: mass}, held as arrays."""
-        d = self.share * x[self.group]
-        pos = (d > 0).nonzero()[0]
-        return d, ArrayMap(self.key_array[pos], d[pos])
 
     def blockwise(self, x, w):
         """The block masses d that x spreads to, in key order, their
@@ -325,7 +322,7 @@ class _Problem:
 
     def values(self, m):
         """(f_x, f_y, f_z) at the marginals m (a part of mass 0 adds 0)."""
-        return np.bincount(self.axis, m * (self.log_sizes - np.log(np.maximum(m, TINY))), 3)
+        return np.bincount(self.axis, m * (self.log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP))), 3)
 
     def grads(self, m):
         """The gradients of f_x, f_y, f_z at the marginals m, as the columns of a matrix."""
@@ -553,14 +550,12 @@ def _saddle(prob: _Problem, x, w, move):
     return m, f, grads, g, w @ f + g.max() - g @ x - f.min() if move else g.max() - g @ x
 
 
-def _maximize(prob: _Problem, w, move, x=None):
+def _maximize(prob: _Problem, w, move):
     """Maximize sum_a w_a f_a over the simplex with w held, or the max-min
-    when w moves, by the steps of the module docstring from x proportional
-    to `prob.count` (the uniform point on blocks or orbits, its image on
-    block classes) unless x is given, at most MAX_STEPS.  Returns x, w,
-    the marginals m and the gradient g of sum_a w_a f_a at x, and the
-    number of steps."""
-    x = prob.count / prob.count.sum() if x is None else x
+    when w moves, by the steps of the module docstring from `_sum_start`,
+    at most MAX_STEPS.  Returns x, w, the marginals m and the gradient g
+    of sum_a w_a f_a at x, and the number of steps."""
+    x = _sum_start(prob)
     m, f, grads, g, gap = _saddle(prob, x, w, move)
     gaps = []
     while True:
@@ -684,8 +679,9 @@ def _optimum(prob: _Problem, w, objective, x, iters, resid, f, g, v) -> Optimum:
     after `iters` steps at residual `resid`, with axis values f and g the
     gradient of sum_a w_a f_a at v (x, or the block masses it spreads to);
     `objective` maps (f_x, f_y, f_z) to the maximized value."""
-    d, masses = prob.block_masses(x)
-    return Optimum(masses, tuple(map(float, f)), float(objective(f)), iters, resid,
+    d = prob.share * x[prob.group]
+    pos = (d > 0).nonzero()[0]
+    return Optimum(ArrayMap(prob.key_array[pos], d[pos]), tuple(map(float, f)), float(objective(f)), iters, resid,
                    dict(zip("xyz", map(float, w))), float(g.max() - g @ v), d)
 
 
@@ -698,21 +694,24 @@ def maximize_symmetric(block_set: BlockSet) -> Optimum:
     """
     if not block_set.symmetric:
         raise ValueError("partition is not symmetric for this tensor")
-    prob = _Problem(block_set, block_set.group)
+    prob = _Problem(block_set, block_set.group, 1)
     w = np.array([1.0, 0.0, 0.0])
-    x, _, m, g, iters = _maximize(prob, w, False, _sum_start(prob))
-    return _optimum(prob, w, lambda f: f[0], x, iters, _residual(g, x), prob.values(m), g, x)
+    x, _, m, g, iters = _maximize(prob, w, False)
+    return _optimum(prob, w, lambda f: f[0], x, iters, _residual(g, x),
+                    prob.values(m)[[0, 0, 0]], g, x)
 
 
 def _sum_start(prob: _Problem):
-    """The start of a symmetric solve: uniform on each summand's orbits,
-    and summand r's share proportional to exp f_r there, which is the
-    optimum when each summand's is its uniform point."""
+    """The start of every solve: on each summand x proportional to
+    `prob.count` (uniform on blocks or orbits, its image on block classes),
+    and summand r's share proportional to exp f_r there (f_r the sum of
+    its rows' values), which is the symmetric optimum when each summand's
+    is its start.  On one summand, as on block classes, that is x
+    proportional to `prob.count`."""
     summand = prob.summand[prob.row[prob.col.searchsorted(np.arange(prob.size))]]
-    x = 1.0 / np.bincount(summand)[summand]
+    x = prob.count / np.bincount(summand, prob.count)[summand]
     m = prob.marginals(x)
-    on_x = prob.axis == 0
-    f = np.bincount(prob.summand[on_x], (m * (prob.log_sizes - np.log(np.maximum(m, TINY))))[on_x])
+    f = np.bincount(prob.summand, m * (prob.log_sizes - np.log(np.maximum(m, MARGINAL_CLAMP))))
     share = np.exp(f - f.max())
     x *= (share / share.sum())[summand]
     return x

@@ -488,6 +488,31 @@ def test_block_grading_pick_unchanged_on_random_supports(seed, level_set):
 
 
 @settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), planted=st.booleans())
+def test_block_grading_puts_every_key_on_its_level(seed, planted):
+    """Any few blocks, or blocks drawn from the level set of planted
+    integer part grades: every grading returned puts each key on the
+    hyperplane of its level, and a planted grading that is not constant
+    on every axis is found."""
+    rng = random.Random(seed)
+    counts = tuple(rng.randint(1, 5) for _ in range(3))
+    grades = [[rng.randint(-3, 3) for _ in range(n)] for n in counts]
+    level = rng.randint(-4, 4)
+    support = [key for key in itertools.product(*map(range, counts))
+               if not planted or sum(g[i] for g, i in zip(grades, key)) == level]
+    assume(support)
+    keys = sorted(rng.sample(support, rng.randint(1, min(len(support), 12))))
+    solved = be._solve_block_grading(keys, counts)
+    if planted and any(len(set(g)) > 1 for g in grades):
+        assert solved is not None
+    if solved is not None:
+        found, ell = solved
+        gx, gy, gz = found["x"], found["y"], found["z"]
+        assert (len(gx), len(gy), len(gz)) == counts
+        assert all(gx[i] + gy[j] + gz[k] == ell for i, j, k in keys)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.sets(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=20),
        st.data())
 def test_support_trifunctional_matches_the_key_loop(keys, data):

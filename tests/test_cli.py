@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -733,6 +734,20 @@ def test_usage_error_exit_code(capsys, argv, stderr):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err == stderr and captured.out == ""
+
+
+def test_module_entry_point_in_process(capsys, monkeypatch):
+    """Run as `python -m slicerank.cli`, the module exits with `main`'s
+    code on the command line, read here in this process (from a fresh
+    copy of the module, as the imported one is set aside)."""
+    monkeypatch.delitem(sys.modules, "slicerank.cli")
+    for argv, code in [(["table", "cw", "--qmax", "1"], 0), (["table", "foo"], 3)]:
+        monkeypatch.setattr(sys, "argv", ["slicerank.cli", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("slicerank.cli", run_name="__main__")
+        ran = capsys.readouterr()
+        assert exit_.value.code == main(argv) == code
+        assert (ran.out, ran.err) == capsys.readouterr()
 
 
 def test_module_entry_point(capsys):

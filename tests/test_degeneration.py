@@ -12,6 +12,7 @@ import slicerank as sr
 from slicerank.degeneration import (
     DegenerationMap,
     LambdaPoly,
+    VerifyResult,
     apply_degeneration,
     compose,
 )
@@ -356,3 +357,16 @@ def test_map_parse_errors():
         parse_degeneration_map("delta 0 0 0 1/1\n")
     with pytest.raises(ParseError):
         parse_degeneration_map("alphaP 0 0 0 1/1 2\n")  # unpaired poly
+
+
+def test_degeneration_dunders():
+    """The reprs of a map and of a zero and a nonzero polynomial, equal
+    polynomials hashing alike, and a verdict's truth its `ok`."""
+    assert repr(sr.identity_map(sr.make_cw(1))) == \
+        "DegenerationMap(kind=zeroing, order=0, nonzeros=(3, 3, 3))"
+    poly = LambdaPoly({2: Fraction(-1, 2), 0: 3})
+    assert repr(LambdaPoly()) == "0"
+    assert repr(poly) == "3*l^0 + -1/2*l^2"
+    assert hash(poly) == hash(LambdaPoly({0: 3, 2: Fraction(-1, 2), 1: 0}))
+    assert hash(poly) == hash(frozenset({(0, Fraction(3)), (2, Fraction(-1, 2))}))
+    assert bool(VerifyResult(True, "")) is True and bool(VerifyResult(False, "")) is False

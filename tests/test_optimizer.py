@@ -569,6 +569,52 @@ def test_symmetric_span_basis_uses_one_axis(monkeypatch):
     assert shapes and set(shapes) == {(1, parts, parts)}
 
 
+@pytest.mark.parametrize("kind", ["cw2-cube", "sum"])
+def test_symmetric_problem_holds_the_x_rows(monkeypatch, kind):
+    """On orbit masses the three axes' rows are equal, so the symmetric
+    solve's problem holds only the rows of axis x, `part_count("x")` of
+    them, numbered as `part_rows` numbers them, and the optimum reports f_x
+    on all three axes."""
+    problems, real = [], optimizer._Problem
+    monkeypatch.setattr(optimizer, "_Problem", lambda *args: problems.append(real(*args))
+                        or problems[-1])
+    if kind == "sum":
+        bs = sr.block_sum([cw_blocks(1), cw_blocks(3), cw_small_blocks(2)])
+    else:
+        cw = sr.make_cw(2)
+        bs = sr.blocks(sr.symmetric_cube(cw), sr.cube_partition(cw, sr.cw_partition(2)))
+    opt = sr.maximize_symmetric(bs)
+    [prob] = problems
+    parts = bs.partition.part_count("x")
+    rows, axis, sizes, summand = bs.part_rows
+    assert prob.parts.tolist() == rows[:, :1].tolist()
+    assert prob.axis.tolist() == prob.part_axis.tolist() == [0] * parts
+    assert prob.log_sizes.tolist() == np.log(sizes[:parts]).tolist()
+    assert prob.summand.tolist() == summand[:parts].tolist()
+    assert prob.row.max() == parts - 1
+    assert opt.log_values == (opt.log_value,) * 3
+
+
+def test_symmetric_stall_stops_unconverged(capsys, monkeypatch, tmp_path):
+    """When no trial lowers the gap the loop stops: with every trial point
+    the current one, the symmetric solve of the T_12 row stops after one
+    step, unconverged, and `bound --mode laser` reports a convergence
+    failure."""
+    monkeypatch.setattr(optimizer, "_arc", lambda v, dv, sigma: v)
+    monkeypatch.setattr(optimizer, "_trial", lambda v, dv, start=1.0: v)
+    t = sr.make_cyclic_lower(12)
+    p = sr.singleton_partition(t)
+    opt = sr.maximize_symmetric(sr.blocks(t, p))
+    assert opt.iterations == 1
+    assert opt.kkt_residual > KKT_LIMIT
+    tensor, partition = tmp_path / "t12.tensor", tmp_path / "t12.partition"
+    tensor.write_text(sr.write_tensor(t))
+    partition.write_text(sr.write_partition(p))
+    assert main(["bound", "--mode", "laser", str(tensor), str(partition)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "convergence failure\n"
+
+
 def test_symmetric_residual_cw2_cube():
     cw = sr.make_cw(2)
     bs = sr.blocks(sr.symmetric_cube(cw), sr.cube_partition(cw, sr.cw_partition(2)))

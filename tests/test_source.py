@@ -1,10 +1,12 @@
 """Limits on the package's own source."""
 
+import shutil
 import tokenize
 from pathlib import Path
 
 import pytest
 
+import solve_digest
 import src_lines
 
 MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "slicerank").glob("*.py"))
@@ -42,3 +44,25 @@ def test_src_lines_prints_the_change_between_two_trees(tmp_path, capsys):
     change = [line.split() for line in out[out.index("change") + 2:]]
     assert change == [["a.py", "+2", "+1", "+4"], ["gone.py", "-1", "-1", "-5"],
                       ["total", "+1", "+0", "-1"]]
+
+
+def test_solve_digest_lists_the_solves_that_differ(tmp_path, capsys):
+    """`tests/solve_digest.py BEFORE AFTER` on its short input list finds
+    no differing solve between this package and a copy of it, and lists
+    the solves of a copy whose solver stops after one step."""
+    same, capped = tmp_path / "same" / "slicerank", tmp_path / "capped" / "slicerank"
+    shutil.copytree(solve_digest.PACKAGE, same)
+    shutil.copytree(solve_digest.PACKAGE, capped)
+    optimizer = capped / "optimizer.py"
+    text = optimizer.read_text()
+    assert "\nMAX_STEPS = 200 " in text
+    optimizer.write_text(text.replace("\nMAX_STEPS = 200 ", "\nMAX_STEPS = 1 "))
+    assert solve_digest.main(["--small", str(solve_digest.PACKAGE), str(same)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "0 differing solves"
+    assert out[0].split(":", 1)[1] == out[1].split(":", 1)[1]
+    assert solve_digest.main(["--small", str(same), str(capped)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    differ = [line.split()[1] for line in out if line.startswith("differs: ")]
+    assert differ and out[-1] == f"{len(differ)} differing solves"
+    assert "tq_lower_table:maximize_symmetric#0" in differ

@@ -1173,3 +1173,16 @@ def test_guards_refuse_with_their_message(name):
     with pytest.raises(ValueError) as err:
         call()
     assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_tensor_and_partition_dunders():
+    """Equality against another type defers to it (so `==` is False), two
+    equal tensors hash alike, `trimmed` returns a minimal tensor itself,
+    and a block set prints its block count and tensor."""
+    t, twin = sr.make_cw(1), sr.make_cw(1)
+    p = sr.cw_partition(1)
+    assert t is not twin and hash(t) == hash(twin) and len({t, twin}) == 1
+    assert t.__eq__(1) is NotImplemented and (t == 1) is False
+    assert p.__eq__("p") is NotImplemented and (p == "p") is False
+    assert sr.trimmed(t) is t
+    assert repr(sr.blocks(t, p)) == "BlockSet(6 blocks of Tensor(3x3x3, 6 entries))"
