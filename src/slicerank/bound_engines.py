@@ -126,8 +126,7 @@ def _xlogx(t: float) -> float:
 def sum_of_measures_bound(total: Tensor, parts: Sequence[Tensor]) -> BoundReport:
     """Upper bound sum_i measure(T_i)^(1/3) for any exact sum T = sum T_i."""
     report = _measures_bound(map(rank_tools.measure, parts))  # refuses an empty sum first
-    labels = (total.x_labels, total.y_labels, total.z_labels)
-    if any((part.x_labels, part.y_labels, part.z_labels) != labels for part in parts):
+    if any(part.labels != total.labels for part in parts):
         raise ValueError("parts are not over the tensor's variables")
     acc = tensor_add(*parts).entries
     if acc != total.entries:
@@ -178,21 +177,12 @@ def partition_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     if not len(bs):
         raise Inapplicable("the block set is empty: the tensor has no terms")
     if bs.symmetric:
-        opt, theorem = optimizer.maximize_symmetric(bs), THEOREM_PARTITION_SYM
-        cert = {
-            "method": "symmetric",
-            "kkt_residual": opt.kkt_residual,
-            "optimality_gap": opt.optimality_gap,
-            "distribution": opt.masses,
-        }
+        opt, theorem, method = optimizer.maximize_symmetric(bs), THEOREM_PARTITION_SYM, "symmetric"
+        own = {"optimality_gap": opt.optimality_gap}
     else:
-        opt, theorem = optimizer.maximize_minmax(bs), THEOREM_PARTITION
-        cert = {
-            "method": "minmax",
-            "kkt_residual": opt.kkt_residual,
-            "active_axes": "".join(opt.active_axes),
-            "distribution": opt.masses,
-        }
+        opt, theorem, method = optimizer.maximize_minmax(bs), THEOREM_PARTITION, "minmax"
+        own = {"active_axes": "".join(opt.active_axes)}
+    cert = {"method": method, "kkt_residual": opt.kkt_residual, **own, "distribution": opt.masses}
     dual = sum(w * f for w, f in zip(opt.axis_weights.values(), opt.log_values))
     return BoundReport("slice_rank_upper", math.exp(dual + opt.optimality_gap), theorem,
                        certificate=cert)
@@ -226,7 +216,7 @@ def split_bound(a: Tensor, b: Tensor, b_value_upper: float,
     m_A/(m_A+S_B) <= p*, and otherwise the value at p*.  `weight` in the
     certificate is the maximizing p.
     """
-    if (a.x_labels, a.y_labels, a.z_labels) != (b.x_labels, b.y_labels, b.z_labels):
+    if a.labels != b.labels:
         raise ValueError("split parts must share variable lists")
     if total is not None:
         sum_of_measures_bound(total, (a, b))  # for its check that A + B is total
@@ -266,7 +256,7 @@ def remove_x_bound(t: Tensor, p: VariablePartition) -> tuple[BoundReport, BoundR
         (a if p.where[0][key[0]][0] == 0 else b)[key] = c
     if not a or not b:
         raise TrivialSplit("remove-x needs a nontrivial first x part")
-    a, b = (Tensor._unchecked(t.x_labels, t.y_labels, t.z_labels, e) for e in (a, b))
+    a, b = (Tensor._unchecked(*t.labels, e) for e in (a, b))
     bt = trimmed(b)
     solved = partition_bound(bt, singleton_partition(bt))
     return split_bound(a, b, solved.value), solved
@@ -421,12 +411,15 @@ def _readiness(rows) -> tuple[list, BlockSet]:
     split they are read off: `blocks` of the rows' direct sum under the
     direct sum of their partitions (`partition_sum`), or of the one row.
     A row's verdict reads its summand's keys, symmetry and orbits, and its
-    `block_set` is its own, sliced from the split.  A row's own partition
-    may be a `partition_sum`: the row is then all of its summands.
+    `block_set` is its own, sliced from the split.  A row whose partition
+    is a `partition_sum` is allowed only alone, and is then all of its
+    summands: in a run its summands would be one, and a `ValueError` says so.
     Matmul recognition runs once per orbit (`BlockSet.group`) that has a
     part of size > 1, on its first block in key order."""
     if len(rows) == 1:
         bs = blocks(*rows[0])
+    elif any(len(p.summands) > 1 for _, p in rows):
+        raise ValueError("a row whose partition is a partition_sum is read alone")
     else:
         bs = blocks(direct_sum(*(t for t, _ in rows)), partition_sum(*(p for _, p in rows)))
     counts = np.array([[p.part_count(ax) for ax in "xyz"] for _, p in rows])
@@ -627,7 +620,8 @@ def _tight_rows(rows) -> list[TableRow]:
     """The table rows of laser-ready (q, tensor, partition) triples, in
     order, in runs of consecutive rows (see SUM_ROW): each run is split
     once and its verdicts read off (`_readiness`), then solved as one
-    direct sum."""
+    direct sum.  A row whose partition is a `partition_sum` is a run of
+    its own."""
     out, run, size = [], [], 0
 
     def solve():
@@ -642,11 +636,12 @@ def _tight_rows(rows) -> list[TableRow]:
 
     for q, t, p in rows:
         n = len(t.entries)
-        if run and (n > SUM_ROW or size + n > SUM_BLOCKS):
+        alone = n > SUM_ROW or len(p.summands) > 1
+        if run and (alone or size + n > SUM_BLOCKS):
             solve()
         run.append((q, t, p))
         size += n
-        if n > SUM_ROW:
+        if alone:
             solve()
     if run:
         solve()
@@ -731,7 +726,6 @@ def cw_family_floor(q_max: int) -> BoundReport:
         "relaxed_above_floor": relaxed_9 > FLOOR_TARGET,
         "q_max": q_max,
     }
-    fact = ("asymptotic_rank", "q+2",
-            "CW border rank construction (1990) with matching flattening lower bound")
+    fact = ("asymptotic_rank", "q+2", make_cw(1).rank_fact().source)
     return BoundReport("omega_lower", min(*omegas, relaxed_9), THEOREM_FLOOR,
                        certificate=cert, inputs_asserted=(fact,))

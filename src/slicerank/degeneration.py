@@ -125,22 +125,11 @@ class DegenerationMap(Frozen):
 
     @staticmethod
     def _classify(maps) -> str:
-        one = LambdaPoly.one()
-        zeroing = True
-        monomial = True
-        for mapping in maps:
-            sources = {}
-            for (src, dst), poly in mapping.items():
-                sources[src] = sources.get(src, 0) + 1
-                if not poly.is_monomial():
-                    monomial = False
-                if poly != one:
-                    zeroing = False
-            if any(cnt > 1 for cnt in sources.values()):
-                monomial = False
-        if not monomial:
+        polys = [poly for mapping in maps for poly in mapping.values()]
+        if (not all(map(LambdaPoly.is_monomial, polys))
+                or any(len({src for src, _ in mapping}) < len(mapping) for mapping in maps)):
             return "general"
-        return "zeroing" if zeroing else "monomial"
+        return "zeroing" if all(poly.coeffs == {0: 1} for poly in polys) else "monomial"
 
     def maps(self):
         return (self.alpha, self.beta, self.gamma)
@@ -259,8 +248,7 @@ def zeroing_to_block(bs: BlockSet, key) -> DegenerationMap:
     """The zeroing out that restricts the parent tensor to block `key`."""
     if key not in bs._index:
         raise ValueError(f"no block {key}")
-    p = bs.partition
-    return _zeroing(*(parts[b][1] for parts, b in zip((p.parts_x, p.parts_y, p.parts_z), key)))
+    return _zeroing(*(parts[b][1] for parts, b in zip(bs.partition.axis_parts, key)))
 
 
 def compose(d1: DegenerationMap, d2: DegenerationMap) -> DegenerationMap:

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 
 def _exact(v):
-    """A `Fraction` as an `int` when integral (the loops below keep an
-    `int` as it is without the call)."""
+    """A `Fraction` as an `int` when integral: the normal form of every
+    exact value, `Tensor` coefficients and parsed ones included (the loops
+    below keep an `int` as it is without the call)."""
     return v.numerator if v.denominator == 1 else v
 
 

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 from .degeneration import DegenerationMap, LambdaPoly
+from .exact_linalg import _exact
 from .tensor_core import AXES, PartitionError, Tensor, VariablePartition
 
 
@@ -68,7 +69,7 @@ def _coefficient(tok: str):
         tok = f"{mantissa}e{limit + len(tok)}"
     c = Fraction(tok)
     str(c)  # the ValueError past the limit
-    return c.numerator if c.denominator == 1 else c
+    return _exact(c)
 
 
 def _ratio(c) -> str:

@@ -278,24 +278,19 @@ class _Problem:
         n = part_axis.searchsorted(axes)                   # the rows of the first `axes` axes
         self.parts, self.part_axis, part_sizes = parts[:, :axes], part_axis[:n], part_sizes[:n]
         self.part_log_sizes = np.log(part_sizes)
-        if group is None:
-            group, row = colour_classes(self.parts, self.part_axis, part_sizes)
-            lens = np.bincount(group)
-            self.count, self.width = lens.astype(float), np.bincount(row)
-            self.axis = np.empty(len(self.width), np.intp)
-            self.axis[row] = self.part_axis
-            self.log_sizes = np.log(np.bincount(row, part_sizes))
-            cells = row[self.parts]
-            self.summand = np.zeros(len(self.width), np.intp)
-        else:
-            lens = np.bincount(group)
-            self.count, self.width = np.ones(len(lens)), np.ones(len(part_sizes))
-            self.axis, self.log_sizes, cells = self.part_axis, self.part_log_sizes, self.parts
-            self.summand = summand[:n]
+        classes = group is None                            # else each part is its own row
+        group, row = (colour_classes(self.parts, self.part_axis, part_sizes) if classes
+                      else (group, np.arange(n)))
+        lens, self.width = np.bincount(group), np.bincount(row)
+        self.count = lens.astype(float) if classes else np.ones(len(lens))
+        self.summand = np.zeros(len(self.width), np.intp) if classes else summand[:n]
+        self.axis = np.empty(len(self.width), np.intp)
+        self.axis[row] = self.part_axis
+        self.log_sizes = np.log(np.bincount(row, part_sizes))
         self.size, self.group, share = len(lens), group, 1.0 / lens
         self.share = share[group]
         rows = len(self.axis)
-        cells = (cells + group[:, None] * rows).ravel()
+        cells = (row[self.parts] + group[:, None] * rows).ravel()
         # sorted by group, then row; the stable sort, as np.sort's kernels
         # would add some 0.4 MB of resident code to a run
         cells = cells[cells.argsort(kind="stable")]
@@ -707,7 +702,9 @@ def _sum_start(prob: _Problem):
     and summand r's share proportional to exp f_r there (f_r the sum of
     its rows' values), which is the symmetric optimum when each summand's
     is its start.  On one summand, as on block classes, that is x
-    proportional to `prob.count`."""
+    proportional to `prob.count`, returned before the summands' values."""
+    if not prob.summand.any():
+        return prob.count / prob.count.sum()
     summand = prob.summand[prob.row[prob.col.searchsorted(np.arange(prob.size))]]
     x = prob.count / np.bincount(summand, prob.count)[summand]
     m = prob.marginals(x)

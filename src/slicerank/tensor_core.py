@@ -28,10 +28,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .exact_linalg import _exact
 
 AXES = ("x", "y", "z")
 
@@ -91,27 +93,26 @@ class Frozen:
 class Tensor(Frozen):
     """Sparse trilinear form with exact rational coefficients.
 
-    `x_labels`, `y_labels`, `z_labels` are the ordered variable lists;
-    entries map positional index triples to nonzero coefficients.
+    `x_labels`, `y_labels`, `z_labels` are the ordered variable lists, and
+    `labels` reads the three of them as a triple; entries map positional
+    index triples to nonzero coefficients.
     """
 
     __slots__ = ("x_labels", "y_labels", "z_labels", "entries", "meta")
 
+    labels = property(lambda self: (self.x_labels, self.y_labels, self.z_labels))
+
     def __init__(self, x_labels, y_labels, z_labels, entries, meta=None):
-        x_labels = tuple(x_labels)
-        y_labels = tuple(y_labels)
-        z_labels = tuple(z_labels)
-        for name, labels in (("x", x_labels), ("y", y_labels), ("z", z_labels)):
-            if len(set(labels)) != len(labels):
+        labels = tuple(map(tuple, (x_labels, y_labels, z_labels)))
+        for name, own in zip(AXES, labels):
+            if len(set(own)) != len(own):
                 raise ValueError(f"duplicate {name} variable labels")
         clean = {}
-        nx, ny, nz = len(x_labels), len(y_labels), len(z_labels)
+        nx, ny, nz = map(len, labels)
         for key, c in entries.items():
             i, j, k = key
             if type(c) is not int:
-                c = Fraction(c)
-                if c.denominator == 1:
-                    c = c.numerator
+                c = _exact(Fraction(c))
             if c == 0:
                 continue
             if not (type(key) is tuple and type(i) is int and type(j) is int
@@ -120,7 +121,7 @@ class Tensor(Frozen):
             if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
                 raise ValueError(f"entry index {(i, j, k)} out of range")
             clean[key] = c
-        self._set(x_labels, y_labels, z_labels, clean, dict(meta) if meta else {})
+        self._set(*labels, clean, dict(meta) if meta else {})
 
     @classmethod
     def _unchecked(cls, x_labels, y_labels, z_labels, entries, meta=None) -> Tensor:
@@ -137,7 +138,7 @@ class Tensor(Frozen):
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (len(self.x_labels), len(self.y_labels), len(self.z_labels))
+        return tuple(map(len, self.labels))
 
     def coefficient(self, i: int, j: int, k: int):
         return self.entries.get((i, j, k), 0)
@@ -148,17 +149,10 @@ class Tensor(Frozen):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
-        return (
-            self.x_labels == other.x_labels
-            and self.y_labels == other.y_labels
-            and self.z_labels == other.z_labels
-            and self.entries == other.entries
-        )
+        return self.labels == other.labels and self.entries == other.entries
 
     def __hash__(self):
-        return hash(
-            (self.x_labels, self.y_labels, self.z_labels, frozenset(self.entries.items()))
-        )
+        return hash((*self.labels, frozenset(self.entries.items())))
 
     def __repr__(self):
         nx, ny, nz = self.shape
@@ -184,9 +178,8 @@ def trimmed(t: Tensor) -> Tensor:
         return t
     keep = list(map(sorted, used))
     rx, ry, rz = ({old: new for new, old in enumerate(kp)} for kp in keep)
-    labels = (t.x_labels, t.y_labels, t.z_labels)
     return Tensor._unchecked(
-        *(tuple(map(own.__getitem__, kp)) for own, kp in zip(labels, keep)),
+        *(tuple(map(own.__getitem__, kp)) for own, kp in zip(t.labels, keep)),
         {(rx[i], ry[j], rz[k]): c for (i, j, k), c in t.entries.items()},
         dict(t.meta))
 
@@ -341,12 +334,8 @@ def tensor_product(a: Tensor, b: Tensor) -> Tensor:
         x, y, z = i1 * bx, j1 * by, k1 * bz
         for (i2, j2, k2), c2 in b.entries.items():
             entries[(x + i2, y + j2, z + k2)] = c1 * c2
-    return Tensor(
-        [(p, q) for p in a.x_labels for q in b.x_labels],
-        [(p, q) for p in a.y_labels for q in b.y_labels],
-        [(p, q) for p in a.z_labels for q in b.z_labels],
-        entries,
-    )
+    return Tensor(*([(p, q) for p in own for q in other] for own, other in zip(a.labels, b.labels)),
+                  entries)
 
 
 def tensor_power(t: Tensor, n: int) -> Tensor:
@@ -366,7 +355,7 @@ def direct_sum(*tensors: Tensor) -> Tensor:
     labels, entries = ([], [], []), {}
     for r, t in enumerate(tensors):
         ox, oy, oz = (len(axis) for axis in labels)
-        for axis, own in zip(labels, (t.x_labels, t.y_labels, t.z_labels)):
+        for axis, own in zip(labels, t.labels):
             axis.extend(zip(repeat(r), own))
         entries.update({(i + ox, j + oy, k + oz): c for (i, j, k), c in t.entries.items()})
     return Tensor._unchecked(*map(tuple, labels), entries)
@@ -382,14 +371,13 @@ def n_copies(m: int, t: Tensor) -> Tensor:
 def tensor_add(a: Tensor, *rest: Tensor) -> Tensor:
     """Coefficient-wise sum of tensors over identical variable lists, in
     one pass over their entries however many there are."""
-    labels = a.x_labels, a.y_labels, a.z_labels
-    if any((t.x_labels, t.y_labels, t.z_labels) != labels for t in rest):
+    if any(t.labels != a.labels for t in rest):
         raise ValueError("tensor_add requires identical variable lists")
     entries = dict(a.entries)
     for t in rest:
         for key, c in t.entries.items():
             entries[key] = entries.get(key, 0) + c
-    return Tensor(*labels, entries)  # the constructor drops the entries that cancel
+    return Tensor(*a.labels, entries)  # the constructor drops the entries that cancel
 
 
 def rotate(t: Tensor) -> Tensor:
@@ -471,6 +459,7 @@ class VariablePartition(Frozen):
     `where[axis position][i]` is (part, slot): index i is the slot-th
     index of that part.  `summands` holds the (x, y, z) part counts of each
     summand: one entry, unless built by `partition_sum`; equality ignores it.
+    `axis_parts` reads the parts of x, y and z as a triple.
     """
 
     __slots__ = ("parts_x", "parts_y", "parts_z", "sizes", "where", "summands")
@@ -513,8 +502,10 @@ class VariablePartition(Frozen):
                summands or (tuple(map(len, parts)),))
         return p
 
+    axis_parts = property(lambda self: (self.parts_x, self.parts_y, self.parts_z))
+
     def parts(self, axis: str):
-        return {"x": self.parts_x, "y": self.parts_y, "z": self.parts_z}[axis]
+        return dict(zip(AXES, self.axis_parts))[axis]
 
     def part_sizes(self, axis: str) -> list[int]:
         return [len(idx) for _, idx in self.parts(axis)]
@@ -525,11 +516,10 @@ class VariablePartition(Frozen):
     def __eq__(self, other):
         if not isinstance(other, VariablePartition):
             return NotImplemented
-        return (self.sizes == other.sizes and self.parts_x == other.parts_x
-                and self.parts_y == other.parts_y and self.parts_z == other.parts_z)
+        return self.sizes == other.sizes and self.axis_parts == other.axis_parts
 
     def __repr__(self):
-        kx, ky, kz = (len(self.parts_x), len(self.parts_y), len(self.parts_z))
+        kx, ky, kz = map(len, self.axis_parts)
         return f"VariablePartition({kx}/{ky}/{kz} parts, sizes {self.sizes})"
 
 
@@ -588,12 +578,8 @@ def cube_partition(t: Tensor, p: VariablePartition) -> VariablePartition:
     if p.sizes != t.shape:
         raise ValueError("partition does not match tensor")
     flat = lambda a, b, c: (a * ny + b) * nz + c
-    parts = []
-    for lx, ix in p.parts_x:
-        for ly, iy in p.parts_y:
-            for lz, iz in p.parts_z:
-                idx = [flat(a, b, c) for a in ix for b in iy for c in iz]
-                parts.append((f"{lx},{ly},{lz}", idx))
+    parts = [(f"{lx},{ly},{lz}", [flat(a, b, c) for a in ix for b in iy for c in iz])
+             for (lx, ix), (ly, iy), (lz, iz) in product(*p.axis_parts)]
     n = nx * ny * nz
     return VariablePartition(parts, list(parts), list(parts), sizes=(n, n, n))
 
@@ -688,13 +674,9 @@ class BlockSet:
 
     def __getitem__(self, key) -> Tensor:
         i, j, k = key
-        t, p = self.tensor, self.partition
-        return Tensor(
-            [t.x_labels[v] for v in p.parts_x[i][1]],
-            [t.y_labels[v] for v in p.parts_y[j][1]],
-            [t.z_labels[v] for v in p.parts_z[k][1]],
-            self._block(self._index[(i, j, k)]),
-        )
+        return Tensor(*([own[v] for v in parts[b][1]] for own, parts, b in
+                        zip(self.tensor.labels, self.partition.axis_parts, key)),
+                      self._block(self._index[(i, j, k)]))
 
     def part_sizes(self, axis: str) -> list[int]:
         return self.partition.part_sizes(axis)
@@ -813,13 +795,13 @@ def partition_sum(*partitions: VariablePartition) -> VariablePartition:
     summands before it, and `summands` holds each summand's part counts."""
     parts, where = ([], [], []), ([], [], [])
     for r, p in enumerate(partitions):
-        for axis, ax in enumerate(AXES):
+        for axis, own in enumerate(p.axis_parts):
             offset, first = len(where[axis]), len(parts[axis])
             parts[axis].extend((f"{r}:{label}", tuple(map(offset.__add__, idx)))
-                               for label, idx in p.parts(ax))
+                               for label, idx in own)
             where[axis].extend((part + first, slot) for part, slot in p.where[axis])
     return VariablePartition._unchecked(parts, where, tuple(
-        (len(p.parts_x), len(p.parts_y), len(p.parts_z)) for p in partitions))
+        tuple(map(len, p.axis_parts)) for p in partitions))
 
 
 def block_sum(block_sets: Sequence[BlockSet]) -> BlockSet:

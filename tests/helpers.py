@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from slicerank import exact_linalg
-from slicerank.degeneration import _check_domains, _substitute
+from slicerank.degeneration import LambdaPoly, _check_domains, _substitute
 from slicerank.formats import ParseError
 from slicerank.tensor_core import (Tensor, VariablePartition, blocks, cube_partition,
                                     cw_partition, make_cw, make_matmul, singleton_partition,
@@ -441,6 +441,29 @@ def reference_verify_degeneration(t1: Tensor, t2: Tensor, d) -> tuple:
         if got != want:
             return False, f"lambda^{h} coefficient at entry {key} is {got}, expected {want}"
     return True, f"degeneration of order {h} verified ({d.kind})"
+
+
+def reference_kind(maps) -> str:
+    """`DegenerationMap.kind` as it was decided before one pass over the
+    values: each map's targets counted per source, and two flags cleared
+    along the way, `monomial` by a polynomial of more than one term or a
+    source with two targets, `zeroing` by a value other than 1."""
+    one = LambdaPoly.one()
+    zeroing = True
+    monomial = True
+    for mapping in maps:
+        sources = {}
+        for (src, dst), poly in mapping.items():
+            sources[src] = sources.get(src, 0) + 1
+            if not poly.is_monomial():
+                monomial = False
+            if poly != one:
+                zeroing = False
+        if any(cnt > 1 for cnt in sources.values()):
+            monomial = False
+    if not monomial:
+        return "general"
+    return "zeroing" if zeroing else "monomial"
 
 
 def reference_block_grading(keys, counts):

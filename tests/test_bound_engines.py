@@ -846,6 +846,35 @@ def test_laser_on_a_partition_sum_reads_every_summand():
     assert value == pytest.approx(CW_SLICE[0] + CW_SLICE[1], rel=1e-4)
 
 
+def test_a_partition_sum_row_is_read_alone(monkeypatch):
+    """A table row whose partition is a `partition_sum` gets the verdict it
+    gets alone: in a run the sum of the rows' partitions would count its
+    summands as one, so `_readiness` refuses it in a run of several rows
+    and `_tight_rows` reads and solves it in a run of its own."""
+    a = Tensor(range(2), range(1), range(1), {(0, 0, 0): 1})
+    b = Tensor(range(1), range(2), range(2), {(0, 1, 1): 1})
+    t = sr.direct_sum(a, b)
+    p = sr.partition_sum(sr.singleton_partition(a), sr.singleton_partition(b))
+    alone = be.laser_readiness(t, p)
+    assert not alone.ok and alone.failures == ["tensor is not variable-symmetric"]
+    cw1 = (sr.make_cw(1), sr.cw_partition(1))
+    with pytest.raises(ValueError, match="partition_sum"):
+        be._readiness([cw1, (t, p)])
+    with pytest.raises(be.NotLaserReady) as exc:
+        be._tight_rows([(1, *cw1), (2, t, p)])
+    assert exc.value.readiness.failures == alone.failures
+    # a ready sum row between plain rows: three runs of one row each, the
+    # sum row's value that of `laser_lower_bound` on it
+    summed = sr.partition_sum(sr.cw_partition(1), sr.cw_partition(2))
+    both = sr.direct_sum(sr.make_cw(1), sr.make_cw(2))
+    both = Tensor(*both.labels, both.entries, {"asymptotic_rank": sr.RankFact(7, True, "t")})
+    runs, readiness = [], be._readiness
+    monkeypatch.setattr(be, "_readiness", lambda rows: runs.append(len(rows)) or readiness(rows))
+    table = be._tight_rows([(1, *cw1), (2, both, summed), (3, sr.make_cw(2), sr.cw_partition(2))])
+    assert runs == [1, 1, 1]
+    assert table[1].slice_rank == be.laser_lower_bound(both, summed).value
+
+
 def assert_same_block_set(got, want):
     assert got.tensor == want.tensor and got.partition == want.partition
     assert got.partition.summands == want.partition.summands

@@ -18,8 +18,8 @@ from slicerank.degeneration import (
 )
 from slicerank.formats import parse_degeneration_map, write_degeneration_map
 
-from helpers import (COEFFS, random_tensor, reference_verify_degeneration, relabeled_cw2_cube,
-                     search_zeroing_independent)
+from helpers import (COEFFS, random_tensor, reference_kind, reference_verify_degeneration,
+                     relabeled_cw2_cube, search_zeroing_independent)
 
 
 def random_monomial_map(rng, t1, dst_shape, general=False):
@@ -203,6 +203,27 @@ def test_composition_kind_and_order():
     comp = compose(d1, d2)
     assert comp.kind == "zeroing" and comp.order == 0
     assert sr.verify_degeneration(t, block, comp).ok
+
+
+# a map value: the constant 1, a monomial that is not 1, or two terms
+map_values = st.one_of(
+    st.just(LambdaPoly.one()),
+    st.builds(LambdaPoly.monomial, st.sampled_from([2, -1, Fraction(1, 2), 1]),
+              st.integers(0, 3)),
+    st.builds(lambda e, c: LambdaPoly({0: 1, e: c}), st.integers(1, 3),
+              st.sampled_from([1, -2, Fraction(3, 2)])))
+# a map on few sources and targets, so sources repeat often
+one_map = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), map_values,
+                          max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(one_map, one_map, one_map))
+def test_map_kind_matches_the_reference(maps):
+    """`kind` equals the reference's counting loop on random maps with
+    repeated sources, multi-term polynomials and values 1 and not 1."""
+    d = DegenerationMap(*maps, order=0)
+    assert d.kind == reference_kind(d.maps())
 
 
 def test_map_kinds():

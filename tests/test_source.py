@@ -1,5 +1,7 @@
 """Limits on the package's own source."""
 
+import ast
+import re
 import shutil
 import tokenize
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 import solve_digest
 import src_lines
 
-MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "slicerank").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slicerank"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 # Compiling a module peaks about 0.45 MB higher once it has more than
 # 8,192 tokens (by tracemalloc around `compile` on Python 3.11, a padded
@@ -66,3 +69,45 @@ def test_solve_digest_lists_the_solves_that_differ(tmp_path, capsys):
     differ = [line.split()[1] for line in out if line.startswith("differs: ")]
     assert differ and out[-1] == f"{len(differ)} differing solves"
     assert "tq_lower_table:maximize_symmetric#0" in differ
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+
+
+def unread_constants(package: Path) -> list:
+    """(module, name) of each module-level ALL_CAPS constant of the
+    modules in `package` that nothing reads: not its own module, not an
+    attribute read anywhere (`optimizer.MAX_STEPS`), and not a module that
+    imports it by name."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    loads = {module: [node for node in ast.walk(tree)
+                      if isinstance(getattr(node, "ctx", None), ast.Load)]
+             for module, tree in trees.items()}
+    attributes = {node.attr for nodes in loads.values() for node in nodes
+                  if isinstance(node, ast.Attribute)}
+    names = {module: {node.id for node in nodes if isinstance(node, ast.Name)}
+             for module, nodes in loads.items()}
+    imports = {(module, node.module, alias.name) for module, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    defined = [(module, n.id) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in getattr(node, "targets", None) or [node.target]
+               for n in ast.walk(target) if isinstance(n, ast.Name) and CONSTANT.match(n.id)]
+    return [(module, name) for module, name in defined
+            if name not in names[module] | attributes
+            and not any((other, module, name) in imports and name in names[other] for other in trees)]
+
+
+def test_every_module_constant_is_read(tmp_path):
+    """Every module-level ALL_CAPS constant of the package is read
+    somewhere in it, so deleting its last reader cannot leave a dead knob
+    behind; a constant added to a copy of the package and read nowhere is
+    found, and so is one that another module imports but never reads."""
+    assert unread_constants(PACKAGE) == []
+    copy = tmp_path / "slicerank"
+    shutil.copytree(PACKAGE, copy)
+    optimizer = copy / "optimizer.py"
+    optimizer.write_text(optimizer.read_text() + "\nDEAD_KNOB = 3\nIMPORTED_ONLY: int = 4\n")
+    (copy / "extra.py").write_text("from .optimizer import IMPORTED_ONLY\n")
+    assert unread_constants(copy) == [("optimizer", "DEAD_KNOB"), ("optimizer", "IMPORTED_ONLY")]
