@@ -412,17 +412,15 @@ def _readiness(rows) -> tuple[list, BlockSet]:
     direct sum of their partitions (`partition_sum`), or of the one row.
     A row's verdict reads its summand's keys, symmetry and orbits, and its
     `block_set` is its own, sliced from the split.  A row whose partition
-    is a `partition_sum` is allowed only alone, and is then all of its
-    summands: in a run its summands would be one, and a `ValueError` says so.
+    is a `partition_sum` is all of its summands only when read alone (in a
+    run they would count as one), so `_tight_rows` reads it alone.
     Matmul recognition runs once per orbit (`BlockSet.group`) that has a
     part of size > 1, on its first block in key order."""
     if len(rows) == 1:
         bs = blocks(*rows[0])
-    elif any(len(p.summands) > 1 for _, p in rows):
-        raise ValueError("a row whose partition is a partition_sum is read alone")
     else:
         bs = blocks(direct_sum(*(t for t, _ in rows)), partition_sum(*(p for _, p in rows)))
-    counts = np.array([[p.part_count(ax) for ax in "xyz"] for _, p in rows])
+    counts = np.array([list(map(len, p.axis_parts)) for _, p in rows])
     part_off = counts.cumsum(axis=0) - counts
     cuts = np.searchsorted(bs.key_array[:, 0], part_off[:, 0]).tolist() + [len(bs)]
     local = bs.key_array - part_off.repeat(np.diff(cuts), axis=0)
@@ -481,10 +479,10 @@ def _verdict(bs: BlockSet, sums, shapes) -> LaserReadiness:
         failures.append("the block set is empty: the tensor has no terms")
     elif min(sums) == max(sums):
         ell = sums[0]
-        grades = {ax: tuple(range(p.part_count(ax))) for ax in "xyz"}
+        grades = {ax: tuple(range(len(own))) for ax, own in zip("xyz", p.axis_parts)}
     elif not _support_trifunctional(bs.key_array):
         failures.append("block coordinates do not determine one another")
-    elif solved := _solve_block_grading(bs.keys(), tuple(p.part_count(ax) for ax in "xyz")):
+    elif solved := _solve_block_grading(bs.keys(), tuple(map(len, p.axis_parts))):
         grades, ell = solved
     else:
         failures.append("block support admits no informative hyperplane grading")

@@ -129,7 +129,7 @@ class DegenerationMap(Frozen):
         if (not all(map(LambdaPoly.is_monomial, polys))
                 or any(len({src for src, _ in mapping}) < len(mapping) for mapping in maps)):
             return "general"
-        return "zeroing" if all(poly.coeffs == {0: 1} for poly in polys) else "monomial"
+        return "zeroing" if all(poly == LambdaPoly.one() for poly in polys) else "monomial"
 
     def maps(self):
         return (self.alpha, self.beta, self.gamma)

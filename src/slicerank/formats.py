@@ -191,8 +191,8 @@ def parse_partition(text: str, sizes=None) -> VariablePartition:
 
 def write_partition(p: VariablePartition) -> str:
     lines = []
-    for ax in AXES:
-        for label, idx in p.parts(ax):
+    for ax, own in zip(AXES, p.axis_parts):
+        for label, idx in own:
             lines.append(f"{ax} {label} " + " ".join(str(i) for i in idx))
     return "\n".join(lines) + "\n"
 

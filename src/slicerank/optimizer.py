@@ -702,9 +702,7 @@ def _sum_start(prob: _Problem):
     and summand r's share proportional to exp f_r there (f_r the sum of
     its rows' values), which is the symmetric optimum when each summand's
     is its start.  On one summand, as on block classes, that is x
-    proportional to `prob.count`, returned before the summands' values."""
-    if not prob.summand.any():
-        return prob.count / prob.count.sum()
+    proportional to `prob.count`."""
     summand = prob.summand[prob.row[prob.col.searchsorted(np.arange(prob.size))]]
     x = prob.count / np.bincount(summand, prob.count)[summand]
     m = prob.marginals(x)

@@ -764,8 +764,8 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
             # each index's position in its axis's (part, slot) order: with
             # equal part sizes, psi(b) is the x index at b's position, both
             # counted from the summand's first index (clipped where none is)
-            members = np.fromiter(chain.from_iterable(idx for ax in AXES
-                                                      for _, idx in p.parts(ax)),
+            members = np.fromiter(chain.from_iterable(idx for own in p.axis_parts
+                                                      for _, idx in own),
                                   np.intp, sum(shape))
             axis_start = np.repeat(start, shape)
             position = np.empty(sum(shape), np.intp)

@@ -849,8 +849,8 @@ def test_laser_on_a_partition_sum_reads_every_summand():
 def test_a_partition_sum_row_is_read_alone(monkeypatch):
     """A table row whose partition is a `partition_sum` gets the verdict it
     gets alone: in a run the sum of the rows' partitions would count its
-    summands as one, so `_readiness` refuses it in a run of several rows
-    and `_tight_rows` reads and solves it in a run of its own."""
+    summands as one, so `_tight_rows` reads and solves it in a run of its
+    own."""
     a = Tensor(range(2), range(1), range(1), {(0, 0, 0): 1})
     b = Tensor(range(1), range(2), range(2), {(0, 1, 1): 1})
     t = sr.direct_sum(a, b)
@@ -858,8 +858,6 @@ def test_a_partition_sum_row_is_read_alone(monkeypatch):
     alone = be.laser_readiness(t, p)
     assert not alone.ok and alone.failures == ["tensor is not variable-symmetric"]
     cw1 = (sr.make_cw(1), sr.cw_partition(1))
-    with pytest.raises(ValueError, match="partition_sum"):
-        be._readiness([cw1, (t, p)])
     with pytest.raises(be.NotLaserReady) as exc:
         be._tight_rows([(1, *cw1), (2, t, p)])
     assert exc.value.readiness.failures == alone.failures
