@@ -144,7 +144,7 @@ def block_measures_bound(t: Tensor, p: VariablePartition) -> BoundReport:
     measure multiplies, over the three axes, the number of distinct
     (block, variable) pairs among the entries that fall in it."""
     bs = blocks(t, p)
-    ent = np.array(list(t.entries), np.intp).reshape(-1, 3)
+    ent = t.key_array
     counts = [np.bincount(bs.entry_block[np.unique(bs.entry_block * n + ent[:, a],
                                                    return_index=True)[1]],
                           minlength=len(bs)).tolist() for a, n in enumerate(t.shape)]
@@ -619,13 +619,16 @@ def _tight_rows(rows) -> list[TableRow]:
     order, in runs of consecutive rows (see SUM_ROW): each run is split
     once and its verdicts read off (`_readiness`), then solved as one
     direct sum.  A row whose partition is a `partition_sum` is a run of
-    its own."""
+    its own.  A ready row whose tensor asserts no asymptotic rank is
+    refused, as its exponent floor has none to rest on."""
     out, run, size = [], [], 0
 
     def solve():
         nonlocal size
         readies, bs = _readiness([(t, p) for _, t, p in run])
         for (q, t, _), tight in zip(run, _laser_reports(readies, bs)):
+            if t.rank_fact() is None:
+                raise ValueError(f"row q={q}: its tensor asserts no asymptotic rank")
             omega = (None if tight.certificate["kkt_residual"] > KKT_LIMIT
                      else omega_lower_bound(t.rank_fact(), tight.value, symmetric=True))
             out.append(TableRow(q, tight.value, omega and omega.value, tight, omega))
@@ -633,7 +636,7 @@ def _tight_rows(rows) -> list[TableRow]:
         size = 0
 
     for q, t, p in rows:
-        n = len(t.entries)
+        n = len(t)
         alone = n > SUM_ROW or len(p.summands) > 1
         if run and (alone or size + n > SUM_BLOCKS):
             solve()

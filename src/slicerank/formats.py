@@ -7,6 +7,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .degeneration import DegenerationMap, LambdaPoly
 from .exact_linalg import _exact
 from .tensor_core import AXES, PartitionError, Tensor, VariablePartition
@@ -92,13 +94,78 @@ class _TokenValues(dict):
         return value
 
 
+def _digit_tokens(body: bytes):
+    """The tokens of `body` as int64 values, and whether each ends its
+    line, when `body` holds only lines of tokens of 1 to 18 ASCII digits
+    (so int64 holds each), one space apart, each line ended by "\n"; None
+    otherwise.  `np.fromstring` saturates a longer token and stops at a
+    character it does not read, so both are refused before it runs."""
+    if body.translate(None, b"0123456789 \n") or not body.endswith(b"\n"):
+        return None
+    b = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(b < 48)  # the space or "\n" after each token
+    step = ends[1:] - ends[:-1]    # the length of each later token, plus one
+    if not 1 <= ends[0] <= 18 or (len(step) and not 2 <= step.min() <= step.max() <= 19):
+        return None
+    return np.fromstring(body, np.int64, sep=" "), b[ends] == 10
+
+
+def _regular_tensor(text: str):
+    """The tensor of a regular integer file, read in arrays: three header
+    lines `xvars n`, `yvars n`, `zvars n` in any order, then only `i j k n`
+    or `i j k n/1` lines as `_digit_tokens` reads them, every index in
+    range and no key twice.  None for any other text, which the line loop
+    of `parse_tensor` reads to the same tensor or error."""
+    lines = text.split("\n", 3)
+    if len(lines) < 4 or not text.isascii():
+        return None
+    counts = {}
+    for line in lines[:3]:
+        name, _, tok = line.partition(" ")
+        if name not in ("xvars", "yvars", "zvars") or name in counts \
+                or not tok.isdigit() or len(tok) > 18:
+            return None
+        counts[name] = int(tok)
+    shape = nx, ny, nz = counts["xvars"], counts["yvars"], counts["zvars"]
+    body = lines[3].encode()
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if b"/" in body:
+        body = body.replace(b"/1\n", b"\n")
+    read = _digit_tokens(body)
+    if read is None or len(read[1]) != 4 * body.count(b"\n") or not read[1][3::4].all() \
+            or nx * ny * nz >= 2 ** 63:
+        return None
+    entries = read[0].reshape(-1, 4)
+    keys, coefs = entries[:, :3], entries[:, 3]
+    if (keys >= shape).any():
+        return None
+    codes = keys @ np.array([ny * nz, nz, 1])
+    codes = codes[np.argsort(codes, kind="stable")]
+    if (codes[1:] == codes[:-1]).any():
+        return None
+    if not coefs.all():
+        keys, coefs = keys[coefs != 0], coefs[coefs != 0]
+    try:
+        labels = [tuple(range(n)) for n in shape]
+    except (MemoryError, OverflowError):
+        return None
+    return Tensor._from_arrays(*labels, keys, coefs)
+
+
 def parse_tensor(text: str) -> Tensor:
     """Parse the line-oriented tensor format.
 
     Header lines `xvars n`, `yvars n`, `zvars n` (n >= 0, any order, each
     once, before the entries), then one entry per line: `i j k num/den` with
     0-based indices.  `#` starts a comment; a line ends at "\n" only.
+    A regular integer file, as `write_tensor` writes an integer tensor
+    with positive coefficients, is read in arrays (`_regular_tensor`);
+    any other text line by line.
     """
+    regular = _regular_tensor(text)
+    if regular is not None:
+        return regular
     labels = {}
     entries = {}
     # a file repeats few index and coefficient tokens (a cube file's 729
@@ -158,12 +225,67 @@ def write_tensor(t: Tensor) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _regular_partition(text: str, sizes):
+    """The partition of a regular file, read in arrays: only `axis label
+    index ...` lines, one space apart, the label printable ASCII without
+    `#`, the indices as `_digit_tokens` reads them, and parts that
+    partition each axis of `sizes` (by default, its index count).  None
+    for any other text, which the line loop of `parse_partition` reads to
+    the same partition or error.  Nothing is held per variable before the
+    index count of each axis is known to be its size."""
+    printable = bytes(range(32, 127)).replace(b"#", b"\n")  # ASCII that prints, "\n", no "#"
+    if not text.isascii() or text.encode().translate(None, printable):
+        return None
+    rows = [line.split(" ", 2) for line in text.split("\n")]
+    if rows[-1] == [""]:
+        rows.pop()
+    try:
+        heads, labels, rests = zip(*rows)
+    except ValueError:
+        return None
+    read = _digit_tokens(("\n".join(rests) + "\n").encode())
+    if read is None or "" in labels or not {"x", "y", "z"}.issuperset(heads):
+        return None
+    values, last = read
+    n = len(values)
+    if values.max() >= n:  # past every axis size, and read as no part of a sort key
+        return None
+    line = np.cumsum(last) - last
+    total = np.bincount(np.frombuffer("".join(heads).encode(), np.uint8)[line],
+                        minlength=123)[120:].tolist()  # of "x", "y" and "z"
+    if sizes is not None and (total != list(sizes) or not all(type(s) is int for s in sizes)):
+        return None
+    # each part's indices sorted, the parts in line order; per variable,
+    # its part's position on the axis and its slot there
+    idx = values[np.argsort(line * n + values, kind="stable")].tolist()
+    parts = {"x": [], "y": [], "z": []}
+    where = dict(zip(AXES, ([None] * size for size in total)))
+    at = 0
+    try:
+        for head, label, end in zip(heads, labels, (np.flatnonzero(last) + 1).tolist()):
+            own, pos, part = where[head], len(parts[head]), tuple(idx[at:end])
+            for slot, i in enumerate(part):
+                own[i] = (pos, slot)
+            parts[head].append((label, part))
+            at = end
+    except IndexError:
+        return None
+    if any(None in own for own in where.values()):  # an index twice leaves a gap
+        return None
+    return VariablePartition._unchecked([parts[ax] for ax in AXES], [where[ax] for ax in AXES])
+
+
 def parse_partition(text: str, sizes=None) -> VariablePartition:
     """Parse the partition format: one `axis label index index ...` per line.
 
     If `sizes` is omitted the axis sizes are taken to be the total index
-    counts seen per axis.
+    counts seen per axis.  A regular file, as `write_partition` writes
+    one, is read in arrays (`_regular_partition`); any other text line by
+    line.
     """
+    regular = _regular_partition(text, sizes)
+    if regular is not None:
+        return regular
     parts = {"x": [], "y": [], "z": []}
     line_of = {"x": [], "y": [], "z": []}
     last = 1

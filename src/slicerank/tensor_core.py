@@ -5,7 +5,9 @@ sparse map from index triples (i, j, k) to nonzero exact coefficients:
 `int` when integral, `Fraction` otherwise, so the integer families run
 in integer arithmetic.
 Tensors are immutable after construction: every operation returns a new
-tensor, so values can be shared freely across threads.
+tensor, so values can be shared freely across threads.  A tensor keeps
+the form it was built from, the entries dict or the n x 3 key array with
+its coefficient array, and derives the other once, when first read.
 
 Besides the generic algebra (product, direct sum, rotation, addition) this
 module provides the standard structured families used in matrix
@@ -90,15 +92,39 @@ class Frozen:
             object.__setattr__(self, name, value)
 
 
+class _Entries(dict):
+    """A tensor's entries: a dict that refuses every change, so reads run
+    at dict speed."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("tensor entries are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Entries, (dict(self),)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class Tensor(Frozen):
     """Sparse trilinear form with exact rational coefficients.
 
     `x_labels`, `y_labels`, `z_labels` are the ordered variable lists, and
-    `labels` reads the three of them as a triple; entries map positional
-    index triples to nonzero coefficients.
+    `labels` reads the three of them as a triple; `entries`, a read-only
+    dict, maps positional index triples to nonzero coefficients.
+    `key_array` (n x 3) and `coef_array` hold the same entries in the same
+    order, read-only: the coefficients as int64 when all of them are ints
+    that fit, as objects otherwise.  A form that was not built is derived
+    on first read; threads that race to it derive equal values.
     """
 
-    __slots__ = ("x_labels", "y_labels", "z_labels", "entries", "meta")
+    __slots__ = ("x_labels", "y_labels", "z_labels", "meta", "_entries", "_keys", "_coefs")
 
     labels = property(lambda self: (self.x_labels, self.y_labels, self.z_labels))
 
@@ -121,7 +147,7 @@ class Tensor(Frozen):
             if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
                 raise ValueError(f"entry index {(i, j, k)} out of range")
             clean[key] = c
-        self._set(*labels, clean, dict(meta) if meta else {})
+        self._set(*labels, dict(meta) if meta else {}, _Entries(clean), None, None)
 
     @classmethod
     def _unchecked(cls, x_labels, y_labels, z_labels, entries, meta=None) -> Tensor:
@@ -131,8 +157,53 @@ class Tensor(Frozen):
         checked tensor's, `direct_sum`'s of checked tensors,
         `parse_tensor`'s, or the table families' builders'."""
         t = object.__new__(cls)
-        t._set(x_labels, y_labels, z_labels, entries, meta or {})
+        t._set(x_labels, y_labels, z_labels, meta or {},
+               entries if type(entries) is _Entries else _Entries(entries), None, None)
         return t
+
+    @classmethod
+    def _from_arrays(cls, x_labels, y_labels, z_labels, keys, coefs, meta=None) -> Tensor:
+        """`_unchecked` for entries given as an n x 3 int key array and an
+        int64 coefficient array, nonzero, with distinct keys in range; both
+        are made read-only."""
+        t = object.__new__(cls)
+        t._set(x_labels, y_labels, z_labels, meta or {}, None, _read_only(keys),
+               _read_only(coefs))
+        return t
+
+    def __reduce__(self):
+        if self._entries is None:
+            return Tensor._from_arrays, (*self.labels, self._keys, self._coefs, self.meta)
+        return Tensor._unchecked, (*self.labels, self._entries, self.meta)
+
+    @property
+    def entries(self) -> dict:
+        entries = self._entries
+        if entries is None:
+            entries = _Entries(zip(zip(*self._keys.T.tolist()), self._coefs.tolist()))
+            object.__setattr__(self, "_entries", entries)
+        return entries
+
+    @property
+    def key_array(self) -> np.ndarray:
+        keys = self._keys
+        if keys is None:
+            n = len(self._entries)
+            keys = _read_only(np.fromiter(chain.from_iterable(self._entries), np.intp,
+                                          3 * n).reshape(n, 3))
+            object.__setattr__(self, "_keys", keys)
+        return keys
+
+    @property
+    def coef_array(self) -> np.ndarray:
+        coefs = self._coefs
+        if coefs is None:
+            values = list(self._entries.values())
+            coefs = np.array(values) if values else np.zeros(0, np.int64)
+            if coefs.dtype != np.int64:  # a Fraction, or an int past int64
+                coefs = np.array(values, object)
+            object.__setattr__(self, "_coefs", _read_only(coefs))
+        return coefs
 
     # -- basic views ------------------------------------------------------
 
@@ -144,7 +215,7 @@ class Tensor(Frozen):
         return self.entries.get((i, j, k), 0)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._keys) if self._entries is None else len(self._entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -156,7 +227,7 @@ class Tensor(Frozen):
 
     def __repr__(self):
         nx, ny, nz = self.shape
-        return f"Tensor({nx}x{ny}x{nz}, {len(self.entries)} entries)"
+        return f"Tensor({nx}x{ny}x{nz}, {len(self)} entries)"
 
     def used_indices(self, axis: str) -> set[int]:
         pos = AXES.index(axis)
@@ -466,8 +537,9 @@ class VariablePartition(Frozen):
 
     def __init__(self, parts_x, parts_y, parts_z, sizes):
         def normalize(parts, n, axis):
-            out = []
-            where = [None] * n
+            # `where` holds the indices listed, so an axis whose parts do not
+            # cover it costs no storage per variable
+            out, where = [], {}
             for pos, (label, idx) in enumerate(parts):
                 idx = tuple(sorted(map(_index, idx)))
                 if not idx:
@@ -475,15 +547,15 @@ class VariablePartition(Frozen):
                 for slot, i in enumerate(idx):
                     if not 0 <= i < n:
                         raise PartitionError(axis, pos, f"index {i} out of range on axis {axis}")
-                    if where[i] is not None:
+                    if i in where:
                         twice = (f"listed twice in part {label!r}" if where[i][0] == pos
                                  else "in two parts")
                         raise PartitionError(axis, pos, f"index {i} {twice} on axis {axis}")
                     where[i] = (pos, slot)
                 out.append((str(label), idx))
-            if None in where:
+            if len(where) < n:  # n distinct indices in range cover it
                 raise PartitionError(axis, None, f"parts do not cover axis {axis}")
-            return tuple(out), tuple(where)
+            return tuple(out), tuple(map(where.__getitem__, range(n)))
 
         nx, ny, nz = sizes
         px, wx = normalize(parts_x, nx, "x")
@@ -588,9 +660,10 @@ def cube_partition(t: Tensor, p: VariablePartition) -> VariablePartition:
 class BlockSet:
     """The nonzero blocks of a tensor under a partition, decided by `blocks`.
 
-    The block set is held in int arrays: `key_array` lists the part index
-    triples (i, j, k) of the nonzero blocks in sorted order, `entry_block`
-    the block of each entry of the tensor (in `entries` order), and `group`
+    The block set is held in read-only int arrays, in copies too:
+    `key_array` lists the part index triples (i, j, k) of the nonzero
+    blocks in sorted order, `entry_block` the block of each entry of the
+    tensor (in `entries` order), and `group`
     each block's rotation orbit on a symmetric summand, or the block alone
     on any other, numbered in key order of their first blocks.
     `symmetry` holds, per summand, whether its tensor is variable-symmetric
@@ -622,6 +695,15 @@ class BlockSet:
     symmetric = property(lambda self: all(sym for _, sym in self.symmetry))
     summands = property(lambda self: self.partition.summands)
 
+    def __post_init__(self):
+        self.key_array.setflags(write=False)
+        self.entry_block.setflags(write=False)
+        self.group.setflags(write=False)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @cached_property
     def _keys(self) -> list:
         return list(zip(*self.key_array.T.tolist()))
@@ -642,18 +724,20 @@ class BlockSet:
 
     @cached_property
     def _members(self):
-        """The entries, their positions in block order, where the positions
-        of each block begin, and each index's slot on each axis."""
-        order = np.argsort(self.entry_block, kind="stable").tolist()
+        """The slot triples and the coefficients of the entries in block
+        order, as lists, and where the run of each block begins."""
+        order = np.argsort(self.entry_block, kind="stable")
         ends = np.cumsum(np.bincount(self.entry_block, minlength=len(self))).tolist()
-        slots = [[slot for _, slot in w] for w in self.partition.where]
-        return list(self.tensor.entries.items()), order, [0] + ends, slots
+        t, shape = self.tensor, self.tensor.shape
+        slot = np.fromiter(chain.from_iterable(chain.from_iterable(self.partition.where)),
+                           np.intp, 2 * sum(shape))[1::2]
+        slots = slot[t.key_array[order] + np.array([0, shape[0], shape[0] + shape[1]])]
+        return list(zip(*slots.T.tolist())), t.coef_array[order].tolist(), [0] + ends
 
     def _block(self, b: int) -> dict:
         """The slot-keyed entries of the block numbered b."""
-        items, order, ends, (sx, sy, sz) = self._members
-        return {(sx[i], sy[j], sz[k]): c
-                for (i, j, k), c in map(items.__getitem__, order[ends[b]:ends[b + 1]])}
+        slots, coefs, ends = self._members
+        return dict(zip(slots[ends[b]:ends[b + 1]], coefs[ends[b]:ends[b + 1]]))
 
     @cached_property
     def blocks(self) -> dict:
@@ -703,7 +787,7 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
     """
     if p.sizes != t.shape:
         raise ValueError("partition sizes do not match tensor axes")
-    n, shape = len(t.entries), t.shape
+    n, shape = len(t), t.shape
     sizes = [p.part_sizes(ax) for ax in AXES]
     k = [len(s) for s in sizes]
 
@@ -729,7 +813,7 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
     start = np.array([0, shape[0], shape[0] + shape[1]])
     where = np.fromiter(chain.from_iterable(chain.from_iterable(p.where)), np.intp,
                         2 * sum(shape)).reshape(-1, 2)
-    ent = np.fromiter(chain.from_iterable(t.entries), np.intp, 3 * n).reshape(n, 3)
+    ent = t.key_array
     var = ent + start
     pk = where[var, 0]
     key_code = [k[1] * k[2], k[2], 1]
@@ -743,9 +827,7 @@ def blocks(t: Tensor, p: VariablePartition) -> BlockSet:
     # summands of equal axis sizes, so skipped when there is none
     var_holds = rot_holds = np.zeros(n, bool)
     if any(square):
-        values = list(t.entries.values())
-        ids = {c: i for i, c in enumerate(dict.fromkeys(values))}
-        coef = np.fromiter(map(ids.__getitem__, values), np.intp, n)
+        coef = t.coef_array
         entry_code = [shape[1] * shape[2], shape[2], 1]
         entry_codes = ent @ entry_code
         order = np.argsort(entry_codes, kind="stable")
