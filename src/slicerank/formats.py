@@ -171,11 +171,7 @@ def parse_tensor(text: str) -> Tensor:
     # a file repeats few index and coefficient tokens (a cube file's 729
     # entries use 27 indices and one coefficient), so each is read once
     indices, values = _TokenValues(int), _TokenValues(_coefficient)
-    # lines split here, not by `_content_lines`: its generator costs 4-7%
-    for n, raw in enumerate(text.split("\n"), start=1):
-        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not toks:
-            continue
+    for n, toks in _content_lines(text):
         if toks[0] in ("xvars", "yvars", "zvars"):
             if len(toks) != 2:
                 raise ParseError(n, f"malformed header {' '.join(toks)!r}")
@@ -213,79 +209,22 @@ def parse_tensor(text: str) -> Tensor:
         entries[key] = c
     if len(labels) != 3:
         raise ParseError(1, "missing xvars/yvars/zvars headers")
-    return Tensor._unchecked(labels["x"], labels["y"], labels["z"],
-                             {key: c for key, c in entries.items() if c})
+    return Tensor._unchecked(*map(labels.get, AXES), {key: c for key, c in entries.items() if c})
 
 
 def write_tensor(t: Tensor) -> str:
     nx, ny, nz = t.shape
     lines = [f"xvars {nx}", f"yvars {ny}", f"zvars {nz}"]
-    for (i, j, k) in sorted(t.entries):
-        lines.append(f"{i} {j} {k} {_ratio(t.entries[(i, j, k)])}")
+    lines += [f"{i} {j} {k} {_ratio(c)}" for (i, j, k), c in sorted(t.entries.items())]
     return "\n".join(lines) + "\n"
-
-
-def _regular_partition(text: str, sizes):
-    """The partition of a regular file, read in arrays: only `axis label
-    index ...` lines, one space apart, the label printable ASCII without
-    `#`, the indices as `_digit_tokens` reads them, and parts that
-    partition each axis of `sizes` (by default, its index count).  None
-    for any other text, which the line loop of `parse_partition` reads to
-    the same partition or error.  Nothing is held per variable before the
-    index count of each axis is known to be its size."""
-    printable = bytes(range(32, 127)).replace(b"#", b"\n")  # ASCII that prints, "\n", no "#"
-    if not text.isascii() or text.encode().translate(None, printable):
-        return None
-    rows = [line.split(" ", 2) for line in text.split("\n")]
-    if rows[-1] == [""]:
-        rows.pop()
-    try:
-        heads, labels, rests = zip(*rows)
-    except ValueError:
-        return None
-    read = _digit_tokens(("\n".join(rests) + "\n").encode())
-    if read is None or "" in labels or not {"x", "y", "z"}.issuperset(heads):
-        return None
-    values, last = read
-    n = len(values)
-    if values.max() >= n:  # past every axis size, and read as no part of a sort key
-        return None
-    line = np.cumsum(last) - last
-    total = np.bincount(np.frombuffer("".join(heads).encode(), np.uint8)[line],
-                        minlength=123)[120:].tolist()  # of "x", "y" and "z"
-    if sizes is not None and (total != list(sizes) or not all(type(s) is int for s in sizes)):
-        return None
-    # each part's indices sorted, the parts in line order; per variable,
-    # its part's position on the axis and its slot there
-    idx = values[np.argsort(line * n + values, kind="stable")].tolist()
-    parts = {"x": [], "y": [], "z": []}
-    where = dict(zip(AXES, ([None] * size for size in total)))
-    at = 0
-    try:
-        for head, label, end in zip(heads, labels, (np.flatnonzero(last) + 1).tolist()):
-            own, pos, part = where[head], len(parts[head]), tuple(idx[at:end])
-            for slot, i in enumerate(part):
-                own[i] = (pos, slot)
-            parts[head].append((label, part))
-            at = end
-    except IndexError:
-        return None
-    if any(None in own for own in where.values()):  # an index twice leaves a gap
-        return None
-    return VariablePartition._unchecked([parts[ax] for ax in AXES], [where[ax] for ax in AXES])
 
 
 def parse_partition(text: str, sizes=None) -> VariablePartition:
     """Parse the partition format: one `axis label index index ...` per line.
 
     If `sizes` is omitted the axis sizes are taken to be the total index
-    counts seen per axis.  A regular file, as `write_partition` writes
-    one, is read in arrays (`_regular_partition`); any other text line by
-    line.
+    counts seen per axis.
     """
-    regular = _regular_partition(text, sizes)
-    if regular is not None:
-        return regular
     parts = {"x": [], "y": [], "z": []}
     line_of = {"x": [], "y": [], "z": []}
     last = 1
@@ -312,9 +251,14 @@ def parse_partition(text: str, sizes=None) -> VariablePartition:
 
 
 def write_partition(p: VariablePartition) -> str:
+    """The partition format of `p`; a ValueError naming the axis and label
+    of a part whose label `parse_partition` would not read back as one
+    token: empty, or holding whitespace or `#`."""
     lines = []
     for ax, own in zip(AXES, p.axis_parts):
         for label, idx in own:
+            if label.split() != [label] or "#" in label:
+                raise ValueError(f"part label {label!r} on axis {ax} is empty or holds whitespace or #")
             lines.append(f"{ax} {label} " + " ".join(str(i) for i in idx))
     return "\n".join(lines) + "\n"
 

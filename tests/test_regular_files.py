@@ -1,15 +1,15 @@
-"""Regular tensor and partition files, read in arrays, against the line
-loops of their parsers; the read-only forms of a tensor and a block set."""
+"""Regular tensor files, read in arrays, against the line loop of
+`parse_tensor`; the read-only forms of a tensor and a block set."""
 
 import io
 import os
 import pickle
-import random
 import sys
 import threading
 import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,8 +35,7 @@ def outcome(parse, text, *args):
 
 def by_loop(parse, text, *args):
     """`parse` with its array path refused, so its line loop reads `text`."""
-    with mock.patch.object(formats, "_regular_tensor", lambda text: None), \
-            mock.patch.object(formats, "_regular_partition", lambda text, sizes: None):
+    with mock.patch.object(formats, "_regular_tensor", lambda text: None):
         return outcome(parse, text, *args)
 
 
@@ -78,9 +77,8 @@ def tensor_files(draw):
 @st.composite
 def mutated(draw, files):
     """A file of `files` with one fault or respelling a regular file may
-    not have, and the text of the unmutated file."""
+    not have."""
     lines = draw(files)
-    clean = "\n".join(lines) + "\n"
     row = draw(st.integers(0, len(lines) - 1))
     toks = lines[row].split(" ")
     col = draw(st.integers(1, len(toks) - 1))
@@ -99,7 +97,7 @@ def mutated(draw, files):
         lines[row] = " ".join(toks)
     else:
         lines[row] = " ".join(toks[:col]) + "  " + " ".join(toks[col:])
-    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"])), clean
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,15 +119,14 @@ HEAD = "xvars 2\nyvars 2\nzvars 2\n"
 
 @settings(max_examples=400, deadline=None)
 @given(mutated(tensor_files()))
-@example((HEAD + "0 0 0 99999999999999999999\n", None))   # saturates int64
-@example((HEAD + "0 0 0 9223372036854775808/1\n", None))  # 2**63
-@example((HEAD + "0 0 0 1 1\n0 0 1\n", None))            # 4 tokens a line on average
-@example((HEAD + "0 0 0 1\n1 1 1 /1\n", None))
-def test_mutated_tensor_file_reads_as_its_line_loop(case):
+@example(HEAD + "0 0 0 99999999999999999999\n")   # saturates int64
+@example(HEAD + "0 0 0 9223372036854775808/1\n")  # 2**63
+@example(HEAD + "0 0 0 1 1\n0 0 1\n")            # 4 tokens a line on average
+@example(HEAD + "0 0 0 1\n1 1 1 /1\n")
+def test_mutated_tensor_file_reads_as_its_line_loop(text):
     """A file with a bad or respelled token, a tab, a comment, a repeated
     entry, an index out of range or two blanks gives what the line loop
     gives: the same tensor or the same error at the same line."""
-    text, _ = case
     got, want = outcome(sr.parse_tensor, text), by_loop(sr.parse_tensor, text)
     assert got[0] == want[0]
     if got[0] == "ok":
@@ -138,75 +135,18 @@ def test_mutated_tensor_file_reads_as_its_line_loop(case):
         assert got == want
 
 
-@st.composite
-def partition_files(draw):
-    """A regular partition file: each axis split into labelled parts, the
-    indices of a part in any order, the lines of the axes interleaved."""
-    lines = []
-    for ax in "xyz":
-        idx = draw(st.permutations(range(draw(st.integers(1, 6)))))
-        cuts = sorted(draw(st.sets(st.integers(1, len(idx) - 1), max_size=3))) if len(idx) > 1 \
-            else []
-        for a, b in zip([0] + cuts, cuts + [len(idx)]):
-            label = draw(st.text("ab,:-_0129xyz!~", min_size=1, max_size=4))
-            lines.append(f"{ax} {label} " + " ".join(map(str, idx[a:b])))
-    return draw(st.permutations(lines))
-
-
-def sizes_of(text):
-    """The index count of each axis of a partition file."""
-    rows = [line.split() for line in text.split("\n") if line.split()]
-    return tuple(sum(len(r) - 2 for r in rows if r[0] == ax) for ax in "xyz")
-
-
-@settings(max_examples=300, deadline=None)
-@given(partition_files(), st.booleans())
-def test_regular_partition_file_reads_as_its_line_loop(lines, sized):
-    """A regular partition file takes the array path, with the axis sizes
-    given or taken from its index counts, and gives the partition the line
-    loop gives: equal parts, `where` and summands."""
-    text = "\n".join(lines) + "\n"
-    sizes = sizes_of(text) if sized else None
-    assert formats._regular_partition(text, sizes) is not None
-    kind, want = by_loop(sr.parse_partition, text, sizes)
-    assert kind == "ok"
-    assert_same_partition(sr.parse_partition(text, sizes), want)
-
-
-@settings(max_examples=400, deadline=None)
-@given(mutated(partition_files()), st.booleans())
-@example(("x  0\ny a 0\nz a 0\n", "x a 0\ny a 0\nz a 0\n"), False)  # an empty label
-@example(("x a 0\ny a 99999999999999999999\nz a 0\n", "x a 0\ny a 0\nz a 0\n"), True)
-def test_mutated_partition_file_reads_as_its_line_loop(case, sized):
-    """A partition file with a bad token, a tab, a comment, a repeated
-    line, an index out of range or an empty label gives what the line loop
-    gives: the same partition or the same error at the same line."""
-    text, clean = case
-    sizes = sizes_of(clean) if sized else None
-    got, want = outcome(sr.parse_partition, text, sizes), by_loop(sr.parse_partition, text, sizes)
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert_same_partition(got[1], want[1])
-    else:
-        assert got == want
-
-
-def test_benchmark_file_formats_take_the_array_paths():
-    """The lines the benchmark's workloads write, `i j k n/1` for a tensor
-    and `axis label i ...` with each part's indices in relabeled order for
-    a partition, are read in arrays, to the tensor and partition written."""
+def test_benchmark_file_formats_take_the_array_paths(tmp_path, monkeypatch):
+    """The files the benchmark's own writers (perfbench/workloads.py) write
+    for a relabeled CW_2 cube: the tensor is read in arrays, and both parse
+    to the tensor and partition written."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
     t, p = relabeled_cw2_cube(5)
-    rng = random.Random(5)
-    tensor = "".join(f"{name} {n}\n" for name, n in zip(("xvars", "yvars", "zvars"), t.shape))
-    tensor += "".join(f"{i} {j} {k} {c}/1\n" for (i, j, k), c in sorted(t.entries.items()))
-    partition = ""
-    for ax, own in zip("xyz", p.axis_parts):
-        for label, idx in own:
-            partition += f"{ax} {label} " + " ".join(map(str, rng.sample(idx, len(idx)))) + "\n"
-    got = formats._regular_tensor(tensor)
+    workloads.write_tensor(tmp_path / "t", dict(t.entries), t.shape)
+    workloads.write_parts(tmp_path / "p", dict(zip("xyz", p.axis_parts)))
+    got = formats._regular_tensor((tmp_path / "t").read_text())
     assert got is not None and got._entries is None and got == t
-    assert_same_partition(formats._regular_partition(partition, t.shape), p)
-    assert_same_partition(formats._regular_partition(partition, None), p)
+    assert_same_partition(sr.parse_partition((tmp_path / "p").read_text()), p)
 
 
 def test_laser_and_mu_sum_on_a_parsed_cube_build_no_entries_dict(tmp_path, monkeypatch):

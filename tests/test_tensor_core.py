@@ -1007,6 +1007,8 @@ def test_integer_first_coefficients():
     ("x a 0 0 1\nx b 2\ny a 0 1 2\nz a 0 1 2\n", 1, "index 0 listed twice in part 'a' on axis x"),
     ("x a 0 1 2\ny a 0\n\ny b 2 1 2\nz a 0 1 2\n", 4,
      "index 2 listed twice in part 'b' on axis y"),
+    ("x a 0 1 2\ny a 99999999999999999999\nz a 0 1 2\n", 2,
+     "index 99999999999999999999 out of range on axis y"),
 ])
 def test_partition_errors_name_their_line(text, line, message):
     with pytest.raises(ParseError) as err:
@@ -1031,6 +1033,21 @@ def test_partition_roundtrip():
     assert back == p
     with pytest.raises(ParseError):
         sr.parse_partition("x onlylabel\n")
+    cw = sr.make_cw(1)
+    for p in (sr.cw_partition(2), sr.cube_partition(cw, sr.cw_partition(1)),
+              sr.t112_partition(2), sr.partition_sum(sr.cw_partition(1), sr.t112_partition(1))):
+        back = sr.parse_partition(sr.write_partition(p), p.sizes)
+        assert back == p and back.where == p.where
+
+
+@pytest.mark.parametrize("label", ["a b", "a#b", ""])
+def test_partition_label_the_parser_cannot_read_is_not_written(label):
+    """A label that is empty or holds whitespace or `#` does not read back
+    as one token, so `write_partition` refuses it and names axis and label."""
+    p = sr.VariablePartition([("0", [0])], [(label, [0])], [("0", [0])], (1, 1, 1))
+    with pytest.raises(ValueError) as err:
+        sr.write_partition(p)
+    assert str(err.value) == f"part label {label!r} on axis y is empty or holds whitespace or #"
 
 
 # -- the tensor parser against its per-line reference ---------------------------
