@@ -39,6 +39,7 @@ import numpy as np
 
 from . import exact_linalg, optimizer, rank_tools
 from .tensor_core import (
+    CW_RANK_SOURCE,
     BlockSet,
     RankFact,
     Tensor,
@@ -251,12 +252,10 @@ def remove_x_bound(t: Tensor, p: VariablePartition) -> tuple[BoundReport, BoundR
     """`split_bound` for A, the terms in p's first x part, and B, the rest,
     bounded by `partition_bound` on B trimmed to its used variables and
     split into singletons.  Returns the split report and B's report."""
-    a, b = {}, {}
-    for key, c in t.entries.items():
-        (a if p.where[0][key[0]][0] == 0 else b)[key] = c
-    if not a or not b:
+    in_a = np.array(p.where[0], np.intp).reshape(-1, 2)[t.key_array[:, 0], 0] == 0
+    if in_a.all() or not in_a.any():
         raise TrivialSplit("remove-x needs a nontrivial first x part")
-    a, b = (Tensor._unchecked(*t.labels, e) for e in (a, b))
+    a, b = (Tensor._from_arrays(*t.labels, t.key_array[m], t.coef_array[m]) for m in (in_a, ~in_a))
     bt = trimmed(b)
     solved = partition_bound(bt, singleton_partition(bt))
     return split_bound(a, b, solved.value), solved
@@ -727,6 +726,5 @@ def cw_family_floor(q_max: int) -> BoundReport:
         "relaxed_above_floor": relaxed_9 > FLOOR_TARGET,
         "q_max": q_max,
     }
-    fact = ("asymptotic_rank", "q+2", make_cw(1).rank_fact().source)
-    return BoundReport("omega_lower", min(*omegas, relaxed_9), THEOREM_FLOOR,
-                       certificate=cert, inputs_asserted=(fact,))
+    return BoundReport("omega_lower", min(*omegas, relaxed_9), THEOREM_FLOOR, certificate=cert,
+                       inputs_asserted=(("asymptotic_rank", "q+2", CW_RANK_SOURCE),))

@@ -253,12 +253,15 @@ def parse_partition(text: str, sizes=None) -> VariablePartition:
 def write_partition(p: VariablePartition) -> str:
     """The partition format of `p`; a ValueError naming the axis and label
     of a part whose label `parse_partition` would not read back as one
-    token: empty, or holding whitespace or `#`."""
+    token from a UTF-8 file: empty, or holding whitespace, `#` or a lone
+    surrogate (which UTF-8 cannot encode)."""
     lines = []
     for ax, own in zip(AXES, p.axis_parts):
         for label, idx in own:
-            if label.split() != [label] or "#" in label:
-                raise ValueError(f"part label {label!r} on axis {ax} is empty or holds whitespace or #")
+            if label.split() != [label] or "#" in label \
+                    or label.encode(errors="ignore").decode() != label:  # drops a surrogate
+                raise ValueError(f"part label {label!r} on axis {ax} is empty or holds whitespace, # "
+                                 "or a lone surrogate")
             lines.append(f"{ax} {label} " + " ".join(str(i) for i in idx))
     return "\n".join(lines) + "\n"
 

@@ -5,9 +5,10 @@ sparse map from index triples (i, j, k) to nonzero exact coefficients:
 `int` when integral, `Fraction` otherwise, so the integer families run
 in integer arithmetic.
 Tensors are immutable after construction: every operation returns a new
-tensor, so values can be shared freely across threads.  A tensor keeps
-the form it was built from, the entries dict or the n x 3 key array with
-its coefficient array, and derives the other once, when first read.
+tensor, so values can be shared freely across threads.  A tensor holds
+its entries as an n x 3 key array and a coefficient array from
+construction; the entries dict is the one it was built from, or is
+derived from the arrays once, when first read.
 
 Besides the generic algebra (product, direct sum, rotation, addition) this
 module provides the standard structured families used in matrix
@@ -42,6 +43,9 @@ AXES = ("x", "y", "z")
 # Tensor powers are materialized eagerly; this cap keeps an accidental
 # T**n from exhausting memory.  Asymptotic statements never need powers.
 POWER_CAP = 3
+
+# where CW_q's asserted asymptotic rank q+2 comes from, for every q
+CW_RANK_SOURCE = "CW border rank construction (1990) with matching flattening lower bound"
 
 
 @dataclass(frozen=True)
@@ -112,19 +116,38 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _coefficients(values: list) -> np.ndarray:
+    """`values` as a read-only array: int64 when all of them are ints that
+    fit, objects otherwise."""
+    coefs = np.array(values) if values else np.zeros(0, np.int64)
+    if coefs.dtype != np.int64:  # a Fraction, or an int past int64
+        coefs = np.array(values, object)
+    return _read_only(coefs)
+
+
+def _arrays(entries: dict) -> tuple:
+    """The read-only n x 3 key array and the coefficient array of `entries`,
+    in its order."""
+    n = len(entries)
+    keys = np.fromiter(chain.from_iterable(entries), np.intp, 3 * n).reshape(n, 3)
+    return _read_only(keys), _coefficients(list(entries.values()))
+
+
 class Tensor(Frozen):
     """Sparse trilinear form with exact rational coefficients.
 
     `x_labels`, `y_labels`, `z_labels` are the ordered variable lists, and
-    `labels` reads the three of them as a triple; `entries`, a read-only
-    dict, maps positional index triples to nonzero coefficients.
-    `key_array` (n x 3) and `coef_array` hold the same entries in the same
-    order, read-only: the coefficients as int64 when all of them are ints
-    that fit, as objects otherwise.  A form that was not built is derived
-    on first read; threads that race to it derive equal values.
+    `labels` reads the three of them as a triple.  `key_array` (n x 3) and
+    `coef_array`, held from construction and read-only, list the nonzero
+    entries: the coefficients as int64 when all of them are ints that fit,
+    as objects otherwise.  `entries`, a read-only dict, maps the same index
+    triples to the same coefficients in the same order; it is the dict the
+    tensor was built from, or is derived from the arrays on first read
+    (threads that race to it derive equal values).
     """
 
-    __slots__ = ("x_labels", "y_labels", "z_labels", "meta", "_entries", "_keys", "_coefs")
+    __slots__ = ("x_labels", "y_labels", "z_labels", "meta", "key_array", "coef_array",
+                 "_entries")
 
     labels = property(lambda self: (self.x_labels, self.y_labels, self.z_labels))
 
@@ -147,63 +170,41 @@ class Tensor(Frozen):
             if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
                 raise ValueError(f"entry index {(i, j, k)} out of range")
             clean[key] = c
-        self._set(*labels, dict(meta) if meta else {}, _Entries(clean), None, None)
+        self._set(*labels, dict(meta) if meta else {}, *_arrays(clean), _Entries(clean))
 
     @classmethod
     def _unchecked(cls, x_labels, y_labels, z_labels, entries, meta=None) -> Tensor:
         """A tensor taken as given, `meta` too, for label tuples and entries
-        that pass every check of `Tensor(...)` as they stand: a checked
-        tensor's and a sub-map of its entries, `trimmed`'s remap of a
-        checked tensor's, `direct_sum`'s of checked tensors,
+        that pass every check of `Tensor(...)` as they stand:
         `parse_tensor`'s, or the table families' builders'."""
         t = object.__new__(cls)
-        t._set(x_labels, y_labels, z_labels, meta or {},
-               entries if type(entries) is _Entries else _Entries(entries), None, None)
+        t._set(x_labels, y_labels, z_labels, meta or {}, *_arrays(entries),
+               entries if type(entries) is _Entries else _Entries(entries))
         return t
 
     @classmethod
     def _from_arrays(cls, x_labels, y_labels, z_labels, keys, coefs, meta=None) -> Tensor:
-        """`_unchecked` for entries given as an n x 3 int key array and an
-        int64 coefficient array, nonzero, with distinct keys in range; both
-        are made read-only."""
+        """`_unchecked` for entries given as an n x 3 int key array and a
+        coefficient array, nonzero, with distinct keys in range.  An int64
+        array is kept; any other, such as the object array of `direct_sum`
+        or of remove-x's split of a tensor that holds a Fraction, is read
+        again by `_coefficients`, since a part of it may hold only ints that
+        fit.  Both arrays end read-only; `entries` is derived on first read."""
+        coefs = _read_only(coefs) if coefs.dtype == np.int64 else _coefficients(coefs.tolist())
         t = object.__new__(cls)
-        t._set(x_labels, y_labels, z_labels, meta or {}, None, _read_only(keys),
-               _read_only(coefs))
+        t._set(x_labels, y_labels, z_labels, meta or {}, _read_only(keys), coefs, None)
         return t
 
     def __reduce__(self):
-        if self._entries is None:
-            return Tensor._from_arrays, (*self.labels, self._keys, self._coefs, self.meta)
-        return Tensor._unchecked, (*self.labels, self._entries, self.meta)
+        return Tensor._from_arrays, (*self.labels, self.key_array, self.coef_array, self.meta)
 
     @property
     def entries(self) -> dict:
         entries = self._entries
         if entries is None:
-            entries = _Entries(zip(zip(*self._keys.T.tolist()), self._coefs.tolist()))
+            entries = _Entries(zip(zip(*self.key_array.T.tolist()), self.coef_array.tolist()))
             object.__setattr__(self, "_entries", entries)
         return entries
-
-    @property
-    def key_array(self) -> np.ndarray:
-        keys = self._keys
-        if keys is None:
-            n = len(self._entries)
-            keys = _read_only(np.fromiter(chain.from_iterable(self._entries), np.intp,
-                                          3 * n).reshape(n, 3))
-            object.__setattr__(self, "_keys", keys)
-        return keys
-
-    @property
-    def coef_array(self) -> np.ndarray:
-        coefs = self._coefs
-        if coefs is None:
-            values = list(self._entries.values())
-            coefs = np.array(values) if values else np.zeros(0, np.int64)
-            if coefs.dtype != np.int64:  # a Fraction, or an int past int64
-                coefs = np.array(values, object)
-            object.__setattr__(self, "_coefs", _read_only(coefs))
-        return coefs
 
     # -- basic views ------------------------------------------------------
 
@@ -215,7 +216,7 @@ class Tensor(Frozen):
         return self.entries.get((i, j, k), 0)
 
     def __len__(self) -> int:
-        return len(self._keys) if self._entries is None else len(self._entries)
+        return len(self.key_array)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -244,15 +245,15 @@ def is_minimal(t: Tensor) -> bool:
 
 def trimmed(t: Tensor) -> Tensor:
     """Drop unused variables so the result is minimal for its axes."""
-    used = [t.used_indices(ax) for ax in AXES]
+    keys = t.key_array
+    # not `np.unique`, whose plain form imports `numpy.ma` on first use
+    used = [np.flatnonzero(np.bincount(keys[:, a], minlength=n)) for a, n in enumerate(t.shape)]
     if tuple(map(len, used)) == t.shape:
         return t
-    keep = list(map(sorted, used))
-    rx, ry, rz = ({old: new for new, old in enumerate(kp)} for kp in keep)
-    return Tensor._unchecked(
-        *(tuple(map(own.__getitem__, kp)) for own, kp in zip(t.labels, keep)),
-        {(rx[i], ry[j], rz[k]): c for (i, j, k), c in t.entries.items()},
-        dict(t.meta))
+    return Tensor._from_arrays(
+        *(tuple(map(own.__getitem__, kp.tolist())) for own, kp in zip(t.labels, used)),
+        np.column_stack([np.searchsorted(kp, keys[:, a]) for a, kp in enumerate(used)]),
+        t.coef_array, dict(t.meta))
 
 
 # -- constructors ---------------------------------------------------------
@@ -311,8 +312,7 @@ def make_cw(q: int, sigma: Optional[Sequence[int]] = None) -> Tensor:
     idx = tuple(range(q + 2))
     return Tensor._unchecked(idx, idx, idx, entries, {
         "family": "CW", "q": q, "sigma": sigma,
-        "asymptotic_rank": RankFact(q + 2, True,
-                                    "CW border rank construction (1990) with matching flattening lower bound"),
+        "asymptotic_rank": RankFact(q + 2, True, CW_RANK_SOURCE),
     })
 
 
@@ -422,14 +422,15 @@ def tensor_power(t: Tensor, n: int) -> Tensor:
 
 
 def direct_sum(*tensors: Tensor) -> Tensor:
-    """Disjoint sum; the labels of the r-th tensor are tagged (r, label)."""
-    labels, entries = ([], [], []), {}
+    """Disjoint sum, built from the summands' arrays; the labels of the r-th
+    tensor are tagged (r, label)."""
+    labels, keys = ([], [], []), [np.zeros((0, 3), np.intp)]
     for r, t in enumerate(tensors):
-        ox, oy, oz = (len(axis) for axis in labels)
+        keys.append(t.key_array + tuple(map(len, labels)))
         for axis, own in zip(labels, t.labels):
             axis.extend(zip(repeat(r), own))
-        entries.update({(i + ox, j + oy, k + oz): c for (i, j, k), c in t.entries.items()})
-    return Tensor._unchecked(*map(tuple, labels), entries)
+    return Tensor._from_arrays(*map(tuple, labels), np.concatenate(keys), np.concatenate(
+        [np.zeros(0, np.int64), *(t.coef_array for t in tensors)]))
 
 
 def n_copies(m: int, t: Tensor) -> Tensor:
@@ -453,11 +454,8 @@ def tensor_add(a: Tensor, *rest: Tensor) -> Tensor:
 
 def rotate(t: Tensor) -> Tensor:
     """Rotation: the coefficient of y_j z_k x_i in rot(T) is that of x_i y_j z_k."""
-    return Tensor(
-        t.y_labels, t.z_labels, t.x_labels,
-        {(j, k, i): c for (i, j, k), c in t.entries.items()},
-        meta=t.meta,
-    )
+    return Tensor._from_arrays(t.y_labels, t.z_labels, t.x_labels, t.key_array[:, [1, 2, 0]],
+                               t.coef_array, dict(t.meta))
 
 
 def symmetric_cube(t: Tensor) -> Tensor:

@@ -1154,6 +1154,17 @@ def test_family_floor_proof_constants_in_interval_arithmetic():
     assert (relaxed9 - be.FLOOR_TARGET).a > 0
 
 
+def test_cw_family_floor_cites_the_cw_rank_and_builds_no_tensor(monkeypatch):
+    """The floor asserts CW_q's rank from the one source `make_cw` records,
+    read without building a tensor."""
+    want = sr.make_cw(4).rank_fact()
+    monkeypatch.setattr(Tensor, "_unchecked", classmethod(
+        lambda *args: pytest.fail("the floor built a tensor")))
+    rep = be.cw_family_floor(9)
+    assert rep.inputs_asserted == (("asymptotic_rank", "q+2", want.source),)
+    assert want.source == sr.tensor_core.CW_RANK_SOURCE and want.exact
+
+
 def test_cw_family_floor_requires_nine():
     with pytest.raises(ValueError):
         be.cw_family_floor(5)

@@ -1,5 +1,6 @@
 """Regular tensor files, read in arrays, against the line loop of
-`parse_tensor`; the read-only forms of a tensor and a block set."""
+`parse_tensor`; the arrays every tensor holds, and the read-only forms of
+a tensor and a block set."""
 
 import io
 import os
@@ -43,6 +44,20 @@ def assert_same_tensor(got, want):
     assert got == want and hash(got) == hash(want)
     assert list(got.entries.items()) == list(want.entries.items())
     assert [type(c) for c in got.entries.values()] == [type(c) for c in want.entries.values()]
+    for t in (got, want):
+        assert_arrays_hold_entries(t)
+
+
+def assert_arrays_hold_entries(t):
+    """`key_array` and `coef_array` list `entries` row for row, both
+    read-only, the coefficients as int64 exactly when all of them are ints
+    that fit."""
+    keys, coefs = t.key_array, t.coef_array
+    assert keys.shape == (len(t), 3) and coefs.shape == (len(t),) and len(t.entries) == len(t)
+    assert list(zip(map(tuple, keys.tolist()), coefs.tolist())) == list(t.entries.items())
+    fits = all(type(c) is int and -2 ** 63 <= c < 2 ** 63 for c in t.entries.values())
+    assert coefs.dtype == (np.int64 if fits else object)
+    assert not keys.flags.writeable and not coefs.flags.writeable
 
 
 def assert_same_partition(got, want):
@@ -214,8 +229,8 @@ def test_entries_read_and_copy_as_a_dict():
 @pytest.mark.parametrize("parsed", [False, True], ids=["built", "parsed"])
 def test_tensor_arrays_are_read_only_and_survive_copies(parsed):
     """The key and coefficient arrays of a built and of a parsed tensor
-    refuse writes; copies equal the original, keep the form it was in,
-    and their arrays refuse writes too."""
+    refuse writes; copies equal the original, and their arrays refuse
+    writes too."""
     t = sr.make_cw(2)
     if parsed:
         t = sr.parse_tensor(sr.write_tensor(t))
@@ -233,17 +248,22 @@ def test_tensor_arrays_are_read_only_and_survive_copies(parsed):
 
 
 def test_first_read_of_a_derived_form_is_safe_across_threads():
-    """More threads than cores read the entries of one parsed tensor and
-    the arrays of one built tensor, none read before, half of them in each
-    order, with the interpreter switching threads every microsecond: every
-    thread gets equal values, and the forms each tensor keeps agree."""
+    """More threads than cores read the entries of one parsed tensor and of
+    one direct sum, which derive them from their arrays, none read before,
+    half of them in each order, with the interpreter switching threads
+    every microsecond: every thread gets equal values, and they agree with
+    each tensor's arrays."""
     t, _ = relabeled_cw2_cube(41)
     text = sr.write_tensor(t)
-    parsed, built = sr.parse_tensor(text), sr.make_cw(5)
-    assert parsed._entries is None and built._keys is None and built._coefs is None
-    want = (list(sr.parse_tensor(text).entries.items()), built.key_array.tolist(),
-            built.coef_array.tolist())
-    built = sr.make_cw(5)
+
+    def fresh():
+        parsed, summed = sr.parse_tensor(text), sr.direct_sum(sr.make_cw(5), sr.make_cw_small(2))
+        assert parsed._entries is None and summed._entries is None
+        return parsed, summed
+
+    parsed, summed = fresh()
+    want = (list(parsed.entries.items()), list(summed.entries.items()))
+    parsed, summed = fresh()
     count = 4 * (os.cpu_count() or 1) + 2
     start = threading.Barrier(count, timeout=30)
     got = [None] * count
@@ -251,11 +271,10 @@ def test_first_read_of_a_derived_form_is_safe_across_threads():
     def read(i):
         start.wait()
         if i % 2:
-            got[i] = (list(parsed.entries.items()), built.key_array.tolist(),
-                      built.coef_array.tolist())
+            got[i] = (list(parsed.entries.items()), list(summed.entries.items()))
         else:
-            coefs, keys = built.coef_array.tolist(), built.key_array.tolist()
-            got[i] = (list(parsed.entries.items()), keys, coefs)
+            later = list(summed.entries.items())
+            got[i] = (list(parsed.entries.items()), later)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -270,8 +289,70 @@ def test_first_read_of_a_derived_form_is_safe_across_threads():
         sys.setswitchinterval(switch)
     assert alive == []
     assert all(g == want for g in got)
-    assert list(parsed.entries.items()) == want[0] and parsed == t
-    assert np.array_equal(parsed.key_array, np.array(list(parsed.entries)))
+    assert parsed == t and (list(parsed.entries.items()), list(summed.entries.items())) == want
+    for tensor in (parsed, summed):
+        assert_arrays_hold_entries(tensor)
+
+
+def remove_x_parts(t, p):
+    """The A and B that `remove_x_bound` splits t into under p."""
+    with mock.patch.object(be, "split_bound", wraps=be.split_bound) as split:
+        be.remove_x_bound(t, p)
+    return split.call_args.args[:2]
+
+
+def tensors_of_every_constructor():
+    """A tensor from each way one is built, by name."""
+    half = Fraction(1, 2)
+    mixed = Tensor(range(3), range(3), range(3),
+                   {**sr.make_cw(1).entries, (0, 0, 2): half, (1, 1, 1): 0})
+    big = Tensor(range(1), range(2), range(1), {(0, 0, 0): 2 ** 63, (0, 1, 0): 3})
+    cube, parts = relabeled_cw2_cube(7)
+    a, b = remove_x_parts(mixed, sr.cw_partition(1))
+    a_int, b_frac = remove_x_parts(
+        Tensor(range(3), range(3), range(3), {**sr.make_cw(1).entries, (2, 0, 0): half}),
+        sr.cw_partition(1))
+    bs = sr.blocks(cube, parts)
+    return {
+        "checked": sr.make_t112(2), "checked-fraction": mixed, "checked-past-int64": big,
+        "checked-empty": Tensor((), (), (), {}), "unchecked": sr.make_cw(3),
+        "trimmed": sr.trimmed(Tensor(range(4), range(3), range(3), sr.make_cw(1).entries)),
+        "regular-parse": sr.parse_tensor(sr.write_tensor(cube)),
+        "irregular-parse": sr.parse_tensor("xvars 1\nyvars 2\nzvars 1\n0 0 0 1/3\n0 1 0 2 # c\n"),
+        "direct-sum": sr.direct_sum(sr.make_cw(2), mixed, sr.make_cw_small(1), big),
+        "direct-sum-of-object-summands": sr.direct_sum(mixed, big),
+        "direct-sum-of-none": sr.direct_sum(), "direct-sum-of-one": sr.direct_sum(mixed),
+        "n-copies": sr.n_copies(3, sr.parse_tensor(sr.write_tensor(sr.make_cw(1)))),
+        "remove-x-a-fraction": a, "remove-x-b": b, "remove-x-a": a_int,
+        "remove-x-b-fraction": b_frac,
+        "block": bs[bs.keys()[0]], "cube": sr.symmetric_cube(sr.make_cw(1)),
+        "rotate": sr.rotate(mixed), "sum": sr.tensor_add(mixed, sr.make_cw(1)),
+    }
+
+
+def test_every_tensor_holds_arrays_that_list_its_entries():
+    """Whichever way a tensor is built, its arrays list its entries row for
+    row under the dtype rule, and so do those of its copies, which equal
+    it; remove-x's parts keep int64 coefficients apart from objects."""
+    tensors = tensors_of_every_constructor()
+    assert tensors["remove-x-a-fraction"].coef_array.dtype == object
+    assert tensors["remove-x-b"].coef_array.dtype == np.int64
+    assert tensors["remove-x-a"].coef_array.dtype == np.int64
+    assert tensors["direct-sum-of-none"].shape == (0, 0, 0)
+    for name, t in tensors.items():
+        assert_arrays_hold_entries(t)
+        for how, round_trip in ROUND_TRIPS.items():
+            assert_same_tensor(round_trip(t), t)
+
+
+def test_direct_sum_of_array_tensors_derives_no_entries():
+    """`direct_sum` and `n_copies` of parsed tensors build from their
+    arrays: no summand's entries, nor the sum's, are derived."""
+    parsed = [sr.parse_tensor(sr.write_tensor(t)) for t in (sr.make_cw(2), sr.make_cw(1))]
+    summed = sr.direct_sum(*parsed, sr.n_copies(2, parsed[1]))
+    assert all(t._entries is None for t in (*parsed, summed))
+    want = sr.direct_sum(sr.make_cw(2), *[sr.make_cw(1)] * 3)
+    assert summed.shape == want.shape and summed.entries == want.entries
 
 
 def test_coefficient_array_holds_objects_past_int64():

@@ -182,15 +182,21 @@ def test_t112_counts(q, nz, entries):
     DegenerationMap({(0, 1): LambdaPoly({1: 2})}, {(1, 0): 1}, {}, 2),
 ], ids=["tensor", "partition", "partition-sum", "lambda-poly", "degeneration-map"])
 def test_immutable_values_copy_and_pickle(value, how):
-    """Pickling, copying and deep-copying restore every slot, the copy
-    equals the original where its type defines equality, and it is as
-    immutable as the original: setting any slot raises, and so does
-    deleting one, on the original and on the copy."""
+    """Pickling, copying and deep-copying restore every slot, arrays with
+    their dtype and a slot cached on first read (`_entries`) as its reader
+    (`entries`) reads it; the copy equals the original where its type
+    defines equality, and it is as immutable as the original: setting any
+    slot raises, and so does deleting one, on the original and on the
+    copy."""
     got = ROUND_TRIPS[how](value)
     kind = type(value)
     assert type(got) is kind
     for slot in kind.__slots__:
-        assert getattr(got, slot) == getattr(value, slot), slot
+        mine, theirs = (getattr(v, slot.lstrip("_")) for v in (got, value))
+        if isinstance(theirs, np.ndarray):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), slot
+        else:
+            assert mine == theirs, slot
         with pytest.raises(AttributeError, match=f"{kind.__name__} is immutable"):
             setattr(got, slot, getattr(value, slot))
         for either in (value, got):
@@ -1040,14 +1046,21 @@ def test_partition_roundtrip():
         assert back == p and back.where == p.where
 
 
-@pytest.mark.parametrize("label", ["a b", "a#b", ""])
+@pytest.mark.parametrize("label", ["a b", "a#b", "", "\ud800", "a\udfffb"])
 def test_partition_label_the_parser_cannot_read_is_not_written(label):
     """A label that is empty or holds whitespace or `#` does not read back
-    as one token, so `write_partition` refuses it and names axis and label."""
+    as one token, and one with a lone surrogate cannot be written to the
+    UTF-8 file the command line reads, so `write_partition` refuses it and
+    names axis and label; other non-ASCII labels round-trip through such
+    a file."""
     p = sr.VariablePartition([("0", [0])], [(label, [0])], [("0", [0])], (1, 1, 1))
     with pytest.raises(ValueError) as err:
         sr.write_partition(p)
-    assert str(err.value) == f"part label {label!r} on axis y is empty or holds whitespace or #"
+    assert str(err.value) == \
+        f"part label {label!r} on axis y is empty or holds whitespace, # or a lone surrogate"
+    fine = sr.VariablePartition([("0", [0])], [("é€😀", [0])], [("0", [0])], (1, 1, 1))
+    text = sr.write_partition(fine).encode("utf-8").decode("utf-8")
+    assert sr.parse_partition(text, (1, 1, 1)) == fine
 
 
 # -- the tensor parser against its per-line reference ---------------------------
